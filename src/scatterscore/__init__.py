@@ -75,7 +75,7 @@ from .pairspace import (
     decompose_covariance,
     extract_pair_features,
 )
-from .preprocess import FittedPreprocess, PreprocessSpec, apply_preprocess, fit_preprocess
+from .preprocess import FittedPreprocess, PreprocessSpec, fit_preprocess
 from .vqm import (
     MergeMatrix,
     VqmScore,

@@ -9,13 +9,12 @@ analysis, and the worst-case displacement formulas.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .util import derive_seed, spawn_rng
+from .util import derive_seed, parse_rows, read_table, spawn_rng
 from .vqm import compare
 
 LANDIS_KOCH_BANDS = (
@@ -308,35 +307,32 @@ def alteration_percentage(n_plots: int, r: float) -> float:
 
 def read_group_csv(path) -> tuple[list[str], GroupRatings]:
     """Read item_id,rater_1..rater_R category votes; returns (ids, ratings)."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
-    if len(rows) < 2:
+    header, rows = read_table(path)
+    if not rows:
         raise ValueError(f"{path}: no rating rows")
-    ids, votes = [], []
-    for i, row in enumerate(rows[1:], start=2):
-        cells = [c.strip() for c in row]
-        if len(cells) < 2:
-            raise ValueError(f"{path}: row {i}: need an item id and at least one vote")
-        ids.append(cells[0])
-        votes.append(tuple(cells[1:]))
+    if len(header) < 2:
+        raise ValueError(f"{path}: need an item id and at least one vote per row")
+    ids = [cells[0] for _, cells in rows]
+    votes = [tuple(cells[1:]) for _, cells in rows]
     categories = sorted({v for row in votes for v in row})
     return ids, GroupRatings(categories=tuple(categories), votes=tuple(votes))
 
 
+def _pair_judgment(cells) -> tuple[tuple[str, str], tuple[str, ...]]:
+    for v in cells[2:]:
+        if v not in RELATION_CATEGORIES:
+            raise ValueError(f"vote {v!r} is not one of {RELATION_CATEGORIES}")
+    return (cells[0], cells[1]), tuple(cells[2:])
+
+
 def read_pair_judgments_csv(path) -> tuple[list[tuple[str, str]], GroupRatings]:
     """Read idA,idB,vote_1..vote_R rows with votes in {<, =, >}."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
-    if len(rows) < 2:
+    header, rows = read_table(path)
+    if not rows:
         raise ValueError(f"{path}: no judgment rows")
-    pairs, votes = [], []
-    for i, row in enumerate(rows[1:], start=2):
-        cells = [c.strip() for c in row]
-        if len(cells) < 3:
-            raise ValueError(f"{path}: row {i}: need two ids and at least one vote")
-        for v in cells[2:]:
-            if v not in RELATION_CATEGORIES:
-                raise ValueError(f"{path}: row {i}: vote {v!r} is not one of {RELATION_CATEGORIES}")
-        pairs.append((cells[0], cells[1]))
-        votes.append(tuple(cells[2:]))
+    if len(header) < 3:
+        raise ValueError(f"{path}: need two ids and at least one vote per row")
+    parsed = parse_rows(path, rows, _pair_judgment)
+    pairs = [pair for pair, _ in parsed]
+    votes = [row_votes for _, row_votes in parsed]
     return pairs, GroupRatings(categories=RELATION_CATEGORIES, votes=tuple(votes))

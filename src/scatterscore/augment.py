@@ -8,7 +8,6 @@ angle freedom), and deduplicated into a training corpus.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from .pairspace import (
     with_theta_u,
     with_theta_v,
 )
-from .util import fmt_num, spawn_rng
+from .util import parse_rows, read_table, spawn_rng, write_csv
 
 #: Angle grid used to replicate records with an isotropic component: the
 #: ellipse orientation is unidentifiable there, so every orientation must
@@ -110,12 +109,6 @@ class TrainingCorpus:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.array([r.features.as_vector() for r in self.records], dtype=float)
-
-    def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=np.int8)
 
 
 def summarize_judgments(judgments) -> int:
@@ -211,13 +204,17 @@ class IngestResult:
     report: IngestReport
 
 
-def _params_from_row(values: dict[str, float]) -> PairFeatures:
-    return PairFeatures(
-        tau=values["tau"],
-        mu=values["mu"],
-        shape_u=ShapeParams(values["theta_u"], values["sigma_ux"], values["sigma_uy"]),
-        shape_v=ShapeParams(values["theta_v"], values["sigma_vx"], values["sigma_vy"]),
-    )
+def _params_parser(header: list[str]):
+    """Row parser for the ``id`` and generator-parameter columns, found by name."""
+    id_col = header.index("id")
+    param_cols = [header.index(c) for c in PARAM_COLUMNS]
+    return lambda cells: (cells[id_col], PairFeatures.from_vector([cells[j] for j in param_cols]))
+
+
+def read_params_csv(path) -> list[tuple[str, PairFeatures]]:
+    """(id, generator parameters) per row: the ``generate --params-file`` input."""
+    header, rows = read_table(path, required=("id", *PARAM_COLUMNS))
+    return parse_rows(path, rows, _params_parser(header)) if header else []
 
 
 def ingest_benchmark(path) -> IngestResult:
@@ -228,15 +225,9 @@ def ingest_benchmark(path) -> IngestResult:
     ``j1..jR`` with 1 = one-cluster.  Rows whose parameters coincide after
     alignment are merged, keeping the first occurrence.
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
-    if not rows:
+    header, rows = read_table(path, required=("id", *PARAM_COLUMNS))
+    if not header:
         return IngestResult(records=(), report=IngestReport(0, 0, ()))
-
-    header = [c.strip().lower() for c in rows[0]]
-    missing = [c for c in ("id", *PARAM_COLUMNS) if c not in header]
-    if missing:
-        raise ValueError(f"{path}: missing required columns {missing}")
     judge_cols = [c for c in header if c.startswith("j") and c[1:].isdigit()]
     if not judge_cols:
         raise ValueError(f"{path}: no judgment columns (j1..jR) found")
@@ -244,30 +235,24 @@ def ingest_benchmark(path) -> IngestResult:
     for col in header:
         if col not in known:
             _warnings.warn(f"{path}: ignoring unknown column {col!r}")
-    col_index = {c: header.index(c) for c in header}
+    id_and_params = _params_parser(header)
+    vote_cols = [header.index(c) for c in judge_cols]
+
+    def parse(cells):
+        record_id, params = id_and_params(cells)
+        return JudgmentRecord(record_id=record_id, params=params, judgments=[int(cells[j]) for j in vote_cols])
 
     records: list[JudgmentRecord] = []
     seen: dict[tuple, str] = {}
     duplicates: list[tuple[str, str]] = []
-    n_rows = 0
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {i}: expected {len(header)} cells, got {len(row)}")
-        try:
-            record_id = row[col_index["id"]].strip()
-            values = {c: float(row[col_index[c]]) for c in PARAM_COLUMNS}
-            votes = tuple(int(row[col_index[c]]) for c in judge_cols)
-            record = JudgmentRecord(record_id=record_id, params=_params_from_row(values), judgments=votes)
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"{path}: row {i}: {exc}") from None
-        n_rows += 1
+    for record in parse_rows(path, rows, parse):
         key = canonical_key(align_training_record(record.params))
         if key in seen:
             duplicates.append((record.record_id, seen[key]))
             continue
         seen[key] = record.record_id
         records.append(record)
-    report = IngestReport(n_rows=n_rows, n_unique=len(records), duplicates=tuple(duplicates))
+    report = IngestReport(n_rows=len(rows), n_unique=len(records), duplicates=tuple(duplicates))
     return IngestResult(records=tuple(records), report=report)
 
 
@@ -316,39 +301,21 @@ CORPUS_COLUMNS = (*PARAM_COLUMNS, "label", "origin_id")
 
 
 def write_corpus_csv(path, corpus: TrainingCorpus) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CORPUS_COLUMNS) + "\n")
-        for rec in corpus.records:
-            cells = [fmt_num(x) for x in rec.features.as_vector()]
-            cells.append(str(rec.label))
-            cells.append(rec.origin_id)
-            fh.write(",".join(cells) + "\n")
+    rows = ([*rec.features.as_vector().tolist(), rec.label, rec.origin_id] for rec in corpus.records)
+    write_csv(path, CORPUS_COLUMNS, rows)
 
 
 def read_corpus_csv(path) -> TrainingCorpus:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if any(c.strip() for c in row)]
-    if not rows:
-        return TrainingCorpus(records=())
-    header = [c.strip().lower() for c in rows[0]]
-    if header != list(CORPUS_COLUMNS):
+    header, rows = read_table(path)
+    if header and header != list(CORPUS_COLUMNS):
         raise ValueError(f"{path}: expected corpus columns {CORPUS_COLUMNS}, got {header}")
-    records: list[LabeledPair] = []
+
+    def parse(cells):
+        features = AlignedPairFeatures.from_vector(cells[:8])
+        return LabeledPair(features=features, label=int(cells[8]), origin_id=cells[9])
+
+    records = parse_rows(path, rows, parse)
     provenance: dict[str, list[int]] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        try:
-            vals = [float(c) for c in row[:8]]
-            label = int(row[8])
-            origin = row[9].strip()
-            features = AlignedPairFeatures(
-                tau=vals[0],
-                mu=vals[1],
-                shape_u=ShapeParams(vals[6], vals[2], vals[3]),
-                shape_v=ShapeParams(vals[7], vals[4], vals[5]),
-            )
-            records.append(LabeledPair(features=features, label=label, origin_id=origin))
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"{path}: row {i}: {exc}") from None
-        provenance.setdefault(origin, []).append(len(records) - 1)
+    for i, rec in enumerate(records):
+        provenance.setdefault(rec.origin_id, []).append(i)
     return TrainingCorpus(records=tuple(records), provenance={k: tuple(v) for k, v in provenance.items()})

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import agreement, augment, gmm, mergemodel, vqm
 from .preprocess import CANONICAL_STEPS, PreprocessSpec
-from .util import derive_seed, fmt_num, spawn_rng
+from .util import derive_seed, spawn_rng, write_csv
 
 
 class InputError(Exception):
@@ -135,7 +135,10 @@ def cmd_generate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.params_file:
-        param_sets = _read_param_rows(args.params_file)
+        try:
+            param_sets = augment.read_params_csv(args.params_file)
+        except (OSError, ValueError) as exc:
+            raise InputError(str(exc)) from None
     elif resolved["grid_count"] > 0:
         param_sets = []
         for i in range(resolved["grid_count"]):
@@ -153,53 +156,20 @@ def cmd_generate(args) -> int:
             raise InputError(f"parameter set {plot_id!r}: {exc}") from None
         fname = f"{plot_id}.csv"
         gmm.write_scatterplot_csv(out_dir / fname, sp)
-        vec = params.as_vector()
-        manifest_rows.append(
-            [plot_id, fname, str(resolved["n"]), str(plot_seed)] + [fmt_num(x) for x in vec]
-        )
+        manifest_rows.append([plot_id, fname, resolved["n"], plot_seed, *params.as_vector()])
 
     manifest = out_dir / "manifest.csv"
-    with open(manifest, "w", newline="") as fh:
-        fh.write("id,file,n,seed," + ",".join(augment.PARAM_COLUMNS) + "\n")
-        for row in manifest_rows:
-            fh.write(",".join(row) + "\n")
+    write_csv(manifest, ("id", "file", "n", "seed", *augment.PARAM_COLUMNS), manifest_rows)
     _write_sidecar(manifest, resolved)
     print(f"wrote {len(manifest_rows)} scatterplots to {out_dir}")
     return 0
-
-
-def _read_param_rows(path) -> list[tuple[str, "augment.PairFeatures"]]:
-    import csv as _csv
-
-    try:
-        with open(path, newline="") as fh:
-            rows = [row for row in _csv.reader(fh) if any(c.strip() for c in row)]
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    if not rows:
-        return []
-    header = [c.strip().lower() for c in rows[0]]
-    missing = [c for c in ("id", *augment.PARAM_COLUMNS) if c not in header]
-    if missing:
-        raise InputError(f"{path}: missing columns {missing}")
-    idx = {c: header.index(c) for c in header}
-    out = []
-    for i, row in enumerate(rows[1:], start=2):
-        try:
-            values = {c: float(row[idx[c]]) for c in augment.PARAM_COLUMNS}
-            out.append((row[idx["id"]].strip(), augment._params_from_row(values)))
-        except (ValueError, IndexError) as exc:
-            raise InputError(f"{path}: row {i}: {exc}") from None
-    return out
 
 
 def cmd_corpus(args) -> int:
     resolved = resolve_config(args, {"seed": (int, 0)})
     try:
         result = augment.ingest_benchmark(args.judgments)
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from None
     corpus = augment.build_corpus(result.records)
     augment.write_corpus_csv(args.out, corpus)
@@ -237,9 +207,7 @@ def cmd_train(args) -> int:
     resolved = resolve_config(args, _TRAIN_SCHEMA)
     try:
         corpus = augment.read_corpus_csv(args.corpus)
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from None
     try:
         config = mergemodel.TrainConfig(
@@ -381,12 +349,8 @@ def cmd_evaluate(args) -> int:
             curve = agreement.alteration_curve(relations, group, ks, resolved["b"], resolved["seed"])
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        with open(args.out, "w", newline="") as fh:
-            fh.write("k,mean,sd,min,max\n")
-            for pt in curve:
-                fh.write(
-                    f"{pt.k},{fmt_num(pt.mean)},{fmt_num(pt.sd)},{fmt_num(pt.min)},{fmt_num(pt.max)}\n"
-                )
+        rows = ((pt.k, pt.mean, pt.sd, pt.min, pt.max) for pt in curve)
+        write_csv(args.out, ("k", "mean", "sd", "min", "max"), rows)
         print(f"alteration curve over k={ks} -> {args.out}")
     else:
         raise InputError(f"unknown mode {mode!r} (expected pairwise or alteration)")

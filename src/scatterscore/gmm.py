@@ -8,15 +8,13 @@ restarts and initialization draw from seeds derived with
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .util import spawn_rng
+from .util import read_rows, spawn_rng, write_csv
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -424,52 +422,20 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
 def read_scatterplot_csv(path, plot_id: str | None = None) -> Scatterplot:
     """Read a two-column x,y CSV (header row optional)."""
     rows: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader, start=1):
-            cells = [c.strip() for c in row if c.strip() != ""]
-            if not cells:
+    for line, cells in read_rows(path):
+        cells = [c for c in cells if c]
+        if len(cells) != 2:
+            raise ValueError(f"{path}: row {line}: expected 2 columns, got {len(cells)}")
+        try:
+            rows.append((float(cells[0]), float(cells[1])))
+        except ValueError:
+            if line == 1:  # header row
                 continue
-            if len(cells) != 2:
-                raise ValueError(f"{path}: row {i}: expected 2 columns, got {len(cells)}")
-            try:
-                rows.append((float(cells[0]), float(cells[1])))
-            except ValueError:
-                if i == 1:  # header row
-                    continue
-                raise ValueError(f"{path}: row {i}: non-numeric cell in {cells!r}") from None
+            raise ValueError(f"{path}: row {line}: non-numeric cell in {cells!r}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return Scatterplot(points=np.array(rows, dtype=float), id=plot_id)
 
 
 def write_scatterplot_csv(path, scatterplot: Scatterplot) -> None:
-    from .util import fmt_num
-
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y\n")
-        for x, y in scatterplot.points:
-            fh.write(f"{fmt_num(x)},{fmt_num(y)}\n")
-
-
-def fit_result_to_dict(result: FitResult) -> dict:
-    return {
-        "k_star": result.k_star,
-        "bic": result.bic,
-        "log_likelihood": result.model.log_likelihood,
-        "n_points": result.model.n_points,
-        "components": [
-            {
-                "weight": c.weight,
-                "mean": [c.mean.x, c.mean.y],
-                "cov": {"xx": c.cov.xx, "xy": c.cov.xy, "yy": c.cov.yy},
-            }
-            for c in result.model.components
-        ],
-        "per_k_bic": [[k, b] for k, b in result.per_k_bic],
-        "warnings": list(result.warnings),
-    }
-
-
-def fit_result_to_json(result: FitResult) -> str:
-    return json.dumps(fit_result_to_dict(result), indent=2)
+    write_csv(path, ("x", "y"), scatterplot.points.tolist())

@@ -251,19 +251,20 @@ def train_bagged(corpus, config: TrainConfig):
     return model, ConfusionCounts.from_predictions(yt, pred)
 
 
-def predict_matrix(model: MergingModel, X: np.ndarray) -> np.ndarray:
-    frac = ensemble_vote_fraction(model.trees, model.preprocess.apply_matrix(X))
+def _merges(frac: np.ndarray) -> np.ndarray:
+    """Merge decisions from tree vote shares: a tied vote merges, mirroring
+    the label tie rule."""
     return (frac >= 0.5).astype(np.int8)
 
 
-def predict(model: MergingModel, features: AlignedPairFeatures) -> tuple[int, float]:
-    """Merge decision for one aligned pair: (H, share of trees voting 1).
+def predict_matrix(model: MergingModel, X: np.ndarray) -> np.ndarray:
+    return _merges(ensemble_vote_fraction(model.trees, model.preprocess.apply_matrix(X)))
 
-    A tied vote merges, mirroring the label tie rule.
-    """
-    row = model.preprocess.apply_row(features.as_vector())
-    frac = float(ensemble_vote_fraction(model.trees, row.reshape(1, -1))[0])
-    return (1 if frac >= 0.5 else 0), frac
+
+def predict(model: MergingModel, features: AlignedPairFeatures) -> tuple[int, float]:
+    """Merge decision for one aligned pair: (H, share of trees voting 1)."""
+    frac = ensemble_vote_fraction(model.trees, model.preprocess.apply_matrix(features.as_vector()))
+    return int(_merges(frac)[0]), float(frac[0])
 
 
 def cross_validate(corpus, config: TrainConfig) -> list[float]:
@@ -301,8 +302,7 @@ def cross_validate(corpus, config: TrainConfig) -> list[float]:
             train = [r for g in range(config.cv_folds) if g != f for r in fold_of[g]]
             fitted, trees = _fit_core(train, config, derive_seed(config.seed, "cv", rep, f))
             Xt, yt = _matrix(test)
-            frac = ensemble_vote_fraction(trees, fitted.apply_matrix(Xt))
-            pred = (frac >= 0.5).astype(np.int8)
+            pred = _merges(ensemble_vote_fraction(trees, fitted.apply_matrix(Xt)))
             out.append(mcc(ConfusionCounts.from_predictions(yt, pred)))
     return out
 
@@ -311,7 +311,7 @@ def cross_validate(corpus, config: TrainConfig) -> list[float]:
 # Serialization
 
 _FORMAT = "merging-model"
-_VERSION = 1
+_VERSION = 2
 
 
 def serialize(model: MergingModel) -> bytes:
@@ -358,7 +358,7 @@ class KnnModel:
     k: int
 
     def predict_row(self, row) -> int:
-        x = self.preprocess.apply_row(np.asarray(row, dtype=float))
+        x = self.preprocess.apply_matrix(row)
         d2 = ((self.X - x) ** 2).sum(axis=1)
         order = np.argsort(d2, kind="stable")[: self.k]
         ones = int(self.y[order].sum())
@@ -373,7 +373,7 @@ class NaiveBayesModel:
     variances: np.ndarray  # (2, d)
 
     def predict_row(self, row) -> int:
-        x = self.preprocess.apply_row(np.asarray(row, dtype=float))
+        x = self.preprocess.apply_matrix(row)
         ll = self.log_prior - 0.5 * (
             np.log(2.0 * np.pi * self.variances) + (x - self.means) ** 2 / self.variances
         ).sum(axis=1)

@@ -74,6 +74,12 @@ class PairFeatures:
             dtype=float,
         )
 
+    @classmethod
+    def from_vector(cls, vec):
+        """Inverse of :meth:`as_vector`."""
+        tau, mu, sux, suy, svx, svy, thu, thv = map(float, vec)
+        return cls(tau=tau, mu=mu, shape_u=ShapeParams(thu, sux, suy), shape_v=ShapeParams(thv, svx, svy))
+
 
 @dataclass(frozen=True)
 class AlignedPairFeatures(PairFeatures):

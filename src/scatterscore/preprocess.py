@@ -111,9 +111,6 @@ class FittedPreprocess:
             np.divide(X, norms, out=X, where=norms > 0.0)
         return X[0] if squeeze else X
 
-    def apply_row(self, row) -> np.ndarray:
-        return self.apply_matrix(np.asarray(row, dtype=float).reshape(1, -1))[0]
-
     def to_dict(self) -> dict:
         return {
             "steps": list(self.steps),
@@ -196,8 +193,3 @@ def fit_preprocess(X, spec: PreprocessSpec) -> FittedPreprocess:
         pca_basis=pca_basis,
         spatial_sign="spatial_sign" in spec.steps,
     )
-
-
-def apply_preprocess(fitted: FittedPreprocess, row) -> np.ndarray:
-    """Transform one feature row with already-fitted statistics."""
-    return fitted.apply_row(row)

@@ -25,7 +25,6 @@ class DecisionTree:
     left: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
     right: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
     leaf_class: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
-    leaf_fraction: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=float))
 
     @property
     def n_nodes(self) -> int:
@@ -48,13 +47,6 @@ class DecisionTree:
             stack.append((self.right[node], idx[~go_left]))
         return out
 
-    def predict_row(self, row) -> int:
-        row = np.asarray(row, dtype=float)
-        node = 0
-        while self.feature[node] >= 0:
-            node = self.left[node] if row[self.feature[node]] <= self.threshold[node] else self.right[node]
-        return int(self.leaf_class[node])
-
     def to_dict(self) -> dict:
         return {
             "feature": self.feature.tolist(),
@@ -62,7 +54,6 @@ class DecisionTree:
             "left": self.left.tolist(),
             "right": self.right.tolist(),
             "leaf_class": self.leaf_class.tolist(),
-            "leaf_fraction": self.leaf_fraction.tolist(),
         }
 
     @classmethod
@@ -73,7 +64,6 @@ class DecisionTree:
             left=np.array(d["left"], dtype=np.int32),
             right=np.array(d["right"], dtype=np.int32),
             leaf_class=np.array(d["leaf_class"], dtype=np.int8),
-            leaf_fraction=np.array(d["leaf_fraction"], dtype=float),
         )
 
 
@@ -116,7 +106,6 @@ def grow_tree(X: np.ndarray, y: np.ndarray) -> DecisionTree:
     left: list[int] = []
     right: list[int] = []
     leaf_class: list[int] = []
-    leaf_fraction: list[float] = []
 
     def new_node() -> int:
         feature.append(-1)
@@ -124,7 +113,6 @@ def grow_tree(X: np.ndarray, y: np.ndarray) -> DecisionTree:
         left.append(-1)
         right.append(-1)
         leaf_class.append(0)
-        leaf_fraction.append(0.0)
         return len(feature) - 1
 
     root = new_node()
@@ -153,7 +141,6 @@ def grow_tree(X: np.ndarray, y: np.ndarray) -> DecisionTree:
 
         if best_feature < 0:
             leaf_class[node] = 1 if 2 * ones >= n else 0
-            leaf_fraction[node] = frac
             continue
         go_left = X[idx, best_feature] <= best_threshold
         feature[node] = best_feature
@@ -171,7 +158,6 @@ def grow_tree(X: np.ndarray, y: np.ndarray) -> DecisionTree:
         left=np.array(left, dtype=np.int32),
         right=np.array(right, dtype=np.int32),
         leaf_class=np.array(leaf_class, dtype=np.int8),
-        leaf_fraction=np.array(leaf_fraction, dtype=float),
     )
 
 

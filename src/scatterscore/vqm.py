@@ -7,7 +7,6 @@ lexicographically from simple (1,1) to complex (K*,K*).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from .gmm import FitConfig, MixtureModel, Scatterplot, select_model
 from .mergemodel import MergingModel, predict
 from .pairspace import aligned_pair_from_model
-from .util import fmt_num
+from .util import parse_rows, read_table, write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,31 +121,20 @@ SCORE_COLUMNS = ("id", "k_star", "m", "scalar_score")
 
 
 def write_scores_csv(path, scores) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(SCORE_COLUMNS) + "\n")
-        for plot_id, score in scores:
-            fh.write(f"{plot_id},{score.k_star},{score.m},{fmt_num(scalar_score(score))}\n")
+    rows = ((plot_id, score.k_star, score.m, scalar_score(score)) for plot_id, score in scores)
+    write_csv(path, SCORE_COLUMNS, rows)
 
 
 def read_scores_csv(path) -> list[tuple[str, VqmScore]]:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
-    if not rows:
-        return []
-    header = [c.strip().lower() for c in rows[0]]
-    if header[:3] != ["id", "k_star", "m"]:
+    header, rows = read_table(path)
+    if header and header[:3] != ["id", "k_star", "m"]:
         raise ValueError(f"{path}: expected score columns {SCORE_COLUMNS}, got {header}")
-    out = []
-    for i, row in enumerate(rows[1:], start=2):
-        try:
-            out.append((row[0].strip(), VqmScore(m=int(row[2]), k_star=int(row[1]))))
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"{path}: row {i}: {exc}") from None
-    return out
+    return parse_rows(path, rows, lambda cells: (cells[0], VqmScore(m=int(cells[2]), k_star=int(cells[1]))))
 
 
 def write_ranking_csv(path, ranked) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("rank,id,k_star,m,scalar_score\n")
-        for pos, (plot_id, score) in enumerate(ranked, start=1):
-            fh.write(f"{pos},{plot_id},{score.k_star},{score.m},{fmt_num(scalar_score(score))}\n")
+    rows = (
+        (pos, plot_id, score.k_star, score.m, scalar_score(score))
+        for pos, (plot_id, score) in enumerate(ranked, start=1)
+    )
+    write_csv(path, ("rank", *SCORE_COLUMNS), rows)

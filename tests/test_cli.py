@@ -1,9 +1,11 @@
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from scatterscore.augment import read_corpus_csv
 from scatterscore.cli import main
 
 from test_augment import bench_row, write_bench
@@ -69,6 +71,19 @@ class TestGenerate:
         )
         assert run("generate", "--params-file", params, "--out", tmp_path / "o") == 2
 
+    def test_comma_in_id_keeps_manifest_columns(self, tmp_path):
+        params = tmp_path / "params.csv"
+        params.write_text(
+            "id,tau,mu,sigma_ux,sigma_uy,sigma_vx,sigma_vy,theta_u,theta_v\n"
+            '"p,1",0.5,3,1,1,1,1,0,0\n'
+        )
+        out = tmp_path / "o"
+        assert run("generate", "--params-file", params, "--n", 20, "--out", out) == 0
+        with open(out / "manifest.csv", newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert len(header) == len(row) == 12
+        assert row[:2] == ["p,1", "p,1.csv"]
+
     def test_params_file(self, tmp_path):
         params = tmp_path / "params.csv"
         params.write_text(
@@ -101,6 +116,13 @@ class TestCorpus:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run("corpus", tmp_path / "nope.csv", "--out", tmp_path / "c.csv") == 2
+
+    def test_comma_in_origin_id_survives(self, tmp_path):
+        judged = tmp_path / "judged.csv"
+        write_bench(judged, [bench_row('"r,1"', votes=[1, 0, 1])], n_votes=3)
+        out = tmp_path / "corpus.csv"
+        assert run("corpus", judged, "--out", out) == 0
+        assert set(read_corpus_csv(out).provenance) == {"r,1"}
 
 
 @pytest.fixture()
@@ -139,6 +161,13 @@ class TestTrain:
         metrics = json.loads(model.with_suffix(".metrics.json").read_text())
         assert len(metrics["cv_mcc_values"]) == 6
         assert -1.0 <= metrics["cv_mcc_mean"] <= 1.0
+
+    def test_extra_cell_in_corpus_exit_2(self, tmp_path, small_corpus, capsys):
+        lines = small_corpus.read_text().splitlines()
+        lines[2] += ",extra"
+        small_corpus.write_text("\n".join(lines) + "\n")
+        assert run("train", small_corpus, "--out", tmp_path / "m.json") == 2
+        assert "row 3: expected 10 cells, got 11" in capsys.readouterr().err
 
     def test_missing_corpus_exit_2(self, tmp_path):
         assert run("train", tmp_path / "nope.csv", "--out", tmp_path / "m.json") == 2
@@ -196,6 +225,20 @@ class TestScoreRank:
         scalars = {l.split(",")[1]: float(l.split(",")[4]) for l in rlines[1:]}
         assert sorted(body, key=lambda i: -scalars[i]) == body
         assert sorted(asc_body, key=lambda i: scalars[i]) == asc_body
+
+    def test_comma_in_plot_id_round_trips_to_rank(self, tmp_path, trained_model_file):
+        plot = tmp_path / "a,b.csv"
+        self.make_plots(tmp_path, n=1)[0].rename(plot)
+        scores = tmp_path / "scores.csv"
+        code = run(
+            "score", plot, "--model", trained_model_file,
+            "--k-max", 2, "--n-restarts", 1, "--seed", 1, "--out", scores,
+        )
+        assert code == 0
+        ranking = tmp_path / "ranking.csv"
+        assert run("rank", scores, "--out", ranking) == 0
+        with open(ranking, newline="") as fh:
+            assert [row[1] for row in csv.reader(fh)] == ["id", "a,b"]
 
     def test_non_numeric_cell_exit_2(self, tmp_path, trained_model_file, capsys):
         bad = tmp_path / "bad.csv"

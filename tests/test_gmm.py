@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from scatterscore.gmm import (
     bic_value,
     fit_em,
     fit_em_with_trace,
-    fit_result_to_dict,
     gaussian_density,
     map_assign,
     mixture_density,
@@ -284,12 +282,3 @@ class TestIo:
         path.write_text("x,y\n1.0,2.0\n1.0,oops\n")
         with pytest.raises(ValueError, match="row 3"):
             read_scatterplot_csv(path)
-
-    def test_fit_result_json_structure(self):
-        sp = gaussian_blob(100, [0.0, 0.0], seed=1)
-        res = select_model(sp, FitConfig(k_max=2, n_restarts=1, seed=0))
-        d = fit_result_to_dict(res)
-        json.dumps(d)
-        assert d["k_star"] == res.k_star
-        assert len(d["components"]) == res.model.k
-        assert {"weight", "mean", "cov"} <= set(d["components"][0])

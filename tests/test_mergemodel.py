@@ -292,7 +292,7 @@ class TestSerialization:
     def test_version_mismatch_rejected(self):
         pairs, _, _ = threshold_rule_pairs(200, seed=25)
         model, _ = train_bagged(pairs, TrainConfig(n_trees=2, seed=1))
-        payload = serialize(model).replace(b'"version": 1', b'"version": 99')
+        payload = serialize(model).replace(b'"version": 2', b'"version": 99')
         with pytest.raises(ModelFormatError, match="version"):
             deserialize(payload)
 

@@ -289,3 +289,16 @@ class TestAlignedValidation:
 
     def test_accepts_both_half_pi_endpoints(self):
         AlignedPairFeatures(0.5, 1.0, ShapeParams(-HALF_PI, 0.5, 0.5), ShapeParams(HALF_PI, 0.5, 0.5))
+
+
+class TestVectorCodec:
+    def test_from_vector_inverts_as_vector(self):
+        raw = PairFeatures(0.3, 2.0, ShapeParams(0.4, 1.5, 0.5), ShapeParams(-0.2, 1.0, 2.5))
+        assert PairFeatures.from_vector(raw.as_vector()) == raw
+        aligned = align_training_record(raw)
+        back = AlignedPairFeatures.from_vector(aligned.as_vector())
+        assert type(back) is AlignedPairFeatures and back == aligned
+
+    def test_from_vector_validates(self):
+        with pytest.raises(ValueError):
+            AlignedPairFeatures.from_vector([0.5, 2.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])

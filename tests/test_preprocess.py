@@ -6,7 +6,6 @@ import pytest
 from scatterscore.preprocess import (
     FittedPreprocess,
     PreprocessSpec,
-    apply_preprocess,
     fit_box_cox_lambda,
     fit_preprocess,
 )
@@ -104,12 +103,12 @@ class TestPca:
 class TestSpatialSign:
     def test_unit_norm(self):
         fitted = fit_preprocess(np.ones((2, 2)), PreprocessSpec(steps=("spatial_sign",)))
-        out = apply_preprocess(fitted, [3.0, 4.0])
+        out = fitted.apply_matrix([3.0, 4.0])
         assert np.allclose(out, [0.6, 0.8], atol=1e-12)
 
     def test_zero_row_unchanged(self):
         fitted = fit_preprocess(np.ones((2, 2)), PreprocessSpec(steps=("spatial_sign",)))
-        out = apply_preprocess(fitted, [0.0, 0.0])
+        out = fitted.apply_matrix([0.0, 0.0])
         assert np.array_equal(out, [0.0, 0.0])
 
 
@@ -117,14 +116,14 @@ class TestApply:
     def test_dimension_mismatch_rejected(self):
         fitted = fit_preprocess(np.ones((3, 2)), PreprocessSpec(steps=("center_scale",)))
         with pytest.raises(ValueError):
-            apply_preprocess(fitted, [1.0, 2.0, 3.0])
+            fitted.apply_matrix([1.0, 2.0, 3.0])
 
     def test_repeated_application_identical(self):
         X = np.random.default_rng(6).normal(size=(40, 8)) + 2.0
         fitted = fit_preprocess(X, PreprocessSpec.all_steps())
         row = X[7]
-        a = apply_preprocess(fitted, row)
-        b = apply_preprocess(fitted, row)
+        a = fitted.apply_matrix(row)
+        b = fitted.apply_matrix(row)
         assert np.array_equal(a, b)
 
     def test_needs_two_rows_to_fit(self):
