@@ -8,6 +8,11 @@ significant digits and the trained model's predictions on fixed feature
 rows.  ``model.json`` bytes are not pinned: its layout may change with the
 model format version, while its predictions may not.
 
+``grouped.json`` pins fits of plots with many repeated points, which the
+generated plots above lack: a 600-point plot snapped to a 30x30 grid
+(per-K BIC and the iterations of each restart) and 30 points on 3 sites
+(per-K BIC of ``select_model``).
+
 Any change to a pinned file must be explained in CHANGES.md.  To rewrite
 the pins from the current code, run
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -29,6 +34,7 @@ SEED = 5
 K_MAX = 3
 PINNED_PLOT = "p0"
 WORK_FILES = ("corpus.csv", "scores.csv", "ranking.csv", "curve.csv", "kappa.json")
+GROUPED = "grouped.json"
 
 
 def _run(*argv) -> None:
@@ -70,11 +76,42 @@ def _pinned_values(work: Path, plots: Path) -> dict:
     }
 
 
+def _snapped_plot() -> gmm.Scatterplot:
+    """600 points from two Gaussians snapped to a 30x30 grid: 270 distinct points."""
+    rng = np.random.default_rng(260)
+    a = rng.normal((0.0, 0.0), (1.0, 0.6), size=(300, 2))
+    b = rng.normal((3.0, 1.5), (0.7, 1.0), size=(300, 2))
+    X = np.vstack([a, b])
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    return gmm.Scatterplot(np.round((X - lo) / (hi - lo) * 29))
+
+
+def grouped_values() -> bytes:
+    config = gmm.FitConfig(n_restarts=2, seed=SEED)
+    snapped = _snapped_plot()
+    fits = []
+    for k in range(1, 6):
+        model, traces = gmm.fit_em_with_trace(snapped, k, config)
+        bic = gmm.bic_value(model.log_likelihood, k, snapped.n)
+        fits.append([k, f"{bic:.9g}", [len(t) - 1 for t in traces]])
+    sites = gmm.Scatterplot(np.repeat([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]], 10, axis=0))
+    fit = gmm.select_model(sites, gmm.FitConfig(k_max=5, seed=SEED))
+    values = {
+        "snapped": fits,
+        "sites": {"k_star": fit.k_star, "per_k_bic": [[k, f"{b:.9g}"] for k, b in fit.per_k_bic]},
+    }
+    return (json.dumps(values, indent=1) + "\n").encode()
+
+
 def test_pipeline_matches_golden(tmp_path):
     got = run_pipeline(tmp_path)
-    assert sorted(got) == sorted(p.name for p in GOLDEN.iterdir())
+    assert sorted([*got, GROUPED]) == sorted(p.name for p in GOLDEN.iterdir())
     for name, data in got.items():
         assert data == (GOLDEN / name).read_bytes(), f"{name} differs from tests/data/golden/{name}"
+
+
+def test_grouped_fits_match_golden():
+    assert grouped_values() == (GOLDEN / GROUPED).read_bytes()
 
 
 if __name__ == "__main__":
@@ -84,4 +121,5 @@ if __name__ == "__main__":
         GOLDEN.mkdir(exist_ok=True)
         for name, data in run_pipeline(Path(tmp)).items():
             (GOLDEN / name).write_bytes(data)
+    (GOLDEN / GROUPED).write_bytes(grouped_values())
     print(f"wrote pins to {GOLDEN}")
