@@ -264,14 +264,13 @@ def cmd_score(args) -> int:
         raise InputError(str(exc)) from None
     except mergemodel.ModelFormatError as exc:
         raise InputError(str(exc)) from None
-    scores = []
-    for path in args.points:
-        plot_id = Path(path).stem
+    plots = []
+    for path in args.points:  # read every file first, so a bad one fails before any fit
         try:
-            sp = gmm.read_scatterplot_csv(path, plot_id=plot_id)
+            plots.append(gmm.read_scatterplot_csv(path, plot_id=Path(path).stem))
         except (OSError, ValueError) as exc:
             raise InputError(str(exc)) from None
-        scores.append((plot_id, vqm.score_scatterplot(sp, fit_config, merger)))
+    scores = [(sp.id, vqm.score_scatterplot(sp, fit_config, merger)) for sp in plots]
     vqm.write_scores_csv(args.out, scores)
     _write_sidecar(args.out, resolved)
     print(f"scored {len(scores)} scatterplots -> {args.out}")

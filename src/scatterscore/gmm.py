@@ -177,40 +177,49 @@ def gaussian_density(point, mean, cov: Covariance2) -> float:
     return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
 
-def _component_log_pdf(X: np.ndarray, mean: np.ndarray, xx: float, xy: float, yy: float) -> np.ndarray:
+def _component_log_pdf(x: np.ndarray, y: np.ndarray, mean, xx: float, xy: float, yy: float) -> np.ndarray:
+    """log g(p) of one component at the points with coordinate columns x and y."""
     det = xx * yy - xy * xy
     if not (det > 0.0 and np.isfinite(det)):
         raise DegenerateCovarianceError(f"covariance is singular (det={det})")
-    d0 = X[:, 0] - mean[0]
-    d1 = X[:, 1] - mean[1]
-    quad = (yy * d0 * d0 - 2.0 * xy * d0 * d1 + xx * d1 * d1) / det
-    return -0.5 * quad - 0.5 * math.log(det) - LOG_2PI
+    d0 = x - mean[0]
+    d1 = y - mean[1]
+    # -quad/2 with quad = (yy*d0^2 - 2*xy*d0*d1 + xx*d1^2) / det
+    lp = (-0.5 * yy / det * d0 + xy / det * d1) * d0
+    lp -= 0.5 * xx / det * d1 * d1
+    lp -= 0.5 * math.log(det) + LOG_2PI
+    return lp
 
 
-def _mixture_log_pdf_matrix(model: MixtureModel, X: np.ndarray) -> np.ndarray:
-    """(N, K) matrix of log(pi_k) + log g_k(x)."""
-    cols = []
-    for comp in model.components:
-        lp = _component_log_pdf(
-            X,
-            np.array(comp.mean, dtype=float),
-            comp.cov.xx,
-            comp.cov.xy,
-            comp.cov.yy,
-        )
-        cols.append(math.log(comp.weight) + lp)
-    return np.column_stack(cols)
+def _log_joint(x: np.ndarray, y: np.ndarray, weights, means, covs) -> np.ndarray:
+    """(K, n) array of log(pi_k) + log g_k(p); covs rows are (xx, xy, yy)."""
+    logp = np.empty((len(weights), x.shape[0]))
+    for j in range(len(weights)):
+        logp[j] = math.log(weights[j]) + _component_log_pdf(x, y, means[j], *covs[j])
+    return logp
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=1, keepdims=True))).ravel()
+def _posterior(logp: np.ndarray):
+    """Column-normalized exp(logp) and the log of its column sums, for a (K, n) array."""
+    m = logp.max(axis=0)
+    p = np.exp(logp - m)
+    total = p.sum(axis=0)
+    p /= total
+    return p, m + np.log(total)
 
 
 def mixture_pdf(model: MixtureModel, points) -> np.ndarray:
     """Mixture density at each row of an (N, 2) array."""
-    X = np.asarray(points, dtype=float).reshape(-1, 2)
-    return np.exp(_logsumexp_rows(_mixture_log_pdf_matrix(model, X)))
+    x, y = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1, 2).T)
+    comps = model.components
+    logp = _log_joint(
+        x,
+        y,
+        [c.weight for c in comps],
+        [c.mean for c in comps],
+        [(c.cov.xx, c.cov.xy, c.cov.yy) for c in comps],
+    )
+    return np.exp(_posterior(logp)[1])
 
 
 def mixture_density(model: MixtureModel, point) -> float:
@@ -252,40 +261,35 @@ def _pooled_covariance(X: np.ndarray) -> np.ndarray:
     return d.T @ d / X.shape[0]
 
 
-def _e_step(X, weights, means, covs):
-    """Returns (responsibilities, log-likelihood) for current parameters."""
-    n, k = X.shape[0], weights.shape[0]
-    logp = np.empty((n, k))
-    for j in range(k):
-        logp[:, j] = math.log(weights[j]) + _component_log_pdf(
-            X, means[j], covs[j, 0], covs[j, 1], covs[j, 2]
-        )
-    lse = _logsumexp_rows(logp)
-    resp = np.exp(logp - lse[:, None])
-    return resp, float(lse.sum())
+def _e_step(x, y, w, weights, means, covs):
+    """(K, n) responsibilities and the log-likelihood of the points with counts w."""
+    resp, lse = _posterior(_log_joint(x, y, weights, means, covs))
+    return resp, float((w * lse).sum())
 
 
-def _m_step(X, resp, reg):
-    n, k = resp.shape
-    nk = resp.sum(axis=0)
+def _m_step(x, y, w, n_points, resp, reg):
+    k = resp.shape[0]
+    rw = resp * w
+    nk = rw.sum(axis=1)
     if np.any(nk < 1e-10):
         raise _FitFailure("a component lost all responsibility")
-    weights = nk / n
-    means = (resp.T @ X) / nk[:, None]
+    weights = nk / n_points
+    means = np.column_stack([rw @ x, rw @ y]) / nk[:, None]
     covs = np.empty((k, 3))
     for j in range(k):
-        d0 = X[:, 0] - means[j, 0]
-        d1 = X[:, 1] - means[j, 1]
-        r = resp[:, j]
-        covs[j, 0] = (r * d0 * d0).sum() / nk[j] + reg
-        covs[j, 1] = (r * d0 * d1).sum() / nk[j]
-        covs[j, 2] = (r * d1 * d1).sum() / nk[j] + reg
+        d0 = x - means[j, 0]
+        d1 = y - means[j, 1]
+        rd0 = rw[j] * d0
+        covs[j, 0] = rd0 @ d0 / nk[j] + reg
+        covs[j, 1] = rd0 @ d1 / nk[j]
+        covs[j, 2] = (rw[j] * d1) @ d1 / nk[j] + reg
         if covs[j, 0] * covs[j, 2] - covs[j, 1] ** 2 <= 0.0:
             raise _FitFailure("covariance collapsed to a singular matrix")
     return weights, means, covs
 
 
-def _run_em(X: np.ndarray, k: int, config: FitConfig, reg: float, restart: int):
+def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float, restart: int):
+    """One EM run: seeded and scaled on all of X, iterated on its distinct points."""
     rng = spawn_rng(config.seed, "em", k, restart)
     means = _kmeanspp_means(X, k, rng)
     pooled = _pooled_covariance(X)
@@ -298,13 +302,13 @@ def _run_em(X: np.ndarray, k: int, config: FitConfig, reg: float, restart: int):
     trace = []
     prev = None
     for _ in range(config.max_iterations):
-        resp, loglik = _e_step(X, weights, means, covs)
+        resp, loglik = _e_step(*grouped, weights, means, covs)
         trace.append(loglik)
         if prev is not None and loglik - prev <= config.em_tolerance * max(1.0, abs(prev)):
             return weights, means, covs, loglik, np.array(trace)
         prev = loglik
-        weights, means, covs = _m_step(X, resp, reg)
-    _, loglik = _e_step(X, weights, means, covs)
+        weights, means, covs = _m_step(*grouped, X.shape[0], resp, reg)
+    _, loglik = _e_step(*grouped, weights, means, covs)
     trace.append(loglik)
     return weights, means, covs, loglik, np.array(trace)
 
@@ -334,9 +338,12 @@ def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig):
     """Fit a k-component mixture; also return per-restart log-likelihood traces.
 
     Runs ``config.n_restarts`` EM runs from k-means++-style seedings and
-    keeps the best final log-likelihood.  Raises
-    :class:`DegenerateCovarianceError` when every restart collapses
-    (e.g. all points identical with zero regularization).
+    keeps the best final log-likelihood.  EM iterates over the distinct
+    points, each weighted by how often it occurs, which gives the same
+    likelihood as iterating over all N; seeding and the regularization
+    scale use all N points.  Raises :class:`DegenerateCovarianceError`
+    when every restart collapses (e.g. all points identical with zero
+    regularization).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -344,13 +351,16 @@ def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig):
         raise ValueError(f"need at least k={k} points, got N={scatterplot.n}")
     X = scatterplot.points
     reg = _effective_regularization(X, config)
+    distinct, counts = np.unique(X, axis=0, return_counts=True)
+    x, y = np.ascontiguousarray(distinct.T)
+    grouped = (x, y, counts.astype(float))
 
     best = None
     traces: list[np.ndarray] = []
     last_failure = "no restart attempted"
     for restart in range(config.n_restarts):
         try:
-            weights, means, covs, loglik, trace = _run_em(X, k, config, reg, restart)
+            weights, means, covs, loglik, trace = _run_em(X, grouped, k, config, reg, restart)
         except (_FitFailure, DegenerateCovarianceError) as exc:
             last_failure = str(exc)
             continue
@@ -420,10 +430,16 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
 
 
 def read_scatterplot_csv(path, plot_id: str | None = None) -> Scatterplot:
-    """Read a two-column x,y CSV (header row optional)."""
+    """Read a two-column x,y CSV (header row optional).
+
+    Trailing empty cells are ignored; any other empty cell is an error.
+    """
     rows: list[tuple[float, float]] = []
     for line, cells in read_rows(path):
-        cells = [c for c in cells if c]
+        while not cells[-1]:
+            cells.pop()
+        if not all(cells):
+            raise ValueError(f"{path}: row {line}: empty cell")
         if len(cells) != 2:
             raise ValueError(f"{path}: row {line}: expected 2 columns, got {len(cells)}")
         try:

@@ -247,6 +247,27 @@ class TestScoreRank:
         assert code == 2
         assert "row 3" in capsys.readouterr().err
 
+    def test_bad_last_file_fails_before_any_fit(self, tmp_path, trained_model_file, monkeypatch, capsys):
+        from scatterscore import vqm
+
+        fits = []
+        real = vqm.select_model
+        monkeypatch.setattr(vqm, "select_model", lambda *a: fits.append(1) or real(*a))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n1.0,2.0\n3.0,oops\n")
+        code = run("score", *self.make_plots(tmp_path, n=2), bad, "--model", trained_model_file,
+                   "--out", tmp_path / "s.csv")
+        assert code == 2
+        assert "row 3" in capsys.readouterr().err
+        assert fits == []
+
+    def test_empty_cell_exit_2(self, tmp_path, trained_model_file, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n1.0,2.0\n1,,2\n")
+        code = run("score", bad, "--model", trained_model_file, "--out", tmp_path / "s.csv")
+        assert code == 2
+        assert "row 3: empty cell" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def write_inputs(self, tmp_path, n_plots=6, raters=5):

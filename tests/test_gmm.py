@@ -190,6 +190,12 @@ class TestFitEm:
             for trace in traces:
                 assert np.all(np.diff(trace) >= -1e-9)
 
+    def test_loglik_counts_every_repeated_point(self):
+        X = np.round(np.random.default_rng(4).normal(size=(400, 2)) * 3.0) / 3.0
+        assert len(np.unique(X, axis=0)) < len(X) / 2
+        model = fit_em(Scatterplot(points=X), 3, FitConfig(n_restarts=2, seed=1))
+        assert model.log_likelihood == pytest.approx(np.log(mixture_pdf(model, X)).sum(), rel=1e-9)
+
     def test_determinism(self):
         sp = two_blob_plot(100, 6.0, seed=1)
         cfg = FitConfig(n_restarts=3, seed=13)
@@ -276,6 +282,18 @@ class TestIo:
         sp = read_scatterplot_csv(path)
         assert sp.n == 2
         assert sp.points[1, 1] == -1.25
+
+    def test_trailing_empty_cells_ignored(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("x,y,\n1.0,2.0,,\n3.0,4.0\n")
+        assert read_scatterplot_csv(path).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("row", ["1,,2", ",5,6", ",5"])
+    def test_interior_empty_cell_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y\n0,0\n{row}\n")
+        with pytest.raises(ValueError, match="row 3: empty cell"):
+            read_scatterplot_csv(path)
 
     def test_non_numeric_cell_reports_row(self, tmp_path):
         path = tmp_path / "bad.csv"
