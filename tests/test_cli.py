@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scatterscore import vqm
 from scatterscore.augment import read_corpus_csv
 from scatterscore.cli import main
 
@@ -248,11 +249,14 @@ class TestScoreRank:
         assert "row 3" in capsys.readouterr().err
 
     def test_bad_last_file_fails_before_any_fit(self, tmp_path, trained_model_file, monkeypatch, capsys):
-        from scatterscore import vqm
-
         fits = []
         real = vqm.select_model
-        monkeypatch.setattr(vqm, "select_model", lambda *a: fits.append(1) or real(*a))
+
+        def counting(*args):
+            fits.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(vqm, "select_model", counting)
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1.0,2.0\n3.0,oops\n")
         code = run("score", *self.make_plots(tmp_path, n=2), bad, "--model", trained_model_file,
