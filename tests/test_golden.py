@@ -13,6 +13,11 @@ generated plots above lack: a 600-point plot snapped to a 30x30 grid
 (per-K BIC and the iterations of each restart) and 30 points on 3 sites
 (per-K BIC of ``select_model``).
 
+``trees.json`` pins the node arrays of every tree: the pipeline's 9-tree
+model, and ``fit_bagged_trees(n_trees=5)`` on a seeded matrix with tied
+values, repeated rows, a constant column and noisy labels.  Thresholds are
+kept as ``repr`` strings, so any change in their last bit shows.
+
 Any change to a pinned file must be explained in CHANGES.md.  To rewrite
 the pins from the current code, run
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -22,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from scatterscore import gmm, mergemodel
+from scatterscore import gmm, mergemodel, trees
 from scatterscore.cli import main
 
 from conftest import random_aligned
@@ -35,6 +40,7 @@ K_MAX = 3
 PINNED_PLOT = "p0"
 WORK_FILES = ("corpus.csv", "scores.csv", "ranking.csv", "curve.csv", "kappa.json")
 GROUPED = "grouped.json"
+TREES = "trees.json"
 
 
 def _run(*argv) -> None:
@@ -61,6 +67,7 @@ def run_pipeline(work: Path) -> dict[str, bytes]:
     for name in ("manifest.csv", f"{PINNED_PLOT}.csv"):
         out[name] = (plots / name).read_bytes()
     out["values.json"] = (json.dumps(_pinned_values(work, plots), indent=1) + "\n").encode()
+    out[TREES] = tree_values(mergemodel.deserialize((work / "model.json").read_bytes()).trees)
     return out
 
 
@@ -101,6 +108,32 @@ def grouped_values() -> bytes:
         "sites": {"k_star": fit.k_star, "per_k_bic": [[k, f"{b:.9g}"] for k, b in fit.per_k_bic]},
     }
     return (json.dumps(values, indent=1) + "\n").encode()
+
+
+def tied_matrix() -> tuple[np.ndarray, np.ndarray]:
+    """200 rows of 4 features on a 0.1 grid: many tied values, 40 repeated
+    rows, a constant column and about 10% flipped labels."""
+    rng = np.random.default_rng(261)
+    X = np.round(rng.normal(size=(160, 4)), 1)
+    X[:, 2] = 1.5
+    X = np.vstack([X, X[rng.integers(0, 160, size=40)]])
+    y = (X[:, 0] + X[:, 1] > 0).astype(np.int8)
+    y[rng.random(200) < 0.1] ^= 1
+    return X, y
+
+
+def _tree_json(tree) -> str:
+    arrays = tree.to_dict()
+    arrays["threshold"] = [repr(t) for t in arrays["threshold"]]
+    return json.dumps(arrays)
+
+
+def tree_values(pipeline_trees) -> bytes:
+    """Node arrays of the pipeline's trees and of a bag grown on ``tied_matrix``, one tree a line."""
+    X, y = tied_matrix()
+    groups = {"pipeline": pipeline_trees, "bagged": trees.fit_bagged_trees(X, y, n_trees=5, seed=SEED)}
+    body = ",\n".join(f'"{name}": [\n' + ",\n".join(map(_tree_json, ts)) + "\n]" for name, ts in groups.items())
+    return ("{\n" + body + "\n}\n").encode()
 
 
 def test_pipeline_matches_golden(tmp_path):
