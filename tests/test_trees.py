@@ -1,11 +1,14 @@
 import numpy as np
+import pytest
 
+from scatterscore import trees
 from scatterscore.trees import (
     DecisionTree,
     ensemble_vote_fraction,
     fit_bagged_trees,
     grow_tree,
 )
+from scatterscore.util import spawn_rng
 
 
 def xor_data(n, seed):
@@ -13,6 +16,105 @@ def xor_data(n, seed):
     X = rng.uniform(-1, 1, size=(n, 2))
     y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(np.int8)
     return X, y
+
+
+def reference_grow(X, y):
+    """The per-node argsort grower: node arrays as lists, for comparison."""
+    feature, threshold, left, right, leaf_class = [-1], [0.0], [-1], [-1], [0]
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        ys = y[idx]
+        n, ones = idx.size, int(ys.sum())
+        frac = ones / n
+        parent_impurity = 2.0 * frac * (1.0 - frac)
+        best_gain, best_f, best_thr = trees._MIN_GAIN, -1, 0.0
+        for f in range(X.shape[1] if 0 < ones < n else 0):
+            order = np.argsort(X[idx, f], kind="stable")
+            sv, sy = X[idx, f][order], ys[order]
+            cuts = np.nonzero(sv[:-1] < sv[1:])[0]
+            if cuts.size == 0:
+                continue
+            ones_left = np.cumsum(sy)[cuts].astype(float)
+            n_left = (cuts + 1).astype(float)
+            n_right, ones_right = n - n_left, ones - ones_left
+            p_left, p_right = ones_left / n_left, ones_right / n_right
+            child = (n_left * 2.0 * p_left * (1.0 - p_left) + n_right * 2.0 * p_right * (1.0 - p_right)) / n
+            best = int(np.argmin(child))
+            gain = parent_impurity - float(child[best])
+            if gain > best_gain:
+                best_gain, best_f, best_thr = gain, f, float(0.5 * (sv[cuts[best]] + sv[cuts[best] + 1]))
+        if best_f < 0:
+            leaf_class[node] = 1 if 2 * ones >= n else 0
+            continue
+        go_left = X[idx, best_f] <= best_thr
+        feature[node], threshold[node] = best_f, best_thr
+        left[node], right[node] = len(feature), len(feature) + 1
+        for column, value in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (leaf_class, 0)):
+            column += [value, value]
+        stack.append((left[node], idx[go_left]))
+        stack.append((right[node], idx[~go_left]))
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right, "leaf_class": leaf_class}
+
+
+def tied_data(seed):
+    """Values on a coarse grid (many ties), a constant column, repeated rows, noisy labels."""
+    rng = np.random.default_rng(seed)
+    n, d = rng.integers(20, 150), rng.integers(1, 6)
+    X = np.round(rng.normal(size=(n, d)) * rng.choice([1, 4]), 1)
+    X[:, rng.integers(d)] = 0.5
+    X = np.vstack([X, X[rng.integers(0, n, size=n // 3)]])
+    y = (X.sum(axis=1) + rng.normal(scale=0.5, size=X.shape[0]) > 0).astype(np.int8)
+    return X, y
+
+
+class TestPresortedGrowth:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_node_argsort(self, seed):
+        X, y = tied_data(seed)
+        assert grow_tree(X, y).to_dict() == reference_grow(X, y)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bag_matches_per_node_argsort_on_resamples(self, seed):
+        X, y = tied_data(100 + seed)
+        for i, tree in enumerate(fit_bagged_trees(X, y, n_trees=3, seed=seed)):
+            idx = spawn_rng(seed, "tree", i).integers(0, X.shape[0], size=X.shape[0])
+            assert tree.to_dict() == reference_grow(X[idx], y[idx])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counts_equal_repeated_rows(self, seed):
+        X, y = tied_data(200 + seed)
+        counts = np.random.default_rng(seed).integers(0, 4, size=X.shape[0])
+        expected = grow_tree(np.repeat(X, counts, 0), np.repeat(y, counts)).to_dict()
+        assert grow_tree(X, y, counts).to_dict() == expected
+
+    @pytest.mark.parametrize(
+        "counts",
+        [np.ones(3, dtype=int), np.ones(5, dtype=int), np.array([1, -1, 1, 1]), np.zeros(4, dtype=int), np.ones(4)],
+        ids=["too-short", "too-long", "negative", "all-zero", "float"],
+    )
+    def test_bad_counts_rejected(self, counts):
+        X, y = xor_data(4, seed=0)
+        with pytest.raises(ValueError, match="counts"):
+            grow_tree(X, y, counts)
+
+    def test_label_per_row_required(self):
+        X, y = xor_data(4, seed=0)
+        with pytest.raises(ValueError, match="one label per row"):
+            grow_tree(X, y[:1])
+
+    def test_bag_grows_each_tree_through_module_attribute(self, monkeypatch):
+        calls = []
+        original = trees.grow_tree
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trees, "grow_tree", counting)
+        X, y = xor_data(50, seed=0)
+        assert len(fit_bagged_trees(X, y, n_trees=7, seed=0)) == 7
+        assert len(calls) == 7
 
 
 class TestGrowTree:
