@@ -5,8 +5,10 @@ The pipeline runs ``generate --params-file``, ``corpus``, ``train``,
 ``tests/data`` and compares every CSV it writes, plus ``kappa.json``, with
 ``tests/data/golden``.  It also pins the per-K BIC of one plot at 9
 significant digits and the trained model's predictions on fixed feature
-rows.  ``model.json`` bytes are not pinned: its layout may change with the
-model format version, while its predictions may not.
+rows.  Three more ``train`` runs pin the metrics of the kNN and naive
+Bayes baselines and of ``--cv`` (``knn.metrics.json``, ``nb.metrics.json``
+and ``cv.metrics.json``).  ``model.json`` bytes are not pinned: its layout
+may change with the model format version, while its predictions may not.
 
 ``grouped.json`` pins fits of plots with many repeated points, which the
 generated plots above lack: a 600-point plot snapped to a 30x30 grid
@@ -39,6 +41,12 @@ SEED = 5
 K_MAX = 3
 PINNED_PLOT = "p0"
 WORK_FILES = ("corpus.csv", "scores.csv", "ranking.csv", "curve.csv", "kappa.json")
+# Extra ``train`` runs on the pipeline's corpus: output stem -> flags.
+TRAIN_RUNS = {
+    "knn": ("--method", "knn"),
+    "nb": ("--method", "nb"),
+    "cv": ("--cv", "--cv-folds", 3, "--cv-repeats", 2, "--n-trees", 9),
+}
 GROUPED = "grouped.json"
 TREES = "trees.json"
 
@@ -55,6 +63,8 @@ def run_pipeline(work: Path) -> dict[str, bytes]:
     _run("generate", "--params-file", DATA / "params.csv", "--n", 200, "--seed", SEED, "--out", plots)
     _run("corpus", DATA / "judged.csv", "--out", work / "corpus.csv")
     _run("train", work / "corpus.csv", "--n-trees", 9, "--seed", SEED, "--out", work / "model.json")
+    for stem, flags in TRAIN_RUNS.items():
+        _run("train", work / "corpus.csv", *flags, "--seed", SEED, "--out", work / f"{stem}.json")
     plot_files = sorted(plots.glob("p*.csv"))
     _run("score", *plot_files, "--model", work / "model.json", "--k-max", K_MAX, "--n-restarts", 2,
          "--seed", SEED, "--out", work / "scores.csv")
@@ -63,7 +73,8 @@ def run_pipeline(work: Path) -> dict[str, bytes]:
     _run(*evaluate, "--mode", "pairwise", "--b", 50, "--out", work / "kappa.json")
     _run(*evaluate, "--mode", "alteration", "--k-values", "0,1,3", "--b", 20, "--out", work / "curve.csv")
 
-    out = {name: (work / name).read_bytes() for name in WORK_FILES}
+    metrics = [f"{stem}.metrics.json" for stem in TRAIN_RUNS]
+    out = {name: (work / name).read_bytes() for name in (*WORK_FILES, *metrics)}
     for name in ("manifest.csv", f"{PINNED_PLOT}.csv"):
         out[name] = (plots / name).read_bytes()
     out["values.json"] = (json.dumps(_pinned_values(work, plots), indent=1) + "\n").encode()
