@@ -9,6 +9,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -227,7 +228,7 @@ def cmd_train(args) -> int:
         model, confusion = mergemodel.train_bagged(corpus, config)
         Path(args.out).write_bytes(mergemodel.serialize(model))
     elif method in ("knn", "nb"):
-        _, confusion = mergemodel.train_baseline(corpus, config, method, knn_k=resolved["knn_k"])
+        confusion = mergemodel.train_baseline(corpus, config, method, knn_k=resolved["knn_k"])
     else:
         raise InputError(f"unknown method {method!r} (expected treebag, knn or nb)")
 
@@ -236,12 +237,7 @@ def cmd_train(args) -> int:
         "balance": resolved["balance"],
         "preprocess": resolved["preprocess"],
         "n_records": len(corpus),
-        "confusion": {
-            "tp": confusion.tp,
-            "tn": confusion.tn,
-            "fp": confusion.fp,
-            "fn": confusion.fn,
-        },
+        "confusion": dataclasses.asdict(confusion),
         "test_mcc": mergemodel.mcc(confusion),
     }
     if resolved["cv"] and method == "treebag":
@@ -338,12 +334,12 @@ def cmd_evaluate(args) -> int:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
         print(f"kappa {point.kappa:.4f} ({point.label}) over {len(pairs)} pairs")
     elif mode == "alteration":
-        if not resolved["k_values"]:
-            raise InputError("alteration mode needs --k-values (comma-separated)")
         try:
             ks = [int(s) for s in resolved["k_values"].split(",") if s.strip()]
         except ValueError as exc:
             raise InputError(f"bad --k-values: {exc}") from None
+        if not ks:
+            raise InputError("alteration mode needs --k-values (comma-separated)")
         try:
             curve = agreement.alteration_curve(relations, group, ks, resolved["b"], resolved["seed"])
         except ValueError as exc:

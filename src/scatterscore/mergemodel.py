@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +34,7 @@ class TrainConfig:
     n_trees: int = 25
     test_fraction: float = 0.2
     balance: str = "up_sample"
-    preprocess: PreprocessSpec = field(default_factory=PreprocessSpec.all_steps)
+    preprocess: PreprocessSpec = field(default_factory=PreprocessSpec)
     cv_folds: int = 10
     cv_repeats: int = 10
     seed: int = 0
@@ -154,39 +155,38 @@ def stratified_split(corpus, test_fraction: float, seed: int):
     return train, test
 
 
+def _minority_majority(records) -> tuple[list[int], list[int]]:
+    """Indices of each class's records, the smaller class first."""
+    ones = [i for i, r in enumerate(records) if r.label == 1]
+    zeros = [i for i, r in enumerate(records) if r.label == 0]
+    if not ones or not zeros:
+        raise ValueError("balancing needs both classes present")
+    return (ones, zeros) if len(ones) < len(zeros) else (zeros, ones)
+
+
 def up_sample(train, seed: int) -> list[LabeledPair]:
     """Resample the minority class with replacement until counts match.
 
     All original records are retained; replicas are appended at the end.
     """
     records = _as_records(train)
-    ones = [i for i, r in enumerate(records) if r.label == 1]
-    zeros = [i for i, r in enumerate(records) if r.label == 0]
-    if not ones or not zeros:
-        raise ValueError("balancing needs both classes present")
-    if len(ones) == len(zeros):
+    minority, majority = _minority_majority(records)
+    if len(minority) == len(majority):
         return records
-    minority = ones if len(ones) < len(zeros) else zeros
-    gap = abs(len(ones) - len(zeros))
     rng = spawn_rng(seed, "balance")
-    extra = rng.integers(0, len(minority), size=gap)
+    extra = rng.integers(0, len(minority), size=len(majority) - len(minority))
     return records + [records[minority[j]] for j in extra]
 
 
 def down_sample(train, seed: int) -> list[LabeledPair]:
     """Subsample the majority class (without replacement) to the minority size."""
     records = _as_records(train)
-    ones = [i for i, r in enumerate(records) if r.label == 1]
-    zeros = [i for i, r in enumerate(records) if r.label == 0]
-    if not ones or not zeros:
-        raise ValueError("balancing needs both classes present")
-    if len(ones) == len(zeros):
+    minority, majority = _minority_majority(records)
+    if len(minority) == len(majority):
         return records
-    majority, n_keep = (ones, len(zeros)) if len(ones) > len(zeros) else (zeros, len(ones))
     rng = spawn_rng(seed, "balance")
-    kept = {majority[j] for j in rng.permutation(len(majority))[:n_keep]}
-    majority_set = set(majority)
-    return [r for i, r in enumerate(records) if i not in majority_set or i in kept]
+    dropped = {majority[j] for j in rng.permutation(len(majority))[len(minority):]}
+    return [r for i, r in enumerate(records) if i not in dropped]
 
 
 def _balance(train, method: str, seed: int) -> list[LabeledPair]:
@@ -215,12 +215,26 @@ def corpus_fingerprint(records) -> str:
 # Training
 
 
-def _fit_core(train_records, config: TrainConfig, seed: int):
-    balanced = _balance(train_records, config.balance, seed)
-    Xb, yb = _matrix(balanced)
-    fitted = fit_preprocess(Xb, config.preprocess)
-    trees = fit_bagged_trees(fitted.apply_matrix(Xb), yb, config.n_trees, derive_seed(seed, "bag"))
-    return fitted, trees
+def _prepare(train, config: TrainConfig, seed: int):
+    """Balance the training records and fit preprocessing on them alone.
+
+    Returns (fitted preprocessing, transformed feature matrix, labels).
+    """
+    X, y = _matrix(_balance(train, config.balance, seed))
+    fitted = fit_preprocess(X, config.preprocess)
+    return fitted, fitted.apply_matrix(X), y
+
+
+def _fit_bag(train, config: TrainConfig, seed: int, metadata: dict) -> MergingModel:
+    fitted, X, y = _prepare(train, config, seed)
+    trees = fit_bagged_trees(X, y, config.n_trees, derive_seed(seed, "bag"))
+    return MergingModel(preprocess=fitted, trees=tuple(trees), metadata=metadata)
+
+
+def _test_confusion(test, predict_rows) -> ConfusionCounts:
+    """Confusion of ``predict_rows`` (feature matrix -> 0/1 per row) on held-out records."""
+    X, y = _matrix(test)
+    return ConfusionCounts.from_predictions(y, predict_rows(X))
 
 
 def train_bagged(corpus, config: TrainConfig):
@@ -232,23 +246,17 @@ def train_bagged(corpus, config: TrainConfig):
     """
     records = _as_records(corpus)
     train, test = stratified_split(records, config.test_fraction, config.seed)
-    fitted, trees = _fit_core(train, config, config.seed)
-    model = MergingModel(
-        preprocess=fitted,
-        trees=tuple(trees),
-        metadata={
-            "seed": config.seed,
-            "balance": config.balance,
-            "preprocess": list(config.preprocess.steps),
-            "n_trees": config.n_trees,
-            "corpus_fingerprint": corpus_fingerprint(records),
-            "n_train": len(train),
-            "n_test": len(test),
-        },
-    )
-    Xt, yt = _matrix(test)
-    pred = predict_matrix(model, Xt)
-    return model, ConfusionCounts.from_predictions(yt, pred)
+    metadata = {
+        "seed": config.seed,
+        "balance": config.balance,
+        "preprocess": list(config.preprocess.steps),
+        "n_trees": config.n_trees,
+        "corpus_fingerprint": corpus_fingerprint(records),
+        "n_train": len(train),
+        "n_test": len(test),
+    }
+    model = _fit_bag(train, config, config.seed, metadata)
+    return model, _test_confusion(test, partial(predict_matrix, model))
 
 
 def _merges(frac: np.ndarray) -> np.ndarray:
@@ -274,36 +282,27 @@ def cross_validate(corpus, config: TrainConfig) -> list[float]:
     by content, so shuffling the corpus row order changes nothing.
     """
     records = _as_records(corpus)
-    labels = sorted({r.label for r in records})
-    if len(labels) < 2:
+    by_class = [
+        sorted((r for r in records if r.label == c), key=lambda r: canonical_key(r.features))
+        for c in sorted({r.label for r in records})
+    ]
+    if len(by_class) < 2:
         raise ValueError("cross-validation needs both classes present")
-    counts = {c: sum(1 for r in records if r.label == c) for c in labels}
-    if config.cv_folds > min(counts.values()):
+    if config.cv_folds > min(map(len, by_class)):
         raise ValueError("cv_folds exceeds the minority class count")
 
-    sorted_by_class = {
-        c: sorted(
-            (r for r in records if r.label == c),
-            key=lambda r: canonical_key(r.features),
-        )
-        for c in labels
-    }
     out: list[float] = []
     for rep in range(config.cv_repeats):
         rng = spawn_rng(config.seed, "cv", rep)
         fold_of: dict[int, list[LabeledPair]] = {f: [] for f in range(config.cv_folds)}
-        for c in labels:
-            recs = sorted_by_class[c]
-            perm = rng.permutation(len(recs))
-            for pos, j in enumerate(perm):
+        for recs in by_class:
+            for pos, j in enumerate(rng.permutation(len(recs))):
                 fold_of[pos % config.cv_folds].append(recs[j])
         for f in range(config.cv_folds):
             test = fold_of[f]
             train = [r for g in range(config.cv_folds) if g != f for r in fold_of[g]]
-            fitted, trees = _fit_core(train, config, derive_seed(config.seed, "cv", rep, f))
-            Xt, yt = _matrix(test)
-            pred = _merges(ensemble_vote_fraction(trees, fitted.apply_matrix(Xt)))
-            out.append(mcc(ConfusionCounts.from_predictions(yt, pred)))
+            model = _fit_bag(train, config, derive_seed(config.seed, "cv", rep, f), {})
+            out.append(mcc(_test_confusion(test, partial(predict_matrix, model))))
     return out
 
 
@@ -337,68 +336,56 @@ def deserialize(data: bytes) -> MergingModel:
     if payload.get("version") != _VERSION:
         raise ModelFormatError(f"unsupported model version {payload.get('version')!r}")
     try:
-        return MergingModel(
+        model = MergingModel(
             preprocess=FittedPreprocess.from_dict(payload["preprocess"]),
             trees=tuple(DecisionTree.from_dict(t) for t in payload["trees"]),
             metadata=dict(payload["metadata"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        dim = model.preprocess.output_dim
+        if any(t.feature.max() >= dim for t in model.trees):
+            raise ValueError(f"a tree splits on a feature beyond the {dim} preprocessed features")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"corrupt model payload: {exc}") from None
+    return model
 
 
 # ---------------------------------------------------------------------------
 # Baselines
 
 
-@dataclass(frozen=True, eq=False)
-class KnnModel:
-    preprocess: FittedPreprocess
-    X: np.ndarray
-    y: np.ndarray
-    k: int
+def _knn(X: np.ndarray, y: np.ndarray, k: int):
+    """Vote of the k nearest rows of X (stable order on equal distance); a tie merges."""
 
-    def predict_row(self, row) -> int:
-        x = self.preprocess.apply_matrix(row)
-        d2 = ((self.X - x) ** 2).sum(axis=1)
-        order = np.argsort(d2, kind="stable")[: self.k]
-        ones = int(self.y[order].sum())
-        return 1 if 2 * ones >= self.k else 0
+    def vote(x: np.ndarray) -> int:
+        nearest = np.argsort(((X - x) ** 2).sum(axis=1), kind="stable")[:k]
+        return 1 if 2 * int(y[nearest].sum()) >= k else 0
+
+    return vote
 
 
-@dataclass(frozen=True, eq=False)
-class NaiveBayesModel:
-    preprocess: FittedPreprocess
-    log_prior: np.ndarray  # (2,)
-    means: np.ndarray  # (2, d)
-    variances: np.ndarray  # (2, d)
+def _naive_bayes(X: np.ndarray, y: np.ndarray):
+    """Vote of a Gaussian naive Bayes fitted on (X, y), variances floored by 1e-9."""
+    means = np.stack([X[y == c].mean(axis=0) for c in (0, 1)])
+    variances = np.stack([X[y == c].var(axis=0) for c in (0, 1)]) + 1e-9
+    log_prior = np.log(np.array([(y == 0).mean(), (y == 1).mean()]))
 
-    def predict_row(self, row) -> int:
-        x = self.preprocess.apply_matrix(row)
-        ll = self.log_prior - 0.5 * (
-            np.log(2.0 * np.pi * self.variances) + (x - self.means) ** 2 / self.variances
-        ).sum(axis=1)
+    def vote(x: np.ndarray) -> int:
+        ll = log_prior - 0.5 * (np.log(2.0 * np.pi * variances) + (x - means) ** 2 / variances).sum(axis=1)
         return int(np.argmax(ll))
 
+    return vote
 
-def train_baseline(corpus, config: TrainConfig, method: str, knn_k: int = 5):
-    """Train a kNN or naive Bayes comparator with the same protocol."""
-    records = _as_records(corpus)
-    train, test = stratified_split(records, config.test_fraction, config.seed)
-    balanced = _balance(train, config.balance, config.seed)
-    Xb, yb = _matrix(balanced)
-    fitted = fit_preprocess(Xb, config.preprocess)
-    Xp = fitted.apply_matrix(Xb)
-    if method == "knn":
-        model = KnnModel(preprocess=fitted, X=Xp, y=yb, k=knn_k)
-    elif method == "nb":
-        means = np.stack([Xp[yb == c].mean(axis=0) for c in (0, 1)])
-        variances = np.stack([Xp[yb == c].var(axis=0) for c in (0, 1)]) + 1e-9
-        prior = np.array([(yb == 0).mean(), (yb == 1).mean()])
-        model = NaiveBayesModel(
-            preprocess=fitted, log_prior=np.log(prior), means=means, variances=variances
-        )
-    else:
+
+def train_baseline(corpus, config: TrainConfig, method: str, knn_k: int = 5) -> ConfusionCounts:
+    """Test confusion of a kNN or naive Bayes comparator trained like the bag.
+
+    Split, balancing and preprocessing are those of ``train_bagged``; each
+    test row is transformed on its own.
+    """
+    if method not in ("knn", "nb"):
         raise ValueError(f"unknown baseline method {method!r}")
-    Xt, yt = _matrix(test)
-    pred = np.array([model.predict_row(x) for x in Xt], dtype=np.int8)
-    return model, ConfusionCounts.from_predictions(yt, pred)
+    train, test = stratified_split(_as_records(corpus), config.test_fraction, config.seed)
+    fitted, X, y = _prepare(train, config, config.seed)
+    vote = _knn(X, y, knn_k) if method == "knn" else _naive_bayes(X, y)
+    votes = lambda rows: np.array([vote(fitted.apply_matrix(x)) for x in rows], dtype=np.int8)
+    return _test_confusion(test, votes)

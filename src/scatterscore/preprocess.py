@@ -37,14 +37,6 @@ class PreprocessSpec:
         if not (0.0 < self.pca_variance_threshold <= 1.0):
             raise ValueError("pca_variance_threshold must be in (0, 1]")
 
-    @classmethod
-    def none(cls) -> "PreprocessSpec":
-        return cls(steps=())
-
-    @classmethod
-    def all_steps(cls, pca_variance_threshold: float = 0.95) -> "PreprocessSpec":
-        return cls(steps=CANONICAL_STEPS, pca_variance_threshold=pca_variance_threshold)
-
 
 def _boxcox_transform(y: np.ndarray, lam: float) -> np.ndarray:
     y = np.maximum(y, 1e-12)  # transform is only defined for positive values

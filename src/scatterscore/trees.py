@@ -64,13 +64,28 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
-        return cls(
+        """Build a tree from its node arrays; ValueError unless prediction can walk it.
+
+        Every child comes after its parent, so each walk from the root ends.
+        """
+        tree = cls(
             feature=np.array(d["feature"], dtype=np.int32),
             threshold=np.array(d["threshold"], dtype=float),
             left=np.array(d["left"], dtype=np.int32),
             right=np.array(d["right"], dtype=np.int32),
             leaf_class=np.array(d["leaf_class"], dtype=np.int8),
         )
+        n = tree.feature.size
+        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_class)
+        if n == 0 or any(a.shape != (n,) for a in arrays):
+            raise ValueError("tree node arrays must share one nonzero length")
+        if tree.feature.min() < -1 or not np.isin(tree.leaf_class, (0, 1)).all():
+            raise ValueError("tree features must be >= -1 and leaf classes 0 or 1")
+        inner = np.flatnonzero(tree.feature >= 0)
+        children = np.concatenate([tree.left[inner], tree.right[inner]])
+        if np.any(children <= np.tile(inner, 2)) or np.any(children >= n):
+            raise ValueError("each child node must come after its parent and inside the tree")
+        return tree
 
 
 def _presort(X: np.ndarray) -> np.ndarray:

@@ -273,6 +273,18 @@ class TestScoreRank:
         assert "row 3: empty cell" in capsys.readouterr().err
 
 
+    def test_out_of_range_tree_feature_exit_2(self, tmp_path, trained_model_file, capsys):
+        payload = json.loads(trained_model_file.read_bytes())
+        root = payload["trees"][0]["feature"]
+        assert root[0] >= 0
+        root[0] = len(payload["preprocess"]["pca_basis"][0])  # one past the last feature
+        trained_model_file.write_text(json.dumps(payload))
+        code = run("score", *self.make_plots(tmp_path, n=1), "--model", trained_model_file,
+                   "--k-max", 2, "--n-restarts", 1, "--out", tmp_path / "s.csv")
+        assert code == 2
+        assert "corrupt model payload" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def write_inputs(self, tmp_path, n_plots=6, raters=5):
         rng = np.random.default_rng(1)
@@ -318,6 +330,18 @@ class TestEvaluate:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "k,mean,sd,min,max"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("k_values", ["", ",", " , ,"])
+    def test_alteration_without_k_values_exit_2(self, tmp_path, capsys, k_values):
+        scores, pairs = self.write_inputs(tmp_path)
+        out = tmp_path / "curve.csv"
+        code = run(
+            "evaluate", "--scores", scores, "--pairs", pairs,
+            "--mode", "alteration", "--k-values", k_values, "--b", 5, "--out", out,
+        )
+        assert code == 2
+        assert "needs --k-values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mismatched_ids_exit_2(self, tmp_path):
         scores, pairs = self.write_inputs(tmp_path)

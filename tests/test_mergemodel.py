@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -263,6 +264,20 @@ class TestCrossValidate:
             cross_validate(pairs, config)
 
 
+# Edits of a trained tree's node arrays (node 0 is internal) that no walk can use.
+MALFORMED_TREES = {
+    "self-loop": lambda t: t.update(left=[0] + t["left"][1:], right=[0] + t["right"][1:]),
+    "child past last node": lambda t: t.update(right=[len(t["right"])] + t["right"][1:]),
+    "negative child": lambda t: t.update(left=[-1] + t["left"][1:]),
+    "child beyond int32": lambda t: t.update(left=[2**40] + t["left"][1:]),
+    "feature below -1": lambda t: t.update(feature=[-2] + t["feature"][1:]),
+    "feature past preprocessing": lambda t: t.update(feature=[99] + t["feature"][1:]),
+    "leaf class 2": lambda t: t.update(leaf_class=[2] * len(t["leaf_class"])),
+    "short threshold array": lambda t: t.update(threshold=t["threshold"][:-1]),
+    "no nodes": lambda t: t.update({key: [] for key in t}),
+}
+
+
 class TestSerialization:
     def test_roundtrip_preserves_predictions(self):
         pairs, _, _ = threshold_rule_pairs(500, seed=22)
@@ -297,15 +312,27 @@ class TestSerialization:
             deserialize(payload)
 
 
+    @pytest.mark.parametrize("edit", MALFORMED_TREES.values(), ids=MALFORMED_TREES.keys())
+    def test_malformed_tree_rejected(self, edit):
+        pairs, _, _ = threshold_rule_pairs(200, seed=25)
+        model, _ = train_bagged(pairs, TrainConfig(n_trees=2, seed=1))
+        payload = json.loads(serialize(model))
+        tree = payload["trees"][1]
+        assert tree["feature"][0] >= 0
+        edit(tree)
+        with pytest.raises(ModelFormatError, match="corrupt"):
+            deserialize(json.dumps(payload).encode())
+
+
 class TestBaselines:
     @pytest.mark.parametrize("method", ["knn", "nb"])
     def test_baseline_learns_separable_rule(self, method):
         # comparators only; far from the bagged trees but well above chance
         pairs, _, _ = threshold_rule_pairs(1000, seed=26)
         config = TrainConfig(seed=2, preprocess=CS_ONLY, balance="none")
-        _, confusion = train_baseline(pairs, config, method)
+        confusion = train_baseline(pairs, config, method)
         assert mcc(confusion) >= 0.6
-        _, again = train_baseline(pairs, config, method)
+        again = train_baseline(pairs, config, method)
         assert confusion == again
 
     def test_unknown_method_rejected(self):

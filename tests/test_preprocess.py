@@ -25,8 +25,8 @@ class TestSpec:
             PreprocessSpec(steps=("whiten",))
 
     def test_none_and_all(self):
-        assert PreprocessSpec.none().steps == ()
-        assert PreprocessSpec.all_steps().steps == ("center_scale", "box_cox", "pca", "spatial_sign")
+        assert PreprocessSpec(steps=()).steps == ()
+        assert PreprocessSpec().steps == ("center_scale", "box_cox", "pca", "spatial_sign")
 
 
 class TestCenterScale:
@@ -39,7 +39,7 @@ class TestCenterScale:
 
     def test_identity_spec_unchanged(self):
         X = np.random.default_rng(0).normal(size=(20, 4))
-        fitted = fit_preprocess(X, PreprocessSpec.none())
+        fitted = fit_preprocess(X, PreprocessSpec(steps=()))
         assert np.array_equal(fitted.apply_matrix(X), X)
 
 
@@ -120,7 +120,7 @@ class TestApply:
 
     def test_repeated_application_identical(self):
         X = np.random.default_rng(6).normal(size=(40, 8)) + 2.0
-        fitted = fit_preprocess(X, PreprocessSpec.all_steps())
+        fitted = fit_preprocess(X, PreprocessSpec())
         row = X[7]
         a = fitted.apply_matrix(row)
         b = fitted.apply_matrix(row)
@@ -128,10 +128,10 @@ class TestApply:
 
     def test_needs_two_rows_to_fit(self):
         with pytest.raises(ValueError):
-            fit_preprocess(np.ones((1, 2)), PreprocessSpec.none())
+            fit_preprocess(np.ones((1, 2)), PreprocessSpec(steps=()))
 
     def test_serialization_roundtrip(self):
         X = np.random.default_rng(7).normal(size=(50, 6)) + 3.0
-        fitted = fit_preprocess(X, PreprocessSpec.all_steps())
+        fitted = fit_preprocess(X, PreprocessSpec())
         back = FittedPreprocess.from_dict(fitted.to_dict())
         assert np.array_equal(back.apply_matrix(X), fitted.apply_matrix(X))
