@@ -79,11 +79,11 @@ class DecisionTree:
         arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_class)
         if n == 0 or any(a.shape != (n,) for a in arrays):
             raise ValueError("tree node arrays must share one nonzero length")
-        if tree.feature.min() < -1 or not np.isin(tree.leaf_class, (0, 1)).all():
+        if tree.feature.min() < -1 or tree.leaf_class.min() < 0 or tree.leaf_class.max() > 1:
             raise ValueError("tree features must be >= -1 and leaf classes 0 or 1")
         inner = np.flatnonzero(tree.feature >= 0)
-        children = np.concatenate([tree.left[inner], tree.right[inner]])
-        if np.any(children <= np.tile(inner, 2)) or np.any(children >= n):
+        left, right = tree.left[inner], tree.right[inner]
+        if np.any(np.minimum(left, right) <= inner) or np.any(np.maximum(left, right) >= n):
             raise ValueError("each child node must come after its parent and inside the tree")
         return tree
 
