@@ -272,7 +272,6 @@ class TestScoreRank:
         assert code == 2
         assert "row 3: empty cell" in capsys.readouterr().err
 
-
     def test_out_of_range_tree_feature_exit_2(self, tmp_path, trained_model_file, capsys):
         payload = json.loads(trained_model_file.read_bytes())
         root = payload["trees"][0]["feature"]

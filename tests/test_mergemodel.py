@@ -311,7 +311,6 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="version"):
             deserialize(payload)
 
-
     @pytest.mark.parametrize("edit", MALFORMED_TREES.values(), ids=MALFORMED_TREES.keys())
     def test_malformed_tree_rejected(self, edit):
         pairs, _, _ = threshold_rule_pairs(200, seed=25)
