@@ -5,7 +5,9 @@ The pipeline runs ``generate --params-file``, ``corpus``, ``train``,
 ``tests/data`` and compares every CSV it writes, plus ``kappa.json``, with
 ``tests/data/golden``.  It also pins the per-K BIC of one plot at 9
 significant digits and the trained model's predictions on fixed feature
-rows.  Three more ``train`` runs pin the metrics of the kNN and naive
+rows.  ``kappa_b300.json`` and ``curve_b300.csv`` repeat both ``evaluate``
+modes with b = 300, more than two blocks of bootstrap or alteration
+replicates and not a whole number of them.  Three more ``train`` runs pin the metrics of the kNN and naive
 Bayes baselines and of ``--cv`` (``knn.metrics.json``, ``nb.metrics.json``
 and ``cv.metrics.json``).  ``model.json`` bytes are not pinned: its layout
 may change with the model format version, while its predictions may not.
@@ -40,7 +42,9 @@ GOLDEN = DATA / "golden"
 SEED = 5
 K_MAX = 3
 PINNED_PLOT = "p0"
-WORK_FILES = ("corpus.csv", "scores.csv", "ranking.csv", "curve.csv", "kappa.json")
+WORK_FILES = (
+    "corpus.csv", "scores.csv", "ranking.csv", "curve.csv", "kappa.json", "curve_b300.csv", "kappa_b300.json",
+)
 # Extra ``train`` runs on the pipeline's corpus: output stem -> flags.
 TRAIN_RUNS = {
     "knn": ("--method", "knn"),
@@ -72,6 +76,8 @@ def run_pipeline(work: Path) -> dict[str, bytes]:
     evaluate = ["evaluate", "--scores", work / "scores.csv", "--pairs", DATA / "pairs.csv", "--seed", SEED]
     _run(*evaluate, "--mode", "pairwise", "--b", 50, "--out", work / "kappa.json")
     _run(*evaluate, "--mode", "alteration", "--k-values", "0,1,3", "--b", 20, "--out", work / "curve.csv")
+    _run(*evaluate, "--mode", "pairwise", "--b", 300, "--out", work / "kappa_b300.json")
+    _run(*evaluate, "--mode", "alteration", "--k-values", "0,1,6", "--b", 300, "--out", work / "curve_b300.csv")
 
     metrics = [f"{stem}.metrics.json" for stem in TRAIN_RUNS]
     out = {name: (work / name).read_bytes() for name in (*WORK_FILES, *metrics)}
