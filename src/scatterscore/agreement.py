@@ -29,6 +29,14 @@ LANDIS_KOCH_BANDS = (
 PERCENTILES = (2.5, 5.0, 25.0, 50.0, 75.0, 95.0, 97.5)
 
 RELATION_CATEGORIES = ("<", "=", ">")
+_RELATION_SET = frozenset(RELATION_CATEGORIES)
+# relation -> the two other symbols, picked by one random bit
+_ALTERNATIVES = {r: tuple(a for a in RELATION_CATEGORIES if a != r) for r in RELATION_CATEGORIES}
+
+# Replicates per block in the bootstrap and the alteration curve.  At
+# n = 435 items a (C, n) block is 0.45 MB and the bootstrap's resampled
+# (C, n, categories) proportions 1.3 MB.
+_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,17 +132,26 @@ def _agreement_terms(group_codes: np.ndarray, n_categories: int):
     return prop
 
 
-def _kappa_from_terms(prop: np.ndarray, iso_codes: np.ndarray, n_categories: int):
-    n = prop.shape[0]
-    p_o = float(prop[np.arange(n), iso_codes].mean())
-    q_bar = prop.mean(axis=0)
-    r_marg = np.bincount(iso_codes, minlength=n_categories) / n
+def _kappa(p_o, q_bar: np.ndarray, r_marg: np.ndarray) -> tuple[float, float]:
+    """(kappa, p_e) from the observed agreement, the group's mean category
+    proportions and the isolated rater's marginals."""
     p_e = float(q_bar @ r_marg)
     if p_e >= 1.0 - 1e-15:
-        kappa = 1.0 if p_o >= 1.0 - 1e-15 else 0.0
-    else:
-        kappa = (p_o - p_e) / (1.0 - p_e)
-    return kappa, p_o, p_e
+        return (1.0 if p_o >= 1.0 - 1e-15 else 0.0), p_e
+    return float((p_o - p_e) / (1.0 - p_e)), p_e
+
+
+def _block_kappas(p_o: np.ndarray, q_bar: np.ndarray, codes: np.ndarray, n_categories: int) -> np.ndarray:
+    """Kappa of each replicate in a block: observed agreements ``p_o`` (m,),
+    group category means ``q_bar`` (m, categories), isolated codes (m, n).
+
+    p_e stays a 1-D dot product per replicate: every batched form of it
+    differs from that in the last bit on some rows.
+    """
+    m, n = codes.shape
+    offsets = codes + n_categories * np.arange(m)[:, None]
+    counts = np.bincount(offsets.ravel(), minlength=m * n_categories).reshape(m, n_categories)
+    return np.array([_kappa(p, q, r)[0] for p, q, r in zip(p_o, q_bar, counts / n)])
 
 
 def vanbelle_kappa(group: GroupRatings, isolated: IsolatedRatings) -> KappaResult:
@@ -145,7 +162,10 @@ def vanbelle_kappa(group: GroupRatings, isolated: IsolatedRatings) -> KappaResul
         )
     n_cat = len(group.categories)
     prop = _agreement_terms(group.codes(), n_cat)
-    kappa, p_o, p_e = _kappa_from_terms(prop, isolated.codes(group.categories), n_cat)
+    iso = isolated.codes(group.categories)
+    n = group.items
+    p_o = float(prop[np.arange(n), iso].mean())
+    kappa, p_e = _kappa(p_o, prop.mean(axis=0), np.bincount(iso, minlength=n_cat) / n)
     return KappaResult(
         kappa=kappa,
         observed_agreement=p_o,
@@ -165,10 +185,15 @@ def bootstrap_kappa(group: GroupRatings, isolated: IsolatedRatings, b: int, seed
     iso = isolated.codes(group.categories)
     n = group.items
     values = np.empty(b)
-    for i in range(b):
-        rng = spawn_rng(seed, "bootstrap", i)
-        idx = rng.integers(0, n, size=n)
-        values[i], _, _ = _kappa_from_terms(prop[idx], iso[idx], n_cat)
+    idx = np.empty((min(b, _BLOCK), n), dtype=np.int64)
+    for start in range(0, b, _BLOCK):
+        block = idx[: min(_BLOCK, b - start)]
+        for i, row in enumerate(block):
+            row[:] = spawn_rng(seed, "bootstrap", start + i).integers(0, n, size=n)
+        codes = iso[block]
+        values[start : start + len(block)] = _block_kappas(
+            prop[block, codes].mean(axis=1), prop[block].mean(axis=1), codes, n_cat
+        )
     return _summarize(values)
 
 
@@ -224,11 +249,14 @@ def alter_decisions(relations, k: int, seed: int) -> list[str]:
     relations = list(relations)
     if not (0 <= k <= len(relations)):
         raise ValueError(f"k must be in [0, {len(relations)}], got {k}")
+    if not _RELATION_SET.issuperset(relations):
+        bad = next(r for r in relations if r not in _RELATION_SET)
+        raise ValueError(f"relation {bad!r} is not one of {RELATION_CATEGORIES}")
     rng = spawn_rng(seed, "alter")
-    positions = rng.choice(len(relations), size=k, replace=False) if k else []
-    for pos in positions:
-        alternatives = [r for r in RELATION_CATEGORIES if r != relations[pos]]
-        relations[pos] = alternatives[int(rng.integers(2))]
+    if k:
+        positions = rng.choice(len(relations), size=k, replace=False)
+        for pos, bit in zip(positions.tolist(), rng.integers(2, size=k).tolist()):
+            relations[pos] = _ALTERNATIVES[relations[pos]][bit]
     return relations
 
 
@@ -246,16 +274,33 @@ def alteration_curve(relations, group: GroupRatings, k_values, b: int, seed: int
     relations = list(relations)
     if b < 1:
         raise ValueError("b must be >= 1")
+    n = len(relations)
+    if n != group.items:
+        raise ValueError(f"group has {group.items} items but there are {n} relations")
     n_cat = len(group.categories)
     prop = _agreement_terms(group.codes(), n_cat)
-    index = {c: i for i, c in enumerate(group.categories)}
+    q_bar = prop.mean(axis=0)
+    items = np.arange(n)
+    # ASCII code of a relation symbol -> its category index; -1 if the group lacks it
+    table = np.full(256, -1, dtype=np.int64)
+    for i, c in enumerate(group.categories):
+        if c in _RELATION_SET:
+            table[ord(c)] = i
     out = []
     for k in k_values:
         values = np.empty(b)
-        for j in range(b):
-            altered = alter_decisions(relations, k, derive_seed(seed, "curve", k, j))
-            codes = np.array([index[r] for r in altered], dtype=np.int64)
-            values[j], _, _ = _kappa_from_terms(prop, codes, n_cat)
+        for start in range(0, b, _BLOCK):
+            m = min(_BLOCK, b - start)
+            text = "".join(
+                "".join(alter_decisions(relations, k, derive_seed(seed, "curve", k, j)))
+                for j in range(start, start + m)
+            )
+            codes = table[np.frombuffer(text.encode("ascii"), dtype=np.uint8)].reshape(m, n)
+            if codes.min() < 0:
+                raise ValueError(f"a relation is not one of the group's categories {group.categories}")
+            values[start : start + m] = _block_kappas(
+                prop[items, codes].mean(axis=1), np.broadcast_to(q_bar, (m, n_cat)), codes, n_cat
+            )
         mean, sd = _spread(values)
         out.append(
             AlterationPoint(

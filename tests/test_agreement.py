@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from scatterscore.agreement import (
+    _BLOCK,
+    RELATION_CATEGORIES,
+    AlterationPoint,
     GroupRatings,
     IsolatedRatings,
     alter_decisions,
@@ -17,6 +20,7 @@ from scatterscore.agreement import (
     vanbelle_kappa,
     worst_case_formulas,
 )
+from scatterscore.util import derive_seed, spawn_rng
 from scatterscore.vqm import VqmScore
 
 
@@ -222,6 +226,18 @@ class TestAlterDecisions:
         with pytest.raises(ValueError):
             alter_decisions(self.BASE, len(self.BASE) + 1, seed=0)
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_unknown_symbol_rejected(self, k):
+        with pytest.raises(ValueError, match="'!'"):
+            alter_decisions(["<", "!"], k, seed=0)
+
+    def test_matches_per_position_reference(self):
+        rng = np.random.default_rng(12)
+        relations = [RELATION_CATEGORIES[i] for i in rng.integers(3, size=40)]
+        for seed in range(1000):
+            for k in (0, 1, 7, 40):
+                assert alter_decisions(relations, k, seed) == reference_alter(relations, k, seed)
+
 
 class TestAlterationCurve:
     def make_data(self, n=60, seed=4):
@@ -252,6 +268,107 @@ class TestAlterationCurve:
         a = alteration_curve(relations, group, [5, 15], b=50, seed=9)
         b = alteration_curve(relations, group, [5, 15], b=50, seed=9)
         assert a == b
+
+
+# The per-replicate implementations that the blocked ones replaced: every
+# replicate draws the same numbers, and the kappas must match bit for bit.
+
+
+def reference_kappa(prop, iso_codes, n_categories):
+    n = prop.shape[0]
+    p_o = float(prop[np.arange(n), iso_codes].mean())
+    q_bar = prop.mean(axis=0)
+    r_marg = np.bincount(iso_codes, minlength=n_categories) / n
+    p_e = float(q_bar @ r_marg)
+    if p_e >= 1.0 - 1e-15:
+        return 1.0 if p_o >= 1.0 - 1e-15 else 0.0
+    return (p_o - p_e) / (1.0 - p_e)
+
+
+def reference_terms(group):
+    codes = group.codes()
+    return np.stack([(codes == c).mean(axis=1) for c in range(len(group.categories))], axis=1)
+
+
+def reference_bootstrap(group, isolated, b, seed):
+    prop, iso = reference_terms(group), isolated.codes(group.categories)
+    n, n_cat = prop.shape
+    values = np.empty(b)
+    for i in range(b):
+        idx = spawn_rng(seed, "bootstrap", i).integers(0, n, size=n)
+        values[i] = reference_kappa(prop[idx], iso[idx], n_cat)
+    return values
+
+
+def reference_alter(relations, k, seed):
+    relations = list(relations)
+    rng = spawn_rng(seed, "alter")
+    positions = rng.choice(len(relations), size=k, replace=False) if k else []
+    for pos in positions:
+        alternatives = [r for r in RELATION_CATEGORIES if r != relations[pos]]
+        relations[pos] = alternatives[int(rng.integers(2))]
+    return relations
+
+
+def reference_curve(relations, group, k_values, b, seed):
+    prop = reference_terms(group)
+    index = {c: i for i, c in enumerate(group.categories)}
+    out = []
+    for k in k_values:
+        values = np.empty(b)
+        for j in range(b):
+            altered = reference_alter(relations, k, derive_seed(seed, "curve", k, j))
+            values[j] = reference_kappa(prop, np.array([index[r] for r in altered]), len(index))
+        lo, hi = float(values.min()), float(values.max())
+        mean, sd = (lo, 0.0) if lo == hi else (float(values.mean()), float(values.std()))
+        out.append(AlterationPoint(k=k, mean=mean, sd=sd, min=lo, max=hi))
+    return out
+
+
+class TestBlocksMatchReference:
+    N = 401
+    B_VALUES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5 * _BLOCK // 2)
+
+    def make_data(self):
+        rng = np.random.default_rng(21)
+        relations = [RELATION_CATEGORIES[i] for i in rng.integers(3, size=self.N)]
+        votes = tuple(
+            tuple(r if rng.random() < 0.7 else RELATION_CATEGORIES[rng.integers(3)] for _ in range(7))
+            for r in relations
+        )
+        return relations, GroupRatings(categories=RELATION_CATEGORIES, votes=votes)
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_bootstrap_values_bitwise_equal(self, seed):
+        relations, group = self.make_data()
+        isolated = IsolatedRatings(votes=tuple(relations))
+        for b in self.B_VALUES:
+            got = bootstrap_kappa(group, isolated, b=b, seed=seed).values
+            assert got.tobytes() == reference_bootstrap(group, isolated, b, seed).tobytes(), b
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_curve_points_equal(self, seed):
+        relations, group = self.make_data()
+        ks = [0, 1, self.N]
+        for b in self.B_VALUES:
+            assert alteration_curve(relations, group, ks, b=b, seed=seed) == reference_curve(
+                relations, group, ks, b, seed
+            ), b
+
+    def test_category_order_and_subset(self):
+        relations, group = self.make_data()
+        reordered = GroupRatings(categories=(">", "<", "="), votes=group.votes)
+        got = alteration_curve(relations, reordered, [1, 5], b=_BLOCK + 3, seed=2)
+        assert got == reference_curve(relations, reordered, [1, 5], _BLOCK + 3, 2)
+        narrow = GroupRatings(categories=("<", ">"), votes=(("<",), (">",)))
+        assert alteration_curve(["<", ">"], narrow, [0], b=3, seed=0)[0].mean == 1.0
+        with pytest.raises(ValueError, match="categories"):
+            alteration_curve(["<", ">"], narrow, [2], b=3, seed=0)
+
+    def test_length_mismatch_rejected(self):
+        relations, group = self.make_data()
+        with pytest.raises(ValueError, match="relations"):
+            alteration_curve(relations[:-1], group, [1], b=2, seed=0)
 
 
 class TestWorstCase:
