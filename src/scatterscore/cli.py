@@ -224,13 +224,15 @@ def cmd_train(args) -> int:
         raise InputError(str(exc)) from None
 
     method = resolved["method"]
+    if method not in ("treebag", "knn", "nb"):
+        raise InputError(f"unknown method {method!r} (expected treebag, knn or nb)")
+    if resolved["cv"] and method != "treebag":
+        raise InputError("--cv applies only to --method treebag")
     if method == "treebag":
         model, confusion = mergemodel.train_bagged(corpus, config)
         Path(args.out).write_bytes(mergemodel.serialize(model))
-    elif method in ("knn", "nb"):
-        confusion = mergemodel.train_baseline(corpus, config, method, knn_k=resolved["knn_k"])
     else:
-        raise InputError(f"unknown method {method!r} (expected treebag, knn or nb)")
+        confusion = mergemodel.train_baseline(corpus, config, method, knn_k=resolved["knn_k"])
 
     metrics = {
         "method": method,
@@ -240,7 +242,7 @@ def cmd_train(args) -> int:
         "confusion": dataclasses.asdict(confusion),
         "test_mcc": mergemodel.mcc(confusion),
     }
-    if resolved["cv"] and method == "treebag":
+    if resolved["cv"]:
         fold_mcc = mergemodel.cross_validate(corpus, config)
         metrics["cv_mcc_mean"] = sum(fold_mcc) / len(fold_mcc)
         metrics["cv_mcc_values"] = fold_mcc

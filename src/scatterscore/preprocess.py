@@ -117,10 +117,12 @@ class FittedPreprocess:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedPreprocess":
+        """Inverse of :meth:`to_dict`; ValueError when a listed step's
+        statistics are missing or do not fit ``input_dim``."""
         arr = lambda v: None if v is None else np.array(v, dtype=float)
         lams = d.get("boxcox_lambdas")
-        return cls(
-            steps=tuple(d["steps"]),
+        fitted = cls(
+            steps=PreprocessSpec(steps=d["steps"]).steps,
             input_dim=int(d["input_dim"]),
             means=arr(d.get("means")),
             scales=arr(d.get("scales")),
@@ -129,6 +131,23 @@ class FittedPreprocess:
             pca_basis=arr(d.get("pca_basis")),
             spatial_sign=bool(d.get("spatial_sign", False)),
         )
+        dim = fitted.input_dim
+        if dim < 1:
+            raise ValueError(f"preprocess input_dim must be positive, got {dim}")
+        needed = {
+            "center_scale": ("means", "scales"),
+            "box_cox": ("boxcox_lambdas",),
+            "pca": ("pca_mean",),
+        }
+        for step, names in needed.items():
+            for name in names:
+                value = getattr(fitted, name)
+                if step in fitted.steps and (value is None or np.shape(value) != (dim,)):
+                    raise ValueError(f"preprocess {name} must hold {dim} values for step {step}")
+        shape = np.shape(fitted.pca_basis)
+        if "pca" in fitted.steps and not (len(shape) == 2 and shape[0] == dim and shape[1] >= 1):
+            raise ValueError(f"preprocess pca_basis must be a ({dim}, r) matrix with r >= 1, got shape {shape}")
+        return fitted
 
 
 def fit_preprocess(X, spec: PreprocessSpec) -> FittedPreprocess:

@@ -163,6 +163,13 @@ class TestTrain:
         assert len(metrics["cv_mcc_values"]) == 6
         assert -1.0 <= metrics["cv_mcc_mean"] <= 1.0
 
+    @pytest.mark.parametrize("method", ["knn", "nb"])
+    def test_cv_with_baseline_exit_2(self, tmp_path, small_corpus, capsys, method):
+        out = tmp_path / f"{method}.json"
+        assert run("train", small_corpus, "--method", method, "--cv", "--cv-folds", 3, "--out", out) == 2
+        assert "--cv applies only to --method treebag" in capsys.readouterr().err
+        assert not out.with_suffix(".metrics.json").exists()
+
     def test_extra_cell_in_corpus_exit_2(self, tmp_path, small_corpus, capsys):
         lines = small_corpus.read_text().splitlines()
         lines[2] += ",extra"
@@ -282,6 +289,15 @@ class TestScoreRank:
                    "--k-max", 2, "--n-restarts", 1, "--out", tmp_path / "s.csv")
         assert code == 2
         assert "corrupt model payload" in capsys.readouterr().err
+
+    def test_misshapen_preprocess_exit_2(self, tmp_path, trained_model_file, capsys):
+        payload = json.loads(trained_model_file.read_bytes())
+        payload["preprocess"]["pca_basis"] = payload["preprocess"]["pca_basis"][0]  # 1-D
+        trained_model_file.write_text(json.dumps(payload))
+        code = run("score", *self.make_plots(tmp_path, n=1), "--model", trained_model_file,
+                   "--k-max", 2, "--n-restarts", 1, "--out", tmp_path / "s.csv")
+        assert code == 2
+        assert "pca_basis" in capsys.readouterr().err
 
 
 class TestEvaluate:

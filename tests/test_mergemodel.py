@@ -277,6 +277,19 @@ MALFORMED_TREES = {
     "no nodes": lambda t: t.update({key: [] for key in t}),
 }
 
+MALFORMED_PREPROCESS = {
+    "1-D pca_basis": lambda pre: pre.update(pca_basis=[row[0] for row in pre["pca_basis"]]),
+    "pca_basis short of rows": lambda pre: pre.update(pca_basis=pre["pca_basis"][:-1]),
+    "pca_basis without columns": lambda pre: pre.update(pca_basis=[[] for _ in pre["pca_basis"]]),
+    "short means": lambda pre: pre.update(means=pre["means"][:-1]),
+    "long scales": lambda pre: pre.update(scales=pre["scales"] + [1.0]),
+    "short pca_mean": lambda pre: pre.update(pca_mean=pre["pca_mean"][:-1]),
+    "short boxcox_lambdas": lambda pre: pre.update(boxcox_lambdas=pre["boxcox_lambdas"][:-1]),
+    "missing means": lambda pre: pre.update(means=None),
+    "unknown step": lambda pre: pre.update(steps=pre["steps"] + ["whiten"]),
+    "zero input_dim": lambda pre: pre.update(input_dim=0),
+}
+
 
 class TestSerialization:
     def test_roundtrip_preserves_predictions(self):
@@ -319,6 +332,16 @@ class TestSerialization:
         tree = payload["trees"][1]
         assert tree["feature"][0] >= 0
         edit(tree)
+        with pytest.raises(ModelFormatError, match="corrupt"):
+            deserialize(json.dumps(payload).encode())
+
+    @pytest.mark.parametrize("edit", MALFORMED_PREPROCESS.values(), ids=MALFORMED_PREPROCESS.keys())
+    def test_malformed_preprocess_rejected(self, edit):
+        pairs, _, _ = threshold_rule_pairs(200, seed=25)
+        model, _ = train_bagged(pairs, TrainConfig(n_trees=2, seed=1))
+        payload = json.loads(serialize(model))
+        assert payload["preprocess"]["steps"] == ["center_scale", "box_cox", "pca", "spatial_sign"]
+        edit(payload["preprocess"])
         with pytest.raises(ModelFormatError, match="corrupt"):
             deserialize(json.dumps(payload).encode())
 
