@@ -46,9 +46,6 @@ from .gmm import (
     Scatterplot,
     bic_value,
     fit_em,
-    gaussian_density,
-    map_assign,
-    mixture_density,
     select_model,
 )
 from .mergemodel import (

@@ -166,17 +166,6 @@ class FitResult:
 # Density evaluation
 
 
-def gaussian_density(point, mean, cov: Covariance2) -> float:
-    """det(2*pi*Sigma)^(-1/2) * exp(-1/2 (x-mu)^T Sigma^-1 (x-mu))."""
-    det = cov.det
-    if det <= 0.0:
-        raise DegenerateCovarianceError(f"covariance is singular (det={det})")
-    dx = float(point[0]) - float(mean[0])
-    dy = float(point[1]) - float(mean[1])
-    quad = (cov.yy * dx * dx - 2.0 * cov.xy * dx * dy + cov.xx * dy * dy) / det
-    return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
-
-
 def _component_log_pdf(x: np.ndarray, y: np.ndarray, mean, xx: float, xy: float, yy: float) -> np.ndarray:
     """log g(p) of one component at the points with coordinate columns x and y."""
     det = xx * yy - xy * xy
@@ -220,17 +209,6 @@ def mixture_pdf(model: MixtureModel, points) -> np.ndarray:
         [(c.cov.xx, c.cov.xy, c.cov.yy) for c in comps],
     )
     return np.exp(_posterior(logp)[1])
-
-
-def mixture_density(model: MixtureModel, point) -> float:
-    """sum_k pi_k g_k(x); strictly positive."""
-    return float(mixture_pdf(model, np.asarray(point, dtype=float).reshape(1, 2))[0])
-
-
-def map_assign(model: MixtureModel, point) -> int:
-    """Index of the component maximizing pi_k g_k(x); ties -> lowest index."""
-    scores = [c.weight * gaussian_density(point, c.mean, c.cov) for c in model.components]
-    return int(np.argmax(scores))
 
 
 # ---------------------------------------------------------------------------

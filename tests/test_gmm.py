@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scatterscore import gmm
 from scatterscore.gmm import (
     Covariance2,
     DegenerateCovarianceError,
@@ -14,9 +15,6 @@ from scatterscore.gmm import (
     bic_value,
     fit_em,
     fit_em_with_trace,
-    gaussian_density,
-    map_assign,
-    mixture_density,
     mixture_pdf,
     read_scatterplot_csv,
     select_model,
@@ -28,6 +26,34 @@ from conftest import gaussian_blob, two_blob_plot
 IDENTITY = Covariance2(1.0, 0.0, 1.0)
 
 
+def gaussian_density(point, mean, cov: Covariance2) -> float:
+    """Scalar reference for one component's density, independent of the package:
+    det(2*pi*Sigma)^(-1/2) * exp(-1/2 (x-mu)^T Sigma^-1 (x-mu))."""
+    det = cov.det
+    dx = float(point[0]) - float(mean[0])
+    dy = float(point[1]) - float(mean[1])
+    quad = (cov.yy * dx * dx - 2.0 * cov.xy * dx * dy + cov.xx * dy * dy) / det
+    return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+
+
+def density(model, point) -> float:
+    return float(mixture_pdf(model, np.asarray(point, dtype=float).reshape(1, 2))[0])
+
+
+def map_component(model, point) -> int:
+    """Component with the largest log(pi_k) + log g_k at ``point``, from the
+    kernel that the E-step and ``mixture_pdf`` share; ties go to the lowest index."""
+    comps = model.components
+    logp = gmm._log_joint(
+        np.array([float(point[0])]),
+        np.array([float(point[1])]),
+        [c.weight for c in comps],
+        [c.mean for c in comps],
+        [(c.cov.xx, c.cov.xy, c.cov.yy) for c in comps],
+    )
+    return int(np.argmax(logp[:, 0]))
+
+
 def single_gaussian_model(mean=(0.0, 0.0), cov=IDENTITY):
     return MixtureModel(
         components=(GaussianComponent(1.0, Point2D(*mean), cov),),
@@ -37,32 +63,35 @@ def single_gaussian_model(mean=(0.0, 0.0), cov=IDENTITY):
 
 
 class TestGaussianDensity:
+    """One-component ``mixture_pdf`` against closed forms and the scalar reference."""
+
     def test_standard_normal_at_mean(self):
-        assert gaussian_density((0, 0), (0, 0), IDENTITY) == pytest.approx(1.0 / (2 * math.pi), abs=1e-12)
+        assert density(single_gaussian_model(), (0, 0)) == pytest.approx(1.0 / (2 * math.pi), abs=1e-12)
 
     def test_determinant_scaling(self):
-        val = gaussian_density((0, 0), (0, 0), Covariance2(4.0, 0.0, 1.0))
+        val = density(single_gaussian_model(cov=Covariance2(4.0, 0.0, 1.0)), (0, 0))
         assert val == pytest.approx(1.0 / (2 * math.pi * 2.0), abs=1e-12)
 
     def test_point_symmetry_about_mean(self):
         rng = np.random.default_rng(0)
+        cov = Covariance2(2.0, 0.7, 1.5)
         for _ in range(50):
             mx, my, ax, ay = rng.normal(size=4)
-            cov = Covariance2(2.0, 0.7, 1.5)
-            d1 = gaussian_density((ax, ay), (mx, my), cov)
-            d2 = gaussian_density((2 * mx - ax, 2 * my - ay), (mx, my), cov)
+            model = single_gaussian_model((mx, my), cov)
+            d1, d2 = mixture_pdf(model, [(ax, ay), (2 * mx - ax, 2 * my - ay)])
             assert d1 == pytest.approx(d2, rel=1e-12)
+            assert d1 == pytest.approx(gaussian_density((ax, ay), (mx, my), cov), rel=1e-12)
 
     def test_singular_covariance_rejected(self):
         with pytest.raises(DegenerateCovarianceError):
-            gaussian_density((0, 0), (0, 0), Covariance2(1.0, 1.0, 1.0))
+            mixture_pdf(single_gaussian_model(cov=Covariance2(1.0, 1.0, 1.0)), [(0.0, 0.0)])
 
 
 class TestMixtureDensity:
     def test_single_component_reduction(self):
         model = single_gaussian_model((0.5, -1.0), Covariance2(2.0, 0.3, 1.0))
         p = (0.2, 0.4)
-        assert mixture_density(model, p) == pytest.approx(
+        assert density(model, p) == pytest.approx(
             gaussian_density(p, (0.5, -1.0), Covariance2(2.0, 0.3, 1.0)), rel=1e-12
         )
 
@@ -71,9 +100,7 @@ class TestMixtureDensity:
         comp = GaussianComponent(0.5, Point2D(1.0, 2.0), cov)
         two = MixtureModel(components=(comp, comp), log_likelihood=0.0, n_points=1)
         one = single_gaussian_model((1.0, 2.0), cov)
-        assert mixture_density(two, (0.0, 0.0)) == pytest.approx(
-            mixture_density(one, (0.0, 0.0)), rel=1e-12
-        )
+        assert density(two, (0.0, 0.0)) == pytest.approx(density(one, (0.0, 0.0)), rel=1e-12)
 
     def test_component_permutation_invariance(self):
         c1 = GaussianComponent(0.3, Point2D(0.0, 0.0), IDENTITY)
@@ -81,8 +108,9 @@ class TestMixtureDensity:
         a = MixtureModel(components=(c1, c2), log_likelihood=0.0, n_points=1)
         b = MixtureModel(components=(c2, c1), log_likelihood=0.0, n_points=1)
         pts = np.random.default_rng(1).normal(size=(20, 2))
-        for p in pts:
-            assert mixture_density(a, p) == pytest.approx(mixture_density(b, p), rel=1e-12)
+        np.testing.assert_allclose(mixture_pdf(a, pts), mixture_pdf(b, pts), rtol=1e-12)
+        expected = [sum(c.weight * gaussian_density(p, c.mean, c.cov) for c in (c1, c2)) for p in pts]
+        np.testing.assert_allclose(mixture_pdf(a, pts), expected, rtol=1e-12)
 
 
 def quadrature_of_mixture(model, half_width=8.0, n_cells=400):
@@ -118,13 +146,13 @@ class TestMapAssign:
             log_likelihood=0.0,
             n_points=1,
         )
-        assert map_assign(model, (0.0, 0.0)) == 0
-        assert map_assign(model, (50.0, 0.0)) == 1
+        assert map_component(model, (0.0, 0.0)) == 0
+        assert map_component(model, (50.0, 0.0)) == 1
 
     def test_equal_components_tie_to_lowest(self):
         comp = GaussianComponent(0.5, Point2D(0.0, 0.0), IDENTITY)
         model = MixtureModel(components=(comp, comp), log_likelihood=0.0, n_points=1)
-        assert map_assign(model, (1.3, -0.7)) == 0
+        assert map_component(model, (1.3, -0.7)) == 0
 
     def test_perpendicular_bisector_tie(self):
         model = MixtureModel(
@@ -135,11 +163,14 @@ class TestMapAssign:
             log_likelihood=0.0,
             n_points=1,
         )
-        # both posteriors evaluate bit-identically on the bisector x = 1
+        # both components evaluate bit-identically on the bisector x = 1
         p1 = 0.5 * gaussian_density((1.0, 0.7), (0.0, 0.0), IDENTITY)
         p2 = 0.5 * gaussian_density((1.0, 0.7), (2.0, 0.0), IDENTITY)
         assert p1 == p2
-        assert map_assign(model, (1.0, 0.7)) == 0
+        logp = gmm._log_joint(np.array([1.0]), np.array([0.7]), [0.5, 0.5], [(0.0, 0.0), (2.0, 0.0)],
+                              [(1.0, 0.0, 1.0)] * 2)
+        assert logp[0, 0] == logp[1, 0]
+        assert map_component(model, (1.0, 0.7)) == 0
 
 
 class TestFitEm:
