@@ -145,8 +145,8 @@ def _block_kappas(p_o: np.ndarray, q_bar: np.ndarray, codes: np.ndarray, n_categ
     """Kappa of each replicate in a block: observed agreements ``p_o`` (m,),
     group category means ``q_bar`` (m, categories), isolated codes (m, n).
 
-    p_e stays a 1-D dot product per replicate: every batched form of it
-    differs from that in the last bit on some rows.
+    p_e stays a 1-D dot product per replicate: a batched product changes
+    the last bit of some kappas.
     """
     m, n = codes.shape
     offsets = codes + n_categories * np.arange(m)[:, None]
@@ -245,7 +245,11 @@ def pairwise_relations(scores, pairs) -> list[str]:
 
 
 def alter_decisions(relations, k: int, seed: int) -> list[str]:
-    """Change exactly k uniformly-chosen relations to a different symbol."""
+    """Change exactly k uniformly-chosen relations to a different symbol.
+
+    Raises ValueError for k outside [0, len(relations)] or a relation
+    outside ``RELATION_CATEGORIES``.
+    """
     relations = list(relations)
     if not (0 <= k <= len(relations)):
         raise ValueError(f"k must be in [0, {len(relations)}], got {k}")
