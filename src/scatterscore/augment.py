@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,10 +93,9 @@ class LabeledPair:
 
 @dataclass(frozen=True)
 class TrainingCorpus:
-    """Deduplicated labeled pairs plus origin -> row-index provenance."""
+    """Deduplicated labeled pairs."""
 
     records: tuple[LabeledPair, ...]
-    provenance: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
@@ -109,6 +108,14 @@ class TrainingCorpus:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @property
+    def provenance(self) -> dict[str, tuple[int, ...]]:
+        """Origin id -> indices of the records that came from it, in record order."""
+        rows: dict[str, list[int]] = {}
+        for i, rec in enumerate(self.records):
+            rows.setdefault(rec.origin_id, []).append(i)
+        return {origin: tuple(v) for origin, v in rows.items()}
 
 
 def summarize_judgments(judgments) -> int:
@@ -169,7 +176,6 @@ def build_corpus(records) -> TrainingCorpus:
     key, scanning records in input order and replicas in emission order.
     """
     out: list[LabeledPair] = []
-    provenance: dict[str, list[int]] = {}
     seen: set[tuple] = set()
     for rec in records:
         base = LabeledPair(
@@ -182,9 +188,8 @@ def build_corpus(records) -> TrainingCorpus:
             if key in seen:
                 continue
             seen.add(key)
-            provenance.setdefault(rec.record_id, []).append(len(out))
             out.append(rep)
-    return TrainingCorpus(records=tuple(out), provenance={k: tuple(v) for k, v in provenance.items()})
+    return TrainingCorpus(records=tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +319,4 @@ def read_corpus_csv(path) -> TrainingCorpus:
         features = AlignedPairFeatures.from_vector(cells[:8])
         return LabeledPair(features=features, label=int(cells[8]), origin_id=cells[9])
 
-    records = parse_rows(path, rows, parse)
-    provenance: dict[str, list[int]] = {}
-    for i, rec in enumerate(records):
-        provenance.setdefault(rec.origin_id, []).append(i)
-    return TrainingCorpus(records=tuple(records), provenance={k: tuple(v) for k, v in provenance.items()})
+    return TrainingCorpus(records=tuple(parse_rows(path, rows, parse)))

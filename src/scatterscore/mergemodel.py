@@ -45,7 +45,7 @@ class TrainConfig:
         if not (0.0 < self.test_fraction < 1.0):
             raise ValueError("test_fraction must be in (0, 1)")
         if self.balance not in BALANCE_METHODS:
-            raise ValueError(f"balance must be one of {BALANCE_METHODS}")
+            raise ValueError(f"balance must be one of {BALANCE_METHODS}, got {self.balance!r}")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
         if self.cv_repeats < 1:
@@ -130,6 +130,33 @@ def _largest_remainder_counts(class_sizes: list[int], fraction: float) -> list[i
     return base
 
 
+def _test_counts(class_sizes: list[int], test_fraction: float) -> list[int]:
+    """Per-class test counts; ValueError unless the test set is non-empty and
+    each class keeps a training record."""
+    if not (0.0 < test_fraction < 1.0):
+        raise ValueError("test_fraction must be in (0, 1)")
+    if min(class_sizes) == 0:
+        raise ValueError(
+            f"the corpus needs records of both labels, has {class_sizes[0]} with label 0 and {class_sizes[1]} with label 1"
+        )
+    n_test = _largest_remainder_counts(class_sizes, test_fraction)
+    if sum(n_test) == 0 or any(t == n for t, n in zip(n_test, class_sizes)):
+        raise ValueError(
+            f"test_fraction {test_fraction} of {sum(class_sizes)} records leaves the test set empty "
+            "or a label without training records"
+        )
+    return n_test
+
+
+def check_corpus(corpus, config: TrainConfig, cv: bool = False) -> None:
+    """ValueError unless ``train_bagged`` (and, with ``cv``, ``cross_validate``)
+    can run on ``corpus`` under ``config``."""
+    sizes = [sum(1 for r in _as_records(corpus) if r.label == c) for c in (0, 1)]
+    _test_counts(sizes, config.test_fraction)
+    if cv and config.cv_folds > min(sizes):
+        raise ValueError(f"cv_folds {config.cv_folds} exceeds the {min(sizes)} records of the smaller label")
+
+
 def stratified_split(corpus, test_fraction: float, seed: int):
     """Class-stratified random split into (train, test) record lists.
 
@@ -138,16 +165,11 @@ def stratified_split(corpus, test_fraction: float, seed: int):
     one record and the total test size is exact.
     """
     records = _as_records(corpus)
-    if not (0.0 < test_fraction < 1.0):
-        raise ValueError("test_fraction must be in (0, 1)")
-    labels = sorted({r.label for r in records})
-    if len(labels) < 2:
-        raise ValueError("stratified split needs both classes present")
+    by_class = {c: [i for i, r in enumerate(records) if r.label == c] for c in (0, 1)}
+    n_test = _test_counts([len(v) for v in by_class.values()], test_fraction)
     rng = spawn_rng(seed, "split")
-    by_class = {c: [i for i, r in enumerate(records) if r.label == c] for c in labels}
-    n_test = _largest_remainder_counts([len(by_class[c]) for c in labels], test_fraction)
     test_idx: set[int] = set()
-    for c, n_c in zip(labels, n_test):
+    for c, n_c in zip((0, 1), n_test):
         perm = rng.permutation(len(by_class[c]))
         test_idx.update(by_class[c][j] for j in perm[:n_c])
     train = [records[i] for i in range(len(records)) if i not in test_idx]
@@ -355,6 +377,8 @@ def deserialize(data: bytes) -> MergingModel:
 
 def _knn(X: np.ndarray, y: np.ndarray, k: int):
     """Vote of the k nearest rows of X (stable order on equal distance); a tie merges."""
+    if k < 1:
+        raise ValueError(f"knn_k must be >= 1, got {k}")
 
     def vote(x: np.ndarray) -> int:
         nearest = np.argsort(((X - x) ** 2).sum(axis=1), kind="stable")[:k]

@@ -76,7 +76,6 @@ class FittedPreprocess:
     boxcox_lambdas: tuple[float | None, ...] | None = None
     pca_mean: np.ndarray | None = None
     pca_basis: np.ndarray | None = None  # (input_dim_after_boxcox, retained)
-    spatial_sign: bool = False
 
     @property
     def output_dim(self) -> int:
@@ -98,7 +97,7 @@ class FittedPreprocess:
                     X[:, j] = _boxcox_transform(X[:, j], lam)
         if "pca" in self.steps:
             X = (X - self.pca_mean) @ self.pca_basis
-        if self.spatial_sign:
+        if "spatial_sign" in self.steps:
             norms = np.linalg.norm(X, axis=1, keepdims=True)
             np.divide(X, norms, out=X, where=norms > 0.0)
         return X[0] if squeeze else X
@@ -112,13 +111,14 @@ class FittedPreprocess:
             "boxcox_lambdas": None if self.boxcox_lambdas is None else list(self.boxcox_lambdas),
             "pca_mean": None if self.pca_mean is None else self.pca_mean.tolist(),
             "pca_basis": None if self.pca_basis is None else self.pca_basis.tolist(),
-            "spatial_sign": self.spatial_sign,
+            "spatial_sign": "spatial_sign" in self.steps,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedPreprocess":
         """Inverse of :meth:`to_dict`; ValueError when a listed step's
-        statistics are missing or do not fit ``input_dim``."""
+        statistics are missing or do not fit ``input_dim``, or when
+        ``spatial_sign`` is not the bool that says whether the step is listed."""
         arr = lambda v: None if v is None else np.array(v, dtype=float)
         lams = d.get("boxcox_lambdas")
         fitted = cls(
@@ -129,8 +129,10 @@ class FittedPreprocess:
             boxcox_lambdas=None if lams is None else tuple(None if v is None else float(v) for v in lams),
             pca_mean=arr(d.get("pca_mean")),
             pca_basis=arr(d.get("pca_basis")),
-            spatial_sign=bool(d.get("spatial_sign", False)),
         )
+        listed = "spatial_sign" in fitted.steps
+        if d.get("spatial_sign") is not listed:
+            raise ValueError(f"preprocess spatial_sign must be {listed} for steps {list(fitted.steps)}")
         dim = fitted.input_dim
         if dim < 1:
             raise ValueError(f"preprocess input_dim must be positive, got {dim}")
@@ -202,5 +204,4 @@ def fit_preprocess(X, spec: PreprocessSpec) -> FittedPreprocess:
         boxcox_lambdas=lambdas,
         pca_mean=pca_mean,
         pca_basis=pca_basis,
-        spatial_sign="spatial_sign" in spec.steps,
     )

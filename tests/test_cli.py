@@ -11,6 +11,9 @@ from scatterscore.cli import main
 
 from test_augment import bench_row, write_bench
 
+DATA = Path(__file__).parent / "data"
+GOLDEN_CORPUS = DATA / "golden" / "corpus.csv"  # 274 records, 136 with label 0
+
 
 @pytest.fixture()
 def bench_csv(tmp_path):
@@ -177,6 +180,39 @@ class TestTrain:
         assert run("train", small_corpus, "--out", tmp_path / "m.json") == 2
         assert "row 3: expected 10 cells, got 11" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keep", ["empty", "label 1 only"])
+    def test_corpus_without_both_labels_exit_2(self, tmp_path, capsys, keep):
+        corpus = tmp_path / "corpus.csv"
+        if keep == "empty":
+            empty = tmp_path / "empty.csv"
+            empty.write_text("")
+            assert run("corpus", empty, "--out", corpus) == 0
+        else:
+            lines = GOLDEN_CORPUS.read_text().splitlines()
+            corpus.write_text("\n".join([lines[0], *(l for l in lines[1:] if l.split(",")[8] == "1")]) + "\n")
+        model = tmp_path / "m.json"
+        assert run("train", corpus, "--out", model) == 2
+        assert "needs records of both labels" in capsys.readouterr().err
+        assert list(tmp_path.glob("m.*")) == []
+
+    def test_test_fraction_leaving_no_test_set_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert run("train", GOLDEN_CORPUS, "--test-fraction", 0.001, "--out", model) == 2
+        assert "test_fraction 0.001 of 274 records leaves the test set empty" in capsys.readouterr().err
+        assert list(tmp_path.glob("m.*")) == []
+
+    def test_cv_folds_above_smaller_label_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert run("train", GOLDEN_CORPUS, "--cv", "--cv-folds", 137, "--n-trees", 1, "--out", model) == 2
+        assert "cv_folds 137 exceeds the 136 records of the smaller label" in capsys.readouterr().err
+        assert list(tmp_path.glob("m.*")) == []
+
+    def test_knn_k_below_one_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "knn.json"
+        assert run("train", GOLDEN_CORPUS, "--method", "knn", "--knn-k", 0, "--out", model) == 2
+        assert "knn_k must be >= 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.glob("knn.*")) == []
+
     def test_missing_corpus_exit_2(self, tmp_path):
         assert run("train", tmp_path / "nope.csv", "--out", tmp_path / "m.json") == 2
 
@@ -272,6 +308,18 @@ class TestScoreRank:
         assert "row 3" in capsys.readouterr().err
         assert fits == []
 
+    def test_one_point_plot_fails_before_any_fit(self, tmp_path, trained_model_file, monkeypatch, capsys):
+        fits = []
+        monkeypatch.setattr(vqm, "select_model", lambda *args: fits.append(args))
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("x,y\n1.0,2.0\n")
+        code = run("score", *self.make_plots(tmp_path, n=2), tiny, "--model", trained_model_file,
+                   "--out", tmp_path / "s.csv")
+        assert code == 2
+        assert "tiny.csv: model selection needs at least 2 points, got 1" in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "s.csv").exists()
+
     def test_empty_cell_exit_2(self, tmp_path, trained_model_file, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1.0,2.0\n1,,2\n")
@@ -366,3 +414,94 @@ class TestEvaluate:
                 "--b", 10, "--out", tmp_path / "o.json")
             == 2
         )
+
+
+# A non-default value for every option key of every command.  Each is valid
+# with the other options at their defaults or at their FAST value.
+SET = {
+    "generate": {"seed": 4, "n": 30, "grid_count": 2},
+    "corpus": {"seed": 4},
+    "train": {
+        "seed": 4, "method": "nb", "n_trees": 2, "test_fraction": 0.3, "balance": "none",
+        "preprocess": "center_scale", "pca_threshold": 0.9, "knn_k": 3, "cv": True, "cv_folds": 3,
+        "cv_repeats": 2,
+    },
+    "score": {
+        "seed": 4, "k_max": 2, "em_tolerance": 0.0001, "max_iterations": 30, "n_restarts": 2,
+        "regularization": 1e-05, "bic_mode": "component_count",
+    },
+    "rank": {"ascending": True},
+    "evaluate": {"seed": 4, "mode": "alteration", "b": 20, "k_values": "0,2"},
+}
+# Passed as flags, except for the key under test, to keep every run small.
+FAST = {
+    "generate": {"grid_count": 1, "n": 20},
+    "train": {"n_trees": 1, "cv_folds": 2, "cv_repeats": 1},
+    "score": {"k_max": 1, "n_restarts": 1, "max_iterations": 20},
+    "evaluate": {"mode": "alteration", "k_values": "0,1", "b": 10},
+}
+BAD_VALUES = [("train", "method"), ("train", "balance"), ("score", "bic_mode"), ("evaluate", "mode")]
+
+
+def _flags(options: dict) -> list:
+    argv = []
+    for key, value in options.items():
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if value is True else [flag, value]
+    return argv
+
+
+class TestOptions:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("inputs")
+        assert run("train", GOLDEN_CORPUS, "--n-trees", 1, "--out", d / "model.json") == 0
+        return {
+            "generate": [],
+            "corpus": [DATA / "judged.csv"],
+            "train": [GOLDEN_CORPUS],
+            "score": [DATA / "golden" / "p0.csv", "--model", d / "model.json"],
+            "rank": [DATA / "golden" / "scores.csv"],
+            "evaluate": ["--scores", DATA / "golden" / "scores.csv", "--pairs", DATA / "pairs.csv"],
+        }
+
+    def run_with(self, inputs, tmp_path, command, key, value, how):
+        fast = {k: v for k, v in FAST.get(command, {}).items() if k != key}
+        argv = [command, *inputs[command], *_flags(fast), "--out", tmp_path / "out"]
+        if how == "flag":
+            argv += _flags({key: value})
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={'yes' if value is True else value}\n")
+            argv += ["--config", cfg]
+        return run(*argv)
+
+    def test_every_table_is_covered(self):
+        from scatterscore.cli import OPTIONS
+
+        assert {c: set(t) for c, t in OPTIONS.items()} == {c: set(v) for c, v in SET.items()}
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("command,key", [(c, k) for c, table in SET.items() for k in table])
+    def test_value_lands_in_sidecar(self, tmp_path, inputs, command, key, how):
+        value = SET[command][key]
+        assert self.run_with(inputs, tmp_path, command, key, value, how) == 0
+        out = tmp_path / "out" / "manifest.csv" if command == "generate" else tmp_path / "out"
+        lines = Path(str(out) + ".config.txt").read_text().splitlines()
+        assert f"{key}={value}" in lines
+        assert sorted(line.split("=", 1)[0] for line in lines) == sorted(SET[command])
+
+    @pytest.mark.parametrize("command,key", BAD_VALUES)
+    def test_bad_value_same_message_from_flag_and_config(self, tmp_path, inputs, capsys, command, key):
+        errors = []
+        for how in ("flag", "config"):
+            assert self.run_with(inputs, tmp_path, command, key, "bogus", how) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "'bogus'" in errors[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_rank_takes_no_seed(self, tmp_path, inputs):
+        with pytest.raises(SystemExit) as exc:
+            run("rank", *inputs["rank"], "--seed", 1, "--out", tmp_path / "r.csv")
+        assert exc.value.code == 2

@@ -288,6 +288,9 @@ MALFORMED_PREPROCESS = {
     "missing means": lambda pre: pre.update(means=None),
     "unknown step": lambda pre: pre.update(steps=pre["steps"] + ["whiten"]),
     "zero input_dim": lambda pre: pre.update(input_dim=0),
+    "spatial_sign false with the step listed": lambda pre: pre.update(spatial_sign=False),
+    "spatial_sign not a bool": lambda pre: pre.update(spatial_sign="yes please"),
+    "spatial_sign true without the step": lambda pre: pre.update(steps=pre["steps"][:-1]),
 }
 
 
