@@ -29,9 +29,11 @@ class InputError(Exception):
 
 
 @contextlib.contextmanager
-def _input_errors(prefix: str = ""):
-    """Report an OSError, ValueError or KeyError raised inside as a bad input."""
+def _input_errors(prefix: str = "", out=None):
+    """Report an OSError, ValueError or KeyError raised inside, or a missing ``out`` directory, as a bad input."""
     try:
+        if out is not None and not Path(out).parent.is_dir():
+            raise ValueError(f"--out {out}: {Path(out).parent} is not a directory")
         yield
     except (OSError, ValueError, KeyError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
@@ -168,9 +170,10 @@ def cmd_generate(args, opts) -> int:
 
 
 def cmd_corpus(args, opts) -> int:
-    with _input_errors():
+    with _input_errors(out=args.out):
         result = augment.ingest_benchmark(args.judgments)
-    corpus = augment.build_corpus(result.records)
+        corpus = augment.build_corpus(result.records)
+        mergemodel.check_corpus(corpus)
     augment.write_corpus_csv(args.out, corpus)
     report = {
         "input_rows": result.report.n_rows,
@@ -189,7 +192,7 @@ def cmd_corpus(args, opts) -> int:
 
 def cmd_train(args, opts) -> int:
     method = opts["method"]
-    with _input_errors():
+    with _input_errors(out=args.out):
         if method not in ("treebag", "knn", "nb"):
             raise ValueError(f"unknown method {method!r} (expected treebag, knn or nb)")
         if opts["cv"] and method != "treebag":
@@ -225,7 +228,7 @@ def cmd_train(args, opts) -> int:
 
 
 def cmd_score(args, opts) -> int:
-    with _input_errors():
+    with _input_errors(out=args.out):
         fit_config = _config(FitConfig, _FIT_FIELDS, opts)
         merger = mergemodel.deserialize(Path(args.model).read_bytes())
         plots = []
@@ -241,7 +244,7 @@ def cmd_score(args, opts) -> int:
 
 
 def cmd_rank(args, opts) -> int:
-    with _input_errors():
+    with _input_errors(out=args.out):
         scores = vqm.read_scores_csv(args.scores)
     ranked = vqm.rank(scores, ascending=opts["ascending"])
     vqm.write_ranking_csv(args.out, ranked)
@@ -252,7 +255,7 @@ def cmd_rank(args, opts) -> int:
 
 def cmd_evaluate(args, opts) -> int:
     mode, b, seed = opts["mode"], opts["b"], opts["seed"]
-    with _input_errors():
+    with _input_errors(out=args.out):
         if mode not in ("pairwise", "alteration"):
             raise ValueError(f"unknown mode {mode!r} (expected pairwise or alteration)")
         if b < 1:

@@ -166,35 +166,39 @@ class FitResult:
 # Density evaluation
 
 
-def _component_log_pdf(x: np.ndarray, y: np.ndarray, mean, xx: float, xy: float, yy: float) -> np.ndarray:
-    """log g(p) of one component at the points with coordinate columns x and y."""
-    det = xx * yy - xy * xy
-    if not (det > 0.0 and np.isfinite(det)):
-        raise DegenerateCovarianceError(f"covariance is singular (det={det})")
-    d0 = x - mean[0]
-    d1 = y - mean[1]
+def _log_joint(x: np.ndarray, y: np.ndarray, weights, means, covs, buf=None) -> np.ndarray:
+    """(K, n) array of log(pi_k) + log g_k(p), in buf[0] of a (4, K, n) scratch array; covs rows are
+    (xx, xy, yy).  Each element gets the operations, in the order, of a loop over components."""
+    means = np.asarray(means, dtype=float)
+    columns = []
+    for (xx, xy, yy), weight in zip(np.asarray(covs, dtype=float).tolist(), weights):
+        det = xx * yy - xy * xy
+        if not (det > 0.0 and math.isfinite(det)):
+            raise DegenerateCovarianceError(f"covariance is singular (det={det})")
+        # math.log, not np.log: the two can differ in the last bit
+        columns.append((-0.5 * yy / det, xy / det, 0.5 * xx / det, 0.5 * math.log(det) + LOG_2PI, math.log(weight)))
+    a, b, c, log_norm, log_weight = np.array(columns).T[:, :, None]
+    lp, t, d0, d1 = np.empty((4, len(columns), x.shape[0])) if buf is None else buf
+    np.subtract(x, means[:, :1], out=d0)
+    np.subtract(y, means[:, 1:], out=d1)
     # -quad/2 with quad = (yy*d0^2 - 2*xy*d0*d1 + xx*d1^2) / det
-    lp = (-0.5 * yy / det * d0 + xy / det * d1) * d0
-    lp -= 0.5 * xx / det * d1 * d1
-    lp -= 0.5 * math.log(det) + LOG_2PI
+    np.multiply(a, d0, out=lp)
+    lp += np.multiply(b, d1, out=t)
+    lp *= d0
+    lp -= np.multiply(np.multiply(c, d1, out=t), d1, out=t)
+    lp -= log_norm
+    lp += log_weight
     return lp
 
 
-def _log_joint(x: np.ndarray, y: np.ndarray, weights, means, covs) -> np.ndarray:
-    """(K, n) array of log(pi_k) + log g_k(p); covs rows are (xx, xy, yy)."""
-    logp = np.empty((len(weights), x.shape[0]))
-    for j in range(len(weights)):
-        logp[j] = math.log(weights[j]) + _component_log_pdf(x, y, means[j], *covs[j])
-    return logp
-
-
 def _posterior(logp: np.ndarray):
-    """Column-normalized exp(logp) and the log of its column sums, for a (K, n) array."""
+    """Column-normalized exp(logp), computed in place, and the log of its column sums."""
     m = logp.max(axis=0)
-    p = np.exp(logp - m)
-    total = p.sum(axis=0)
-    p /= total
-    return p, m + np.log(total)
+    logp -= m
+    np.exp(logp, out=logp)
+    total = logp.sum(axis=0)
+    logp /= total
+    return logp, m + np.log(total)
 
 
 def mixture_pdf(model: MixtureModel, points) -> np.ndarray:
@@ -239,30 +243,36 @@ def _pooled_covariance(X: np.ndarray) -> np.ndarray:
     return d.T @ d / X.shape[0]
 
 
-def _e_step(x, y, w, weights, means, covs):
-    """(K, n) responsibilities and the log-likelihood of the points with counts w."""
-    resp, lse = _posterior(_log_joint(x, y, weights, means, covs))
-    return resp, float((w * lse).sum())
+def _e_step(x, y, w, weights, means, covs, buf) -> float:
+    """Log-likelihood of the points with counts w; leaves the (K, n) responsibilities in buf[0]."""
+    _, lse = _posterior(_log_joint(x, y, weights, means, covs, buf))
+    return float((w * lse).sum())
 
 
-def _m_step(x, y, w, n_points, resp, reg):
-    k = resp.shape[0]
-    rw = resp * w
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[j] @ b[j] for every row j; bitwise equal to the 1-D dot products."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _m_step(x, y, w, n_points, reg, buf):
+    """Weights, means and covariances from the responsibilities in buf[0]; overwrites buf."""
+    rw, rd, d0, d1 = buf
+    rw *= w
     nk = rw.sum(axis=1)
-    if np.any(nk < 1e-10):
+    if any(v < 1e-10 for v in nk.tolist()):
         raise _FitFailure("a component lost all responsibility")
     weights = nk / n_points
-    means = np.column_stack([rw @ x, rw @ y]) / nk[:, None]
-    covs = np.empty((k, 3))
-    for j in range(k):
-        d0 = x - means[j, 0]
-        d1 = y - means[j, 1]
-        rd0 = rw[j] * d0
-        covs[j, 0] = rd0 @ d0 / nk[j] + reg
-        covs[j, 1] = rd0 @ d1 / nk[j]
-        covs[j, 2] = (rw[j] * d1) @ d1 / nk[j] + reg
-        if covs[j, 0] * covs[j, 2] - covs[j, 1] ** 2 <= 0.0:
-            raise _FitFailure("covariance collapsed to a singular matrix")
+    means = (np.array([rw @ x, rw @ y]) / nk).T
+    np.subtract(x, means[:, :1], out=d0)
+    np.subtract(y, means[:, 1:], out=d1)
+    np.multiply(rw, d0, out=rd)
+    covs = np.empty((rw.shape[0], 3))
+    covs[:, 0] = _row_dots(rd, d0) / nk + reg
+    covs[:, 1] = _row_dots(rd, d1) / nk
+    covs[:, 2] = _row_dots(np.multiply(rw, d1, out=rd), d1) / nk + reg
+    # scalar pow for xy**2, as in _run_em's first check: np.square can differ in the last bit
+    if any(xx * yy - xy**2 <= 0.0 for xx, xy, yy in covs.tolist()):
+        raise _FitFailure("covariance collapsed to a singular matrix")
     return weights, means, covs
 
 
@@ -277,16 +287,17 @@ def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float, resta
     covs = np.tile(cov0, (k, 1))
     weights = np.full(k, 1.0 / k)
 
+    buf = np.empty((4, k, grouped[0].shape[0]))
     trace = []
     prev = None
     for _ in range(config.max_iterations):
-        resp, loglik = _e_step(*grouped, weights, means, covs)
+        loglik = _e_step(*grouped, weights, means, covs, buf)
         trace.append(loglik)
         if prev is not None and loglik - prev <= config.em_tolerance * max(1.0, abs(prev)):
             return weights, means, covs, loglik, np.array(trace)
         prev = loglik
-        weights, means, covs = _m_step(*grouped, X.shape[0], resp, reg)
-    _, loglik = _e_step(*grouped, weights, means, covs)
+        weights, means, covs = _m_step(*grouped, X.shape[0], reg, buf)
+    loglik = _e_step(*grouped, weights, means, covs, buf)
     trace.append(loglik)
     return weights, means, covs, loglik, np.array(trace)
 

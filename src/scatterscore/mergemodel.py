@@ -135,10 +135,6 @@ def _test_counts(class_sizes: list[int], test_fraction: float) -> list[int]:
     each class keeps a training record."""
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must be in (0, 1)")
-    if min(class_sizes) == 0:
-        raise ValueError(
-            f"the corpus needs records of both labels, has {class_sizes[0]} with label 0 and {class_sizes[1]} with label 1"
-        )
     n_test = _largest_remainder_counts(class_sizes, test_fraction)
     if sum(n_test) == 0 or any(t == n for t, n in zip(n_test, class_sizes)):
         raise ValueError(
@@ -148,10 +144,15 @@ def _test_counts(class_sizes: list[int], test_fraction: float) -> list[int]:
     return n_test
 
 
-def check_corpus(corpus, config: TrainConfig, cv: bool = False) -> None:
-    """ValueError unless ``train_bagged`` (and, with ``cv``, ``cross_validate``)
-    can run on ``corpus`` under ``config``."""
+def check_corpus(corpus, config: TrainConfig | None = None, cv: bool = False) -> None:
+    """ValueError unless ``corpus`` has records of both labels and, given a
+    ``config``, ``train_bagged`` (and, with ``cv``, ``cross_validate``) can
+    run on it under that config."""
     sizes = [sum(1 for r in _as_records(corpus) if r.label == c) for c in (0, 1)]
+    if min(sizes) == 0:
+        raise ValueError(f"the corpus needs records of both labels, has {sizes[0]} with label 0 and {sizes[1]} with label 1")
+    if config is None:
+        return
     _test_counts(sizes, config.test_fraction)
     if cv and config.cv_folds > min(sizes):
         raise ValueError(f"cv_folds {config.cv_folds} exceeds the {min(sizes)} records of the smaller label")

@@ -111,22 +111,33 @@ class TestCorpus:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == report["corpus_size"] + 1
 
-    def test_empty_input_ok(self, tmp_path):
+    def test_empty_input_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         out = tmp_path / "corpus.csv"
-        assert run("corpus", empty, "--out", out) == 0
-        assert out.read_text().strip().splitlines()[0].startswith("tau,")
+        assert run("corpus", empty, "--out", out) == 2
+        assert "needs records of both labels, has 0 with label 0 and 0 with label 1" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [empty]
+
+    def test_one_label_exit_2(self, tmp_path, capsys):
+        judged = tmp_path / "judged.csv"
+        rows = [bench_row("a", votes=[1, 1, 0]), bench_row("b", mu=6.0, votes=[1, 0, 1])]
+        write_bench(judged, rows, n_votes=3)
+        out = tmp_path / "corpus.csv"
+        assert run("corpus", judged, "--out", out) == 2
+        assert "needs records of both labels, has 0 with label 0" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [judged]
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run("corpus", tmp_path / "nope.csv", "--out", tmp_path / "c.csv") == 2
 
     def test_comma_in_origin_id_survives(self, tmp_path):
         judged = tmp_path / "judged.csv"
-        write_bench(judged, [bench_row('"r,1"', votes=[1, 0, 1])], n_votes=3)
+        rows = [bench_row('"r,1"', votes=[1, 0, 1]), bench_row("r2", mu=6.0, votes=[0, 0, 1])]
+        write_bench(judged, rows, n_votes=3)
         out = tmp_path / "corpus.csv"
         assert run("corpus", judged, "--out", out) == 0
-        assert set(read_corpus_csv(out).provenance) == {"r,1"}
+        assert set(read_corpus_csv(out).provenance) == {"r,1", "r2"}
 
 
 @pytest.fixture()
@@ -183,13 +194,9 @@ class TestTrain:
     @pytest.mark.parametrize("keep", ["empty", "label 1 only"])
     def test_corpus_without_both_labels_exit_2(self, tmp_path, capsys, keep):
         corpus = tmp_path / "corpus.csv"
-        if keep == "empty":
-            empty = tmp_path / "empty.csv"
-            empty.write_text("")
-            assert run("corpus", empty, "--out", corpus) == 0
-        else:
-            lines = GOLDEN_CORPUS.read_text().splitlines()
-            corpus.write_text("\n".join([lines[0], *(l for l in lines[1:] if l.split(",")[8] == "1")]) + "\n")
+        lines = GOLDEN_CORPUS.read_text().splitlines()
+        keep_rows = [] if keep == "empty" else [l for l in lines[1:] if l.split(",")[8] == "1"]
+        corpus.write_text("\n".join([lines[0], *keep_rows]) + "\n")
         model = tmp_path / "m.json"
         assert run("train", corpus, "--out", model) == 2
         assert "needs records of both labels" in capsys.readouterr().err
@@ -500,6 +507,13 @@ class TestOptions:
         assert errors[0] == errors[1]
         assert "'bogus'" in errors[0]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["corpus", "train", "score", "rank", "evaluate"])
+    def test_out_in_missing_directory_exit_2(self, tmp_path, inputs, capsys, command):
+        out = tmp_path / "nodir" / "out"
+        assert run(command, *inputs[command], "--out", out) == 2
+        assert f"{tmp_path / 'nodir'} is not a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_rank_takes_no_seed(self, tmp_path, inputs):
         with pytest.raises(SystemExit) as exc:

@@ -20,6 +20,7 @@ from scatterscore.gmm import (
     select_model,
     write_scatterplot_csv,
 )
+from scatterscore.util import spawn_rng
 
 from conftest import gaussian_blob, two_blob_plot
 
@@ -243,6 +244,183 @@ class TestFitEm:
         for ca, cb in zip(a.components, b.components):
             assert cb.mean.x - ca.mean.x == pytest.approx(100.0, abs=1e-4)
             assert cb.mean.y - ca.mean.y == pytest.approx(-40.0, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# Bit identity of the (K, n) EM kernel with per-component reference loops
+
+
+def reference_component_log_pdf(x, y, mean, xx, xy, yy):
+    det = xx * yy - xy * xy
+    if not (det > 0.0 and np.isfinite(det)):
+        raise DegenerateCovarianceError(f"covariance is singular (det={det})")
+    d0 = x - mean[0]
+    d1 = y - mean[1]
+    lp = (-0.5 * yy / det * d0 + xy / det * d1) * d0
+    lp -= 0.5 * xx / det * d1 * d1
+    lp -= 0.5 * math.log(det) + gmm.LOG_2PI
+    return lp
+
+
+def reference_log_joint(x, y, weights, means, covs):
+    logp = np.empty((len(weights), x.shape[0]))
+    for j in range(len(weights)):
+        logp[j] = math.log(weights[j]) + reference_component_log_pdf(x, y, means[j], *covs[j])
+    return logp
+
+
+def reference_e_step(x, y, w, weights, means, covs):
+    logp = reference_log_joint(x, y, weights, means, covs)
+    m = logp.max(axis=0)
+    p = np.exp(logp - m)
+    total = p.sum(axis=0)
+    p /= total
+    return p, float((w * (m + np.log(total))).sum())
+
+
+def reference_m_step(x, y, w, n_points, resp, reg):
+    k = resp.shape[0]
+    rw = resp * w
+    nk = rw.sum(axis=1)
+    if np.any(nk < 1e-10):
+        raise gmm._FitFailure("a component lost all responsibility")
+    weights = nk / n_points
+    means = np.column_stack([rw @ x, rw @ y]) / nk[:, None]
+    covs = np.empty((k, 3))
+    for j in range(k):
+        d0 = x - means[j, 0]
+        d1 = y - means[j, 1]
+        rd0 = rw[j] * d0
+        covs[j, 0] = rd0 @ d0 / nk[j] + reg
+        covs[j, 1] = rd0 @ d1 / nk[j]
+        covs[j, 2] = (rw[j] * d1) @ d1 / nk[j] + reg
+        if covs[j, 0] * covs[j, 2] - covs[j, 1] ** 2 <= 0.0:
+            raise gmm._FitFailure("covariance collapsed to a singular matrix")
+    return weights, means, covs
+
+
+def reference_run_em(X, grouped, k, config, reg, restart):
+    rng = spawn_rng(config.seed, "em", k, restart)
+    means = gmm._kmeanspp_means(X, k, rng)
+    pooled = gmm._pooled_covariance(X)
+    cov0 = np.array([pooled[0, 0] + reg, pooled[0, 1], pooled[1, 1] + reg])
+    if cov0[0] * cov0[2] - cov0[1] ** 2 <= 0.0:
+        raise gmm._FitFailure("initial pooled covariance is singular")
+    covs = np.tile(cov0, (k, 1))
+    weights = np.full(k, 1.0 / k)
+    trace = []
+    prev = None
+    for _ in range(config.max_iterations):
+        resp, loglik = reference_e_step(*grouped, weights, means, covs)
+        trace.append(loglik)
+        if prev is not None and loglik - prev <= config.em_tolerance * max(1.0, abs(prev)):
+            return weights, means, covs, loglik, np.array(trace)
+        prev = loglik
+        weights, means, covs = reference_m_step(*grouped, X.shape[0], resp, reg)
+    _, loglik = reference_e_step(*grouped, weights, means, covs)
+    trace.append(loglik)
+    return weights, means, covs, loglik, np.array(trace)
+
+
+def em_outcome(run_em, X, k, config, restart):
+    """The bytes of one EM run's results, or its exception's type and message."""
+    distinct, counts = np.unique(X, axis=0, return_counts=True)
+    x, y = np.ascontiguousarray(distinct.T)
+    try:
+        result = run_em(X, (x, y, counts.astype(float)), k, config, gmm._effective_regularization(X, config),
+                        restart)
+    except (gmm._FitFailure, DegenerateCovarianceError) as exc:
+        return type(exc), str(exc)
+    return tuple(np.asarray(v, dtype=float).tobytes() for v in result)
+
+
+def fit_outcome(sp, k, config):
+    try:
+        model, traces = fit_em_with_trace(sp, k, config)
+    except DegenerateCovarianceError as exc:
+        return str(exc)
+    return model, [t.tobytes() for t in traces]
+
+
+def blob_plot(n_blobs, n, seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-8.0, 8.0, size=(n_blobs, 2))
+    return Scatterplot(points=centers[rng.integers(n_blobs, size=n)] + rng.normal(size=(n, 2)))
+
+
+KERNEL_PLOTS = {
+    "blobs3": blob_plot(3, 150, seed=0),
+    "blobs5": blob_plot(5, 150, seed=1),
+    "grid_snapped": Scatterplot(points=np.round(np.random.default_rng(2).normal(size=(300, 2)) * 2.0) / 2.0),
+    "four_distinct": Scatterplot(points=np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 3.0]], 3, axis=0)),
+}
+
+
+def raised(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestKernelBitIdentity:
+    @pytest.mark.parametrize("regularization", [1e-6, 0.0])
+    @pytest.mark.parametrize("name", sorted(KERNEL_PLOTS))
+    def test_fits_and_traces_match_reference(self, monkeypatch, name, regularization):
+        sp = KERNEL_PLOTS[name]
+        cfg = FitConfig(n_restarts=2, max_iterations=60, seed=3, regularization=regularization)
+        kernel = [fit_outcome(sp, k, cfg) for k in range(1, 11)]
+        monkeypatch.setattr(gmm, "_run_em", reference_run_em)
+        assert kernel == [fit_outcome(sp, k, cfg) for k in range(1, 11)]
+
+    def test_log_joint_matches_reference(self):
+        model = fit_em(KERNEL_PLOTS["blobs5"], 6, FitConfig(n_restarts=1, max_iterations=40))
+        x, y = np.random.default_rng(0).normal(size=(2, 333)) * 5.0
+        args = (
+            [c.weight for c in model.components],
+            [c.mean for c in model.components],
+            [(c.cov.xx, c.cov.xy, c.cov.yy) for c in model.components],
+        )
+        assert gmm._log_joint(x, y, *args).tobytes() == reference_log_joint(x, y, *args).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 17, 500, 2038, 4001])
+    def test_row_dots_equal_one_dimensional_dots(self, n):
+        a, b = np.random.default_rng(n).normal(size=(2, 10, n)) * 7.0
+        assert gmm._row_dots(a, b).tobytes() == np.array([a[j] @ b[j] for j in range(10)]).tobytes()
+
+
+class TestKernelFailures:
+    """The kernel raises what the per-component loops raised, on every failure path."""
+
+    X = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 2.0], [0.5, 3.0]])
+    W = np.array([1.0, 2.0, 1.0, 3.0])
+
+    def test_singular_covariance_first_bad_component_named(self):
+        x, y = self.X.T.copy()
+        means = np.zeros((3, 2))
+        covs = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, 2.0, 1.0]])  # det 1, 0, -3
+        expected = raised(reference_e_step, x, y, self.W, np.full(3, 1 / 3), means, covs)
+        assert expected == (DegenerateCovarianceError, "covariance is singular (det=0.0)")
+        buf = np.empty((4, 3, 4))
+        assert raised(gmm._e_step, x, y, self.W, np.full(3, 1 / 3), means, covs, buf) == expected
+
+    def test_component_losing_all_responsibility(self):
+        x, y = self.X.T.copy()
+        resp = np.array([[0.5, 1.0, 0.0, 0.2], [0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 1.0, 0.8]])
+        expected = raised(reference_m_step, x, y, self.W, 7, resp, 1e-6)
+        assert expected == (gmm._FitFailure, "a component lost all responsibility")
+        buf = np.empty((4, 3, 4))
+        buf[0] = resp
+        assert raised(gmm._m_step, x, y, self.W, 7, 1e-6, buf) == expected
+
+    def test_collapsed_covariance_without_regularization(self):
+        X = np.repeat([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], 3, axis=0)
+        cfg = FitConfig(regularization=0.0, n_restarts=3, seed=0)
+        for restart in range(3):
+            expected = em_outcome(reference_run_em, X, 3, cfg, restart)
+            assert expected == (gmm._FitFailure, "covariance collapsed to a singular matrix")
+            assert em_outcome(gmm._run_em, X, 3, cfg, restart) == expected
 
 
 class TestBic:
