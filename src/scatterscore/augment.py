@@ -109,6 +109,9 @@ class TrainingCorpus:
     def __len__(self) -> int:
         return len(self.records)
 
+    def __iter__(self):
+        return iter(self.records)
+
     @property
     def provenance(self) -> dict[str, tuple[int, ...]]:
         """Origin id -> indices of the records that came from it, in record order."""

@@ -231,11 +231,14 @@ def cmd_score(args, opts) -> int:
     with _input_errors(out=args.out):
         fit_config = _config(FitConfig, _FIT_FIELDS, opts)
         merger = mergemodel.deserialize(Path(args.model).read_bytes())
-        plots = []
+        plots, paths = [], {}
         for path in args.points:  # read every file first, so a bad one fails before any fit
             plots.append(gmm.read_scatterplot_csv(path, plot_id=Path(path).stem))
             if plots[-1].n < 2:
                 raise ValueError(f"{path}: model selection needs at least 2 points, got {plots[-1].n}")
+            if plots[-1].id in paths:
+                raise ValueError(f"{paths[plots[-1].id]} and {path} both give plot id {plots[-1].id!r}")
+            paths[plots[-1].id] = path
     scores = [(sp.id, vqm.score_scatterplot(sp, fit_config, merger)) for sp in plots]
     vqm.write_scores_csv(args.out, scores)
     _write_sidecar(args.out, opts)

@@ -166,10 +166,16 @@ class FitResult:
 # Density evaluation
 
 
-def _log_joint(x: np.ndarray, y: np.ndarray, weights, means, covs, buf=None) -> np.ndarray:
-    """(K, n) array of log(pi_k) + log g_k(p), in buf[0] of a (4, K, n) scratch array; covs rows are
-    (xx, xy, yy).  Each element gets the operations, in the order, of a loop over components."""
-    means = np.asarray(means, dtype=float)
+def _centre(x: np.ndarray, y: np.ndarray, means: np.ndarray, buf: np.ndarray) -> None:
+    """x and y minus each of the K means, into buf[2] and buf[3] of a (4, K, n) scratch array."""
+    np.subtract(x, means[:, :1], out=buf[2])
+    np.subtract(y, means[:, 1:], out=buf[3])
+
+
+def _log_joint(weights, covs, buf: np.ndarray) -> np.ndarray:
+    """(K, n) array of log(pi_k) + log g_k(p), in buf[0] of a (4, K, n) scratch array whose buf[2] and
+    buf[3] hold the points centred by :func:`_centre`; covs rows are (xx, xy, yy).  Each element gets
+    the operations, in the order, of a loop over components."""
     columns = []
     for (xx, xy, yy), weight in zip(np.asarray(covs, dtype=float).tolist(), weights):
         det = xx * yy - xy * xy
@@ -178,9 +184,7 @@ def _log_joint(x: np.ndarray, y: np.ndarray, weights, means, covs, buf=None) -> 
         # math.log, not np.log: the two can differ in the last bit
         columns.append((-0.5 * yy / det, xy / det, 0.5 * xx / det, 0.5 * math.log(det) + LOG_2PI, math.log(weight)))
     a, b, c, log_norm, log_weight = np.array(columns).T[:, :, None]
-    lp, t, d0, d1 = np.empty((4, len(columns), x.shape[0])) if buf is None else buf
-    np.subtract(x, means[:, :1], out=d0)
-    np.subtract(y, means[:, 1:], out=d1)
+    lp, t, d0, d1 = buf
     # -quad/2 with quad = (yy*d0^2 - 2*xy*d0*d1 + xx*d1^2) / det
     np.multiply(a, d0, out=lp)
     lp += np.multiply(b, d1, out=t)
@@ -205,13 +209,9 @@ def mixture_pdf(model: MixtureModel, points) -> np.ndarray:
     """Mixture density at each row of an (N, 2) array."""
     x, y = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1, 2).T)
     comps = model.components
-    logp = _log_joint(
-        x,
-        y,
-        [c.weight for c in comps],
-        [c.mean for c in comps],
-        [(c.cov.xx, c.cov.xy, c.cov.yy) for c in comps],
-    )
+    buf = np.empty((4, len(comps), x.shape[0]))
+    _centre(x, y, np.array([c.mean for c in comps], dtype=float), buf)
+    logp = _log_joint([c.weight for c in comps], [(c.cov.xx, c.cov.xy, c.cov.yy) for c in comps], buf)
     return np.exp(_posterior(logp)[1])
 
 
@@ -243,9 +243,9 @@ def _pooled_covariance(X: np.ndarray) -> np.ndarray:
     return d.T @ d / X.shape[0]
 
 
-def _e_step(x, y, w, weights, means, covs, buf) -> float:
-    """Log-likelihood of the points with counts w; leaves the (K, n) responsibilities in buf[0]."""
-    _, lse = _posterior(_log_joint(x, y, weights, means, covs, buf))
+def _e_step(w, weights, covs, buf) -> float:
+    """Log-likelihood of the centred points in buf with counts w; leaves the (K, n) responsibilities in buf[0]."""
+    _, lse = _posterior(_log_joint(weights, covs, buf))
     return float((w * lse).sum())
 
 
@@ -255,7 +255,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _m_step(x, y, w, n_points, reg, buf):
-    """Weights, means and covariances from the responsibilities in buf[0]; overwrites buf."""
+    """Weights, means and covariances from the responsibilities in buf[0]; overwrites buf, leaving the
+    points centred on the new means for the next E-step."""
     rw, rd, d0, d1 = buf
     rw *= w
     nk = rw.sum(axis=1)
@@ -263,8 +264,7 @@ def _m_step(x, y, w, n_points, reg, buf):
         raise _FitFailure("a component lost all responsibility")
     weights = nk / n_points
     means = (np.array([rw @ x, rw @ y]) / nk).T
-    np.subtract(x, means[:, :1], out=d0)
-    np.subtract(y, means[:, 1:], out=d1)
+    _centre(x, y, means, buf)
     np.multiply(rw, d0, out=rd)
     covs = np.empty((rw.shape[0], 3))
     covs[:, 0] = _row_dots(rd, d0) / nk + reg
@@ -287,18 +287,17 @@ def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float, resta
     covs = np.tile(cov0, (k, 1))
     weights = np.full(k, 1.0 / k)
 
-    buf = np.empty((4, k, grouped[0].shape[0]))
+    x, y, w = grouped
+    buf = np.empty((4, k, x.shape[0]))
+    _centre(x, y, means, buf)
     trace = []
-    prev = None
-    for _ in range(config.max_iterations):
-        loglik = _e_step(*grouped, weights, means, covs, buf)
+    for _ in range(config.max_iterations + 1):
+        loglik = _e_step(w, weights, covs, buf)
+        converged = bool(trace) and loglik - trace[-1] <= config.em_tolerance * max(1.0, abs(trace[-1]))
         trace.append(loglik)
-        if prev is not None and loglik - prev <= config.em_tolerance * max(1.0, abs(prev)):
-            return weights, means, covs, loglik, np.array(trace)
-        prev = loglik
-        weights, means, covs = _m_step(*grouped, X.shape[0], reg, buf)
-    loglik = _e_step(*grouped, weights, means, covs, buf)
-    trace.append(loglik)
+        if converged or len(trace) > config.max_iterations:
+            break
+        weights, means, covs = _m_step(x, y, w, X.shape[0], reg, buf)
     return weights, means, covs, loglik, np.array(trace)
 
 

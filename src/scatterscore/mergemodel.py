@@ -12,11 +12,10 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .augment import LabeledPair, TrainingCorpus, canonical_key
+from .augment import canonical_key
 from .pairspace import AlignedPairFeatures
 from .preprocess import FittedPreprocess, PreprocessSpec, fit_preprocess
 from .trees import DecisionTree, ensemble_vote_fraction, fit_bagged_trees
@@ -101,13 +100,26 @@ class MergingModel:
 
 
 # ---------------------------------------------------------------------------
-# Splitting and balancing
+# Splitting and balancing: each picks rows of the labels y by index
 
 
-def _as_records(corpus) -> list[LabeledPair]:
-    if isinstance(corpus, TrainingCorpus):
-        return list(corpus.records)
-    return list(corpus)
+def _matrix(records) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix and labels of a TrainingCorpus or a sequence of LabeledPair."""
+    X = np.array([r.features.as_vector() for r in records], dtype=float)
+    y = np.array([r.label for r in records], dtype=np.int8)
+    return X, y
+
+
+def _class_rows(y, folds: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of label 0 and of label 1; ValueError unless both labels are
+    present and each has at least ``folds`` rows."""
+    rows = tuple(np.flatnonzero(np.asarray(y) == c) for c in (0, 1))
+    sizes = [len(r) for r in rows]
+    if min(sizes) == 0:
+        raise ValueError(f"the corpus needs records of both labels, has {sizes[0]} with label 0 and {sizes[1]} with label 1")
+    if folds > min(sizes):
+        raise ValueError(f"cv_folds {folds} exceeds the {min(sizes)} records of the smaller label")
+    return rows
 
 
 def _largest_remainder_counts(class_sizes: list[int], fraction: float) -> list[int]:
@@ -148,116 +160,85 @@ def check_corpus(corpus, config: TrainConfig | None = None, cv: bool = False) ->
     """ValueError unless ``corpus`` has records of both labels and, given a
     ``config``, ``train_bagged`` (and, with ``cv``, ``cross_validate``) can
     run on it under that config."""
-    sizes = [sum(1 for r in _as_records(corpus) if r.label == c) for c in (0, 1)]
-    if min(sizes) == 0:
-        raise ValueError(f"the corpus needs records of both labels, has {sizes[0]} with label 0 and {sizes[1]} with label 1")
-    if config is None:
-        return
-    _test_counts(sizes, config.test_fraction)
-    if cv and config.cv_folds > min(sizes):
-        raise ValueError(f"cv_folds {config.cv_folds} exceeds the {min(sizes)} records of the smaller label")
+    rows = _class_rows([r.label for r in corpus], config.cv_folds if cv else 0)
+    if config is not None:
+        _test_counts([len(r) for r in rows], config.test_fraction)
 
 
-def stratified_split(corpus, test_fraction: float, seed: int):
-    """Class-stratified random split into (train, test) record lists.
+def stratified_split(y, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class-stratified random split of the rows of labels ``y`` into
+    (train, test) row indices, each in ascending order.
 
     Per-class test counts come from largest-remainder apportionment of
     round(test_fraction * N), so class proportions are preserved within
     one record and the total test size is exact.
     """
-    records = _as_records(corpus)
-    by_class = {c: [i for i, r in enumerate(records) if r.label == c] for c in (0, 1)}
-    n_test = _test_counts([len(v) for v in by_class.values()], test_fraction)
+    by_class = _class_rows(y)
+    n_test = _test_counts([len(rows) for rows in by_class], test_fraction)
     rng = spawn_rng(seed, "split")
-    test_idx: set[int] = set()
-    for c, n_c in zip((0, 1), n_test):
-        perm = rng.permutation(len(by_class[c]))
-        test_idx.update(by_class[c][j] for j in perm[:n_c])
-    train = [records[i] for i in range(len(records)) if i not in test_idx]
-    test = [records[i] for i in range(len(records)) if i in test_idx]
-    return train, test
+    is_test = np.zeros(len(y), dtype=bool)
+    for rows, n_c in zip(by_class, n_test):
+        is_test[rows[rng.permutation(len(rows))[:n_c]]] = True
+    return np.flatnonzero(~is_test), np.flatnonzero(is_test)
 
 
-def _minority_majority(records) -> tuple[list[int], list[int]]:
-    """Indices of each class's records, the smaller class first."""
-    ones = [i for i, r in enumerate(records) if r.label == 1]
-    zeros = [i for i, r in enumerate(records) if r.label == 0]
-    if not ones or not zeros:
-        raise ValueError("balancing needs both classes present")
-    return (ones, zeros) if len(ones) < len(zeros) else (zeros, ones)
-
-
-def up_sample(train, seed: int) -> list[LabeledPair]:
-    """Resample the minority class with replacement until counts match.
-
-    All original records are retained; replicas are appended at the end.
-    """
-    records = _as_records(train)
-    minority, majority = _minority_majority(records)
+def up_sample(y, seed: int) -> np.ndarray:
+    """Row indices that resample the minority label with replacement until
+    the label counts match: every row once, in order, then the replicas."""
+    minority, majority = sorted(_class_rows(y), key=len)
     if len(minority) == len(majority):
-        return records
-    rng = spawn_rng(seed, "balance")
-    extra = rng.integers(0, len(minority), size=len(majority) - len(minority))
-    return records + [records[minority[j]] for j in extra]
+        return np.arange(len(y))
+    extra = spawn_rng(seed, "balance").integers(0, len(minority), size=len(majority) - len(minority))
+    return np.concatenate([np.arange(len(y)), minority[extra]])
 
 
-def down_sample(train, seed: int) -> list[LabeledPair]:
-    """Subsample the majority class (without replacement) to the minority size."""
-    records = _as_records(train)
-    minority, majority = _minority_majority(records)
-    if len(minority) == len(majority):
-        return records
-    rng = spawn_rng(seed, "balance")
-    dropped = {majority[j] for j in rng.permutation(len(majority))[len(minority):]}
-    return [r for i, r in enumerate(records) if i not in dropped]
+def down_sample(y, seed: int) -> np.ndarray:
+    """Row indices, in order, that keep a minority-sized subset of the
+    majority label drawn without replacement, and every minority row."""
+    minority, majority = sorted(_class_rows(y), key=len)
+    keep = np.ones(len(y), dtype=bool)
+    if len(minority) < len(majority):
+        keep[majority[spawn_rng(seed, "balance").permutation(len(majority))[len(minority):]]] = False
+    return np.flatnonzero(keep)
 
 
-def _balance(train, method: str, seed: int) -> list[LabeledPair]:
+def _balance(y, method: str, seed: int) -> np.ndarray:
     if method == "none":
-        return _as_records(train)
+        return np.arange(len(y))
     if method == "up_sample":
-        return up_sample(train, seed)
+        return up_sample(y, seed)
     if method == "down_sample":
-        return down_sample(train, seed)
+        return down_sample(y, seed)
     raise ValueError(f"unknown balance method {method!r}")
-
-
-def _matrix(records) -> tuple[np.ndarray, np.ndarray]:
-    X = np.array([r.features.as_vector() for r in records], dtype=float)
-    y = np.array([r.label for r in records], dtype=np.int8)
-    return X, y
 
 
 def corpus_fingerprint(records) -> str:
     """SHA-256 over canonical (features, label) rows, order-independent."""
-    lines = sorted(f"{canonical_key(r.features)}|{r.label}" for r in _as_records(records))
+    lines = sorted(f"{canonical_key(r.features)}|{r.label}" for r in records)
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# Training
+# Training: each entry point builds (X, y) once and passes row indices on
 
 
-def _prepare(train, config: TrainConfig, seed: int):
-    """Balance the training records and fit preprocessing on them alone.
+def _prepare(X: np.ndarray, y: np.ndarray, train: np.ndarray, config: TrainConfig, seed: int):
+    """Balance the rows ``train`` of (X, y) and fit preprocessing on them alone.
 
     Returns (fitted preprocessing, transformed feature matrix, labels).
     """
-    X, y = _matrix(_balance(train, config.balance, seed))
-    fitted = fit_preprocess(X, config.preprocess)
-    return fitted, fitted.apply_matrix(X), y
+    rows = train[_balance(y[train], config.balance, seed)]
+    X_rows = X[rows]
+    fitted = fit_preprocess(X_rows, config.preprocess)
+    return fitted, fitted.apply_matrix(X_rows), y[rows]
 
 
-def _fit_bag(train, config: TrainConfig, seed: int, metadata: dict) -> MergingModel:
-    fitted, X, y = _prepare(train, config, seed)
-    trees = fit_bagged_trees(X, y, config.n_trees, derive_seed(seed, "bag"))
-    return MergingModel(preprocess=fitted, trees=tuple(trees), metadata=metadata)
-
-
-def _test_confusion(test, predict_rows) -> ConfusionCounts:
-    """Confusion of ``predict_rows`` (feature matrix -> 0/1 per row) on held-out records."""
-    X, y = _matrix(test)
-    return ConfusionCounts.from_predictions(y, predict_rows(X))
+def _fit_and_score(X, y, train, test, config: TrainConfig, seed: int, metadata: dict):
+    """Bag trees on the rows ``train`` of (X, y); returns (model, confusion on the rows ``test``)."""
+    fitted, X_train, y_train = _prepare(X, y, train, config, seed)
+    trees = fit_bagged_trees(X_train, y_train, config.n_trees, derive_seed(seed, "bag"))
+    model = MergingModel(preprocess=fitted, trees=tuple(trees), metadata=metadata)
+    return model, ConfusionCounts.from_predictions(y[test], predict_matrix(model, X[test]))
 
 
 def train_bagged(corpus, config: TrainConfig):
@@ -267,19 +248,18 @@ def train_bagged(corpus, config: TrainConfig):
     per-tree bootstraps ((seed, "bag"), "tree", i).  Preprocessing is
     fitted on the balanced training portion only.
     """
-    records = _as_records(corpus)
-    train, test = stratified_split(records, config.test_fraction, config.seed)
+    X, y = _matrix(corpus)
+    train, test = stratified_split(y, config.test_fraction, config.seed)
     metadata = {
         "seed": config.seed,
         "balance": config.balance,
         "preprocess": list(config.preprocess.steps),
         "n_trees": config.n_trees,
-        "corpus_fingerprint": corpus_fingerprint(records),
+        "corpus_fingerprint": corpus_fingerprint(corpus),
         "n_train": len(train),
         "n_test": len(test),
     }
-    model = _fit_bag(train, config, config.seed, metadata)
-    return model, _test_confusion(test, partial(predict_matrix, model))
+    return _fit_and_score(X, y, train, test, config, config.seed, metadata)
 
 
 def _merges(frac: np.ndarray) -> np.ndarray:
@@ -298,34 +278,38 @@ def predict(model: MergingModel, features: AlignedPairFeatures) -> tuple[int, fl
     return int(_merges(frac)[0]), float(frac[0])
 
 
+def _cv_folds(records, y: np.ndarray, config: TrainConfig):
+    """Yield (repeat, fold, train rows, test rows) of every fold of every repeat.
+
+    Each label's rows are sorted by content and dealt round-robin into the
+    folds in the order of a seeded permutation; a fold's training rows are
+    the other folds' rows, in fold order.
+    """
+    k = config.cv_folds
+    by_class = [
+        np.array(sorted(rows.tolist(), key=lambda i: canonical_key(records[i].features)))
+        for rows in _class_rows(y, k)
+    ]
+    for rep in range(config.cv_repeats):
+        rng = spawn_rng(config.seed, "cv", rep)
+        dealt = [rows[rng.permutation(len(rows))] for rows in by_class]
+        folds = [np.concatenate([d[f::k] for d in dealt]) for f in range(k)]
+        for f in range(k):
+            yield rep, f, np.concatenate(folds[:f] + folds[f + 1:]), folds[f]
+
+
 def cross_validate(corpus, config: TrainConfig) -> list[float]:
     """Repeated stratified k-fold MCC; everything re-fitted inside folds.
 
     Fold membership is derived from a seeded permutation of records sorted
     by content, so shuffling the corpus row order changes nothing.
     """
-    records = _as_records(corpus)
-    by_class = [
-        sorted((r for r in records if r.label == c), key=lambda r: canonical_key(r.features))
-        for c in sorted({r.label for r in records})
-    ]
-    if len(by_class) < 2:
-        raise ValueError("cross-validation needs both classes present")
-    if config.cv_folds > min(map(len, by_class)):
-        raise ValueError("cv_folds exceeds the minority class count")
-
+    records = list(corpus)
+    X, y = _matrix(records)
     out: list[float] = []
-    for rep in range(config.cv_repeats):
-        rng = spawn_rng(config.seed, "cv", rep)
-        fold_of: dict[int, list[LabeledPair]] = {f: [] for f in range(config.cv_folds)}
-        for recs in by_class:
-            for pos, j in enumerate(rng.permutation(len(recs))):
-                fold_of[pos % config.cv_folds].append(recs[j])
-        for f in range(config.cv_folds):
-            test = fold_of[f]
-            train = [r for g in range(config.cv_folds) if g != f for r in fold_of[g]]
-            model = _fit_bag(train, config, derive_seed(config.seed, "cv", rep, f), {})
-            out.append(mcc(_test_confusion(test, partial(predict_matrix, model))))
+    for rep, f, train, test in _cv_folds(records, y, config):
+        _, confusion = _fit_and_score(X, y, train, test, config, derive_seed(config.seed, "cv", rep, f), {})
+        out.append(mcc(confusion))
     return out
 
 
@@ -409,8 +393,9 @@ def train_baseline(corpus, config: TrainConfig, method: str, knn_k: int = 5) -> 
     """
     if method not in ("knn", "nb"):
         raise ValueError(f"unknown baseline method {method!r}")
-    train, test = stratified_split(_as_records(corpus), config.test_fraction, config.seed)
-    fitted, X, y = _prepare(train, config, config.seed)
-    vote = _knn(X, y, knn_k) if method == "knn" else _naive_bayes(X, y)
-    votes = lambda rows: np.array([vote(fitted.apply_matrix(x)) for x in rows], dtype=np.int8)
-    return _test_confusion(test, votes)
+    X, y = _matrix(corpus)
+    train, test = stratified_split(y, config.test_fraction, config.seed)
+    fitted, X_train, y_train = _prepare(X, y, train, config, config.seed)
+    vote = _knn(X_train, y_train, knn_k) if method == "knn" else _naive_bayes(X_train, y_train)
+    votes = np.array([vote(fitted.apply_matrix(x)) for x in X[test]], dtype=np.int8)
+    return ConfusionCounts.from_predictions(y[test], votes)

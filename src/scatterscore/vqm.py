@@ -129,7 +129,13 @@ def read_scores_csv(path) -> list[tuple[str, VqmScore]]:
     header, rows = read_table(path)
     if header and header[:3] != ["id", "k_star", "m"]:
         raise ValueError(f"{path}: expected score columns {SCORE_COLUMNS}, got {header}")
-    return parse_rows(path, rows, lambda cells: (cells[0], VqmScore(m=int(cells[2]), k_star=int(cells[1]))))
+    scores = parse_rows(path, rows, lambda cells: (cells[0], VqmScore(m=int(cells[2]), k_star=int(cells[1]))))
+    first_line: dict[str, int] = {}
+    for (line, _), (plot_id, _) in zip(rows, scores):
+        if plot_id in first_line:
+            raise ValueError(f"{path}: row {line}: plot id {plot_id!r} repeats row {first_line[plot_id]}")
+        first_line[plot_id] = line
+    return scores
 
 
 def write_ranking_csv(path, ranked) -> None:

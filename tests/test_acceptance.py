@@ -86,7 +86,7 @@ def test_criterion_2_original_benchmark():
         assert result.report.n_unique == 996
         corpus = build_corpus(result.records)
         assert len(corpus) == 16181
-        train, test = stratified_split(corpus, 0.2, seed=0)
+        train, test = stratified_split([r.label for r in corpus], 0.2, seed=0)
         assert (len(train), len(test)) == (12945, 3236)
         _, confusion = train_bagged(corpus, TrainConfig(seed=0))
         assert 0.94 <= mcc(confusion) <= 1.0
@@ -98,10 +98,9 @@ def test_criterion_3_synthetic_oracle_training():
         config = TrainConfig(seed=3)  # winner: up_sample + all four preprocessing steps
         model, _ = train_bagged(pairs, config)
         # held-out rows, judged against the generating rule
-        _, test = stratified_split(pairs, config.test_fraction, config.seed)
-        clean_by_id = {f"r{i}": int(c) for i, c in enumerate(clean)}
-        X = np.array([r.features.as_vector() for r in test])
-        y = np.array([clean_by_id[r.origin_id] for r in test])
+        _, test = stratified_split([r.label for r in pairs], config.test_fraction, config.seed)
+        X = np.array([pairs[i].features.as_vector() for i in test])
+        y = clean[test]
         value = mcc(ConfusionCounts.from_predictions(y, predict_matrix(model, X)))
         assert value >= 0.90, f"held-out MCC {value:.4f}"
 

@@ -327,6 +327,26 @@ class TestScoreRank:
         assert fits == []
         assert not (tmp_path / "s.csv").exists()
 
+    def test_duplicate_plot_id_fails_before_any_fit(self, tmp_path, trained_model_file, monkeypatch, capsys):
+        fits = []
+        monkeypatch.setattr(vqm, "select_model", lambda *args: fits.append(args))
+        first, second = tmp_path / "a" / "p0.csv", tmp_path / "b" / "p0.csv"
+        for path, plot in zip((first, second), self.make_plots(tmp_path, n=2)):
+            path.parent.mkdir()
+            plot.rename(path)
+        code = run("score", first, second, "--model", trained_model_file, "--out", tmp_path / "s.csv")
+        assert code == 2
+        assert f"{first} and {second} both give plot id 'p0'" in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_rank_duplicate_id_exit_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,k_star,m,scalar_score\np0,2,1,0\np1,3,2,0\np0,1,1,0\n")
+        assert run("rank", scores, "--out", tmp_path / "ranking.csv") == 2
+        assert "row 4: plot id 'p0' repeats row 2" in capsys.readouterr().err
+        assert not (tmp_path / "ranking.csv").exists()
+
     def test_empty_cell_exit_2(self, tmp_path, trained_model_file, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1.0,2.0\n1,,2\n")
@@ -411,6 +431,14 @@ class TestEvaluate:
         )
         assert code == 2
         assert "needs --k-values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicate_score_id_exit_2(self, tmp_path, capsys):
+        scores, pairs = self.write_inputs(tmp_path)
+        scores.write_text(scores.read_text() + "p3,1,1,0\n")
+        out = tmp_path / "kappa.json"
+        assert run("evaluate", "--scores", scores, "--pairs", pairs, "--b", 5, "--out", out) == 2
+        assert "row 8: plot id 'p3' repeats row 5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_mismatched_ids_exit_2(self, tmp_path):

@@ -41,11 +41,18 @@ def density(model, point) -> float:
     return float(mixture_pdf(model, np.asarray(point, dtype=float).reshape(1, 2))[0])
 
 
+def kernel_log_joint(x, y, weights, means, covs):
+    """``gmm._log_joint`` of the points centred on ``means`` in a fresh buffer."""
+    buf = np.empty((4, len(weights), x.shape[0]))
+    gmm._centre(x, y, np.asarray(means, dtype=float), buf)
+    return gmm._log_joint(weights, covs, buf)
+
+
 def map_component(model, point) -> int:
     """Component with the largest log(pi_k) + log g_k at ``point``, from the
     kernel that the E-step and ``mixture_pdf`` share; ties go to the lowest index."""
     comps = model.components
-    logp = gmm._log_joint(
+    logp = kernel_log_joint(
         np.array([float(point[0])]),
         np.array([float(point[1])]),
         [c.weight for c in comps],
@@ -168,8 +175,8 @@ class TestMapAssign:
         p1 = 0.5 * gaussian_density((1.0, 0.7), (0.0, 0.0), IDENTITY)
         p2 = 0.5 * gaussian_density((1.0, 0.7), (2.0, 0.0), IDENTITY)
         assert p1 == p2
-        logp = gmm._log_joint(np.array([1.0]), np.array([0.7]), [0.5, 0.5], [(0.0, 0.0), (2.0, 0.0)],
-                              [(1.0, 0.0, 1.0)] * 2)
+        logp = kernel_log_joint(np.array([1.0]), np.array([0.7]), [0.5, 0.5], [(0.0, 0.0), (2.0, 0.0)],
+                                [(1.0, 0.0, 1.0)] * 2)
         assert logp[0, 0] == logp[1, 0]
         assert map_component(model, (1.0, 0.7)) == 0
 
@@ -382,7 +389,7 @@ class TestKernelBitIdentity:
             [c.mean for c in model.components],
             [(c.cov.xx, c.cov.xy, c.cov.yy) for c in model.components],
         )
-        assert gmm._log_joint(x, y, *args).tobytes() == reference_log_joint(x, y, *args).tobytes()
+        assert kernel_log_joint(x, y, *args).tobytes() == reference_log_joint(x, y, *args).tobytes()
 
     @pytest.mark.parametrize("n", [1, 3, 17, 500, 2038, 4001])
     def test_row_dots_equal_one_dimensional_dots(self, n):
@@ -403,7 +410,8 @@ class TestKernelFailures:
         expected = raised(reference_e_step, x, y, self.W, np.full(3, 1 / 3), means, covs)
         assert expected == (DegenerateCovarianceError, "covariance is singular (det=0.0)")
         buf = np.empty((4, 3, 4))
-        assert raised(gmm._e_step, x, y, self.W, np.full(3, 1 / 3), means, covs, buf) == expected
+        gmm._centre(x, y, means, buf)
+        assert raised(gmm._e_step, self.W, np.full(3, 1 / 3), covs, buf) == expected
 
     def test_component_losing_all_responsibility(self):
         x, y = self.X.T.copy()

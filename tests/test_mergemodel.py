@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scatterscore.augment import LabeledPair
+from scatterscore import mergemodel
+from scatterscore.augment import LabeledPair, TrainingCorpus, canonical_key
 from scatterscore.mergemodel import (
     ConfusionCounts,
     ModelFormatError,
@@ -25,6 +26,7 @@ from scatterscore.mergemodel import (
 )
 from scatterscore.pairspace import ShapeParams
 from scatterscore.preprocess import PreprocessSpec
+from scatterscore.util import spawn_rng
 
 from conftest import random_aligned, threshold_rule_pairs
 
@@ -38,6 +40,10 @@ def labeled_pairs(n, seed, class1_fraction=0.5):
         LabeledPair(features=random_aligned(rng), label=int(l), origin_id=f"p{i}")
         for i, l in enumerate(labels)
     ]
+
+
+def labels_of(records) -> np.ndarray:
+    return np.array([r.label for r in records])
 
 
 class TestMcc:
@@ -66,16 +72,16 @@ class TestStratifiedSplit:
         pairs = labeled_pairs(10, seed=1, class1_fraction=0.5)
         # force exactly 5/5
         pairs = [replace(p, label=i % 2) for i, p in enumerate(pairs)]
-        train, test = stratified_split(pairs, 0.2, seed=0)
+        y = labels_of(pairs)
+        train, test = stratified_split(y, 0.2, seed=0)
         assert len(train) == 8 and len(test) == 2
-        assert sum(r.label for r in test) == 1
+        assert y[test].sum() == 1
 
     def test_disjoint_union(self):
         pairs = labeled_pairs(57, seed=2)
-        train, test = stratified_split(pairs, 0.3, seed=3)
-        ids = lambda rs: {r.origin_id for r in rs}
-        assert ids(train) | ids(test) == ids(pairs)
-        assert ids(train) & ids(test) == set()
+        train, test = stratified_split(labels_of(pairs), 0.3, seed=3)
+        assert set(train) | set(test) == set(range(len(pairs)))
+        assert set(train) & set(test) == set()
 
     def test_total_is_rounded_fraction(self):
         for n, frac in ((16181, 0.2), (101, 0.25), (1000, 0.2)):
@@ -87,68 +93,206 @@ class TestStratifiedSplit:
                     pairs.append(
                         LabeledPair(features=random_aligned(rng), label=c, origin_id=f"{c}-{i}")
                     )
-            train, test = stratified_split(pairs, frac, seed=1)
+            y = labels_of(pairs)
+            train, test = stratified_split(y, frac, seed=1)
             assert len(test) == round(frac * n)
             # class proportions preserved within one record
             for c, sz in enumerate(sizes):
-                got = sum(1 for r in test if r.label == c)
+                got = int((y[test] == c).sum())
                 assert abs(got - frac * sz) < 1.0
 
     def test_deterministic(self):
-        pairs = labeled_pairs(40, seed=4)
-        a = stratified_split(pairs, 0.2, seed=9)
-        b = stratified_split(pairs, 0.2, seed=9)
-        assert a == b
-        c = stratified_split(pairs, 0.2, seed=10)
-        assert a != c
+        y = labels_of(labeled_pairs(40, seed=4))
+        a = np.concatenate(stratified_split(y, 0.2, seed=9))
+        b = np.concatenate(stratified_split(y, 0.2, seed=9))
+        assert np.array_equal(a, b)
+        c = np.concatenate(stratified_split(y, 0.2, seed=10))
+        assert not np.array_equal(a, c)
 
     def test_single_class_rejected(self):
-        pairs = [replace(p, label=1) for p in labeled_pairs(10, seed=5)]
         with pytest.raises(ValueError):
-            stratified_split(pairs, 0.2, seed=0)
+            stratified_split(np.ones(10, dtype=int), 0.2, seed=0)
 
 
 class TestBalancing:
-    def imbalanced(self, n1, n0, seed=0):
-        rng = np.random.default_rng(seed)
-        out = []
-        for i in range(n1):
-            out.append(LabeledPair(features=random_aligned(rng), label=1, origin_id=f"a{i}"))
-        for i in range(n0):
-            out.append(LabeledPair(features=random_aligned(rng), label=0, origin_id=f"b{i}"))
-        return out
+    def imbalanced(self, n1, n0):
+        return np.array([1] * n1 + [0] * n0)
 
     def test_up_sample_equalizes(self):
-        balanced = up_sample(self.imbalanced(815, 185), seed=0)
-        counts = Counter(r.label for r in balanced)
+        y = self.imbalanced(815, 185)
+        counts = Counter(y[up_sample(y, seed=0)].tolist())
         assert counts[0] == counts[1] == 815
 
     def test_up_sample_already_balanced_unchanged(self):
-        pairs = self.imbalanced(50, 50)
-        assert up_sample(pairs, seed=0) == pairs
+        assert np.array_equal(up_sample(self.imbalanced(50, 50), seed=0), np.arange(100))
 
     def test_up_sample_retains_originals(self):
-        pairs = self.imbalanced(100, 30)
-        balanced = up_sample(pairs, seed=1)
-        originals = Counter(id(r) for r in pairs)
-        counted = Counter(id(r) for r in balanced)
-        for key in originals:
-            assert counted[key] >= 1
+        y = self.imbalanced(100, 30)
+        balanced = up_sample(y, seed=1)
+        assert np.array_equal(balanced[:130], np.arange(130))
         # replicas only come from the minority class
-        assert all(r.label == 0 for r in balanced[130:])
+        assert np.all(y[balanced[130:]] == 0)
 
     def test_down_sample_equalizes(self):
-        balanced = down_sample(self.imbalanced(200, 60), seed=2)
-        counts = Counter(r.label for r in balanced)
+        y = self.imbalanced(200, 60)
+        balanced = down_sample(y, seed=2)
+        counts = Counter(y[balanced].tolist())
         assert counts[0] == counts[1] == 60
         assert len(balanced) == 120
 
     def test_single_class_rejected(self):
-        pairs = self.imbalanced(20, 0)
-        with pytest.raises(ValueError, match="both classes"):
-            up_sample(pairs, seed=0)
-        with pytest.raises(ValueError, match="both classes"):
-            down_sample(pairs, seed=0)
+        y = self.imbalanced(20, 0)
+        with pytest.raises(ValueError, match="both labels"):
+            up_sample(y, seed=0)
+        with pytest.raises(ValueError, match="both labels"):
+            down_sample(y, seed=0)
+
+
+# The record-list split, balancing and CV folds that the index versions
+# replace; those must pick the same records, in the same order.
+
+
+def reference_stratified_split(records, test_fraction, seed):
+    by_class = {c: [i for i, r in enumerate(records) if r.label == c] for c in (0, 1)}
+    n_test = mergemodel._test_counts([len(v) for v in by_class.values()], test_fraction)
+    rng = spawn_rng(seed, "split")
+    test_idx = set()
+    for c, n_c in zip((0, 1), n_test):
+        perm = rng.permutation(len(by_class[c]))
+        test_idx.update(by_class[c][j] for j in perm[:n_c])
+    train = [records[i] for i in range(len(records)) if i not in test_idx]
+    test = [records[i] for i in range(len(records)) if i in test_idx]
+    return train, test
+
+
+def reference_minority_majority(records):
+    ones = [i for i, r in enumerate(records) if r.label == 1]
+    zeros = [i for i, r in enumerate(records) if r.label == 0]
+    return (ones, zeros) if len(ones) < len(zeros) else (zeros, ones)
+
+
+def reference_up_sample(records, seed):
+    minority, majority = reference_minority_majority(records)
+    if len(minority) == len(majority):
+        return records
+    rng = spawn_rng(seed, "balance")
+    extra = rng.integers(0, len(minority), size=len(majority) - len(minority))
+    return records + [records[minority[j]] for j in extra]
+
+
+def reference_down_sample(records, seed):
+    minority, majority = reference_minority_majority(records)
+    if len(minority) == len(majority):
+        return records
+    rng = spawn_rng(seed, "balance")
+    dropped = {majority[j] for j in rng.permutation(len(majority))[len(minority):]}
+    return [r for i, r in enumerate(records) if i not in dropped]
+
+
+REFERENCE_BALANCE = {
+    "none": lambda records, seed: records,
+    "up_sample": reference_up_sample,
+    "down_sample": reference_down_sample,
+}
+
+
+def reference_cv_folds(records, config):
+    """(train, test) records of every fold of every repeat."""
+    by_class = [
+        sorted((r for r in records if r.label == c), key=lambda r: canonical_key(r.features))
+        for c in sorted({r.label for r in records})
+    ]
+    out = []
+    for rep in range(config.cv_repeats):
+        rng = spawn_rng(config.seed, "cv", rep)
+        fold_of = {f: [] for f in range(config.cv_folds)}
+        for recs in by_class:
+            for pos, j in enumerate(rng.permutation(len(recs))):
+                fold_of[pos % config.cv_folds].append(recs[j])
+        for f in range(config.cv_folds):
+            train = [r for g in range(config.cv_folds) if g != f for r in fold_of[g]]
+            out.append((train, fold_of[f]))
+    return out
+
+
+def picked(records, rows):
+    """Identities of the records at ``rows``."""
+    return [id(records[i]) for i in rows]
+
+
+def ids(records):
+    return [id(r) for r in records]
+
+
+# Balanced, and imbalanced towards label 0 and towards label 1.
+PROTOCOL_INPUTS = {
+    "balanced": lambda seed: [replace(p, label=i % 2) for i, p in enumerate(labeled_pairs(60, seed))],
+    "mostly 0": lambda seed: labeled_pairs(80, seed, class1_fraction=0.2),
+    "mostly 1": lambda seed: labeled_pairs(80, seed, class1_fraction=0.8),
+}
+
+
+@pytest.mark.parametrize("make", PROTOCOL_INPUTS.values(), ids=PROTOCOL_INPUTS.keys())
+class TestIndexProtocol:
+    def test_split_matches_reference(self, make):
+        for seed in range(4):
+            records = make(seed)
+            for frac in (0.1, 0.2, 0.35):
+                train, test = stratified_split(labels_of(records), frac, seed)
+                ref_train, ref_test = reference_stratified_split(records, frac, seed)
+                assert picked(records, train) == ids(ref_train)
+                assert picked(records, test) == ids(ref_test)
+
+    @pytest.mark.parametrize("method", REFERENCE_BALANCE)
+    def test_balance_matches_reference(self, make, method):
+        for seed in range(4):
+            records = make(seed)
+            rows = mergemodel._balance(labels_of(records), method, seed)
+            assert picked(records, rows) == ids(REFERENCE_BALANCE[method](records, seed))
+
+    @pytest.mark.parametrize("method", REFERENCE_BALANCE)
+    def test_split_then_balance_matches_reference(self, make, method):
+        for seed in range(3):
+            records = make(seed)
+            y = labels_of(records)
+            train, _ = stratified_split(y, 0.2, seed)
+            rows = train[mergemodel._balance(y[train], method, seed)]
+            ref_train, _ = reference_stratified_split(records, 0.2, seed)
+            assert picked(records, rows) == ids(REFERENCE_BALANCE[method](ref_train, seed))
+
+    def test_cv_folds_match_reference(self, make):
+        for seed, folds in ((0, 2), (1, 3), (2, 5)):
+            records = make(seed)
+            np.random.default_rng(seed).shuffle(records)
+            config = TrainConfig(seed=seed, cv_folds=folds, cv_repeats=2)
+            got = [(picked(records, train), picked(records, test))
+                   for _, _, train, test in mergemodel._cv_folds(records, labels_of(records), config)]
+            assert got == [(ids(train), ids(test)) for train, test in reference_cv_folds(records, config)]
+
+
+class TestCorpusOrRecords:
+    """A TrainingCorpus and the list of its records train the same way."""
+
+    def setup_method(self):
+        pairs, _, _ = threshold_rule_pairs(300, seed=28, noise=0.1)
+        self.records = pairs
+        self.corpus = TrainingCorpus(records=pairs)
+
+    def test_train_bagged(self):
+        config = TrainConfig(n_trees=4, seed=3)
+        model_a, confusion_a = train_bagged(self.corpus, config)
+        model_b, confusion_b = train_bagged(self.records, config)
+        assert serialize(model_a) == serialize(model_b)
+        assert confusion_a == confusion_b
+
+    def test_cross_validate(self):
+        config = TrainConfig(n_trees=2, seed=4, cv_folds=3, cv_repeats=2)
+        assert cross_validate(self.corpus, config) == cross_validate(self.records, config)
+
+    @pytest.mark.parametrize("method", ["knn", "nb"])
+    def test_train_baseline(self, method):
+        config = TrainConfig(seed=5, balance="down_sample")
+        assert train_baseline(self.corpus, config, method) == train_baseline(self.records, config, method)
 
 
 class TestTrainBagged:
@@ -187,8 +331,8 @@ class TestTrainBagged:
         pairs, _, _ = threshold_rule_pairs(500, seed=15)
         config = TrainConfig(n_trees=2, seed=8, preprocess=CS_ONLY, balance="none")
         # reproduce the internal split, then perturb only test-row angles
-        _, test = stratified_split(pairs, config.test_fraction, config.seed)
-        test_ids = {r.origin_id for r in test}
+        _, test = stratified_split(labels_of(pairs), config.test_fraction, config.seed)
+        test_ids = {pairs[i].origin_id for i in test}
         perturbed = [
             replace(
                 r,
