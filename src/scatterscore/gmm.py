@@ -17,6 +17,9 @@ import numpy as np
 from .util import read_rows, spawn_rng, write_csv
 
 LOG_2PI = math.log(2.0 * math.pi)
+# Largest coordinate magnitude that can be fitted: a covariance determinant is of the order of the
+# coordinate spread to the fourth power, and (2 * COORD_LIMIT)**4 stays a sixteenth below the float maximum.
+COORD_LIMIT = float(np.finfo(float).max) ** 0.25 / 4
 
 
 class DegenerateCovarianceError(ValueError):
@@ -122,6 +125,9 @@ class FitConfig:
     two coordinate variances); the product is added to the covariance
     diagonal at every M-step to prevent collapse.  When the data variance
     is zero the factor is applied as an absolute amount.
+
+    ``bic_patience`` stops the K sweep once that many consecutive fitted K
+    have not raised the best BIC; 0 fits every K up to ``k_max``.
     """
 
     k_max: int = 10
@@ -131,6 +137,7 @@ class FitConfig:
     regularization: float = 1e-6
     seed: int = 0
     bic_penalty_mode: str = "free_parameter_count"
+    bic_patience: int = 2
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -145,6 +152,8 @@ class FitConfig:
             raise ValueError("regularization must be >= 0")
         if self.bic_penalty_mode not in ("component_count", "free_parameter_count"):
             raise ValueError(f"unknown bic_penalty_mode {self.bic_penalty_mode!r}")
+        if self.bic_patience < 0:
+            raise ValueError("bic_patience must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -377,10 +386,15 @@ def bic_value(log_likelihood: float, k: int, n_points: int, mode: str = "free_pa
 
 
 def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
-    """Fit K = 1..k_max and return the BIC-maximizing fit.
+    """Fit K = 1, 2, ... and return the BIC-maximizing fit.
 
-    K values that cannot be fitted (K > N, or degenerate fits) are skipped
-    and recorded in ``FitResult.warnings``.
+    The sweep ends at ``k_max``, or once ``config.bic_patience`` consecutive
+    fitted K have a BIC that does not exceed the best so far.  Each K's fit
+    depends only on (points, K, config), so ``per_k_bic`` is a prefix of
+    the exhaustive sweep's.  K values that cannot be fitted (K > N, or
+    degenerate fits) are skipped, neither counting toward the patience nor
+    resetting it; they and the K values left unfitted are recorded in
+    ``FitResult.warnings``.
     """
     if scatterplot.n < 2:
         raise ValueError("model selection needs at least 2 points")
@@ -389,7 +403,13 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
     best_model = None
     best_bic = -math.inf
     best_k = 0
+    misses = 0
     for k in range(1, config.k_max + 1):
+        if config.bic_patience and misses == config.bic_patience:
+            unfitted = f"k={k}" if k == config.k_max else f"k={k}..{config.k_max}"
+            warnings.append(f"{unfitted} not fitted: no BIC gain over k={best_k} in {misses} consecutive K "
+                            f"(bic_patience={config.bic_patience})")
+            break
         if k > scatterplot.n:
             warnings.append(f"k={k} skipped: more components than points (N={scatterplot.n})")
             continue
@@ -401,7 +421,9 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
         bic = bic_value(model.log_likelihood, k, scatterplot.n, config.bic_penalty_mode)
         per_k.append((k, bic))
         if bic > best_bic:
-            best_model, best_bic, best_k = model, bic, k
+            best_model, best_bic, best_k, misses = model, bic, k, 0
+        else:
+            misses += 1
     if best_model is None:
         raise DegenerateCovarianceError("no component count could be fitted")
     return FitResult(
@@ -420,7 +442,8 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
 def read_scatterplot_csv(path, plot_id: str | None = None) -> Scatterplot:
     """Read a two-column x,y CSV (header row optional).
 
-    Trailing empty cells are ignored; any other empty cell is an error.
+    Trailing empty cells are ignored; any other empty cell is an error, and
+    so is a coordinate that is not finite or beyond ``COORD_LIMIT``.
     """
     rows: list[tuple[float, float]] = []
     for line, cells in read_rows(path):
@@ -438,7 +461,10 @@ def read_scatterplot_csv(path, plot_id: str | None = None) -> Scatterplot:
             raise ValueError(f"{path}: row {line}: non-numeric cell in {cells!r}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Scatterplot(points=np.array(rows, dtype=float), id=plot_id)
+    points = np.array(rows, dtype=float)
+    if not np.all(np.abs(points) <= COORD_LIMIT):
+        raise ValueError(f"{path}: coordinates must be finite and within +-{COORD_LIMIT:.3g} to be fitted")
+    return Scatterplot(points=points, id=plot_id)
 
 
 def write_scatterplot_csv(path, scatterplot: Scatterplot) -> None:

@@ -13,6 +13,7 @@ from test_augment import bench_row, write_bench
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_CORPUS = DATA / "golden" / "corpus.csv"  # 274 records, 136 with label 0
+P0 = DATA / "golden" / "p0.csv"  # x,y header and 200 points
 
 
 @pytest.fixture()
@@ -340,6 +341,23 @@ class TestScoreRank:
         assert fits == []
         assert not (tmp_path / "s.csv").exists()
 
+    def test_huge_coordinate_fails_before_any_fit(self, tmp_path, trained_model_file, monkeypatch, capsys):
+        fits = []
+        monkeypatch.setattr(vqm, "select_model", lambda *args: fits.append(args))
+        big = tmp_path / "big.csv"
+        big.write_text(P0.read_text() + "1e308,2\n")
+        code = run("score", big, "--model", trained_model_file, "--out", tmp_path / "s.csv")
+        assert code == 2
+        assert f"{big}: coordinates must be finite and within +-2.89e+76" in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_negative_bic_patience_exit_2(self, tmp_path, trained_model_file, capsys):
+        code = run("score", P0, "--model", trained_model_file, "--bic-patience", -1, "--out", tmp_path / "s.csv")
+        assert code == 2
+        assert "bic_patience must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_rank_duplicate_id_exit_2(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("id,k_star,m,scalar_score\np0,2,1,0\np1,3,2,0\np0,1,1,0\n")
@@ -373,6 +391,58 @@ class TestScoreRank:
                    "--k-max", 2, "--n-restarts", 1, "--out", tmp_path / "s.csv")
         assert code == 2
         assert "pca_basis" in capsys.readouterr().err
+
+
+MUTATIONS = (
+    "dropped_cell", "duplicated_cell", "non_numeric_cell", "nan", "inf", "-inf", "1e308", "-1e308", "1e200",
+    "truncated_last_row", "empty_file", "header_only",
+)
+
+
+def mutate_points_csv(text: str, kind: str, rng: np.random.Generator) -> str:
+    """``text`` of an x,y CSV with one ``kind`` of damage, at a row and column drawn from ``rng``."""
+    header, *lines = text.splitlines()
+    rows = [line.split(",") for line in lines]
+    r, c = int(rng.integers(len(rows))), int(rng.integers(2))
+    if kind == "dropped_cell":
+        del rows[r][c]
+    elif kind == "duplicated_cell":
+        rows[r].insert(c, rows[r][c])
+    elif kind == "non_numeric_cell":
+        rows[r][c] = "abc"
+    elif kind == "truncated_last_row":
+        last = ",".join(rows.pop())
+        return "\n".join([header, *map(",".join, rows), last[: int(rng.integers(1, len(last)))]])
+    elif kind == "empty_file":
+        return ""
+    elif kind == "header_only":
+        return header + "\n"
+    else:
+        rows[r][c] = kind
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+class TestScoreMutations:
+    """Seeded damage to the golden p0.csv: ``score`` exits 0 or 2, an exit 2 leaves no output,
+    and ``rank`` reads what an exit 0 wrote."""
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        assert run("train", GOLDEN_CORPUS, "--n-trees", 1, "--out", path) == 0
+        return path
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    def test_score_exits_0_or_2(self, tmp_path, model, capsys, kind):
+        plot = tmp_path / "p0.csv"
+        plot.write_text(mutate_points_csv(P0.read_text(), kind, np.random.default_rng(MUTATIONS.index(kind))))
+        scores = tmp_path / "scores.csv"
+        code = run("score", plot, "--model", model, "--k-max", 3, "--out", scores)
+        assert code in (0, 2), capsys.readouterr().err
+        if code == 2:
+            assert not scores.exists()
+        else:
+            assert run("rank", scores, "--out", tmp_path / "ranking.csv") == 0
 
 
 class TestEvaluate:
@@ -463,7 +533,7 @@ SET = {
     },
     "score": {
         "seed": 4, "k_max": 2, "em_tolerance": 0.0001, "max_iterations": 30, "n_restarts": 2,
-        "regularization": 1e-05, "bic_mode": "component_count",
+        "regularization": 1e-05, "bic_mode": "component_count", "bic_patience": 0,
     },
     "rank": {"ascending": True},
     "evaluate": {"seed": 4, "mode": "alteration", "b": 20, "k_values": "0,2"},

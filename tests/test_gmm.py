@@ -484,6 +484,114 @@ class TestSelectModel:
             select_model(Scatterplot(points=[[0.0, 0.0]]), FitConfig())
 
 
+def stub_sweep(monkeypatch, bics: dict):
+    """Make ``select_model`` see BIC ``bics[k]`` for each K (None: every restart degenerate);
+    returns the list of K values it fits."""
+    fitted = []
+
+    def fake_fit_em(scatterplot, k, config):
+        fitted.append(k)
+        if bics[k] is None:
+            raise DegenerateCovarianceError("all restarts failed")
+        comps = tuple(GaussianComponent(1.0 / k, Point2D(float(j), 0.0), IDENTITY) for j in range(k))
+        return MixtureModel(components=comps, log_likelihood=bics[k], n_points=scatterplot.n)
+
+    monkeypatch.setattr(gmm, "fit_em", fake_fit_em)
+    monkeypatch.setattr(gmm, "bic_value", lambda log_likelihood, k, n, mode: log_likelihood)
+    return fitted
+
+
+class TestBicPatience:
+    PLOT = Scatterplot(points=np.random.default_rng(0).normal(size=(50, 2)))
+    # BIC of blob6 at seed 2 from K=5 on: a dip at K=6, then the best K at 7
+    DIP = {1: -5000.0, 2: -4800.0, 3: -4600.0, 4: -4400.0, 5: -4296.0, 6: -4320.0, 7: -4024.0, 8: -4100.0,
+           9: -4200.0, 10: -4300.0}
+
+    def sweep(self, monkeypatch, bics, patience, plot=PLOT, k_max=10):
+        fitted = stub_sweep(monkeypatch, bics)
+        return fitted, select_model(plot, FitConfig(k_max=k_max, bic_patience=patience))
+
+    def test_patience_one_stops_in_the_dip(self, monkeypatch):
+        fitted, res = self.sweep(monkeypatch, self.DIP, 1)
+        assert fitted == [1, 2, 3, 4, 5, 6]
+        assert res.k_star == res.model.k == 5
+        assert res.warnings == ("k=7..10 not fitted: no BIC gain over k=5 in 1 consecutive K (bic_patience=1)",)
+
+    def test_patience_two_reaches_past_the_dip(self, monkeypatch):
+        fitted, res = self.sweep(monkeypatch, self.DIP, 2)
+        assert fitted == [1, 2, 3, 4, 5, 6, 7, 8, 9]
+        assert res.k_star == 7 and res.bic == -4024.0
+        assert res.per_k_bic == tuple((k, self.DIP[k]) for k in fitted)
+        assert res.warnings == ("k=10 not fitted: no BIC gain over k=7 in 2 consecutive K (bic_patience=2)",)
+
+    def test_tie_is_no_gain(self, monkeypatch):
+        fitted, res = self.sweep(monkeypatch, {1: -10.0, 2: -5.0, 3: -5.0, 4: -5.0, 5: 0.0}, 2, k_max=5)
+        assert fitted == [1, 2, 3, 4]
+        assert res.k_star == 2
+        assert res.warnings == ("k=5 not fitted: no BIC gain over k=2 in 2 consecutive K (bic_patience=2)",)
+
+    def test_degenerate_k_neither_counts_nor_resets(self, monkeypatch):
+        bics = {1: -10.0, 2: -5.0, 3: -7.0, 4: None, 5: -6.0, 6: 0.0}
+        fitted, res = self.sweep(monkeypatch, bics, 2)
+        assert fitted == [1, 2, 3, 4, 5]
+        assert [k for k, _ in res.per_k_bic] == [1, 2, 3, 5]
+        assert res.k_star == 2
+        assert res.warnings == (
+            "k=4 skipped: all restarts failed",
+            "k=6..10 not fitted: no BIC gain over k=2 in 2 consecutive K (bic_patience=2)",
+        )
+
+    @pytest.mark.parametrize("bics,expected", [
+        ({1: -10.0, 2: -5.0, 3: -4.0, 4: -3.0},
+         [f"k={k} skipped: more components than points (N=4)" for k in (5, 6)]),
+        ({1: -10.0, 2: -5.0, 3: -6.0, 4: -7.0},
+         ["k=5..6 not fitted: no BIC gain over k=2 in 2 consecutive K (bic_patience=2)"]),
+    ])
+    def test_k_above_n(self, monkeypatch, bics, expected):
+        plot = Scatterplot(points=np.random.default_rng(0).normal(size=(4, 2)))
+        fitted, res = self.sweep(monkeypatch, bics, 2, plot=plot, k_max=6)
+        assert fitted == [1, 2, 3, 4]
+        assert list(res.warnings) == expected
+
+    @pytest.mark.parametrize("patience", [0, 10, 11])
+    def test_patience_zero_or_k_max_fits_every_k(self, monkeypatch, patience):
+        fitted, res = self.sweep(monkeypatch, {k: -float(k) for k in range(1, 11)}, patience)
+        assert fitted == list(range(1, 11))
+        assert res.k_star == 1
+        assert res.warnings == ()
+
+    def test_negative_patience_rejected(self):
+        with pytest.raises(ValueError, match="bic_patience"):
+            FitConfig(bic_patience=-1)
+
+
+def _real_plots():
+    from test_golden import GOLDEN, _snapped_plot
+
+    return {
+        "p0": read_scatterplot_csv(GOLDEN / "p0.csv"),
+        "sites": Scatterplot(np.repeat([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]], 10, axis=0)),
+        "snapped": _snapped_plot(),
+    }
+
+
+# On the plot snapped to a 30x30 lattice, the exhaustive sweep's best BIC is at K=10, where one component
+# lies on a single lattice row with its variance at the regularization floor; patience stops at K=4.
+@pytest.mark.parametrize("name,argmax_in_prefix", [("p0", True), ("sites", True), ("snapped", False)])
+def test_patience_sweep_is_a_prefix_of_the_exhaustive_sweep(name, argmax_in_prefix):
+    plot = _real_plots()[name]
+    res = select_model(plot, FitConfig())
+    full = select_model(plot, FitConfig(bic_patience=0))
+    assert res.per_k_bic == full.per_k_bic[: len(res.per_k_bic)]
+    assert len(res.per_k_bic) < len(full.per_k_bic)
+    assert (full.k_star <= res.per_k_bic[-1][0]) == argmax_in_prefix
+    if argmax_in_prefix:
+        assert res.k_star == full.k_star
+        assert res.model == full.model
+    else:
+        assert res.k_star < full.k_star
+
+
 class TestIo:
     def test_csv_roundtrip_with_header(self, tmp_path):
         sp = gaussian_blob(30, [0.0, 0.0], seed=0)

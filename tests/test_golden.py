@@ -17,6 +17,11 @@ generated plots above lack: a 600-point plot snapped to a 30x30 grid
 (per-K BIC and the iterations of each restart) and 30 points on 3 sites
 (per-K BIC of ``select_model``).
 
+``patience.json`` pins ``select_model`` with the default ``FitConfig``
+(``k_max=10``, ``bic_patience=2``) on ``p0`` and on the snapped plot: the
+per-K BIC of the K values fitted before the sweep stops, K* and the
+warning that names the K values left unfitted.
+
 ``trees.json`` pins the node arrays of every tree: the pipeline's 9-tree
 model, and ``fit_bagged_trees(n_trees=5)`` on a seeded matrix with tied
 values, repeated rows, a constant column and noisy labels.  Thresholds are
@@ -52,6 +57,7 @@ TRAIN_RUNS = {
     "cv": ("--cv", "--cv-folds", 3, "--cv-repeats", 2, "--n-trees", 9),
 }
 GROUPED = "grouped.json"
+PATIENCE = "patience.json"
 TREES = "trees.json"
 
 
@@ -127,6 +133,19 @@ def grouped_values() -> bytes:
     return (json.dumps(values, indent=1) + "\n").encode()
 
 
+def patience_values() -> bytes:
+    values = {}
+    plots = {PINNED_PLOT: gmm.read_scatterplot_csv(GOLDEN / f"{PINNED_PLOT}.csv"), "snapped": _snapped_plot()}
+    for name, plot in plots.items():
+        fit = gmm.select_model(plot, gmm.FitConfig())
+        values[name] = {
+            "k_star": fit.k_star,
+            "per_k_bic": [[k, f"{b:.9g}"] for k, b in fit.per_k_bic],
+            "warnings": list(fit.warnings),
+        }
+    return (json.dumps(values, indent=1) + "\n").encode()
+
+
 def tied_matrix() -> tuple[np.ndarray, np.ndarray]:
     """200 rows of 4 features on a 0.1 grid: many tied values, 40 repeated
     rows, a constant column and about 10% flipped labels."""
@@ -155,13 +174,17 @@ def tree_values(pipeline_trees) -> bytes:
 
 def test_pipeline_matches_golden(tmp_path):
     got = run_pipeline(tmp_path)
-    assert sorted([*got, GROUPED]) == sorted(p.name for p in GOLDEN.iterdir())
+    assert sorted([*got, GROUPED, PATIENCE]) == sorted(p.name for p in GOLDEN.iterdir())
     for name, data in got.items():
         assert data == (GOLDEN / name).read_bytes(), f"{name} differs from tests/data/golden/{name}"
 
 
 def test_grouped_fits_match_golden():
     assert grouped_values() == (GOLDEN / GROUPED).read_bytes()
+
+
+def test_patience_sweep_matches_golden():
+    assert patience_values() == (GOLDEN / PATIENCE).read_bytes()
 
 
 if __name__ == "__main__":
@@ -172,4 +195,5 @@ if __name__ == "__main__":
         for name, data in run_pipeline(Path(tmp)).items():
             (GOLDEN / name).write_bytes(data)
     (GOLDEN / GROUPED).write_bytes(grouped_values())
+    (GOLDEN / PATIENCE).write_bytes(patience_values())
     print(f"wrote pins to {GOLDEN}")
