@@ -52,7 +52,6 @@ def _fields(cls, **fields) -> dict:
 _FIT_FIELDS = dict(
     seed="seed", k_max="k_max", em_tolerance="em_tolerance", max_iterations="max_iterations",
     n_restarts="n_restarts", regularization="regularization", bic_mode="bic_penalty_mode",
-    bic_patience="bic_patience",
 )
 _TRAIN_FIELDS = dict(
     seed="seed", n_trees="n_trees", test_fraction="test_fraction", balance="balance",

@@ -20,6 +20,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Largest coordinate magnitude that can be fitted: a covariance determinant is of the order of the
 # coordinate spread to the fourth power, and (2 * COORD_LIMIT)**4 stays a sixteenth below the float maximum.
 COORD_LIMIT = float(np.finfo(float).max) ** 0.25 / 4
+# The K sweep stops once this many consecutive fitted K have not raised the best BIC.
+BIC_PATIENCE = 2
 
 
 class DegenerateCovarianceError(ValueError):
@@ -97,7 +99,7 @@ class MixtureModel:
 
 @dataclass(frozen=True, eq=False)
 class Scatterplot:
-    """Ordered set of N >= 1 finite 2D points, the raw unit of scoring."""
+    """Ordered set of N >= 1 2D points within +-COORD_LIMIT, the raw unit of scoring."""
 
     points: np.ndarray
     id: str | None = None
@@ -106,8 +108,8 @@ class Scatterplot:
         arr = np.asarray(self.points, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise ValueError(f"expected an (N, 2) point array with N >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("scatterplot points must be finite")
+        if not np.all(np.abs(arr) <= COORD_LIMIT):
+            raise ValueError(f"coordinates must be finite and within +-{COORD_LIMIT:.3g} to be fitted")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
@@ -125,9 +127,6 @@ class FitConfig:
     two coordinate variances); the product is added to the covariance
     diagonal at every M-step to prevent collapse.  When the data variance
     is zero the factor is applied as an absolute amount.
-
-    ``bic_patience`` stops the K sweep once that many consecutive fitted K
-    have not raised the best BIC; 0 fits every K up to ``k_max``.
     """
 
     k_max: int = 10
@@ -137,7 +136,6 @@ class FitConfig:
     regularization: float = 1e-6
     seed: int = 0
     bic_penalty_mode: str = "free_parameter_count"
-    bic_patience: int = 2
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -152,8 +150,6 @@ class FitConfig:
             raise ValueError("regularization must be >= 0")
         if self.bic_penalty_mode not in ("component_count", "free_parameter_count"):
             raise ValueError(f"unknown bic_penalty_mode {self.bic_penalty_mode!r}")
-        if self.bic_patience < 0:
-            raise ValueError("bic_patience must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -388,7 +384,7 @@ def bic_value(log_likelihood: float, k: int, n_points: int, mode: str = "free_pa
 def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
     """Fit K = 1, 2, ... and return the BIC-maximizing fit.
 
-    The sweep ends at ``k_max``, or once ``config.bic_patience`` consecutive
+    The sweep ends at ``k_max``, or once ``BIC_PATIENCE`` consecutive
     fitted K have a BIC that does not exceed the best so far.  Each K's fit
     depends only on (points, K, config), so ``per_k_bic`` is a prefix of
     the exhaustive sweep's.  K values that cannot be fitted (K > N, or
@@ -405,10 +401,9 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
     best_k = 0
     misses = 0
     for k in range(1, config.k_max + 1):
-        if config.bic_patience and misses == config.bic_patience:
+        if misses == BIC_PATIENCE:
             unfitted = f"k={k}" if k == config.k_max else f"k={k}..{config.k_max}"
-            warnings.append(f"{unfitted} not fitted: no BIC gain over k={best_k} in {misses} consecutive K "
-                            f"(bic_patience={config.bic_patience})")
+            warnings.append(f"{unfitted} not fitted: no BIC gain over k={best_k} in {misses} consecutive K")
             break
         if k > scatterplot.n:
             warnings.append(f"k={k} skipped: more components than points (N={scatterplot.n})")
@@ -443,7 +438,7 @@ def read_scatterplot_csv(path, plot_id: str | None = None) -> Scatterplot:
     """Read a two-column x,y CSV (header row optional).
 
     Trailing empty cells are ignored; any other empty cell is an error, and
-    so is a coordinate that is not finite or beyond ``COORD_LIMIT``.
+    so is a coordinate that :class:`Scatterplot` rejects.
     """
     rows: list[tuple[float, float]] = []
     for line, cells in read_rows(path):
@@ -461,10 +456,10 @@ def read_scatterplot_csv(path, plot_id: str | None = None) -> Scatterplot:
             raise ValueError(f"{path}: row {line}: non-numeric cell in {cells!r}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    points = np.array(rows, dtype=float)
-    if not np.all(np.abs(points) <= COORD_LIMIT):
-        raise ValueError(f"{path}: coordinates must be finite and within +-{COORD_LIMIT:.3g} to be fitted")
-    return Scatterplot(points=points, id=plot_id)
+    try:
+        return Scatterplot(points=np.array(rows, dtype=float), id=plot_id)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_scatterplot_csv(path, scatterplot: Scatterplot) -> None:

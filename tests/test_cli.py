@@ -341,23 +341,6 @@ class TestScoreRank:
         assert fits == []
         assert not (tmp_path / "s.csv").exists()
 
-    def test_huge_coordinate_fails_before_any_fit(self, tmp_path, trained_model_file, monkeypatch, capsys):
-        fits = []
-        monkeypatch.setattr(vqm, "select_model", lambda *args: fits.append(args))
-        big = tmp_path / "big.csv"
-        big.write_text(P0.read_text() + "1e308,2\n")
-        code = run("score", big, "--model", trained_model_file, "--out", tmp_path / "s.csv")
-        assert code == 2
-        assert f"{big}: coordinates must be finite and within +-2.89e+76" in capsys.readouterr().err
-        assert fits == []
-        assert not (tmp_path / "s.csv").exists()
-
-    def test_negative_bic_patience_exit_2(self, tmp_path, trained_model_file, capsys):
-        code = run("score", P0, "--model", trained_model_file, "--bic-patience", -1, "--out", tmp_path / "s.csv")
-        assert code == 2
-        assert "bic_patience must be >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "s.csv").exists()
-
     def test_rank_duplicate_id_exit_2(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("id,k_star,m,scalar_score\np0,2,1,0\np1,3,2,0\np0,1,1,0\n")
@@ -393,10 +376,22 @@ class TestScoreRank:
         assert "pca_basis" in capsys.readouterr().err
 
 
-MUTATIONS = (
-    "dropped_cell", "duplicated_cell", "non_numeric_cell", "nan", "inf", "-inf", "1e308", "-1e308", "1e200",
-    "truncated_last_row", "empty_file", "header_only",
-)
+TOO_LARGE = "coordinates must be finite and within +-2.89e+76 to be fitted"
+# kind of damage: the exit codes score may give, and what an exit-2 message says after the file name
+MUTATIONS = {
+    "dropped_cell": ((2,), "expected 2 columns, got 1"),
+    "duplicated_cell": ((2,), "expected 2 columns, got 3"),
+    "non_numeric_cell": ((2,), "non-numeric cell"),
+    "nan": ((2,), TOO_LARGE),
+    "inf": ((2,), TOO_LARGE),
+    "-inf": ((2,), TOO_LARGE),
+    "1e308": ((2,), TOO_LARGE),
+    "-1e308": ((2,), TOO_LARGE),
+    "1e200": ((2,), TOO_LARGE),
+    "truncated_last_row": ((0, 2), ""),  # a cut inside a number can leave a valid row
+    "empty_file": ((2,), "no data rows"),
+    "header_only": ((2,), "no data rows"),
+}
 
 
 def mutate_points_csv(text: str, kind: str, rng: np.random.Generator) -> str:
@@ -423,8 +418,8 @@ def mutate_points_csv(text: str, kind: str, rng: np.random.Generator) -> str:
 
 
 class TestScoreMutations:
-    """Seeded damage to the golden p0.csv: ``score`` exits 0 or 2, an exit 2 leaves no output,
-    and ``rank`` reads what an exit 0 wrote."""
+    """Seeded damage to the golden p0.csv: ``score`` gives the kind's exit code, an exit 2 names the
+    file and comes before any fit with no output, and ``rank`` reads what an exit 0 wrote."""
 
     @pytest.fixture(scope="class")
     def model(self, tmp_path_factory):
@@ -433,13 +428,20 @@ class TestScoreMutations:
         return path
 
     @pytest.mark.parametrize("kind", MUTATIONS)
-    def test_score_exits_0_or_2(self, tmp_path, model, capsys, kind):
+    def test_score_exit_code(self, tmp_path, model, monkeypatch, capsys, kind):
+        codes, message = MUTATIONS[kind]
         plot = tmp_path / "p0.csv"
-        plot.write_text(mutate_points_csv(P0.read_text(), kind, np.random.default_rng(MUTATIONS.index(kind))))
+        plot.write_text(mutate_points_csv(P0.read_text(), kind, np.random.default_rng(list(MUTATIONS).index(kind))))
+        fits = []
+        real = vqm.select_model
+        monkeypatch.setattr(vqm, "select_model", lambda *args: fits.append(args) or real(*args))
         scores = tmp_path / "scores.csv"
         code = run("score", plot, "--model", model, "--k-max", 3, "--out", scores)
-        assert code in (0, 2), capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code in codes, err
         if code == 2:
+            assert f"{plot}: " in err and message in err
+            assert fits == []
             assert not scores.exists()
         else:
             assert run("rank", scores, "--out", tmp_path / "ranking.csv") == 0
@@ -533,7 +535,7 @@ SET = {
     },
     "score": {
         "seed": 4, "k_max": 2, "em_tolerance": 0.0001, "max_iterations": 30, "n_restarts": 2,
-        "regularization": 1e-05, "bic_mode": "component_count", "bic_patience": 0,
+        "regularization": 1e-05, "bic_mode": "component_count",
     },
     "rank": {"ascending": True},
     "evaluate": {"seed": 4, "mode": "alteration", "b": 20, "k_values": "0,2"},

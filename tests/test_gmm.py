@@ -483,6 +483,17 @@ class TestSelectModel:
         with pytest.raises(ValueError):
             select_model(Scatterplot(points=[[0.0, 0.0]]), FitConfig())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200, -1e308])
+    def test_coordinates_beyond_the_limit_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"finite and within \+-2.89e\+76"):
+            Scatterplot(points=[[0.0, 0.0], [1.0, bad]])
+
+    def test_coordinates_at_the_limit_fit(self):
+        points = gaussian_blob(50, [0.0, 0.0], seed=0).points.copy()
+        points[:2] = [[gmm.COORD_LIMIT, gmm.COORD_LIMIT], [-gmm.COORD_LIMIT, -gmm.COORD_LIMIT]]
+        res = select_model(Scatterplot(points), self.CFG)
+        assert np.isfinite(res.bic)
+
 
 def stub_sweep(monkeypatch, bics: dict):
     """Make ``select_model`` see BIC ``bics[k]`` for each K (None: every restart degenerate);
@@ -509,26 +520,27 @@ class TestBicPatience:
 
     def sweep(self, monkeypatch, bics, patience, plot=PLOT, k_max=10):
         fitted = stub_sweep(monkeypatch, bics)
-        return fitted, select_model(plot, FitConfig(k_max=k_max, bic_patience=patience))
+        monkeypatch.setattr(gmm, "BIC_PATIENCE", patience)
+        return fitted, select_model(plot, FitConfig(k_max=k_max))
 
     def test_patience_one_stops_in_the_dip(self, monkeypatch):
         fitted, res = self.sweep(monkeypatch, self.DIP, 1)
         assert fitted == [1, 2, 3, 4, 5, 6]
         assert res.k_star == res.model.k == 5
-        assert res.warnings == ("k=7..10 not fitted: no BIC gain over k=5 in 1 consecutive K (bic_patience=1)",)
+        assert res.warnings == ("k=7..10 not fitted: no BIC gain over k=5 in 1 consecutive K",)
 
     def test_patience_two_reaches_past_the_dip(self, monkeypatch):
         fitted, res = self.sweep(monkeypatch, self.DIP, 2)
         assert fitted == [1, 2, 3, 4, 5, 6, 7, 8, 9]
         assert res.k_star == 7 and res.bic == -4024.0
         assert res.per_k_bic == tuple((k, self.DIP[k]) for k in fitted)
-        assert res.warnings == ("k=10 not fitted: no BIC gain over k=7 in 2 consecutive K (bic_patience=2)",)
+        assert res.warnings == ("k=10 not fitted: no BIC gain over k=7 in 2 consecutive K",)
 
     def test_tie_is_no_gain(self, monkeypatch):
         fitted, res = self.sweep(monkeypatch, {1: -10.0, 2: -5.0, 3: -5.0, 4: -5.0, 5: 0.0}, 2, k_max=5)
         assert fitted == [1, 2, 3, 4]
         assert res.k_star == 2
-        assert res.warnings == ("k=5 not fitted: no BIC gain over k=2 in 2 consecutive K (bic_patience=2)",)
+        assert res.warnings == ("k=5 not fitted: no BIC gain over k=2 in 2 consecutive K",)
 
     def test_degenerate_k_neither_counts_nor_resets(self, monkeypatch):
         bics = {1: -10.0, 2: -5.0, 3: -7.0, 4: None, 5: -6.0, 6: 0.0}
@@ -538,14 +550,14 @@ class TestBicPatience:
         assert res.k_star == 2
         assert res.warnings == (
             "k=4 skipped: all restarts failed",
-            "k=6..10 not fitted: no BIC gain over k=2 in 2 consecutive K (bic_patience=2)",
+            "k=6..10 not fitted: no BIC gain over k=2 in 2 consecutive K",
         )
 
     @pytest.mark.parametrize("bics,expected", [
         ({1: -10.0, 2: -5.0, 3: -4.0, 4: -3.0},
          [f"k={k} skipped: more components than points (N=4)" for k in (5, 6)]),
         ({1: -10.0, 2: -5.0, 3: -6.0, 4: -7.0},
-         ["k=5..6 not fitted: no BIC gain over k=2 in 2 consecutive K (bic_patience=2)"]),
+         ["k=5..6 not fitted: no BIC gain over k=2 in 2 consecutive K"]),
     ])
     def test_k_above_n(self, monkeypatch, bics, expected):
         plot = Scatterplot(points=np.random.default_rng(0).normal(size=(4, 2)))
@@ -553,16 +565,12 @@ class TestBicPatience:
         assert fitted == [1, 2, 3, 4]
         assert list(res.warnings) == expected
 
-    @pytest.mark.parametrize("patience", [0, 10, 11])
-    def test_patience_zero_or_k_max_fits_every_k(self, monkeypatch, patience):
+    @pytest.mark.parametrize("patience", [9, 10])
+    def test_patience_of_k_max_minus_one_fits_every_k(self, monkeypatch, patience):
         fitted, res = self.sweep(monkeypatch, {k: -float(k) for k in range(1, 11)}, patience)
         assert fitted == list(range(1, 11))
         assert res.k_star == 1
         assert res.warnings == ()
-
-    def test_negative_patience_rejected(self):
-        with pytest.raises(ValueError, match="bic_patience"):
-            FitConfig(bic_patience=-1)
 
 
 def _real_plots():
@@ -578,10 +586,12 @@ def _real_plots():
 # On the plot snapped to a 30x30 lattice, the exhaustive sweep's best BIC is at K=10, where one component
 # lies on a single lattice row with its variance at the regularization floor; patience stops at K=4.
 @pytest.mark.parametrize("name,argmax_in_prefix", [("p0", True), ("sites", True), ("snapped", False)])
-def test_patience_sweep_is_a_prefix_of_the_exhaustive_sweep(name, argmax_in_prefix):
+def test_patience_sweep_is_a_prefix_of_the_exhaustive_sweep(monkeypatch, name, argmax_in_prefix):
     plot = _real_plots()[name]
-    res = select_model(plot, FitConfig())
-    full = select_model(plot, FitConfig(bic_patience=0))
+    config = FitConfig()
+    res = select_model(plot, config)
+    monkeypatch.setattr(gmm, "BIC_PATIENCE", config.k_max)
+    full = select_model(plot, config)
     assert res.per_k_bic == full.per_k_bic[: len(res.per_k_bic)]
     assert len(res.per_k_bic) < len(full.per_k_bic)
     assert (full.k_star <= res.per_k_bic[-1][0]) == argmax_in_prefix

@@ -18,7 +18,7 @@ generated plots above lack: a 600-point plot snapped to a 30x30 grid
 (per-K BIC of ``select_model``).
 
 ``patience.json`` pins ``select_model`` with the default ``FitConfig``
-(``k_max=10``, ``bic_patience=2``) on ``p0`` and on the snapped plot: the
+(``k_max=10``, ``gmm.BIC_PATIENCE`` = 2) on ``p0`` and on the snapped plot: the
 per-K BIC of the K values fitted before the sweep stops, K* and the
 warning that names the K values left unfitted.
 
