@@ -9,6 +9,7 @@ analysis, and the worst-case displacement formulas.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,6 +114,15 @@ class BootstrapSummary:
     values: np.ndarray
 
 
+@dataclass(frozen=True)
+class AlterationPoint:
+    k: int
+    mean: float
+    sd: float
+    min: float
+    max: float
+
+
 def landis_koch_label(kappa: float) -> str:
     """Verbal agreement band; kappa = 0 falls outside (0, 0.2] so is 'poor'."""
     if kappa > 1.0 + 1e-12:
@@ -123,52 +133,60 @@ def landis_koch_label(kappa: float) -> str:
     return "almost perfect"
 
 
-def _agreement_terms(group_codes: np.ndarray, n_categories: int):
-    """Per-item rater-match fraction table (items x categories)."""
-    n, r = group_codes.shape
-    prop = np.empty((n, n_categories))
-    for c in range(n_categories):
-        prop[:, c] = (group_codes == c).mean(axis=1)
-    return prop
+def _proportions(group: GroupRatings, n_votes: int, what: str, b: int = 1) -> np.ndarray:
+    """Per-item fraction of the group's raters voting each category (items x
+    categories), once ``b`` >= 1 and there is one of ``what`` per item."""
+    if b < 1:
+        raise ValueError("b must be >= 1")
+    if n_votes != group.items:
+        raise ValueError(f"group has {group.items} items but there are {n_votes} {what}")
+    return (group.codes()[..., None] == np.arange(len(group.categories))).mean(axis=1)
 
 
-def _kappa(p_o, q_bar: np.ndarray, r_marg: np.ndarray) -> tuple[float, float]:
-    """(kappa, p_e) from the observed agreement, the group's mean category
-    proportions and the isolated rater's marginals."""
-    p_e = float(q_bar @ r_marg)
-    if p_e >= 1.0 - 1e-15:
-        return (1.0 if p_o >= 1.0 - 1e-15 else 0.0), p_e
-    return float((p_o - p_e) / (1.0 - p_e)), p_e
-
-
-def _block_kappas(p_o: np.ndarray, q_bar: np.ndarray, codes: np.ndarray, n_categories: int) -> np.ndarray:
-    """Kappa of each replicate in a block: observed agreements ``p_o`` (m,),
-    group category means ``q_bar`` (m, categories), isolated codes (m, n).
+def _kappas(p_o: np.ndarray, q_bar: np.ndarray, codes: np.ndarray, n_categories: int):
+    """(kappa, p_e) of each replicate in a block: observed agreements ``p_o``
+    (m,), group category means ``q_bar`` (m, categories), isolated codes (m, n).
 
     p_e stays a 1-D dot product per replicate: a batched product changes
-    the last bit of some kappas.
+    the last bit of some kappas.  Where p_e is 1, kappa is 1 for perfect
+    observed agreement and 0 otherwise.
     """
     m, n = codes.shape
     offsets = codes + n_categories * np.arange(m)[:, None]
-    counts = np.bincount(offsets.ravel(), minlength=m * n_categories).reshape(m, n_categories)
-    return np.array([_kappa(p, q, r)[0] for p, q, r in zip(p_o, q_bar, counts / n)])
+    r_marg = np.bincount(offsets.ravel(), minlength=m * n_categories).reshape(m, n_categories) / n
+    p_e = np.array([q @ r for q, r in zip(q_bar, r_marg)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.where(p_e >= 1.0 - 1e-15, p_o >= 1.0 - 1e-15, (p_o - p_e) / (1.0 - p_e))
+    return kappa, p_e
+
+
+def _summarize(b: int, block_kappas, k=None):
+    """Summary of ``b`` replicate kappas, ``block_kappas(range)`` giving those
+    of ``_BLOCK`` replicates at a time: a BootstrapSummary, or the
+    AlterationPoint of ``k`` alterations.  sd is an exact zero when every
+    value is identical."""
+    values = np.empty(b)
+    for start in range(0, b, _BLOCK):
+        stop = min(b, start + _BLOCK)
+        values[start:stop] = block_kappas(range(start, stop))
+    lo, hi = float(values.min()), float(values.max())
+    mean, sd = (lo, 0.0) if lo == hi else (float(values.mean()), float(values.std()))
+    if k is not None:
+        return AlterationPoint(k=int(k), mean=mean, sd=sd, min=lo, max=hi)
+    values.setflags(write=False)
+    percentiles = {p: float(np.percentile(values, p)) for p in PERCENTILES}
+    return BootstrapSummary(b=b, mean=mean, sd=sd, min=lo, max=hi, percentiles=percentiles, values=values)
 
 
 def vanbelle_kappa(group: GroupRatings, isolated: IsolatedRatings) -> KappaResult:
     """Chance-corrected agreement between the rater group and the measure."""
-    if len(isolated.votes) != group.items:
-        raise ValueError(
-            f"group has {group.items} items but isolated rater has {len(isolated.votes)} votes"
-        )
-    n_cat = len(group.categories)
-    prop = _agreement_terms(group.codes(), n_cat)
-    iso = isolated.codes(group.categories)
-    n = group.items
-    p_o = float(prop[np.arange(n), iso].mean())
-    kappa, p_e = _kappa(p_o, prop.mean(axis=0), np.bincount(iso, minlength=n_cat) / n)
+    prop = _proportions(group, len(isolated.votes), "isolated votes")
+    iso = isolated.codes(group.categories)[None]
+    p_o = prop[np.arange(group.items), iso].mean(axis=1)
+    kappa, p_e = (float(v[0]) for v in _kappas(p_o, prop.mean(axis=0)[None], iso, prop.shape[1]))
     return KappaResult(
         kappa=kappa,
-        observed_agreement=p_o,
+        observed_agreement=float(p_o[0]),
         expected_agreement=p_e,
         label=landis_koch_label(kappa),
     )
@@ -176,48 +194,16 @@ def vanbelle_kappa(group: GroupRatings, isolated: IsolatedRatings) -> KappaResul
 
 def bootstrap_kappa(group: GroupRatings, isolated: IsolatedRatings, b: int, seed: int) -> BootstrapSummary:
     """Item-level bootstrap of the kappa estimate; deterministic given seed."""
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    if len(isolated.votes) != group.items:
-        raise ValueError("group/isolated dimensions differ")
-    n_cat = len(group.categories)
-    prop = _agreement_terms(group.codes(), n_cat)
+    prop = _proportions(group, len(isolated.votes), "isolated votes", b)
     iso = isolated.codes(group.categories)
-    n = group.items
-    values = np.empty(b)
-    idx = np.empty((min(b, _BLOCK), n), dtype=np.int64)
-    for start in range(0, b, _BLOCK):
-        block = idx[: min(_BLOCK, b - start)]
-        for i, row in enumerate(block):
-            row[:] = spawn_rng(seed, "bootstrap", start + i).integers(0, n, size=n)
-        codes = iso[block]
-        values[start : start + len(block)] = _block_kappas(
-            prop[block, codes].mean(axis=1), prop[block].mean(axis=1), codes, n_cat
-        )
-    return _summarize(values)
+    n, n_cat = prop.shape
 
+    def kappas(replicates):
+        rows = np.array([spawn_rng(seed, "bootstrap", i).integers(0, n, size=n) for i in replicates])
+        codes = iso[rows]
+        return _kappas(prop[rows, codes].mean(axis=1), prop[rows].mean(axis=1), codes, n_cat)[0]
 
-def _spread(values: np.ndarray) -> tuple[float, float]:
-    """(mean, sd) with exact zeros when every value is identical."""
-    lo, hi = float(values.min()), float(values.max())
-    if lo == hi:
-        return lo, 0.0
-    return float(values.mean()), float(values.std())
-
-
-def _summarize(values: np.ndarray) -> BootstrapSummary:
-    values = np.asarray(values, dtype=float)
-    values.setflags(write=False)
-    mean, sd = _spread(values)
-    return BootstrapSummary(
-        b=values.shape[0],
-        mean=mean,
-        sd=sd,
-        min=float(values.min()),
-        max=float(values.max()),
-        percentiles={p: float(np.percentile(values, p)) for p in PERCENTILES},
-        values=values,
-    )
+    return _summarize(b, kappas)
 
 
 def majority_vote_by_origin(predictions) -> dict:
@@ -225,8 +211,8 @@ def majority_vote_by_origin(predictions) -> dict:
     groups: dict = {}
     for origin, h in predictions:
         groups.setdefault(origin, []).append(int(h))
-    if any(len(v) == 0 for v in groups.values()) or not groups:
-        raise ValueError("need at least one prediction per origin")
+    if not groups:
+        raise ValueError("need at least one prediction")
     return {
         origin: (1 if 2 * sum(votes) >= len(votes) else 0) for origin, votes in groups.items()
     }
@@ -264,25 +250,11 @@ def alter_decisions(relations, k: int, seed: int) -> list[str]:
     return relations
 
 
-@dataclass(frozen=True)
-class AlterationPoint:
-    k: int
-    mean: float
-    sd: float
-    min: float
-    max: float
-
-
 def alteration_curve(relations, group: GroupRatings, k_values, b: int, seed: int) -> list[AlterationPoint]:
     """Kappa distribution after k random decision alterations, per k."""
     relations = list(relations)
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    n = len(relations)
-    if n != group.items:
-        raise ValueError(f"group has {group.items} items but there are {n} relations")
-    n_cat = len(group.categories)
-    prop = _agreement_terms(group.codes(), n_cat)
+    prop = _proportions(group, len(relations), "relations", b)
+    n, n_cat = prop.shape
     q_bar = prop.mean(axis=0)
     items = np.arange(n)
     # ASCII code of a relation symbol -> its category index; -1 if the group lacks it
@@ -290,28 +262,16 @@ def alteration_curve(relations, group: GroupRatings, k_values, b: int, seed: int
     for i, c in enumerate(group.categories):
         if c in _RELATION_SET:
             table[ord(c)] = i
-    out = []
-    for k in k_values:
-        values = np.empty(b)
-        for start in range(0, b, _BLOCK):
-            m = min(_BLOCK, b - start)
-            text = "".join(
-                "".join(alter_decisions(relations, k, derive_seed(seed, "curve", k, j)))
-                for j in range(start, start + m)
-            )
-            codes = table[np.frombuffer(text.encode("ascii"), dtype=np.uint8)].reshape(m, n)
-            if codes.min() < 0:
-                raise ValueError(f"a relation is not one of the group's categories {group.categories}")
-            values[start : start + m] = _block_kappas(
-                prop[items, codes].mean(axis=1), np.broadcast_to(q_bar, (m, n_cat)), codes, n_cat
-            )
-        mean, sd = _spread(values)
-        out.append(
-            AlterationPoint(
-                k=int(k), mean=mean, sd=sd, min=float(values.min()), max=float(values.max())
-            )
-        )
-    return out
+
+    def kappas(k, replicates):
+        text = "".join("".join(alter_decisions(relations, k, derive_seed(seed, "curve", k, j))) for j in replicates)
+        codes = table[np.frombuffer(text.encode("ascii"), dtype=np.uint8)].reshape(len(replicates), n)
+        if codes.min() < 0:
+            raise ValueError(f"a relation is not one of the group's categories {group.categories}")
+        q = np.broadcast_to(q_bar, (len(replicates), n_cat))
+        return _kappas(prop[items, codes].mean(axis=1), q, codes, n_cat)[0]
+
+    return [_summarize(b, functools.partial(kappas, k), k) for k in k_values]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .pairspace import (
     with_theta_u,
     with_theta_v,
 )
-from .util import parse_rows, read_table, spawn_rng, write_csv
+from .util import parse_rows, read_table, reject_repeated_ids, spawn_rng, write_csv
 
 #: Angle grid used to replicate records with an isotropic component: the
 #: ellipse orientation is unidentifiable there, so every orientation must
@@ -220,9 +220,25 @@ def _params_parser(header: list[str]):
 
 
 def read_params_csv(path) -> list[tuple[str, PairFeatures]]:
-    """(id, generator parameters) per row: the ``generate --params-file`` input."""
+    """(id, generator parameters) per row: the ``generate --params-file`` input.
+
+    Each id names the file ``<id>.csv``, so it must be unique and a bare
+    file name: not empty, ``.`` or ``..``, and without ``/`` or ``\\``.
+    """
     header, rows = read_table(path, required=("id", *PARAM_COLUMNS))
-    return parse_rows(path, rows, _params_parser(header)) if header else []
+    if not header:
+        return []
+    id_and_params = _params_parser(header)
+
+    def parse(cells):
+        plot_id, params = id_and_params(cells)
+        if plot_id in ("", ".", "..") or "/" in plot_id or "\\" in plot_id:
+            raise ValueError(f"id {plot_id!r} is not a bare file name")
+        return plot_id, params
+
+    param_sets = parse_rows(path, rows, parse)
+    reject_repeated_ids(path, rows, param_sets, "id")
+    return param_sets
 
 
 def ingest_benchmark(path) -> IngestResult:

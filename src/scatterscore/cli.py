@@ -146,6 +146,8 @@ def cmd_generate(args, opts) -> int:
             raise ValueError(f"n must be >= 1, got {n}")
         if args.params_file:
             param_sets = augment.read_params_csv(args.params_file)
+            if "manifest" in dict(param_sets):
+                raise ValueError(f"{args.params_file}: id 'manifest' would name the file that holds the manifest")
         elif opts["grid_count"] > 0:
             param_sets = [
                 (f"grid{i:04d}", augment.sample_grid_params(spawn_rng(seed, "grid", i)))

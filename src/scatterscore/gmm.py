@@ -140,14 +140,14 @@ class FitConfig:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.em_tolerance <= 0.0:
-            raise ValueError("em_tolerance must be > 0")
+        if not (math.isfinite(self.em_tolerance) and self.em_tolerance > 0.0):
+            raise ValueError(f"em_tolerance must be finite and > 0, got {self.em_tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
-        if self.regularization < 0.0:
-            raise ValueError("regularization must be >= 0")
+        if not (math.isfinite(self.regularization) and self.regularization >= 0.0):
+            raise ValueError(f"regularization must be finite and >= 0, got {self.regularization}")
         if self.bic_penalty_mode not in ("component_count", "free_parameter_count"):
             raise ValueError(f"unknown bic_penalty_mode {self.bic_penalty_mode!r}")
 

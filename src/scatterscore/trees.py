@@ -13,7 +13,7 @@ counts equals the one grown on the resampled rows, bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,11 @@ _MIN_GAIN = 1e-12
 class DecisionTree:
     """Flat-array binary tree: feature[i] == -1 marks a leaf."""
 
-    feature: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
-    threshold: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=float))
-    left: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
-    right: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
-    leaf_class: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_class: np.ndarray
 
     @property
     def n_nodes(self) -> int:

@@ -83,6 +83,16 @@ def parse_rows(path, rows, parse) -> list:
     return out
 
 
+def reject_repeated_ids(path, rows, parsed, what: str) -> None:
+    """ValueError at the row whose id repeats an earlier one, naming both rows;
+    ``parsed`` holds the (id, ...) tuples of the (line, cells) ``rows``."""
+    first_line: dict[str, int] = {}
+    for (line, _), (item_id, *_) in zip(rows, parsed):
+        if item_id in first_line:
+            raise ValueError(f"{path}: row {line}: {what} {item_id!r} repeats row {first_line[item_id]}")
+        first_line[item_id] = line
+
+
 def write_csv(path, header, rows) -> None:
     """Write a header and rows, numbers via :func:`fmt_num`; cells with a comma,
     quote or newline are quoted the usual CSV way."""

@@ -14,7 +14,7 @@ import numpy as np
 from .gmm import FitConfig, MixtureModel, Scatterplot, select_model
 from .mergemodel import MergingModel, predict
 from .pairspace import aligned_pair_from_model
-from .util import parse_rows, read_table, write_csv
+from .util import parse_rows, read_table, reject_repeated_ids, write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,11 +130,7 @@ def read_scores_csv(path) -> list[tuple[str, VqmScore]]:
     if header and header[:3] != ["id", "k_star", "m"]:
         raise ValueError(f"{path}: expected score columns {SCORE_COLUMNS}, got {header}")
     scores = parse_rows(path, rows, lambda cells: (cells[0], VqmScore(m=int(cells[2]), k_star=int(cells[1]))))
-    first_line: dict[str, int] = {}
-    for (line, _), (plot_id, _) in zip(rows, scores):
-        if plot_id in first_line:
-            raise ValueError(f"{path}: row {line}: plot id {plot_id!r} repeats row {first_line[plot_id]}")
-        first_line[plot_id] = line
+    reject_repeated_ids(path, rows, scores, "plot id")
     return scores
 
 

@@ -365,6 +365,22 @@ class TestBlocksMatchReference:
         with pytest.raises(ValueError, match="categories"):
             alteration_curve(["<", ">"], narrow, [2], b=3, seed=0)
 
+    def test_point_estimate_bitwise_equal(self):
+        relations, group = self.make_data()
+        cases = [
+            (group, relations),
+            (GroupRatings(categories=(">", "<", "="), votes=group.votes), relations),
+            (GroupRatings(categories=("<", ">"), votes=(("<",), (">",))), ["<", ">"]),
+        ]
+        for g, votes in cases:
+            isolated = IsolatedRatings(votes=tuple(votes))
+            prop, iso, n_cat = reference_terms(g), isolated.codes(g.categories), len(g.categories)
+            p_o = float(prop[np.arange(len(iso)), iso].mean())
+            p_e = float(prop.mean(axis=0) @ (np.bincount(iso, minlength=n_cat) / len(iso)))
+            got = vanbelle_kappa(g, isolated)
+            assert got.kappa.hex() == float(reference_kappa(prop, iso, n_cat)).hex(), g.categories
+            assert (got.observed_agreement.hex(), got.expected_agreement.hex()) == (p_o.hex(), p_e.hex())
+
     def test_length_mismatch_rejected(self):
         relations, group = self.make_data()
         with pytest.raises(ValueError, match="relations"):

@@ -100,6 +100,21 @@ class TestGenerate:
         assert run("generate", "--params-file", params, "--n", 40, "--seed", 0, "--out", out) == 0
         assert (out / "one.csv").exists() and (out / "two.csv").exists()
 
+    @pytest.mark.parametrize(
+        "ids,message",
+        [(["p0", "p1", "p0"], "row 4: id 'p0' repeats row 2"), (["p0", "manifest"], "id 'manifest' would name")]
+        + [([i], f"row 2: id {i!r} is not a bare file name") for i in ("sub/p9", "../x", "a\\b", ".", "..", "")],
+    )
+    def test_bad_id_exit_2(self, tmp_path, capsys, ids, message):
+        params = tmp_path / "params.csv"
+        params.write_text(
+            "id,tau,mu,sigma_ux,sigma_uy,sigma_vx,sigma_vy,theta_u,theta_v\n"
+            + "".join(f"{i},0.5,3,1,1,1,1,0,0\n" for i in ids)
+        )
+        assert run("generate", "--params-file", params, "--n", 20, "--out", tmp_path / "o") == 2
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [params]
+
 
 class TestCorpus:
     def test_builds_corpus_and_report(self, tmp_path, bench_csv):
@@ -445,6 +460,19 @@ class TestScoreMutations:
             assert not scores.exists()
         else:
             assert run("rank", scores, "--out", tmp_path / "ranking.csv") == 0
+
+    @pytest.mark.parametrize("key", ["regularization", "em_tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_em_setting_exit_2(self, tmp_path, model, monkeypatch, capsys, key, value):
+        fits = []
+        real = vqm.select_model
+        monkeypatch.setattr(vqm, "select_model", lambda *args: fits.append(args) or real(*args))
+        scores = tmp_path / "scores.csv"
+        flag = "--" + key.replace("_", "-")
+        assert run("score", P0, "--model", model, "--k-max", 3, flag, value, "--out", scores) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert fits == []
+        assert not scores.exists()
 
 
 class TestEvaluate:
