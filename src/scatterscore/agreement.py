@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import derive_seed, parse_rows, read_table, spawn_rng
+from .util import parse_rows, read_table, spawn_rng, spawn_rngs
 from .vqm import compare
 
 LANDIS_KOCH_BANDS = (
@@ -199,7 +199,7 @@ def bootstrap_kappa(group: GroupRatings, isolated: IsolatedRatings, b: int, seed
     n, n_cat = prop.shape
 
     def kappas(replicates):
-        rows = np.array([spawn_rng(seed, "bootstrap", i).integers(0, n, size=n) for i in replicates])
+        rows = np.array([rng.integers(0, n, size=n) for rng in spawn_rngs(seed, ("bootstrap",), replicates)])
         codes = iso[rows]
         return _kappas(prop[rows, codes].mean(axis=1), prop[rows].mean(axis=1), codes, n_cat)[0]
 
@@ -230,8 +230,9 @@ def pairwise_relations(scores, pairs) -> list[str]:
     return out
 
 
-def alter_decisions(relations, k: int, seed: int) -> list[str]:
-    """Change exactly k uniformly-chosen relations to a different symbol.
+def alter_decisions(relations, k: int, seed) -> list[str]:
+    """Change exactly k uniformly-chosen relations to a different symbol, drawing
+    from ``spawn_rng(seed, "alter")`` or from ``seed`` if it is such a Generator.
 
     Raises ValueError for k outside [0, len(relations)] or a relation
     outside ``RELATION_CATEGORIES``.
@@ -242,7 +243,7 @@ def alter_decisions(relations, k: int, seed: int) -> list[str]:
     if not _RELATION_SET.issuperset(relations):
         bad = next(r for r in relations if r not in _RELATION_SET)
         raise ValueError(f"relation {bad!r} is not one of {RELATION_CATEGORIES}")
-    rng = spawn_rng(seed, "alter")
+    rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(seed, "alter")
     if k:
         positions = rng.choice(len(relations), size=k, replace=False)
         for pos, bit in zip(positions.tolist(), rng.integers(2, size=k).tolist()):
@@ -264,7 +265,8 @@ def alteration_curve(relations, group: GroupRatings, k_values, b: int, seed: int
             table[ord(c)] = i
 
     def kappas(k, replicates):
-        text = "".join("".join(alter_decisions(relations, k, derive_seed(seed, "curve", k, j))) for j in replicates)
+        rngs = spawn_rngs(seed, ("curve", k), replicates, ("alter",))  # one Generator, reused
+        text = "".join("".join(alter_decisions(relations, k, rng)) for rng in rngs)
         codes = table[np.frombuffer(text.encode("ascii"), dtype=np.uint8)].reshape(len(replicates), n)
         if codes.min() < 0:
             raise ValueError(f"a relation is not one of the group's categories {group.categories}")
@@ -339,8 +341,8 @@ def read_pair_judgments_csv(path) -> tuple[list[tuple[str, str]], GroupRatings]:
     header, rows = read_table(path)
     if not rows:
         raise ValueError(f"{path}: no judgment rows")
-    if len(header) < 3:
-        raise ValueError(f"{path}: need two ids and at least one vote per row")
+    if len(header) < 3 or header[:2] != ["ida", "idb"]:
+        raise ValueError(f"{path}: expected columns idA,idB and at least one vote, got {header}")
     parsed = parse_rows(path, rows, _pair_judgment)
     pairs = [pair for pair, _ in parsed]
     votes = [row_votes for _, row_votes in parsed]

@@ -267,7 +267,8 @@ def cmd_evaluate(args, opts) -> int:
             raise ValueError("--b must be >= 1")
         scores = vqm.read_scores_csv(args.scores)
         pairs, group = agreement.read_pair_judgments_csv(args.pairs)
-        relations = agreement.pairwise_relations(scores, pairs)
+        with _input_errors(f"{args.pairs} against {args.scores}: "):
+            relations = agreement.pairwise_relations(scores, pairs)
         if mode == "alteration":
             ks = [s.strip() for s in opts["k_values"].split(",") if s.strip()]
             if not ks:

@@ -89,8 +89,8 @@ class DecisionTree:
 
 
 def _presort(X: np.ndarray) -> np.ndarray:
-    """(d, n) int32 array: row f lists the rows of X in stable order of feature f."""
-    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T, dtype=np.int32)
+    """(d, n) intp array (no cast at a gather): row f lists the rows of X in stable order of feature f."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
 def grow_tree(X: np.ndarray, y: np.ndarray, counts=None, *, order=None) -> DecisionTree:
@@ -114,9 +114,10 @@ def grow_tree(X: np.ndarray, y: np.ndarray, counts=None, *, order=None) -> Decis
     counts = counts.astype(float)
     ones_per_row = counts * y
     order = _presort(X) if order is None else order
-    values = np.ascontiguousarray(X.T)
+    values = np.ascontiguousarray(X.T).ravel()
     goes_left = np.zeros(n_rows, dtype=bool)
     features = np.arange(d)
+    offsets = features[:, None] * n_rows  # row f of a node's rows -> indices into values
 
     # A node's (d, m) array lists its m rows in order of each feature; the
     # filter and every partition are stable, so each row stays sorted.
@@ -124,17 +125,17 @@ def grow_tree(X: np.ndarray, y: np.ndarray, counts=None, *, order=None) -> Decis
     stack = [(0, order[counts[order] > 0].reshape(d, -1))]
     while stack:
         node, rows = stack.pop()
-        n_left = np.cumsum(counts[rows], axis=1)
-        ones_left = np.cumsum(ones_per_row[rows], axis=1)
-        n = int(n_left[0, -1])
-        ones = int(ones_left[0, -1])
+        n = int(counts[rows[0]].sum())
+        ones = int(ones_per_row[rows[0]].sum())
         f = -1
         if 0 < ones < n:
+            n_left = np.cumsum(counts[rows], axis=1)
+            ones_left = np.cumsum(ones_per_row[rows], axis=1)
             # Binary Gini impurity 2p(1-p) of both children at every cut, i.e.
             # between distinct consecutive values; other positions get inf.
             frac = ones / n
             parent_impurity = 2.0 * frac * (1.0 - frac)
-            sv = np.take_along_axis(values, rows, axis=1)
+            sv = values[rows + offsets]
             # In place, with each element's operations in the order of
             # (n_l*2*p_l*(1-p_l) + n_r*2*p_r*(1-p_r)) / n, to spare memory.
             n_left = n_left[:, :-1]
@@ -163,10 +164,10 @@ def grow_tree(X: np.ndarray, y: np.ndarray, counts=None, *, order=None) -> Decis
 
         thr = float(0.5 * (sv[f, cut[f]] + sv[f, cut[f] + 1]))
         goes_left[rows[f]] = sv[f] <= thr
-        to_left = goes_left[rows]
+        to_left = goes_left[rows].ravel()
         nodes[node][:4] = f, thr, len(nodes), len(nodes) + 1
-        stack.append((len(nodes), rows[to_left].reshape(d, -1)))
-        stack.append((len(nodes) + 1, rows[~to_left].reshape(d, -1)))
+        stack.append((len(nodes), np.compress(to_left, rows).reshape(d, -1)))
+        stack.append((len(nodes) + 1, np.compress(~to_left, rows).reshape(d, -1)))
         nodes += [[-1, 0.0, -1, -1, 0], [-1, 0.0, -1, -1, 0]]
 
     return DecisionTree.from_dict(dict(zip(("feature", "threshold", "left", "right", "leaf_class"), zip(*nodes))))

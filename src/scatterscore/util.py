@@ -3,6 +3,7 @@ that every file the package reads or writes goes through."""
 from __future__ import annotations
 
 import csv
+import itertools
 import zlib
 
 import numpy as np
@@ -32,6 +33,61 @@ def derive_seed(seed: int, *path) -> int:
 def spawn_rng(seed: int, *path) -> np.random.Generator:
     """Generator seeded by ``derive_seed(seed, *path)``."""
     return np.random.default_rng(derive_seed(seed, *path))
+
+
+# numpy's SeedSequence hash constants, and the multiplier of PCG64's LCG
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF, 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_block(parts, n64: int) -> np.ndarray:
+    """(m, n64) uint64: ``SeedSequence([_as_entropy(p) for p in parts]).generate_state(n64, np.uint64)``
+    per row, hashed in uint32 columns, where a uint64 array in ``parts`` gives one value per row.  Rows
+    whose value is one entropy word (below 2**32) where others are two go through SeedSequence."""
+    m = next(len(p) for p in parts if isinstance(p, np.ndarray))
+    columns = [p if isinstance(p, np.ndarray) else np.full(m, _as_entropy(p), dtype=np.uint64) for p in parts]
+    words, odd = [], np.zeros(m, dtype=bool)
+    for c in columns:
+        lo, hi = (c & _M32).astype(np.uint32), (c >> 32).astype(np.uint32)
+        words += [lo, hi] if hi.any() else [lo]
+        odd |= (hi == 0) & hi.any()
+    h, mult = _INIT_A, _MULT_A
+
+    def hashmix(v):
+        nonlocal h
+        v, h = v ^ h, h * mult & _M32
+        v = v * h
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = x * _MIX_L - y * _MIX_R
+        return r ^ (r >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else np.zeros(m, dtype=np.uint32)) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w, dst in itertools.product(words[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(w))
+    h, mult = _INIT_B, _MULT_B  # generate_state: the same step with other constants
+    state = np.stack([hashmix(pool[i % 4]) for i in range(2 * n64)], axis=1).astype("<u4").view("<u8")
+    for r in np.flatnonzero(odd):
+        state[r] = np.random.SeedSequence([int(c[r]) for c in columns]).generate_state(n64, dtype=np.uint64)
+    return state
+
+
+def spawn_rngs(seed: int, path: tuple, indices, *hops: tuple):
+    """For each j of ``indices``, one reused Generator in the state of ``spawn_rng(seed, *path, j)``, or of
+    ``spawn_rng(derive_seed(seed, *path, j), *hop)`` given one hop.  Use each before taking the next."""
+    values = _seed_block([seed, *path, np.asarray(indices, dtype=np.uint64)], 1)[:, 0]
+    for hop in hops:
+        values = _seed_block([values, *hop], 1)[:, 0]
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = rng.bit_generator.state  # has_uint32 and uinteger 0, as after seeding
+    for s_hi, s_lo, i_hi, i_lo in _seed_block([values], 4).tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128
+        state["state"] = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) % 2**128, "inc": inc}
+        rng.bit_generator.state = state
+        yield rng
 
 
 def fmt_num(x) -> str:

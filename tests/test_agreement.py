@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scatterscore import agreement
 from scatterscore.agreement import (
     _BLOCK,
     RELATION_CATEGORIES,
@@ -238,6 +239,14 @@ class TestAlterDecisions:
             for k in (0, 1, 7, 40):
                 assert alter_decisions(relations, k, seed) == reference_alter(relations, k, seed)
 
+    def test_generator_on_the_alter_stream_equals_its_seed(self):
+        rng = np.random.default_rng(13)
+        relations = [RELATION_CATEGORIES[i] for i in rng.integers(3, size=40)]
+        for seed in (0, 3, 2**40, -7):
+            for k in (0, 1, 7, 40):
+                expected = alter_decisions(relations, k, seed)
+                assert alter_decisions(relations, k, spawn_rng(seed, "alter")) == expected
+
 
 class TestAlterationCurve:
     def make_data(self, n=60, seed=4):
@@ -268,6 +277,14 @@ class TestAlterationCurve:
         a = alteration_curve(relations, group, [5, 15], b=50, seed=9)
         b = alteration_curve(relations, group, [5, 15], b=50, seed=9)
         assert a == b
+
+    def test_alters_each_replicate_through_module_attribute(self, monkeypatch):
+        # Tracing wraps agreement.alter_decisions to time the curve per k.
+        relations, group = self.make_data()
+        real, calls = agreement.alter_decisions, []
+        monkeypatch.setattr(agreement, "alter_decisions", lambda rel, k, rng: calls.append(k) or real(rel, k, rng))
+        alteration_curve(relations, group, [0, 3], b=_BLOCK + 2, seed=4)
+        assert calls == [0] * (_BLOCK + 2) + [3] * (_BLOCK + 2)
 
 
 # The per-replicate implementations that the blocked ones replaced: every

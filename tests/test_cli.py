@@ -551,6 +551,81 @@ class TestEvaluate:
         )
 
 
+# The file and damage kind of each evaluate mutation -> a fragment of its exit-2 message.
+EVAL_MUTATIONS = {
+    ("scores", "ragged_row"): "cells, got",
+    ("scores", "unknown_id"): "has no score",
+    ("scores", "m_above_k_star"): "need 1 <= m <= k_star",
+    ("scores", "non_integer_k_star"): "invalid literal for int()",
+    ("scores", "missing_header"): "expected score columns",
+    ("scores", "header_only"): "has no score",
+    ("pairs", "blank_vote"): "vote '' is not one of",
+    ("pairs", "ragged_row"): "cells, got",
+    ("pairs", "unknown_id"): "has no score",
+    ("pairs", "missing_header"): "expected columns idA,idB",
+    ("pairs", "header_only"): "no judgment rows",
+}
+EVAL_INPUTS = {"scores": DATA / "golden" / "scores.csv", "pairs": DATA / "pairs.csv"}
+
+
+def mutate_eval_csv(text: str, file: str, kind: str, rng: np.random.Generator) -> str:
+    """``text`` of the scores or pairs CSV with one ``kind`` of damage, at a row and cell drawn from ``rng``."""
+    header, *lines = text.splitlines()
+    if kind == "missing_header":
+        return "\n".join(lines) + "\n"
+    if kind == "header_only":
+        return header + "\n"
+    rows = [line.split(",") for line in lines]
+    r = int(rng.integers(len(rows)))
+    row = rows[r]
+    if kind == "ragged_row":
+        rows[r] = row[:-1] if rng.integers(2) else row + [row[-1]]
+    elif kind == "unknown_id":
+        row[int(rng.integers(2 if file == "pairs" else 1))] = "zz"
+    elif kind == "m_above_k_star":
+        row[2] = str(int(row[1]) + 1)
+    elif kind == "non_integer_k_star":
+        row[1] += ".5"
+    elif kind == "blank_vote":
+        row[int(rng.integers(2, len(row)))] = ""
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+def run_evaluate(tmp_path, mode, inputs, *extra):
+    out = tmp_path / ("kappa.json" if mode == "pairwise" else "curve.csv")
+    argv = ["--scores", inputs["scores"], "--pairs", inputs["pairs"], "--mode", mode, "--k-values", "0,2"]
+    return run("evaluate", *argv, "--b", 20, "--out", out, *extra), out
+
+
+@pytest.mark.parametrize("mode", ["pairwise", "alteration"])
+class TestEvaluateMutations:
+    """Seeded damage to the scores or the pair-judgment CSV: ``evaluate`` exits 2 in both modes,
+    names the damaged file and writes no output; valid variants exit 0."""
+
+    @pytest.mark.parametrize("file,kind", EVAL_MUTATIONS)
+    def test_damage_exit_2(self, tmp_path, capsys, mode, file, kind):
+        damaged = tmp_path / EVAL_INPUTS[file].name
+        rng = np.random.default_rng(list(EVAL_MUTATIONS).index((file, kind)))
+        damaged.write_text(mutate_eval_csv(EVAL_INPUTS[file].read_text(), file, kind, rng))
+        code, out = run_evaluate(tmp_path, mode, {**EVAL_INPUTS, file: damaged})
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert str(damaged) in err and EVAL_MUTATIONS[file, kind] in err
+        assert not out.exists()
+
+    def test_repeated_pair_exit_0(self, tmp_path, mode):
+        pairs = tmp_path / "pairs.csv"
+        text = EVAL_INPUTS["pairs"].read_text()
+        pairs.write_text(text + text.splitlines()[1] + "\n")
+        code, out = run_evaluate(tmp_path, mode, {**EVAL_INPUTS, "pairs": pairs})
+        assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize("seed", [-5, 2**70])
+    def test_any_integer_seed_exit_0(self, tmp_path, mode, seed):
+        code, out = run_evaluate(tmp_path, mode, EVAL_INPUTS, "--seed", seed)
+        assert code == 0 and out.exists()
+
+
 # A non-default value for every option key of every command.  Each is valid
 # with the other options at their defaults or at their FAST value.
 SET = {

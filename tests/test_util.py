@@ -3,7 +3,7 @@ import pytest
 
 from scatterscore.agreement import read_group_csv, read_pair_judgments_csv
 from scatterscore.augment import ingest_benchmark, read_corpus_csv
-from scatterscore.util import derive_seed, fmt_num, read_rows, read_table, spawn_rng, write_csv
+from scatterscore.util import _seed_block, derive_seed, fmt_num, read_rows, read_table, spawn_rng, spawn_rngs, write_csv
 from scatterscore.vqm import read_scores_csv
 
 
@@ -29,6 +29,61 @@ class TestDeriveSeed:
         b = spawn_rng(0, "right").random(4)
         assert not np.allclose(a, b)
         assert np.array_equal(a, spawn_rng(0, "left").random(4))
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ((0, "curve", 1, 0), 17630727604588420972),
+            ((0, "bootstrap", 0), 17922975798850960285),
+            ((7, "em", 2, 0), 12674888016811004084),
+            ((2**32, "tree", 3), 8787397701626043610),
+            ((-5, "x"), 14790545071208728077),
+        ],
+    )
+    def test_pinned_values(self, path, value):
+        # A change in numpy's SeedSequence fails here, not only in the golden files.
+        assert derive_seed(*path) == value
+
+
+# User seeds of one and two entropy words, and ones masked to 64 bits.
+SEEDS = (0, 5, 2**32 - 1, 2**32, 2**40 + 5, 2**64, 2**70 + 3, -1, -(2**33))
+
+
+def assert_same_generator(block, reference):
+    assert block.bit_generator.state == reference.bit_generator.state
+    assert block.integers(0, 2**62, size=2).tolist() == reference.integers(0, 2**62, size=2).tolist()
+
+
+class TestSpawnRngs:
+    """The block derivation against derive_seed / spawn_rng, over 10**5 paths."""
+
+    # block boundaries as the replicate loops cut them, plus ragged ones
+    RANGES = (range(0, 128), range(128, 256), range(256, 300), range(1000, 1257), range(4095, 4096))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_curve_paths_match_scalar(self, seed):
+        for k in (1, 5, 10, 50):
+            for replicates in self.RANGES + (range(300, 1000),):
+                rngs = spawn_rngs(seed, ("curve", k), replicates, ("alter",))
+                for j, rng in zip(replicates, rngs, strict=True):
+                    assert_same_generator(rng, spawn_rng(derive_seed(seed, "curve", k, j), "alter"))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bootstrap_paths_match_scalar(self, seed):
+        for replicates in self.RANGES + (range(300, 6000),):
+            for i, rng in zip(replicates, spawn_rngs(seed, ("bootstrap",), replicates), strict=True):
+                assert_same_generator(rng, spawn_rng(seed, "bootstrap", i))
+
+    def test_one_word_values_take_the_scalar_path(self):
+        # SeedSequence gives a value below 2**32 one entropy word, not two.
+        small = [0, 1, 5, 2**32 - 1]
+        for values in (small, small + [2**32, 2**63 + 7, 2**64 - 1], [2**40, 3, 2**50]):
+            column = np.array(values, dtype=np.uint64)
+            derived = _seed_block([column, "alter"], 1)[:, 0]
+            assert derived.tolist() == [derive_seed(v, "alter") for v in values]
+            states = _seed_block([column], 4)
+            expected = [np.random.SeedSequence(v).generate_state(4, dtype=np.uint64).tolist() for v in values]
+            assert states.tolist() == expected
 
 
 class TestFmtNum:
