@@ -30,9 +30,9 @@ LANDIS_KOCH_BANDS = (
 PERCENTILES = (2.5, 5.0, 25.0, 50.0, 75.0, 95.0, 97.5)
 
 RELATION_CATEGORIES = ("<", "=", ">")
-_RELATION_SET = frozenset(RELATION_CATEGORIES)
-# relation -> the two other symbols, picked by one random bit
-_ALTERNATIVES = {r: tuple(a for a in RELATION_CATEGORIES if a != r) for r in RELATION_CATEGORIES}
+_RELATION_CODE = {r: i for i, r in enumerate(RELATION_CATEGORIES)}
+# code of a relation -> the codes of the two other symbols, picked by one random bit
+_ALTERNATIVES = np.array([[a for a in range(3) if a != r] for r in range(3)], dtype=np.int8)
 
 # Replicates per block in the bootstrap and the alteration curve.  At
 # n = 435 items a (C, n) block is 0.45 MB and the bootstrap's resampled
@@ -197,9 +197,10 @@ def bootstrap_kappa(group: GroupRatings, isolated: IsolatedRatings, b: int, seed
     prop = _proportions(group, len(isolated.votes), "isolated votes", b)
     iso = isolated.codes(group.categories)
     n, n_cat = prop.shape
+    rngs = spawn_rngs(seed, ("bootstrap",), range(b))
 
     def kappas(replicates):
-        rows = np.array([rng.integers(0, n, size=n) for rng in spawn_rngs(seed, ("bootstrap",), replicates)])
+        rows = np.array([rng.integers(0, n, size=n) for _, rng in zip(replicates, rngs)])
         codes = iso[rows]
         return _kappas(prop[rows, codes].mean(axis=1), prop[rows].mean(axis=1), codes, n_cat)[0]
 
@@ -230,50 +231,58 @@ def pairwise_relations(scores, pairs) -> list[str]:
     return out
 
 
-def alter_decisions(relations, k: int, seed) -> list[str]:
+def _relation_codes(relations: list) -> np.ndarray:
+    """int8 index into ``RELATION_CATEGORIES`` of each relation; ValueError names the first that is none."""
+    codes = [_RELATION_CODE.get(r, -1) for r in relations]
+    if -1 in codes:
+        raise ValueError(f"relation {relations[codes.index(-1)]!r} is not one of {RELATION_CATEGORIES}")
+    return np.array(codes, dtype=np.int8)
+
+
+def alter_decisions(relations, k: int, seed):
     """Change exactly k uniformly-chosen relations to a different symbol, drawing
     from ``spawn_rng(seed, "alter")`` or from ``seed`` if it is such a Generator.
 
-    Raises ValueError for k outside [0, len(relations)] or a relation
-    outside ``RELATION_CATEGORIES``.
+    ``relations`` is a sequence of symbols, and a list of them is returned; or
+    an int8 array of their indices into ``RELATION_CATEGORIES``, not checked,
+    and a new such array is returned.  Raises ValueError for k outside
+    [0, len(relations)] or a symbol outside ``RELATION_CATEGORIES``.
     """
-    relations = list(relations)
+    coded = isinstance(relations, np.ndarray) and relations.dtype == np.int8
+    relations = relations if coded else list(relations)
     if not (0 <= k <= len(relations)):
         raise ValueError(f"k must be in [0, {len(relations)}], got {k}")
-    if not _RELATION_SET.issuperset(relations):
-        bad = next(r for r in relations if r not in _RELATION_SET)
-        raise ValueError(f"relation {bad!r} is not one of {RELATION_CATEGORIES}")
+    codes = relations.copy() if coded else _relation_codes(relations)
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(seed, "alter")
     if k:
-        positions = rng.choice(len(relations), size=k, replace=False)
-        for pos, bit in zip(positions.tolist(), rng.integers(2, size=k).tolist()):
-            relations[pos] = _ALTERNATIVES[relations[pos]][bit]
-    return relations
+        positions = rng.choice(len(codes), size=k, replace=False)
+        codes[positions] = _ALTERNATIVES[codes[positions], rng.integers(2, size=k)]
+    return codes if coded else [RELATION_CATEGORIES[c] for c in codes.tolist()]
 
 
 def alteration_curve(relations, group: GroupRatings, k_values, b: int, seed: int) -> list[AlterationPoint]:
     """Kappa distribution after k random decision alterations, per k."""
     relations = list(relations)
     prop = _proportions(group, len(relations), "relations", b)
+    codes = _relation_codes(relations)
     n, n_cat = prop.shape
     q_bar = prop.mean(axis=0)
     items = np.arange(n)
-    # ASCII code of a relation symbol -> its category index; -1 if the group lacks it
-    table = np.full(256, -1, dtype=np.int64)
-    for i, c in enumerate(group.categories):
-        if c in _RELATION_SET:
-            table[ord(c)] = i
+    # relation code -> its category index in the group; -1 if the group lacks it
+    table = np.array([group.categories.index(r) if r in group.categories else -1 for r in RELATION_CATEGORIES])
 
-    def kappas(k, replicates):
-        rngs = spawn_rngs(seed, ("curve", k), replicates, ("alter",))  # one Generator, reused
-        text = "".join("".join(alter_decisions(relations, k, rng)) for rng in rngs)
-        codes = table[np.frombuffer(text.encode("ascii"), dtype=np.uint8)].reshape(len(replicates), n)
-        if codes.min() < 0:
+    def kappas(k, rngs, replicates):
+        altered = table[np.array([alter_decisions(codes, k, rng) for _, rng in zip(replicates, rngs)])]
+        if altered.min() < 0:
             raise ValueError(f"a relation is not one of the group's categories {group.categories}")
         q = np.broadcast_to(q_bar, (len(replicates), n_cat))
-        return _kappas(prop[items, codes].mean(axis=1), q, codes, n_cat)[0]
+        return _kappas(prop[items, altered].mean(axis=1), q, altered, n_cat)[0]
 
-    return [_summarize(b, functools.partial(kappas, k), k) for k in k_values]
+    # one Generator per k, reused: each k's replicates take their states from it in order
+    return [
+        _summarize(b, functools.partial(kappas, k, spawn_rngs(seed, ("curve", k), range(b), ("alter",))), k)
+        for k in k_values
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +330,8 @@ def read_group_csv(path) -> tuple[list[str], GroupRatings]:
     header, rows = read_table(path)
     if not rows:
         raise ValueError(f"{path}: no rating rows")
-    if len(header) < 2:
-        raise ValueError(f"{path}: need an item id and at least one vote per row")
+    if len(header) < 2 or header[0] != "item_id":
+        raise ValueError(f"{path}: expected columns item_id and at least one vote, got {header}")
     ids = [cells[0] for _, cells in rows]
     votes = [tuple(cells[1:]) for _, cells in rows]
     categories = sorted({v for row in votes for v in row})

@@ -169,26 +169,36 @@ class FitResult:
 
 # ---------------------------------------------------------------------------
 # Density evaluation
+#
+# The kernel works on groups of k rows, one group per mixture: a (4, R*k, n) scratch array holds, for R
+# mixtures of k components each, one row per component in each of four planes.
 
 
 def _centre(x: np.ndarray, y: np.ndarray, means: np.ndarray, buf: np.ndarray) -> None:
-    """x and y minus each of the K means, into buf[2] and buf[3] of a (4, K, n) scratch array."""
+    """x and y minus each row of means, into buf[2] and buf[3] of a (4, rows, n) scratch array."""
     np.subtract(x, means[:, :1], out=buf[2])
     np.subtract(y, means[:, 1:], out=buf[3])
 
 
-def _log_joint(weights, covs, buf: np.ndarray) -> np.ndarray:
-    """(K, n) array of log(pi_k) + log g_k(p), in buf[0] of a (4, K, n) scratch array whose buf[2] and
-    buf[3] hold the points centred by :func:`_centre`; covs rows are (xx, xy, yy).  Each element gets
-    the operations, in the order, of a loop over components."""
-    columns = []
-    for (xx, xy, yy), weight in zip(np.asarray(covs, dtype=float).tolist(), weights):
-        det = xx * yy - xy * xy
-        if not (det > 0.0 and math.isfinite(det)):
-            raise DegenerateCovarianceError(f"covariance is singular (det={det})")
-        # math.log, not np.log: the two can differ in the last bit
-        columns.append((-0.5 * yy / det, xy / det, 0.5 * xx / det, 0.5 * math.log(det) + LOG_2PI, math.log(weight)))
-    a, b, c, log_norm, log_weight = np.array(columns).T[:, :, None]
+def _log_joint(weights, covs, buf: np.ndarray, k: int, failed: dict) -> np.ndarray:
+    """(rows, n) array of log(pi_j) + log g_j(p), in buf[0] of a (4, rows, n) scratch array whose buf[2]
+    and buf[3] hold the points centred by :func:`_centre`; covs rows are (xx, xy, yy).  Each element gets
+    the operations, in the order, of a loop over components.  Each group i of k rows that is not in
+    ``failed`` and has a singular covariance is added to it, with a message naming the group's first; the
+    rows of every group in ``failed`` get finite values that mean nothing."""
+    covs = np.array(covs, dtype=float)
+    det = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1]
+    for j in np.flatnonzero(~((det > 0.0) & np.isfinite(det))).tolist():
+        failed.setdefault(j // k, f"covariance is singular (det={det[j].item()})")
+    for i in failed:
+        covs[i * k:(i + 1) * k] = 0.0
+        det[i * k:(i + 1) * k] = 1.0
+    xx, xy, yy = covs.T
+    with np.errstate(over="ignore"):  # as Python floats would, a near-singular det gives inf columns
+        a, b, c = (-0.5 * yy / det)[:, None], (xy / det)[:, None], (0.5 * xx / det)[:, None]
+    # math.log, not np.log: the two can differ in the last bit
+    log_norm = np.array([0.5 * math.log(d) + LOG_2PI for d in det.tolist()])[:, None]
+    log_weight = np.array([math.log(v) for v in np.asarray(weights, dtype=float).tolist()])[:, None]
     lp, t, d0, d1 = buf
     # -quad/2 with quad = (yy*d0^2 - 2*xy*d0*d1 + xx*d1^2) / det
     np.multiply(a, d0, out=lp)
@@ -200,13 +210,15 @@ def _log_joint(weights, covs, buf: np.ndarray) -> np.ndarray:
     return lp
 
 
-def _posterior(logp: np.ndarray):
-    """Column-normalized exp(logp), computed in place, and the log of its column sums."""
-    m = logp.max(axis=0)
-    logp -= m
+def _posterior(logp: np.ndarray, k: int):
+    """exp(logp) normalized over each group of k rows, computed in place, and the (groups, n) log of the
+    group sums."""
+    groups = logp.reshape(-1, k, logp.shape[1])
+    m = groups.max(axis=1)
+    groups -= m[:, None]
     np.exp(logp, out=logp)
-    total = logp.sum(axis=0)
-    logp /= total
+    total = groups.sum(axis=1)
+    groups /= total[:, None]
     return logp, m + np.log(total)
 
 
@@ -216,16 +228,16 @@ def mixture_pdf(model: MixtureModel, points) -> np.ndarray:
     comps = model.components
     buf = np.empty((4, len(comps), x.shape[0]))
     _centre(x, y, np.array([c.mean for c in comps], dtype=float), buf)
-    logp = _log_joint([c.weight for c in comps], [(c.cov.xx, c.cov.xy, c.cov.yy) for c in comps], buf)
-    return np.exp(_posterior(logp)[1])
+    failed: dict = {}
+    logp = _log_joint([c.weight for c in comps], [(c.cov.xx, c.cov.xy, c.cov.yy) for c in comps], buf, len(comps),
+                      failed)
+    if failed:
+        raise DegenerateCovarianceError(failed[0])
+    return np.exp(_posterior(logp, len(comps))[1][0])
 
 
 # ---------------------------------------------------------------------------
 # EM fitting
-
-
-class _FitFailure(Exception):
-    pass
 
 
 def _kmeanspp_means(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -248,62 +260,84 @@ def _pooled_covariance(X: np.ndarray) -> np.ndarray:
     return d.T @ d / X.shape[0]
 
 
-def _e_step(w, weights, covs, buf) -> float:
-    """Log-likelihood of the centred points in buf with counts w; leaves the (K, n) responsibilities in buf[0]."""
-    _, lse = _posterior(_log_joint(weights, covs, buf))
-    return float((w * lse).sum())
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[j] @ b[j] for every row j; bitwise equal to the 1-D dot products."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _m_step(x, y, w, n_points, reg, buf):
-    """Weights, means and covariances from the responsibilities in buf[0]; overwrites buf, leaving the
-    points centred on the new means for the next E-step."""
+def _m_step(x, y, nk, n_points, reg, buf, k: int):
+    """Weights, means and covariances from the count-weighted responsibilities in buf[0] and their row
+    sums nk; overwrites buf, leaving the points centred on the new means for the next E-step."""
     rw, rd, d0, d1 = buf
-    rw *= w
-    nk = rw.sum(axis=1)
-    if any(v < 1e-10 for v in nk.tolist()):
-        raise _FitFailure("a component lost all responsibility")
     weights = nk / n_points
-    means = (np.array([rw @ x, rw @ y]) / nk).T
+    # one product per group: on stacked groups BLAS can round the last bit differently
+    sums = [(rw[j:j + k] @ x, rw[j:j + k] @ y) for j in range(0, rw.shape[0], k)]
+    means = (np.concatenate(sums, axis=1) / nk).T
     _centre(x, y, means, buf)
     np.multiply(rw, d0, out=rd)
     covs = np.empty((rw.shape[0], 3))
     covs[:, 0] = _row_dots(rd, d0) / nk + reg
     covs[:, 1] = _row_dots(rd, d1) / nk
     covs[:, 2] = _row_dots(np.multiply(rw, d1, out=rd), d1) / nk + reg
-    # scalar pow for xy**2, as in _run_em's first check: np.square can differ in the last bit
-    if any(xx * yy - xy**2 <= 0.0 for xx, xy, yy in covs.tolist()):
-        raise _FitFailure("covariance collapsed to a singular matrix")
     return weights, means, covs
 
 
-def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float, restart: int):
-    """One EM run: seeded and scaled on all of X, iterated on its distinct points."""
-    rng = spawn_rng(config.seed, "em", k, restart)
-    means = _kmeanspp_means(X, k, rng)
+def _leave(buf: np.ndarray, k: int, live: list, ended: dict, outcomes: list) -> np.ndarray:
+    """Set ``outcomes[live[i]] = ended[i]`` for each group i in ended, drop those groups from live and move
+    the k rows of each other group down in every plane of buf; returns the kept rows' former indices."""
+    kept = [i for i in range(len(live)) if i not in ended]
+    for i, outcome in ended.items():
+        outcomes[live[i]] = outcome
+    for new, old in enumerate(kept):
+        if new != old:
+            buf[:, new * k:(new + 1) * k] = buf[:, old * k:(old + 1) * k]
+    live[:] = [live[i] for i in kept]
+    return (np.array(kept, dtype=np.intp)[:, None] * k + np.arange(k)).ravel()
+
+
+def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float) -> list:
+    """The ``config.n_restarts`` EM runs of one K in lockstep, as one block with a group of k rows per run:
+    seeded and scaled on all of X, iterated on its distinct points.  A run leaves the block after the
+    E-step in which it converges, reaches ``max_iterations`` or fails.  Returns each run's (weights, means,
+    covs, loglik, trace), or the message of its failure, in restart order."""
+    n_runs = config.n_restarts
     pooled = _pooled_covariance(X)
     cov0 = np.array([pooled[0, 0] + reg, pooled[0, 1], pooled[1, 1] + reg])
     if cov0[0] * cov0[2] - cov0[1] ** 2 <= 0.0:
-        raise _FitFailure("initial pooled covariance is singular")
-    covs = np.tile(cov0, (k, 1))
-    weights = np.full(k, 1.0 / k)
+        return ["initial pooled covariance is singular"] * n_runs
+    means = np.concatenate([_kmeanspp_means(X, k, spawn_rng(config.seed, "em", k, r)) for r in range(n_runs)])
+    covs = np.tile(cov0, (n_runs * k, 1))
+    weights = np.full(n_runs * k, 1.0 / k)
 
     x, y, w = grouped
-    buf = np.empty((4, k, x.shape[0]))
+    buf = np.empty((4, n_runs * k, x.shape[0]))
     _centre(x, y, means, buf)
-    trace = []
-    for _ in range(config.max_iterations + 1):
-        loglik = _e_step(w, weights, covs, buf)
-        converged = bool(trace) and loglik - trace[-1] <= config.em_tolerance * max(1.0, abs(trace[-1]))
-        trace.append(loglik)
-        if converged or len(trace) > config.max_iterations:
-            break
-        weights, means, covs = _m_step(x, y, w, X.shape[0], reg, buf)
-    return weights, means, covs, loglik, np.array(trace)
+    live, outcomes, traces = list(range(n_runs)), [None] * n_runs, [[] for _ in range(n_runs)]
+    ended: dict = {}  # group -> outcome of each run that leaves after this E-step
+    while True:
+        block = buf[:, :len(live) * k]
+        logp = _log_joint(weights, covs, block, k, ended)
+        logliks = (w * _posterior(logp, k)[1]).sum(axis=1).tolist()
+        nk = np.multiply(block[0], w, out=block[0]).sum(axis=1)
+        nks = nk.tolist()
+        for i, (trace, loglik) in enumerate(zip([traces[r] for r in live], logliks)):
+            if i in ended:
+                continue
+            converged = bool(trace) and loglik - trace[-1] <= config.em_tolerance * max(1.0, abs(trace[-1]))
+            trace.append(loglik)
+            rows = slice(i * k, (i + 1) * k)
+            if converged or len(trace) > config.max_iterations:
+                ended[i] = (weights[rows], means[rows], covs[rows], loglik, np.array(trace))
+            elif any(v < 1e-10 for v in nks[rows]):
+                ended[i] = "a component lost all responsibility"
+        if ended:
+            nk = nk[_leave(buf, k, live, ended, outcomes)]
+            if not live:
+                return outcomes
+        weights, means, covs = _m_step(x, y, nk, X.shape[0], reg, buf[:, :len(live) * k], k)
+        # scalar pow for xy**2, as in the cov0 check: np.square can differ in the last bit
+        ended = {j // k: "covariance collapsed to a singular matrix"
+                 for j, (xx, xy, yy) in enumerate(covs.tolist()) if xx * yy - xy**2 <= 0.0}
 
 
 def _effective_regularization(X: np.ndarray, config: FitConfig) -> float:
@@ -330,8 +364,9 @@ def _build_model(weights, means, covs, loglik, n) -> MixtureModel:
 def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig):
     """Fit a k-component mixture; also return per-restart log-likelihood traces.
 
-    Runs ``config.n_restarts`` EM runs from k-means++-style seedings and
-    keeps the best final log-likelihood.  EM iterates over the distinct
+    Runs ``config.n_restarts`` EM runs from k-means++-style seedings, in
+    lockstep, and keeps the first with the best final log-likelihood.  A
+    run's result does not depend on the others.  EM iterates over the distinct
     points, each weighted by how often it occurs, which gives the same
     likelihood as iterating over all N; seeding and the regularization
     scale use all N points.  Raises :class:`DegenerateCovarianceError`
@@ -348,21 +383,12 @@ def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig):
     x, y = np.ascontiguousarray(distinct.T)
     grouped = (x, y, counts.astype(float))
 
-    best = None
-    traces: list[np.ndarray] = []
-    last_failure = "no restart attempted"
-    for restart in range(config.n_restarts):
-        try:
-            weights, means, covs, loglik, trace = _run_em(X, grouped, k, config, reg, restart)
-        except (_FitFailure, DegenerateCovarianceError) as exc:
-            last_failure = str(exc)
-            continue
-        traces.append(trace)
-        if best is None or loglik > best[3]:
-            best = (weights, means, covs, loglik)
-    if best is None:
-        raise DegenerateCovarianceError(f"all {config.n_restarts} EM restarts failed: {last_failure}")
-    return _build_model(*best, scatterplot.n), traces
+    outcomes = _run_em(X, grouped, k, config, reg)
+    fits = [outcome for outcome in outcomes if not isinstance(outcome, str)]
+    if not fits:
+        raise DegenerateCovarianceError(f"all {config.n_restarts} EM restarts failed: {outcomes[-1]}")
+    best = max(fits, key=lambda fit: fit[3])  # the first restart with the largest log-likelihood
+    return _build_model(*best[:4], scatterplot.n), [fit[4] for fit in fits]
 
 
 def fit_em(scatterplot: Scatterplot, k: int, config: FitConfig) -> MixtureModel:

@@ -77,17 +77,22 @@ def _seed_block(parts, n64: int) -> np.ndarray:
 
 def spawn_rngs(seed: int, path: tuple, indices, *hops: tuple):
     """For each j of ``indices``, one reused Generator in the state of ``spawn_rng(seed, *path, j)``, or of
-    ``spawn_rng(derive_seed(seed, *path, j), *hop)`` given one hop.  Use each before taking the next."""
+    ``spawn_rng(derive_seed(seed, *path, j), *hop)`` given one hop.  Use each before taking the next.
+
+    The seeds of all indices are derived at once, on the first draw; they become Python ints 128 at a
+    time, which keeps a list of ints for every index out of memory."""
     values = _seed_block([seed, *path, np.asarray(indices, dtype=np.uint64)], 1)[:, 0]
     for hop in hops:
         values = _seed_block([values, *hop], 1)[:, 0]
+    states = _seed_block([values], 4)
     rng = np.random.Generator(np.random.PCG64(0))
     state = rng.bit_generator.state  # has_uint32 and uinteger 0, as after seeding
-    for s_hi, s_lo, i_hi, i_lo in _seed_block([values], 4).tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128
-        state["state"] = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) % 2**128, "inc": inc}
-        rng.bit_generator.state = state
-        yield rng
+    for start in range(0, len(states), 128):
+        for s_hi, s_lo, i_hi, i_lo in states[start:start + 128].tolist():
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128
+            state["state"] = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) % 2**128, "inc": inc}
+            rng.bit_generator.state = state
+            yield rng
 
 
 def fmt_num(x) -> str:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,19 @@ class TestAlterDecisions:
             for k in (0, 1, 7, 40):
                 assert alter_decisions(relations, k, seed) == reference_alter(relations, k, seed)
 
+    def test_coded_array_equals_the_list(self):
+        rng = np.random.default_rng(14)
+        relations = [RELATION_CATEGORIES[i] for i in rng.integers(3, size=40)]
+        codes = np.array([RELATION_CATEGORIES.index(r) for r in relations], dtype=np.int8)
+        for seed in range(200):
+            for k in (0, 1, 7, 40):
+                got = alter_decisions(codes, k, seed)
+                assert got.dtype == np.int8 and got is not codes
+                assert [RELATION_CATEGORIES[c] for c in got] == alter_decisions(relations, k, seed)
+        assert [RELATION_CATEGORIES[c] for c in codes] == relations
+        with pytest.raises(ValueError, match=r"k must be in \[0, 40\], got 41"):
+            alter_decisions(codes, 41, 0)
+
     def test_generator_on_the_alter_stream_equals_its_seed(self):
         rng = np.random.default_rng(13)
         relations = [RELATION_CATEGORIES[i] for i in rng.integers(3, size=40)]
@@ -439,6 +454,22 @@ class TestCsv:
         assert ids == ["itm1", "itm2"]
         assert group.raters == 3
         assert group.categories == ("0", "1")
+
+    @pytest.mark.parametrize("header", ["ITEM_ID,r1,r2,r3\n", "Item_Id,a,b,c\n"])
+    def test_group_csv_header_in_any_case(self, tmp_path, header):
+        p = tmp_path / "group.csv"
+        p.write_text(header + "itm1,1,0,1\n")
+        assert read_group_csv(p)[0] == ["itm1"]
+
+    @pytest.mark.parametrize("text", ["i1,1,0,1\ni2,0,0,0\n", "item_id\ni1\n", "id,r1\ni1,1\n"])
+    def test_group_csv_without_its_header_rejected(self, tmp_path, text):
+        # a file without the header line would lose its first item to it
+        p = tmp_path / "group.csv"
+        p.write_text(text)
+        header = [c.lower() for c in text.splitlines()[0].split(",")]
+        message = f"group.csv: expected columns item_id and at least one vote, got {header}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_group_csv(p)
 
     def test_pair_judgments_csv(self, tmp_path):
         p = tmp_path / "pairs.csv"

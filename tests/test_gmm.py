@@ -45,7 +45,7 @@ def kernel_log_joint(x, y, weights, means, covs):
     """``gmm._log_joint`` of the points centred on ``means`` in a fresh buffer."""
     buf = np.empty((4, len(weights), x.shape[0]))
     gmm._centre(x, y, np.asarray(means, dtype=float), buf)
-    return gmm._log_joint(weights, covs, buf)
+    return gmm._log_joint(weights, covs, buf, len(weights), {})
 
 
 def map_component(model, point) -> int:
@@ -254,7 +254,11 @@ class TestFitEm:
 
 
 # ---------------------------------------------------------------------------
-# Bit identity of the (K, n) EM kernel with per-component reference loops
+# Bit identity of the lockstep EM kernel with per-restart, per-component reference loops
+
+
+class ReferenceFailure(Exception):
+    pass
 
 
 def reference_component_log_pdf(x, y, mean, xx, xy, yy):
@@ -290,7 +294,7 @@ def reference_m_step(x, y, w, n_points, resp, reg):
     rw = resp * w
     nk = rw.sum(axis=1)
     if np.any(nk < 1e-10):
-        raise gmm._FitFailure("a component lost all responsibility")
+        raise ReferenceFailure("a component lost all responsibility")
     weights = nk / n_points
     means = np.column_stack([rw @ x, rw @ y]) / nk[:, None]
     covs = np.empty((k, 3))
@@ -302,7 +306,7 @@ def reference_m_step(x, y, w, n_points, resp, reg):
         covs[j, 1] = rd0 @ d1 / nk[j]
         covs[j, 2] = (rw[j] * d1) @ d1 / nk[j] + reg
         if covs[j, 0] * covs[j, 2] - covs[j, 1] ** 2 <= 0.0:
-            raise gmm._FitFailure("covariance collapsed to a singular matrix")
+            raise ReferenceFailure("covariance collapsed to a singular matrix")
     return weights, means, covs
 
 
@@ -312,7 +316,7 @@ def reference_run_em(X, grouped, k, config, reg, restart):
     pooled = gmm._pooled_covariance(X)
     cov0 = np.array([pooled[0, 0] + reg, pooled[0, 1], pooled[1, 1] + reg])
     if cov0[0] * cov0[2] - cov0[1] ** 2 <= 0.0:
-        raise gmm._FitFailure("initial pooled covariance is singular")
+        raise ReferenceFailure("initial pooled covariance is singular")
     covs = np.tile(cov0, (k, 1))
     weights = np.full(k, 1.0 / k)
     trace = []
@@ -329,16 +333,33 @@ def reference_run_em(X, grouped, k, config, reg, restart):
     return weights, means, covs, loglik, np.array(trace)
 
 
-def em_outcome(run_em, X, k, config, restart):
-    """The bytes of one EM run's results, or its exception's type and message."""
+def grouped_points(X):
     distinct, counts = np.unique(X, axis=0, return_counts=True)
     x, y = np.ascontiguousarray(distinct.T)
-    try:
-        result = run_em(X, (x, y, counts.astype(float)), k, config, gmm._effective_regularization(X, config),
-                        restart)
-    except (gmm._FitFailure, DegenerateCovarianceError) as exc:
-        return type(exc), str(exc)
-    return tuple(np.asarray(v, dtype=float).tobytes() for v in result)
+    return x, y, counts.astype(float)
+
+
+def reference_runs(X, k, config):
+    """Each restart of ``reference_run_em`` run on its own: its results, or its failure message."""
+    grouped, reg = grouped_points(X), gmm._effective_regularization(X, config)
+    runs = []
+    for restart in range(config.n_restarts):
+        try:
+            runs.append(reference_run_em(X, grouped, k, config, reg, restart))
+        except (ReferenceFailure, DegenerateCovarianceError) as exc:
+            runs.append(str(exc))
+    return runs
+
+
+def kernel_runs(X, k, config):
+    """The restarts of one K run in lockstep by ``gmm._run_em``."""
+    return gmm._run_em(X, grouped_points(X), k, config, gmm._effective_regularization(X, config))
+
+
+def run_bytes(runs):
+    """The bytes of each run's results; a failure message stays as it is."""
+    return [run if isinstance(run, str) else tuple(np.asarray(v, dtype=float).tobytes() for v in run)
+            for run in runs]
 
 
 def fit_outcome(sp, k, config):
@@ -347,6 +368,22 @@ def fit_outcome(sp, k, config):
     except DegenerateCovarianceError as exc:
         return str(exc)
     return model, [t.tobytes() for t in traces]
+
+
+def reference_fit_outcome(sp, k, config):
+    """``fit_outcome`` of the reference runs: the first restart with the largest log-likelihood is kept,
+    and when every restart fails the last failure is reported."""
+    best, traces, last_failure = None, [], None
+    for run in reference_runs(sp.points, k, config):
+        if isinstance(run, str):
+            last_failure = run
+            continue
+        traces.append(run[4].tobytes())
+        if best is None or run[3] > best[3]:
+            best = run
+    if best is None:
+        return f"all {config.n_restarts} EM restarts failed: {last_failure}"
+    return gmm._build_model(*best[:4], sp.n), traces
 
 
 def blob_plot(n_blobs, n, seed):
@@ -371,15 +408,39 @@ def raised(call, *args):
     return None
 
 
+def mixed_exit_plot():
+    """A blob and lattice points on which, under MIXED_EXITS, K=6 restarts leave the block at different
+    iterations: covariances collapse in the 7th and 8th M-step, a component is lost in the 8th, one
+    restart converges after the 9th, and the rest stop at the cap of 10."""
+    rng = np.random.default_rng(11)
+    m = int(rng.integers(8, 16))
+    blob = rng.normal(size=(int(rng.integers(20, 60)), 2)) * 2 + 20
+    return Scatterplot(np.vstack([blob, np.round(rng.normal(size=(m, 2)) * 1.5) / 1.5]))
+
+
+MIXED_EXITS = FitConfig(regularization=0.0, n_restarts=10, max_iterations=10, seed=0, em_tolerance=1e-3)
+
+
 class TestKernelBitIdentity:
     @pytest.mark.parametrize("regularization", [1e-6, 0.0])
     @pytest.mark.parametrize("name", sorted(KERNEL_PLOTS))
-    def test_fits_and_traces_match_reference(self, monkeypatch, name, regularization):
+    def test_fits_and_traces_match_reference(self, name, regularization):
         sp = KERNEL_PLOTS[name]
         cfg = FitConfig(n_restarts=2, max_iterations=60, seed=3, regularization=regularization)
-        kernel = [fit_outcome(sp, k, cfg) for k in range(1, 11)]
-        monkeypatch.setattr(gmm, "_run_em", reference_run_em)
-        assert kernel == [fit_outcome(sp, k, cfg) for k in range(1, 11)]
+        assert [fit_outcome(sp, k, cfg) for k in range(1, 11)] == [reference_fit_outcome(sp, k, cfg)
+                                                                   for k in range(1, 11)]
+
+    def test_restarts_leave_the_block_at_different_iterations(self):
+        X = mixed_exit_plot().points
+        expected = reference_runs(X, 6, MIXED_EXITS)
+        lengths = [len(run[4]) for run in expected if not isinstance(run, str)]
+        failures = [run for run in expected if isinstance(run, str)]
+        assert min(lengths) < MIXED_EXITS.max_iterations + 1 == max(lengths)
+        assert sorted(set(failures)) == ["a component lost all responsibility",
+                                         "covariance collapsed to a singular matrix"]
+        assert run_bytes(kernel_runs(X, 6, MIXED_EXITS)) == run_bytes(expected)
+        assert fit_outcome(mixed_exit_plot(), 6, MIXED_EXITS) == reference_fit_outcome(mixed_exit_plot(), 6,
+                                                                                        MIXED_EXITS)
 
     def test_log_joint_matches_reference(self):
         model = fit_em(KERNEL_PLOTS["blobs5"], 6, FitConfig(n_restarts=1, max_iterations=40))
@@ -391,10 +452,33 @@ class TestKernelBitIdentity:
         )
         assert kernel_log_joint(x, y, *args).tobytes() == reference_log_joint(x, y, *args).tobytes()
 
+    def test_restart_failing_the_determinant_check_leaves_the_block(self):
+        # Without regularization one restart's covariance gets so narrow that an inf column meets a 0
+        # (numpy warns "invalid value", here as in the per-restart loop): its covariances turn NaN and the
+        # determinant check of the next E-step fails, while the other restarts collapse or converge.
+        X = mixed_exit_plot().points
+        cfg = FitConfig(regularization=0.0, n_restarts=6, max_iterations=12, seed=1, em_tolerance=1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_runs(X, 4, cfg)
+            got = kernel_runs(X, 4, cfg)
+        assert expected[1] == "covariance is singular (det=nan)"
+        assert [len(run[4]) for run in expected if not isinstance(run, str)] == [11, 12]
+        assert run_bytes(got) == run_bytes(expected)
+
     @pytest.mark.parametrize("n", [1, 3, 17, 500, 2038, 4001])
     def test_row_dots_equal_one_dimensional_dots(self, n):
         a, b = np.random.default_rng(n).normal(size=(2, 10, n)) * 7.0
         assert gmm._row_dots(a, b).tobytes() == np.array([a[j] @ b[j] for j in range(10)]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 500, 2038])
+    def test_block_reductions_equal_per_block_reductions(self, n):
+        # the E-step reduces R groups of K rows at once where the per-restart loop reduced one (K, n) array
+        for r, k in [(1, 1), (2, 3), (5, 4), (5, 8), (3, 9), (5, 10)]:
+            a = np.random.default_rng(n * k + r).normal(size=(r, k, n)) * 7.0
+            for reduce in (np.max, np.sum):
+                assert reduce(a, axis=1).tobytes() == np.array([reduce(a[i], axis=0) for i in range(r)]).tobytes()
+            w, lse = a[0, 0] ** 2, a[:, 0]
+            assert (w * lse).sum(axis=1).tobytes() == np.array([(w * lse[i]).sum() for i in range(r)]).tobytes()
 
 
 class TestKernelFailures:
@@ -403,32 +487,50 @@ class TestKernelFailures:
     X = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 2.0], [0.5, 3.0]])
     W = np.array([1.0, 2.0, 1.0, 3.0])
 
+    @staticmethod
+    def centred(x, y, rows):
+        """A (4, rows, n) buffer with the points centred on the origin."""
+        buf = np.empty((4, rows, x.shape[0]))
+        gmm._centre(x, y, np.zeros((rows, 2)), buf)
+        return buf
+
     def test_singular_covariance_first_bad_component_named(self):
         x, y = self.X.T.copy()
         means = np.zeros((3, 2))
         covs = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, 2.0, 1.0]])  # det 1, 0, -3
         expected = raised(reference_e_step, x, y, self.W, np.full(3, 1 / 3), means, covs)
         assert expected == (DegenerateCovarianceError, "covariance is singular (det=0.0)")
-        buf = np.empty((4, 3, 4))
-        gmm._centre(x, y, means, buf)
-        assert raised(gmm._e_step, self.W, np.full(3, 1 / 3), covs, buf) == expected
+        failed = {}
+        assert np.isfinite(gmm._log_joint(np.full(3, 1 / 3), covs, self.centred(x, y, 3), 3, failed)).all()
+        assert failed == {0: expected[1]}
+        # in a block of restarts, only the group holding a singular covariance fails, and its rows stay finite
+        good = covs[:1].repeat(3, axis=0)
+        failed = {}
+        lp = gmm._log_joint(np.full(9, 1 / 3), np.vstack([good, covs, covs[::-1]]), self.centred(x, y, 9), 3, failed)
+        assert failed == {1: expected[1], 2: "covariance is singular (det=-3.0)"}
+        assert lp[:3].tobytes() == reference_log_joint(x, y, np.full(3, 1 / 3), means, good).tobytes()
+        assert np.isfinite(lp[3:]).all()
+        model = MixtureModel(tuple(GaussianComponent(1 / 3, Point2D(0.0, 0.0), Covariance2(*c)) for c in covs), 0.0, 4)
+        assert raised(mixture_pdf, model, self.X) == expected
 
     def test_component_losing_all_responsibility(self):
         x, y = self.X.T.copy()
         resp = np.array([[0.5, 1.0, 0.0, 0.2], [0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 1.0, 0.8]])
         expected = raised(reference_m_step, x, y, self.W, 7, resp, 1e-6)
-        assert expected == (gmm._FitFailure, "a component lost all responsibility")
-        buf = np.empty((4, 3, 4))
-        buf[0] = resp
-        assert raised(gmm._m_step, x, y, self.W, 7, 1e-6, buf) == expected
+        assert expected == (ReferenceFailure, "a component lost all responsibility")
+        # in the block, the restart that loses a component leaves it with that message
+        X = mixed_exit_plot().points
+        reference = reference_runs(X, 6, MIXED_EXITS)
+        kernel = kernel_runs(X, 6, MIXED_EXITS)
+        lost = [i for i, run in enumerate(reference) if run == expected[1]]
+        assert lost and [kernel[i] for i in lost] == [expected[1]] * len(lost)
 
     def test_collapsed_covariance_without_regularization(self):
         X = np.repeat([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], 3, axis=0)
         cfg = FitConfig(regularization=0.0, n_restarts=3, seed=0)
-        for restart in range(3):
-            expected = em_outcome(reference_run_em, X, 3, cfg, restart)
-            assert expected == (gmm._FitFailure, "covariance collapsed to a singular matrix")
-            assert em_outcome(gmm._run_em, X, 3, cfg, restart) == expected
+        expected = reference_runs(X, 3, cfg)
+        assert expected == ["covariance collapsed to a singular matrix"] * 3
+        assert kernel_runs(X, 3, cfg) == expected
 
 
 class TestBic:
