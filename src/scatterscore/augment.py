@@ -338,4 +338,8 @@ def read_corpus_csv(path) -> TrainingCorpus:
         features = AlignedPairFeatures.from_vector(cells[:8])
         return LabeledPair(features=features, label=int(cells[8]), origin_id=cells[9])
 
-    return TrainingCorpus(records=tuple(parse_rows(path, rows, parse)))
+    records = parse_rows(path, rows, parse)
+    try:
+        return TrainingCorpus(records=records)
+    except ValueError as exc:  # a repeated feature tuple
+        raise ValueError(f"{path}: {exc}") from None

@@ -203,6 +203,7 @@ def cmd_train(args, opts) -> int:
             raise ValueError(f"knn_k must be >= 1, got {opts['knn_k']}")
         config = _config(TrainConfig, _TRAIN_FIELDS, opts, preprocess=_preprocess_spec(opts))
         corpus = augment.read_corpus_csv(args.corpus)
+    with _input_errors(f"{args.corpus}: "):
         mergemodel.check_corpus(corpus, config, cv=opts["cv"])
 
     if method == "treebag":

@@ -298,7 +298,8 @@ def _leave(buf: np.ndarray, k: int, live: list, ended: dict, outcomes: list) -> 
 def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float) -> list:
     """The ``config.n_restarts`` EM runs of one K in lockstep, as one block with a group of k rows per run:
     seeded and scaled on all of X, iterated on its distinct points.  A run leaves the block after the
-    E-step in which it converges, reaches ``max_iterations`` or fails.  Returns each run's (weights, means,
+    E-step in which it converges, reaches ``max_iterations`` or fails (a singular covariance, a lost
+    component, or a log-likelihood that is not finite at the end).  Returns each run's (weights, means,
     covs, loglik, trace), or the message of its failure, in restart order."""
     n_runs = config.n_restarts
     pooled = _pooled_covariance(X)
@@ -327,7 +328,9 @@ def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float) -> li
             trace.append(loglik)
             rows = slice(i * k, (i + 1) * k)
             if converged or len(trace) > config.max_iterations:
-                ended[i] = (weights[rows], means[rows], covs[rows], loglik, np.array(trace))
+                # in picking the best restart, nothing compares > NaN
+                ended[i] = ((weights[rows], means[rows], covs[rows], loglik, np.array(trace)) if math.isfinite(loglik)
+                            else f"log-likelihood is not finite ({loglik})")
             elif any(v < 1e-10 for v in nks[rows]):
                 ended[i] = "a component lost all responsibility"
         if ended:
@@ -370,7 +373,7 @@ def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig):
     points, each weighted by how often it occurs, which gives the same
     likelihood as iterating over all N; seeding and the regularization
     scale use all N points.  Raises :class:`DegenerateCovarianceError`
-    when every restart collapses (e.g. all points identical with zero
+    when every restart fails (e.g. all points identical with zero
     regularization).
     """
     if k < 1:

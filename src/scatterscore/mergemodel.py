@@ -18,7 +18,7 @@ import numpy as np
 from .augment import canonical_key
 from .pairspace import AlignedPairFeatures
 from .preprocess import FittedPreprocess, PreprocessSpec, fit_preprocess
-from .trees import DecisionTree, ensemble_vote_fraction, fit_bagged_trees
+from .trees import DecisionTree, bagged_majority, ensemble_vote_fraction, fit_bagged_trees
 from .util import derive_seed, spawn_rng
 
 BALANCE_METHODS = ("none", "up_sample", "down_sample")
@@ -233,14 +233,6 @@ def _prepare(X: np.ndarray, y: np.ndarray, train: np.ndarray, config: TrainConfi
     return fitted, fitted.apply_matrix(X_rows), y[rows]
 
 
-def _fit_and_score(X, y, train, test, config: TrainConfig, seed: int, metadata: dict):
-    """Bag trees on the rows ``train`` of (X, y); returns (model, confusion on the rows ``test``)."""
-    fitted, X_train, y_train = _prepare(X, y, train, config, seed)
-    trees = fit_bagged_trees(X_train, y_train, config.n_trees, derive_seed(seed, "bag"))
-    model = MergingModel(preprocess=fitted, trees=tuple(trees), metadata=metadata)
-    return model, ConfusionCounts.from_predictions(y[test], predict_matrix(model, X[test]))
-
-
 def train_bagged(corpus, config: TrainConfig):
     """Split, balance, preprocess, and bag trees; returns (model, test confusion).
 
@@ -259,7 +251,10 @@ def train_bagged(corpus, config: TrainConfig):
         "n_train": len(train),
         "n_test": len(test),
     }
-    return _fit_and_score(X, y, train, test, config, config.seed, metadata)
+    fitted, X_train, y_train = _prepare(X, y, train, config, config.seed)
+    trees = fit_bagged_trees(X_train, y_train, config.n_trees, derive_seed(config.seed, "bag"))
+    model = MergingModel(preprocess=fitted, trees=tuple(trees), metadata=metadata)
+    return model, ConfusionCounts.from_predictions(y[test], predict_matrix(model, X[test]))
 
 
 def _merges(frac: np.ndarray) -> np.ndarray:
@@ -302,14 +297,17 @@ def cross_validate(corpus, config: TrainConfig) -> list[float]:
     """Repeated stratified k-fold MCC; everything re-fitted inside folds.
 
     Fold membership is derived from a seeded permutation of records sorted
-    by content, so shuffling the corpus row order changes nothing.
+    by content, so shuffling the corpus row order changes nothing.  A fold
+    grows only what decides its test rows' votes (``bagged_majority``).
     """
     records = list(corpus)
     X, y = _matrix(records)
     out: list[float] = []
     for rep, f, train, test in _cv_folds(records, y, config):
-        _, confusion = _fit_and_score(X, y, train, test, config, derive_seed(config.seed, "cv", rep, f), {})
-        out.append(mcc(confusion))
+        seed = derive_seed(config.seed, "cv", rep, f)
+        fitted, X_train, y_train = _prepare(X, y, train, config, seed)
+        votes = bagged_majority(X_train, y_train, config.n_trees, derive_seed(seed, "bag"), fitted.apply_matrix(X[test]))
+        out.append(mcc(ConfusionCounts.from_predictions(y[test], votes)))
     return out
 
 

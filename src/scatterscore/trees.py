@@ -9,7 +9,9 @@ No node sorts anything (the presorted-attribute design of CART and SLIQ):
 each feature is argsorted once per bag, and nodes keep their rows in that
 order, partitioned stably.  A bootstrap is given as row counts, exact
 integers, and cuts fall only between distinct values, so a tree grown from
-counts equals the one grown on the resampled rows, bit for bit.
+counts equals the one grown on the resampled rows, bit for bit; a bag merges
+identical (row, label) pairs first.  A majority vote alone (cross-validation)
+grows each tree only where undecided query rows reach it.
 """
 from __future__ import annotations
 
@@ -93,7 +95,15 @@ def _presort(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
-def grow_tree(X: np.ndarray, y: np.ndarray, counts=None, *, order=None) -> DecisionTree:
+def _check_training(X, y) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=np.int8)
+    if X.ndim != 2 or X.shape[0] < 1 or y.shape != X.shape[:1]:
+        raise ValueError("training matrix must be 2D and non-empty, with one label per row")
+    return X, y
+
+
+def grow_tree(X: np.ndarray, y: np.ndarray, counts=None, *, order=None, query=None) -> DecisionTree:
     """Grow a full-depth Gini tree on (X, y) with y in {0, 1}.
 
     ``counts[i]`` is how many times row i is in the training set (a
@@ -101,11 +111,12 @@ def grow_tree(X: np.ndarray, y: np.ndarray, counts=None, *, order=None) -> Decis
     tree equals the one grown on ``np.repeat(X, counts, 0)``.  Omitted, every
     row counts once.  ``order`` is ``_presort(X)``, which callers growing
     many trees on one X compute once.
+
+    Given a 2D float array ``query``, a node that none of its rows reaches
+    is not split but made a leaf of its majority class: the tree predicts
+    every query row as the full tree does, and is smaller.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int8)
-    if X.ndim != 2 or X.shape[0] < 1 or y.shape != X.shape[:1]:
-        raise ValueError("training matrix must be 2D and non-empty, with one label per row")
+    X, y = _check_training(X, y)
     n_rows, d = X.shape
     counts = np.ones(n_rows, dtype=np.int64) if counts is None else np.asarray(counts)
     if counts.shape != (n_rows,) or counts.dtype.kind not in "iu" or counts.min() < 0 or not counts.any():
@@ -122,20 +133,22 @@ def grow_tree(X: np.ndarray, y: np.ndarray, counts=None, *, order=None) -> Decis
     # A node's (d, m) array lists its m rows in order of each feature; the
     # filter and every partition are stable, so each row stays sorted.
     nodes = [[-1, 0.0, -1, -1, 0]]  # feature, threshold, left, right, leaf_class
-    stack = [(0, order[counts[order] > 0].reshape(d, -1))]
+    stack = [(0, order[counts[order] > 0].reshape(d, -1), None if query is None else np.arange(query.shape[0]))]
+    # Cuts fall only between distinct values.  A node's values are a
+    # subsequence of the root's, so without ties at the root no node has any.
+    has_ties = any(np.any(v[:-1] >= v[1:]) for v in values[stack[0][1] + offsets])
     while stack:
-        node, rows = stack.pop()
+        node, rows, reach = stack.pop()
         n = int(counts[rows[0]].sum())
         ones = int(ones_per_row[rows[0]].sum())
         f = -1
-        if 0 < ones < n:
+        if 0 < ones < n and (reach is None or reach.size):
             n_left = np.cumsum(counts[rows], axis=1)
             ones_left = np.cumsum(ones_per_row[rows], axis=1)
             # Binary Gini impurity 2p(1-p) of both children at every cut, i.e.
             # between distinct consecutive values; other positions get inf.
             frac = ones / n
             parent_impurity = 2.0 * frac * (1.0 - frac)
-            sv = values[rows + offsets]
             # In place, with each element's operations in the order of
             # (n_l*2*p_l*(1-p_l) + n_r*2*p_r*(1-p_r)) / n, to spare memory.
             n_left = n_left[:, :-1]
@@ -152,7 +165,9 @@ def grow_tree(X: np.ndarray, y: np.ndarray, counts=None, *, order=None) -> Decis
             n_right *= 1.0 - p_right
             child += n_right
             child /= n
-            child[sv[:, :-1] >= sv[:, 1:]] = np.inf
+            if has_ties:
+                sv = values[rows + offsets]
+                child[sv[:, :-1] >= sv[:, 1:]] = np.inf
             cut = np.argmin(child, axis=1)  # first minimum -> lowest threshold
             gains = parent_impurity - child[features, cut]
             f = int(np.argmax(gains))  # first maximum -> lowest feature
@@ -162,31 +177,59 @@ def grow_tree(X: np.ndarray, y: np.ndarray, counts=None, *, order=None) -> Decis
             nodes[node][4] = 1 if 2 * ones >= n else 0
             continue
 
-        thr = float(0.5 * (sv[f, cut[f]] + sv[f, cut[f] + 1]))
-        goes_left[rows[f]] = sv[f] <= thr
+        # compare values with thr, not positions: a midpoint of adjacent doubles can round up
+        sf = values[rows[f] + f * n_rows]
+        thr = float(0.5 * (sf[cut[f]] + sf[cut[f] + 1]))
+        if thr == sf[-1]:  # <= thr would send every row left, and this split would repeat for ever
+            thr = float(sf[cut[f]])
+        goes_left[rows[f]] = sf <= thr
         to_left = goes_left[rows].ravel()
         nodes[node][:4] = f, thr, len(nodes), len(nodes) + 1
-        stack.append((len(nodes), np.compress(to_left, rows).reshape(d, -1)))
-        stack.append((len(nodes) + 1, np.compress(~to_left, rows).reshape(d, -1)))
+        reach_left = reach_right = None
+        if reach is not None:
+            query_left = query[reach, f] <= thr
+            reach_left, reach_right = reach[query_left], reach[~query_left]
+        stack.append((len(nodes), np.compress(to_left, rows).reshape(d, -1), reach_left))
+        stack.append((len(nodes) + 1, np.compress(~to_left, rows).reshape(d, -1), reach_right))
         nodes += [[-1, 0.0, -1, -1, 0], [-1, 0.0, -1, -1, 0]]
 
     return DecisionTree.from_dict(dict(zip(("feature", "threshold", "left", "right", "leaf_class"), zip(*nodes))))
 
 
-def fit_bagged_trees(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[DecisionTree]:
-    """Grow n_trees trees, each on a same-size bootstrap resample given as row counts."""
+def _bootstraps(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int):
+    """Yield each tree's (rows, labels, bootstrap counts, presort), identical (row, label) pairs merged
+    once per bag; tree i draws ``spawn_rng(seed, "tree", i).integers(0, n, size=n)`` over X's n rows."""
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int8)
+    X, y = _check_training(X, y)
     n = X.shape[0]
+    merged, inverse = np.unique(np.column_stack([X, y]), axis=0, return_inverse=True)
+    inverse = inverse.ravel()  # its shape differs across numpy versions
+    X, y = merged[:, :-1], merged[:, -1].astype(np.int8)  # grow_tree copies X's columns anyway
     order = _presort(X)
-    out = []
     for i in range(n_trees):
-        rng = spawn_rng(seed, "tree", i)
-        idx = rng.integers(0, n, size=n)
-        out.append(grow_tree(X, y, np.bincount(idx, minlength=n), order=order))
-    return out
+        idx = spawn_rng(seed, "tree", i).integers(0, n, size=n)
+        yield X, y, np.bincount(inverse[idx], minlength=y.size), order
+
+
+def fit_bagged_trees(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[DecisionTree]:
+    """Grow n_trees trees, each on a same-size bootstrap resample given as row counts."""
+    return [grow_tree(Xb, yb, counts, order=order) for Xb, yb, counts, order in _bootstraps(X, y, n_trees, seed)]
+
+
+def bagged_majority(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int, query: np.ndarray) -> np.ndarray:
+    """``ensemble_vote_fraction(fit_bagged_trees(X, y, n_trees, seed), query) >= 0.5``
+    as int8, growing each tree only where the query rows whose majority is
+    still open reach it, and no tree once every majority is decided."""
+    query = np.atleast_2d(np.asarray(query, dtype=float))
+    ones = np.zeros(query.shape[0], dtype=np.int64)
+    for i, (Xb, yb, counts, order) in enumerate(_bootstraps(X, y, n_trees, seed)):
+        open_rows = np.flatnonzero((2 * ones < n_trees) & (2 * (ones + n_trees - i) >= n_trees))
+        if open_rows.size == 0:
+            break
+        tree = grow_tree(Xb, yb, counts, order=order, query=query[open_rows])
+        ones[open_rows] += tree.predict_matrix(query[open_rows])
+    return (2 * ones >= n_trees).astype(np.int8)
 
 
 def ensemble_vote_fraction(trees, X: np.ndarray) -> np.ndarray:

@@ -254,6 +254,65 @@ class TestTrain:
         assert run("train", small_corpus, "--config", cfg, "--out", tmp_path / "m.json") == 2
 
 
+# kind of damage to the corpus CSV -> a fragment of train's exit-2 message after the file name
+TRAIN_MUTATIONS = {
+    "ragged_row": "cells, got",
+    "non_numeric_cell": "'abc'",
+    "label_2": "label must be 0 or 1, got 2",
+    "nan_feature": "nan",
+    "tau_outside": "tau must be in (0, 1)",
+    "unaligned_scale": "aligned features must have max scale 1",
+    "missing_header": "expected corpus columns",
+    "header_only": "needs records of both labels",
+    "repeated_record": "duplicate feature tuple",
+}
+
+
+def mutate_corpus_csv(text: str, kind: str, rng: np.random.Generator) -> str:
+    """``text`` of a corpus CSV with one ``kind`` of damage, at a row and cell drawn from ``rng``."""
+    header, *lines = text.splitlines()
+    if kind == "missing_header":
+        return "\n".join(lines) + "\n"
+    if kind == "header_only":
+        return header + "\n"
+    rows = [line.split(",") for line in lines]
+    row = rows[int(rng.integers(len(rows)))]
+    if kind == "ragged_row":
+        row[:] = row[:-1] if rng.integers(2) else row + ["r9"]
+    elif kind == "non_numeric_cell":
+        row[int(rng.integers(9))] = "abc"  # a feature or the label
+    elif kind == "label_2":
+        row[8] = "2"
+    elif kind == "nan_feature":
+        row[int(rng.integers(8))] = "nan"
+    elif kind == "tau_outside":
+        row[0] = str(rng.choice([0.0, 1.0, -0.25, 1.5]))
+    elif kind == "unaligned_scale":
+        factor = rng.choice([0.5, 2.0])
+        row[1:6] = [str(float(c) * factor) for c in row[1:6]]
+    elif kind == "repeated_record":
+        rows.append(row[:9] + ["r9"])
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+class TestTrainMutations:
+    """Seeded damage to the golden corpus: ``train``, with and without ``--cv``, exits 2, names the
+    file and writes no model, metrics or sidecar."""
+
+    @pytest.mark.parametrize("cv", [False, True], ids=["train", "cv"])
+    @pytest.mark.parametrize("kind", TRAIN_MUTATIONS)
+    def test_damage_exit_2(self, tmp_path, capsys, kind, cv):
+        corpus = tmp_path / "corpus.csv"
+        rng = np.random.default_rng(list(TRAIN_MUTATIONS).index(kind))
+        corpus.write_text(mutate_corpus_csv(GOLDEN_CORPUS.read_text(), kind, rng))
+        flags = ["--cv", "--cv-folds", 2, "--cv-repeats", 1] if cv else []
+        code = run("train", corpus, "--n-trees", 1, *flags, "--out", tmp_path / "m.json")
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{corpus}: " in err and TRAIN_MUTATIONS[kind] in err
+        assert list(tmp_path.glob("m.*")) == []
+
+
 @pytest.fixture()
 def trained_model_file(tmp_path, small_corpus):
     model = tmp_path / "model.json"

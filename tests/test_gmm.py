@@ -408,13 +408,13 @@ def raised(call, *args):
     return None
 
 
-def mixed_exit_plot():
+def mixed_exit_plot(seed=11, centre=20):
     """A blob and lattice points on which, under MIXED_EXITS, K=6 restarts leave the block at different
     iterations: covariances collapse in the 7th and 8th M-step, a component is lost in the 8th, one
     restart converges after the 9th, and the rest stop at the cap of 10."""
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(seed)
     m = int(rng.integers(8, 16))
-    blob = rng.normal(size=(int(rng.integers(20, 60)), 2)) * 2 + 20
+    blob = rng.normal(size=(int(rng.integers(20, 60)), 2)) * 2 + centre
     return Scatterplot(np.vstack([blob, np.round(rng.normal(size=(m, 2)) * 1.5) / 1.5]))
 
 
@@ -524,6 +524,24 @@ class TestKernelFailures:
         kernel = kernel_runs(X, 6, MIXED_EXITS)
         lost = [i for i, run in enumerate(reference) if run == expected[1]]
         assert lost and [kernel[i] for i in lost] == [expected[1]] * len(lost)
+
+    def test_restart_with_a_nan_log_likelihood_fails(self):
+        # Without regularization, restart 0's yy variance underflows to about 1e-320: an inf column meets a
+        # 0 and its log-likelihood turns NaN.  Nothing compares > NaN, so the reference keeps it as best.
+        sp = mixed_exit_plot(seed=193, centre=10)
+        alone = FitConfig(regularization=0.0, n_restarts=1, max_iterations=10, seed=0, em_tolerance=1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_runs(sp.points, 4, MIXED_EXITS)
+            got = kernel_runs(sp.points, 4, MIXED_EXITS)
+            model, traces = fit_em_with_trace(sp, 4, MIXED_EXITS)
+            with pytest.raises(DegenerateCovarianceError, match=r"all 1 EM restarts failed: .*not finite \(nan\)"):
+                fit_em_with_trace(sp, 4, alone)
+        assert math.isnan(expected[0][3])
+        assert got[0] == "log-likelihood is not finite (nan)"
+        assert run_bytes(got[1:]) == run_bytes(expected[1:])
+        best = max(expected[1:], key=lambda run: run[3])
+        assert model == gmm._build_model(*best[:4], sp.n) and math.isfinite(model.log_likelihood)
+        assert [t.tobytes() for t in traces] == [run[4].tobytes() for run in expected[1:]]
 
     def test_collapsed_covariance_without_regularization(self):
         X = np.repeat([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], 3, axis=0)

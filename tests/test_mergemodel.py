@@ -26,6 +26,7 @@ from scatterscore.mergemodel import (
 )
 from scatterscore.pairspace import ShapeParams
 from scatterscore.preprocess import PreprocessSpec
+from scatterscore.trees import fit_bagged_trees
 from scatterscore.util import spawn_rng
 
 from conftest import random_aligned, threshold_rule_pairs
@@ -379,6 +380,19 @@ class TestPredict:
             assert predict(model, f) == predict(model, f)
 
 
+def reference_cross_validate(records, config):
+    """Each fold's MCC from a full bag of trees and ``predict_matrix``."""
+    X, y = mergemodel._matrix(records)
+    out = []
+    for rep, f, train, test in mergemodel._cv_folds(records, y, config):
+        seed = mergemodel.derive_seed(config.seed, "cv", rep, f)
+        fitted, X_train, y_train = mergemodel._prepare(X, y, train, config, seed)
+        bag = fit_bagged_trees(X_train, y_train, config.n_trees, mergemodel.derive_seed(seed, "bag"))
+        model = mergemodel.MergingModel(preprocess=fitted, trees=bag, metadata={})
+        out.append(mcc(ConfusionCounts.from_predictions(y[test], mergemodel.predict_matrix(model, X[test]))))
+    return out
+
+
 class TestCrossValidate:
     def test_perfect_rule_all_folds_one(self):
         pairs, _, _ = threshold_rule_pairs(400, seed=19)
@@ -399,6 +413,13 @@ class TestCrossValidate:
         np.random.default_rng(0).shuffle(shuffled)
         b = cross_validate(shuffled, config)
         assert a == b
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 4, 25])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_fold_loop_over_full_bags(self, seed, n_trees):
+        pairs = labeled_pairs(60 + 15 * seed, seed=40 + seed, class1_fraction=0.35)
+        config = TrainConfig(n_trees=n_trees, seed=seed, cv_folds=3, cv_repeats=2)
+        assert cross_validate(pairs, config) == reference_cross_validate(pairs, config)
 
     def test_folds_bounded_by_minority(self):
         pairs = labeled_pairs(30, seed=21, class1_fraction=0.9)

@@ -4,6 +4,7 @@ import pytest
 from scatterscore import trees
 from scatterscore.trees import (
     DecisionTree,
+    bagged_majority,
     ensemble_vote_fraction,
     fit_bagged_trees,
     grow_tree,
@@ -68,11 +69,49 @@ def tied_data(seed):
     return X, y
 
 
+def up_sampled(X, y, seed):
+    """(X, y) and as many exact replicas of rows drawn from it, as up-sampling gives."""
+    rows = np.concatenate([np.arange(X.shape[0]), np.random.default_rng(seed).integers(0, X.shape[0], X.shape[0])])
+    return X[rows], y[rows]
+
+
+def conflicting_repeats(X, y):
+    """(X, y) with its first rows repeated under the other label."""
+    return np.vstack([X, X[:7]]), np.concatenate([y, 1 - y[:7]])
+
+
+def counting_grow(monkeypatch):
+    """Record each call of ``trees.grow_tree``'s keyword arguments."""
+    calls, original = [], trees.grow_tree
+    monkeypatch.setattr(trees, "grow_tree", lambda *args, **kwargs: calls.append(kwargs) or original(*args, **kwargs))
+    return calls
+
+
 class TestPresortedGrowth:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_per_node_argsort(self, seed):
         X, y = tied_data(seed)
         assert grow_tree(X, y).to_dict() == reference_grow(X, y)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_node_argsort_without_ties(self, seed):
+        X, y = xor_data(200, seed)
+        assert grow_tree(X, y).to_dict() == reference_grow(X, y)
+
+    @pytest.mark.parametrize("make", [tied_data, lambda seed: xor_data(150, seed)], ids=["tied", "untied"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bag_over_duplicated_rows_matches_per_node_argsort_on_resamples(self, make, seed):
+        X, y = up_sampled(*make(300 + seed), seed)
+        for i, tree in enumerate(fit_bagged_trees(X, y, n_trees=3, seed=seed)):
+            idx = spawn_rng(seed, "tree", i).integers(0, X.shape[0], size=X.shape[0])
+            assert tree.to_dict() == reference_grow(X[idx], y[idx])
+
+    def test_midpoint_rounding_to_the_largest_value_ends(self):
+        # 0.5 * (a + 1.0) rounds to 1.0 for the double a just below 1.0
+        a = np.nextafter(1.0, 0.0)
+        tree = grow_tree(np.array([[a], [1.0], [a]]), np.array([0, 1, 0]))
+        assert tree.threshold[0] == a and tree.n_nodes == 3
+        assert tree.predict_matrix(np.array([[a], [1.0]])).tolist() == [0, 1]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bag_matches_per_node_argsort_on_resamples(self, seed):
@@ -104,17 +143,48 @@ class TestPresortedGrowth:
             grow_tree(X, y[:1])
 
     def test_bag_grows_each_tree_through_module_attribute(self, monkeypatch):
-        calls = []
-        original = trees.grow_tree
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(trees, "grow_tree", counting)
+        calls = counting_grow(monkeypatch)
         X, y = xor_data(50, seed=0)
         assert len(fit_bagged_trees(X, y, n_trees=7, seed=0)) == 7
         assert len(calls) == 7
+
+
+class TestMajorityVotes:
+    @pytest.mark.parametrize("n_trees", [1, 2, 3, 4, 7, 25])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_full_bag_vote(self, seed, n_trees):
+        X, y = conflicting_repeats(*up_sampled(*tied_data(400 + seed), seed))
+        query = np.vstack([X, np.round(np.random.default_rng(seed).normal(size=(40, X.shape[1])) * 2, 1)])
+        expected = ensemble_vote_fraction(fit_bagged_trees(X, y, n_trees, seed), query) >= 0.5
+        votes = bagged_majority(X, y, n_trees, seed, query)
+        assert votes.dtype == np.int8 and votes.tolist() == expected.astype(np.int8).tolist()
+
+    def test_grows_trees_only_while_a_majority_is_open(self, monkeypatch):
+        # a wide margin: every tree votes each query row's label, so 13 of 25 trees decide them all
+        rng = np.random.default_rng(3)
+        X = rng.uniform(0.5, 1.0, size=(200, 2)) * rng.choice([-1.0, 1.0], size=(200, 1))
+        y = (X[:, 0] > 0).astype(np.int8)
+        calls = counting_grow(monkeypatch)
+        assert bagged_majority(X, y, 25, 0, X[:20]).tolist() == y[:20].tolist()
+        assert len(calls) == 13 and all(np.array_equal(c["query"], X[:20]) for c in calls)
+
+    def test_each_tree_gets_only_the_open_rows(self, monkeypatch):
+        X, y = conflicting_repeats(*tied_data(7))
+        calls = counting_grow(monkeypatch)
+        bagged_majority(X, y, 9, 1, X)
+        sizes = [c["query"].shape[0] for c in calls]
+        assert sizes[0] == X.shape[0] and sizes == sorted(sizes, reverse=True) and sizes[-1] < X.shape[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_query_tree_round_trips_and_predicts_as_the_full_tree(self, seed):
+        X, y = conflicting_repeats(*tied_data(500 + seed))
+        counts = np.random.default_rng(seed).integers(0, 3, size=X.shape[0])
+        query = X[np.random.default_rng(seed).integers(0, X.shape[0], size=5)]
+        full, small = grow_tree(X, y, counts), grow_tree(X, y, counts, query=query)
+        back = DecisionTree.from_dict(small.to_dict())
+        assert back.predict_matrix(query).tolist() == full.predict_matrix(query).tolist()
+        assert small.n_nodes <= full.n_nodes
+        assert grow_tree(X, y, counts, query=query[:0]).n_nodes == 1
 
 
 class TestGrowTree:
