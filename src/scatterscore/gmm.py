@@ -22,6 +22,13 @@ LOG_2PI = math.log(2.0 * math.pi)
 COORD_LIMIT = float(np.finfo(float).max) ** 0.25 / 4
 # The K sweep stops once this many consecutive fitted K have not raised the best BIC.
 BIC_PATIENCE = 2
+# A restart of a K that needs a log-likelihood L* to beat the best BIC so far stops once it has run STOP_AFTER
+# M-steps, its last step is at most STOP_STEP * |L|, its steps shrink, and Aitken's projection of their limit
+# is more than STOP_MARGIN below L*.  A heuristic: a late jump (a component settling on one lattice row) can
+# beat the projection.
+STOP_AFTER = 50
+STOP_STEP = 1e-3
+STOP_MARGIN = 2.0
 
 
 class DegenerateCovarianceError(ValueError):
@@ -154,6 +161,9 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """The BIC-selected fit.  ``per_k_bic`` holds, for each fitted K, the BIC of its best completed restart;
+    a K whose restarts all stopped early is left out and named in ``warnings``."""
+
     model: MixtureModel
     bic: float
     k_star: int
@@ -295,12 +305,22 @@ def _leave(buf: np.ndarray, k: int, live: list, ended: dict, outcomes: list) -> 
     return (np.array(kept, dtype=np.intp)[:, None] * k + np.arange(k)).ravel()
 
 
-def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float) -> list:
+def _aitken_limit(trace: list) -> float:
+    """Aitken's projection of the limit of a log-likelihood trace from its last three values; +inf unless the
+    last step is at most STOP_STEP * |L| and the steps are positive and shrinking."""
+    before, last = trace[-2] - trace[-3], trace[-1] - trace[-2]
+    if not (last <= STOP_STEP * abs(trace[-1]) and before > 0.0 and 0.0 <= last / before < 1.0):
+        return math.inf
+    return trace[-2] + last / (1.0 - last / before)
+
+
+def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float, need: float = -math.inf) -> list:
     """The ``config.n_restarts`` EM runs of one K in lockstep, as one block with a group of k rows per run:
     seeded and scaled on all of X, iterated on its distinct points.  A run leaves the block after the
-    E-step in which it converges, reaches ``max_iterations`` or fails (a singular covariance, a lost
-    component, or a log-likelihood that is not finite at the end).  Returns each run's (weights, means,
-    covs, loglik, trace), or the message of its failure, in restart order."""
+    E-step in which it converges, reaches ``max_iterations``, fails (a singular covariance, a lost
+    component, or a log-likelihood that is not finite at the end) or stops because its projected
+    log-likelihood stays below ``need`` (see STOP_AFTER).  Returns each run's (weights, means, covs, loglik,
+    trace), its trace alone if it stopped, or the message of its failure, in restart order."""
     n_runs = config.n_restarts
     pooled = _pooled_covariance(X)
     cov0 = np.array([pooled[0, 0] + reg, pooled[0, 1], pooled[1, 1] + reg])
@@ -333,6 +353,8 @@ def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float) -> li
                             else f"log-likelihood is not finite ({loglik})")
             elif any(v < 1e-10 for v in nks[rows]):
                 ended[i] = "a component lost all responsibility"
+            elif len(trace) > STOP_AFTER and _aitken_limit(trace) < need - STOP_MARGIN:
+                ended[i] = np.array(trace)
         if ended:
             nk = nk[_leave(buf, k, live, ended, outcomes)]
             if not live:
@@ -364,17 +386,19 @@ def _build_model(weights, means, covs, loglik, n) -> MixtureModel:
     return MixtureModel(components=comps, log_likelihood=float(loglik), n_points=int(n))
 
 
-def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig):
-    """Fit a k-component mixture; also return per-restart log-likelihood traces.
+def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig, beat_bic: float = -math.inf):
+    """Fit a k-component mixture; also return the log-likelihood trace of each restart that did not fail.
 
     Runs ``config.n_restarts`` EM runs from k-means++-style seedings, in
     lockstep, and keeps the first with the best final log-likelihood.  A
     run's result does not depend on the others.  EM iterates over the distinct
     points, each weighted by how often it occurs, which gives the same
     likelihood as iterating over all N; seeding and the regularization
-    scale use all N points.  Raises :class:`DegenerateCovarianceError`
-    when every restart fails (e.g. all points identical with zero
-    regularization).
+    scale use all N points.  With a finite ``beat_bic``, a restart whose
+    projected log-likelihood cannot give a BIC above it stops early and is
+    never kept; the model is None when no restart completes but one
+    stopped.  Raises :class:`DegenerateCovarianceError` when every restart
+    fails (e.g. all points identical with zero regularization).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -386,16 +410,21 @@ def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig):
     x, y = np.ascontiguousarray(distinct.T)
     grouped = (x, y, counts.astype(float))
 
-    outcomes = _run_em(X, grouped, k, config, reg)
-    fits = [outcome for outcome in outcomes if not isinstance(outcome, str)]
-    if not fits:
+    need = (beat_bic - bic_value(0.0, k, scatterplot.n, config.bic_penalty_mode)) / 2
+    outcomes = _run_em(X, grouped, k, config, reg, need)
+    traces = [outcome if isinstance(outcome, np.ndarray) else outcome[4]
+              for outcome in outcomes if not isinstance(outcome, str)]
+    if not traces:
         raise DegenerateCovarianceError(f"all {config.n_restarts} EM restarts failed: {outcomes[-1]}")
+    fits = [outcome for outcome in outcomes if isinstance(outcome, tuple)]
+    if not fits:
+        return None, traces
     best = max(fits, key=lambda fit: fit[3])  # the first restart with the largest log-likelihood
-    return _build_model(*best[:4], scatterplot.n), [fit[4] for fit in fits]
+    return _build_model(*best[:4], scatterplot.n), traces
 
 
-def fit_em(scatterplot: Scatterplot, k: int, config: FitConfig) -> MixtureModel:
-    model, _ = fit_em_with_trace(scatterplot, k, config)
+def fit_em(scatterplot: Scatterplot, k: int, config: FitConfig, beat_bic: float = -math.inf) -> MixtureModel | None:
+    model, _ = fit_em_with_trace(scatterplot, k, config, beat_bic)
     return model
 
 
@@ -415,11 +444,14 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
 
     The sweep ends at ``k_max``, or once ``BIC_PATIENCE`` consecutive
     fitted K have a BIC that does not exceed the best so far.  Each K's fit
-    depends only on (points, K, config), so ``per_k_bic`` is a prefix of
-    the exhaustive sweep's.  K values that cannot be fitted (K > N, or
-    degenerate fits) are skipped, neither counting toward the patience nor
-    resetting it; they and the K values left unfitted are recorded in
-    ``FitResult.warnings``.
+    gets that best BIC as its bar: a restart whose projected log-likelihood
+    cannot beat it stops early (see ``STOP_AFTER``).  A K whose restarts
+    all stop counts toward the patience and is left out of ``per_k_bic``;
+    a K where some stop may list a lower BIC than it would reach without
+    the bar.  K values that cannot be fitted (K > N, or degenerate fits)
+    are skipped, neither counting toward the patience nor resetting it;
+    they, the K whose restarts all stopped and the K values left unfitted
+    are recorded in ``FitResult.warnings``.
     """
     if scatterplot.n < 2:
         raise ValueError("model selection needs at least 2 points")
@@ -438,9 +470,13 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
             warnings.append(f"k={k} skipped: more components than points (N={scatterplot.n})")
             continue
         try:
-            model = fit_em(scatterplot, k, config)
+            model = fit_em(scatterplot, k, config, beat_bic=best_bic)
         except DegenerateCovarianceError as exc:
             warnings.append(f"k={k} skipped: {exc}")
+            continue
+        if model is None:
+            warnings.append(f"k={k}: every restart stopped below the BIC of k={best_k}")
+            misses += 1
             continue
         bic = bic_value(model.log_likelihood, k, scatterplot.n, config.bic_penalty_mode)
         per_k.append((k, bic))

@@ -177,10 +177,9 @@ def grow_tree(X: np.ndarray, y: np.ndarray, counts=None, *, order=None, query=No
             nodes[node][4] = 1 if 2 * ones >= n else 0
             continue
 
-        # compare values with thr, not positions: a midpoint of adjacent doubles can round up
         sf = values[rows[f] + f * n_rows]
         thr = float(0.5 * (sf[cut[f]] + sf[cut[f] + 1]))
-        if thr == sf[-1]:  # <= thr would send every row left, and this split would repeat for ever
+        if thr == sf[cut[f] + 1]:  # the midpoint of adjacent doubles rounded up: <= thr would send it left
             thr = float(sf[cut[f]])
         goes_left[rows[f]] = sf <= thr
         to_left = goes_left[rows].ravel()

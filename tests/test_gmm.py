@@ -551,6 +551,46 @@ class TestKernelFailures:
         assert kernel_runs(X, 3, cfg) == expected
 
 
+def reference_stop(trace, need):
+    """The M-step at which the projected stop ends a restart with this no-bar trace, or None: the first t of at
+    least 50 before the trace's own end with dL_t <= 1e-3 |L_t|, dL_{t-1} > 0, a = dL_t / dL_{t-1} in [0, 1)
+    and L_{t-1} + dL_t / (1 - a) < need - 2."""
+    for t in range(50, len(trace) - 1):
+        before, last = trace[t - 1] - trace[t - 2], trace[t] - trace[t - 1]
+        if last <= 1e-3 * abs(trace[t]) and before > 0 and 0 <= last / before < 1:
+            if trace[t - 1] + last / (1 - last / before) < need - 2:
+                return t
+    return None
+
+
+class TestProjectedStop:
+    CONFIG = FitConfig(n_restarts=4, max_iterations=200, seed=3)
+    # Without a bar the K=6 restarts of blobs3 end near -576.5, -571.5, -564.0 and -566.0.
+    NEED = -568.0
+
+    def test_restart_below_the_bar_stops_while_the_others_run_on_bit_for_bit(self):
+        X = KERNEL_PLOTS["blobs3"].points
+        expected = reference_runs(X, 6, self.CONFIG)
+        assert [reference_stop(run[4].tolist(), self.NEED) for run in expected] == [52, 59, None, None]
+        got = gmm._run_em(X, grouped_points(X), 6, self.CONFIG, gmm._effective_regularization(X, self.CONFIG),
+                          self.NEED)
+        for run, ref, steps in zip(got[:2], expected[:2], (52, 59)):
+            assert isinstance(run, np.ndarray) and run.tobytes() == ref[4][:steps + 1].tobytes()
+        assert run_bytes(got[2:]) == run_bytes(expected[2:])
+
+    def test_fit_keeps_the_best_completed_restart_and_every_trace(self):
+        sp = KERNEL_PLOTS["blobs3"]
+        bar = bic_value(self.NEED, 6, sp.n)
+        model, traces = fit_em_with_trace(sp, 6, self.CONFIG, beat_bic=bar)
+        unbarred, full = fit_em_with_trace(sp, 6, self.CONFIG)
+        assert model == unbarred
+        assert [len(t) for t in traces] == [53, 60, len(full[2]), len(full[3])]
+        # below every restart's projection, nothing completes: no model, but the traces of the E-steps run
+        model, traces = fit_em_with_trace(sp, 6, self.CONFIG, beat_bic=bic_value(-540.0, 6, sp.n))
+        assert model is None and fit_em(sp, 6, self.CONFIG, beat_bic=bic_value(-540.0, 6, sp.n)) is None
+        assert len(traces) == 4 and all(51 <= len(t) < len(f) for t, f in zip(traces, full))
+
+
 class TestBic:
     def test_component_count_mode(self):
         assert bic_value(-100.0, 2, 100, "component_count") == pytest.approx(
@@ -615,15 +655,19 @@ class TestSelectModel:
         assert np.isfinite(res.bic)
 
 
-def stub_sweep(monkeypatch, bics: dict):
-    """Make ``select_model`` see BIC ``bics[k]`` for each K (None: every restart degenerate);
-    returns the list of K values it fits."""
+def stub_sweep(monkeypatch, bics: dict, bars=None):
+    """Make ``select_model`` see BIC ``bics[k]`` for each K (None: every restart degenerate; "stopped": every
+    restart stopped below the bar); returns the list of K values it fits, and appends each bar to ``bars``."""
     fitted = []
 
-    def fake_fit_em(scatterplot, k, config):
+    def fake_fit_em(scatterplot, k, config, beat_bic=-math.inf):
         fitted.append(k)
+        if bars is not None:
+            bars.append(beat_bic)
         if bics[k] is None:
             raise DegenerateCovarianceError("all restarts failed")
+        if bics[k] == "stopped":
+            return None
         comps = tuple(GaussianComponent(1.0 / k, Point2D(float(j), 0.0), IDENTITY) for j in range(k))
         return MixtureModel(components=comps, log_likelihood=bics[k], n_points=scatterplot.n)
 
@@ -638,8 +682,8 @@ class TestBicPatience:
     DIP = {1: -5000.0, 2: -4800.0, 3: -4600.0, 4: -4400.0, 5: -4296.0, 6: -4320.0, 7: -4024.0, 8: -4100.0,
            9: -4200.0, 10: -4300.0}
 
-    def sweep(self, monkeypatch, bics, patience, plot=PLOT, k_max=10):
-        fitted = stub_sweep(monkeypatch, bics)
+    def sweep(self, monkeypatch, bics, patience, plot=PLOT, k_max=10, bars=None):
+        fitted = stub_sweep(monkeypatch, bics, bars)
         monkeypatch.setattr(gmm, "BIC_PATIENCE", patience)
         return fitted, select_model(plot, FitConfig(k_max=k_max))
 
@@ -673,6 +717,20 @@ class TestBicPatience:
             "k=6..10 not fitted: no BIC gain over k=2 in 2 consecutive K",
         )
 
+    def test_k_whose_restarts_all_stop_is_a_miss(self, monkeypatch):
+        bics = {1: -10.0, 2: -5.0, 3: "stopped", 4: -4.0, 5: "stopped", 6: -6.0, 7: 0.0}
+        bars = []
+        fitted, res = self.sweep(monkeypatch, bics, 2, bars=bars)
+        assert fitted == [1, 2, 3, 4, 5, 6]
+        assert bars == [-math.inf, -10.0, -5.0, -5.0, -4.0, -4.0]
+        assert [k for k, _ in res.per_k_bic] == [1, 2, 4, 6]
+        assert res.k_star == 4
+        assert res.warnings == (
+            "k=3: every restart stopped below the BIC of k=2",
+            "k=5: every restart stopped below the BIC of k=4",
+            "k=7..10 not fitted: no BIC gain over k=4 in 2 consecutive K",
+        )
+
     @pytest.mark.parametrize("bics,expected", [
         ({1: -10.0, 2: -5.0, 3: -4.0, 4: -3.0},
          [f"k={k} skipped: more components than points (N=4)" for k in (5, 6)]),
@@ -703,23 +761,88 @@ def _real_plots():
     }
 
 
-# On the plot snapped to a 30x30 lattice, the exhaustive sweep's best BIC is at K=10, where one component
-# lies on a single lattice row with its variance at the regularization floor; patience stops at K=4.
-@pytest.mark.parametrize("name,argmax_in_prefix", [("p0", True), ("sites", True), ("snapped", False)])
-def test_patience_sweep_is_a_prefix_of_the_exhaustive_sweep(monkeypatch, name, argmax_in_prefix):
+def fitted_ks(monkeypatch) -> list:
+    """The K values ``select_model`` passes to ``gmm.fit_em`` from now on."""
+    fitted, fit = [], gmm.fit_em
+
+    def recording_fit_em(scatterplot, k, config, **kwargs):
+        fitted.append(k)
+        return fit(scatterplot, k, config, **kwargs)
+
+    monkeypatch.setattr(gmm, "fit_em", recording_fit_em)
+    return fitted
+
+
+# On the plot snapped to a 30x30 lattice, the exhaustive sweep without the bar has its best BIC at K=10, where
+# one component lies on a single lattice row with its variance at the regularization floor; the bar stops
+# that K's restarts, so the exhaustive sweep with it keeps K*=2 (see the test below).
+@pytest.mark.parametrize("name,unbarred_argmax_in_prefix", [("p0", True), ("sites", True), ("snapped", False)])
+def test_patience_sweep_is_a_prefix_of_the_exhaustive_sweep(monkeypatch, name, unbarred_argmax_in_prefix):
     plot = _real_plots()[name]
     config = FitConfig()
+    fitted = fitted_ks(monkeypatch)
     res = select_model(plot, config)
+    n_patient = len(fitted)
     monkeypatch.setattr(gmm, "BIC_PATIENCE", config.k_max)
     full = select_model(plot, config)
+    # a stopped K is not listed, so compare the K each sweep passed to fit_em
     assert res.per_k_bic == full.per_k_bic[: len(res.per_k_bic)]
-    assert len(res.per_k_bic) < len(full.per_k_bic)
-    assert (full.k_star <= res.per_k_bic[-1][0]) == argmax_in_prefix
-    if argmax_in_prefix:
-        assert res.k_star == full.k_star
-        assert res.model == full.model
-    else:
-        assert res.k_star < full.k_star
+    assert fitted[:n_patient] == list(range(1, n_patient + 1)) and n_patient < config.k_max
+    assert fitted[n_patient:] == list(range(1, config.k_max + 1))
+    assert full.k_star <= fitted[n_patient - 1]
+    assert res.k_star == full.k_star and res.model == full.model
+    assert (unbarred_sweep(monkeypatch, plot, config).k_star <= fitted[n_patient - 1]) == unbarred_argmax_in_prefix
+
+
+def test_unbarred_fit_of_the_snapped_plot_reaches_the_lattice_artefact():
+    # Without a bar, one K=10 restart on the plot snapped to a 30x30 lattice climbs late, as a component
+    # settles on a single lattice row with its variance at the regularization floor, to a BIC above K=2's.
+    # The exhaustive sweep's bar stops that restart at M-step 50 (L = -3499.9, projected -3495.8, needed
+    # -3366), so the sweep now keeps K*=2; a variance floor from the lattice step would remove the artefact.
+    plot = _real_plots()["snapped"]
+    config = FitConfig()
+    model, _ = fit_em_with_trace(plot, 10, config)
+    assert bic_value(model.log_likelihood, 10, plot.n) > select_model(plot, config).bic + 100
+    floor = gmm._effective_regularization(plot.points, config)
+    assert min(c.cov.yy for c in model.components) <= floor * (1 + 1e-9)
+
+
+def unbarred_sweep(monkeypatch, plot, config):
+    """``select_model`` with every fit run without its bar."""
+    fit = gmm.fit_em
+    with monkeypatch.context() as patch:
+        patch.setattr(gmm, "fit_em", lambda scatterplot, k, config, beat_bic=-math.inf: fit(scatterplot, k, config))
+        return select_model(plot, config)
+
+
+def at_most_k_star(res):
+    return [(k, bic) for k, bic in res.per_k_bic if k <= res.k_star]
+
+
+@pytest.mark.parametrize("name", ["p0", "sites", "snapped", "blobs3", "blobs5", "grid_snapped"])
+def test_bar_keeps_k_star_the_model_and_the_bic_up_to_k_star(monkeypatch, name):
+    plot = {**_real_plots(), **KERNEL_PLOTS}[name]
+    config = FitConfig()
+    res, unbarred = select_model(plot, config), unbarred_sweep(monkeypatch, plot, config)
+    assert res.k_star == unbarred.k_star and res.model == unbarred.model and res.bic == unbarred.bic
+    assert at_most_k_star(res) == at_most_k_star(unbarred)
+    # above K*, a K is left out (every restart stopped) or lists at most its unbarred BIC
+    above = dict(unbarred.per_k_bic)
+    assert all(bic <= above[k] for k, bic in res.per_k_bic)
+
+
+def test_restart_stopped_before_a_late_climb_can_move_a_hit_k_in_the_last_bits(monkeypatch):
+    # The rule is a heuristic.  Here K=3's restart 1 is at L = -1437.5 after 50 M-steps, projected to -1437.4,
+    # far below the -1423.6 that K=3 needs, and stops; without the bar it climbs to the best log-likelihood,
+    # ahead by 7e-11 of restart 3 at the same optimum.  Restart 3 is kept: K=3's BIC moves by about 1e-10,
+    # K* and the selected model do not.
+    plot = blob_plot(4, 300, seed=1)
+    config = FitConfig()
+    res, unbarred = select_model(plot, config), unbarred_sweep(monkeypatch, plot, config)
+    assert res.k_star == unbarred.k_star == 4 and res.model == unbarred.model
+    got, want = dict(at_most_k_star(res)), dict(at_most_k_star(unbarred))
+    assert got.keys() == want.keys() and [k for k in got if got[k] != want[k]] == [3]
+    assert 0 < want[3] - got[3] < 1e-9
 
 
 class TestIo:

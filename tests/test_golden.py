@@ -19,8 +19,9 @@ generated plots above lack: a 600-point plot snapped to a 30x30 grid
 
 ``patience.json`` pins ``select_model`` with the default ``FitConfig``
 (``k_max=10``, ``gmm.BIC_PATIENCE`` = 2) on ``p0`` and on the snapped plot: the
-per-K BIC of the K values fitted before the sweep stops, K* and the
-warning that names the K values left unfitted.
+per-K BIC of the K values fitted before the sweep stops (a K whose
+restarts all stopped below the best BIC is left out), K* and the warnings
+that name the stopped K and the K values left unfitted.
 
 ``trees.json`` pins the node arrays of every tree: the pipeline's 9-tree
 model, and ``fit_bagged_trees(n_trees=5)`` on a seeded matrix with tied

@@ -113,6 +113,13 @@ class TestPresortedGrowth:
         assert tree.threshold[0] == a and tree.n_nodes == 3
         assert tree.predict_matrix(np.array([[a], [1.0]])).tolist() == [0, 1]
 
+    def test_midpoint_rounding_up_below_larger_values_splits_where_the_search_cut(self):
+        # the rounded-up midpoint 1.0 would send the row at 1.0 left with a, leaving an impure left child
+        a = np.nextafter(1.0, 0.0)
+        tree = grow_tree(np.array([[a], [1.0], [2.0]]), np.array([0, 1, 1]))
+        assert tree.threshold[0] == a and tree.n_nodes == 3
+        assert tree.predict_matrix(np.array([[a], [1.0], [2.0]])).tolist() == [0, 1, 1]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_bag_matches_per_node_argsort_on_resamples(self, seed):
         X, y = tied_data(100 + seed)
