@@ -18,7 +18,6 @@ from .agreement import (
     alteration_percentage,
     bootstrap_kappa,
     landis_koch_label,
-    majority_vote_by_origin,
     min_alterations_to_displace,
     pairwise_relations,
     vanbelle_kappa,
@@ -26,7 +25,6 @@ from .agreement import (
 )
 from .augment import (
     JudgmentRecord,
-    LabeledPair,
     TrainingCorpus,
     build_corpus,
     canonical_key,

@@ -207,18 +207,6 @@ def bootstrap_kappa(group: GroupRatings, isolated: IsolatedRatings, b: int, seed
     return _summarize(b, kappas)
 
 
-def majority_vote_by_origin(predictions) -> dict:
-    """Per-origin majority of binary replica predictions; ties merge (1)."""
-    groups: dict = {}
-    for origin, h in predictions:
-        groups.setdefault(origin, []).append(int(h))
-    if not groups:
-        raise ValueError("need at least one prediction")
-    return {
-        origin: (1 if 2 * sum(votes) >= len(votes) else 0) for origin, votes in groups.items()
-    }
-
-
 def pairwise_relations(scores, pairs) -> list[str]:
     """Machine order relation per (idA, idB) pair via the score comparator."""
     table = dict(scores)
@@ -323,19 +311,6 @@ def alteration_percentage(n_plots: int, r: float) -> float:
 
 # ---------------------------------------------------------------------------
 # CSV I/O
-
-
-def read_group_csv(path) -> tuple[list[str], GroupRatings]:
-    """Read item_id,rater_1..rater_R category votes; returns (ids, ratings)."""
-    header, rows = read_table(path)
-    if not rows:
-        raise ValueError(f"{path}: no rating rows")
-    if len(header) < 2 or header[0] != "item_id":
-        raise ValueError(f"{path}: expected columns item_id and at least one vote, got {header}")
-    ids = [cells[0] for _, cells in rows]
-    votes = [tuple(cells[1:]) for _, cells in rows]
-    categories = sorted({v for row in votes for v in row})
-    return ids, GroupRatings(categories=tuple(categories), votes=tuple(votes))
 
 
 def _pair_judgment(cells) -> tuple[tuple[str, str], tuple[str, ...]]:

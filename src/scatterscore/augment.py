@@ -15,15 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmm import Scatterplot
-from .pairspace import (
-    AlignedPairFeatures,
-    PairFeatures,
-    ShapeParams,
-    align_training_record,
-    with_theta_u,
-    with_theta_v,
-)
-from .util import parse_rows, read_table, reject_repeated_ids, spawn_rng, write_csv
+from .pairspace import ANGLE_TOL, HALF_PI, SCALE_TOL, PairFeatures, ShapeParams, align_training_record
+from .util import fmt_num, parse_rows, read_table, reject_repeated_ids, spawn_rng, write_csv
 
 #: Angle grid used to replicate records with an isotropic component: the
 #: ellipse orientation is unidentifiable there, so every orientation must
@@ -80,45 +73,62 @@ class JudgmentRecord:
             raise ValueError("votes must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class LabeledPair:
-    features: AlignedPairFeatures
-    label: int
-    origin_id: str
+class _RowError(ValueError):
+    """A corpus row that fails a check; ``row`` is its index."""
 
-    def __post_init__(self):
-        if self.label not in (LABEL_DO_NOT_MERGE, LABEL_MERGE):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
-@dataclass(frozen=True)
+# What each feature column must be, in PARAM_COLUMNS order.
+_RULES = ("in (0, 1)", "finite and >= 0", "> 0", "> 0", "> 0", "> 0", "in [-pi/2, pi/2]", "in [-pi/2, pi/2]")
+
+
+def _check_rows(X: np.ndarray, y: np.ndarray) -> None:
+    """_RowError at the first row of (X, y) that ``AlignedPairFeatures`` with a
+    label of 0 or 1 would reject, or whose canonical key repeats an earlier row's."""
+    faults = np.column_stack([
+        ~((X[:, 0] > 0.0) & (X[:, 0] < 1.0)),
+        ~((X[:, 1] >= 0.0) & np.isfinite(X[:, 1])),
+        ~(X[:, 2:6] > 0.0),
+        ~(np.abs(X[:, 6:]) <= HALF_PI + ANGLE_TOL),
+        ~(np.abs(X[:, 1:6].max(axis=1) - 1.0) <= SCALE_TOL),
+        ~np.isin(y, (LABEL_DO_NOT_MERGE, LABEL_MERGE)),
+    ])
+    bad = np.flatnonzero(faults.any(axis=1))
+    if len(bad):
+        i, row = int(bad[0]), X[bad[0]].tolist()
+        messages = [f"{name} must be {rule}, got {v}" for name, rule, v in zip(PARAM_COLUMNS, _RULES, row)]
+        messages.append(f"aligned features must have max scale 1, got {max(row[1:6])}")
+        messages.append(f"label must be 0 or 1, got {y[i]}")
+        raise _RowError(i, messages[int(np.argmax(faults[i]))])
+    repeats = np.setdiff1d(np.arange(len(X)), _first_rows(X))
+    if len(repeats):
+        raise _RowError(int(repeats[0]), f"duplicate feature tuple in corpus: {canonical_key(X[repeats[0]])}")
+
+
+@dataclass(frozen=True, eq=False)
 class TrainingCorpus:
-    """Deduplicated labeled pairs."""
+    """Deduplicated labeled pairs as columns: the aligned features ``X`` (n, 8)
+    in ``PARAM_COLUMNS`` order, the int8 labels ``y`` and the id of the
+    judgment record each row came from.  Rows are checked by ``_check_rows``."""
 
-    records: tuple[LabeledPair, ...]
+    X: np.ndarray
+    y: np.ndarray
+    origin_ids: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        seen = set()
-        for rec in self.records:
-            key = canonical_key(rec.features)
-            if key in seen:
-                raise ValueError(f"duplicate feature tuple in corpus: {key}")
-            seen.add(key)
+        X, y, origin_ids = np.asarray(self.X, dtype=float), np.asarray(self.y), tuple(self.origin_ids)
+        if X.ndim != 2 or X.shape[1] != len(PARAM_COLUMNS) or not len(X) == len(y) == len(origin_ids):
+            raise ValueError(f"corpus columns disagree: X {X.shape}, {len(y)} labels, {len(origin_ids)} origin ids")
+        _check_rows(X, y)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y.astype(np.int8))
+        object.__setattr__(self, "origin_ids", origin_ids)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    @property
-    def provenance(self) -> dict[str, tuple[int, ...]]:
-        """Origin id -> indices of the records that came from it, in record order."""
-        rows: dict[str, list[int]] = {}
-        for i, rec in enumerate(self.records):
-            rows.setdefault(rec.origin_id, []).append(i)
-        return {origin: tuple(v) for origin, v in rows.items()}
+        return len(self.y)
 
 
 def summarize_judgments(judgments) -> int:
@@ -133,66 +143,65 @@ def summarize_judgments(judgments) -> int:
     return LABEL_DO_NOT_MERGE if 2 * n_more_than_one > len(votes) else LABEL_MERGE
 
 
-def canonical_key(features: PairFeatures) -> tuple:
-    """Dedup key: the 8 fields rounded to 9 decimals, fixed order."""
-    return tuple(round(float(x), 9) + 0.0 for x in features.as_vector())
+def canonical_key(vec) -> tuple:
+    """Dedup key of 8 features in ``PARAM_COLUMNS`` order: each rounded to 9 decimals, -0.0 as 0.0."""
+    return tuple(round(float(x), 9) + 0.0 for x in vec)
 
 
-def _negated(f: AlignedPairFeatures) -> AlignedPairFeatures:
-    return AlignedPairFeatures(
-        tau=f.tau,
-        mu=f.mu,
-        shape_u=ShapeParams(-f.shape_u.theta, f.shape_u.sigma_x, f.shape_u.sigma_y),
-        shape_v=ShapeParams(-f.shape_v.theta, f.shape_v.sigma_x, f.shape_v.sigma_y),
-    )
+def _first_rows(X: np.ndarray) -> np.ndarray:
+    """Index of the first row of each canonical key, ascending."""
+    first: dict[tuple, int] = {}
+    for i, key in enumerate(map(canonical_key, X.tolist())):
+        first.setdefault(key, i)
+    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
 
 
-def _swapped(f: AlignedPairFeatures) -> AlignedPairFeatures:
-    return AlignedPairFeatures(tau=1.0 - f.tau, mu=f.mu, shape_u=f.shape_v, shape_v=f.shape_u)
+def _as_written(X: np.ndarray) -> np.ndarray:
+    """``X`` at the 9 significant digits the corpus CSV holds."""
+    return np.array([float(fmt_num(v)) for v in X.ravel().tolist()]).reshape(X.shape)
 
 
-def _is_isotropic(shape: ShapeParams) -> bool:
-    return abs(shape.sigma_x - shape.sigma_y) <= _ISO_TOL
-
-
-def replicate(record: LabeledPair) -> list[LabeledPair]:
-    """Emit the record and all its symmetry replicas (duplicates kept).
+def replicate(x) -> np.ndarray:
+    """Rows of the aligned features ``x`` and all its symmetry replicas (duplicates kept).
 
     Always: the original, the angle-negated copy, the component-swapped
     copy, and the negated-swapped copy.  When a component is isotropic its
     orientation is unidentifiable, so nine extra copies sweep that angle
     over a half-turn.  Deduplication happens later, in corpus building.
     """
-    f = record.features
-    variants = [f, _negated(f), _swapped(f), _swapped(_negated(f))]
-    if _is_isotropic(f.shape_u):
-        variants.extend(with_theta_u(f, a) for a in ISOTROPIC_ANGLES)
-    if _is_isotropic(f.shape_v):
-        variants.extend(with_theta_v(f, a) for a in ISOTROPIC_ANGLES)
-    return [LabeledPair(features=v, label=record.label, origin_id=record.origin_id) for v in variants]
+    x = np.asarray(x, dtype=float)
+    base = np.stack([x, x])
+    base[1, 6:] = -x[6:]
+    swapped = base[:, [0, 1, 4, 5, 2, 3, 7, 6]]  # components u and v trade places
+    swapped[:, 0] = 1.0 - x[0]
+    out = [base, swapped]
+    for sigma_x, theta in ((2, 6), (4, 7)):
+        if abs(x[sigma_x] - x[sigma_x + 1]) <= _ISO_TOL:
+            sweep = np.tile(x, (len(ISOTROPIC_ANGLES), 1))
+            sweep[:, theta] = ISOTROPIC_ANGLES
+            out.append(sweep)
+    return np.concatenate(out)
 
 
 def build_corpus(records) -> TrainingCorpus:
     """Align, label, replicate, and dedup judgment records into a corpus.
 
-    Deduplication keeps the first occurrence of each canonical feature
-    key, scanning records in input order and replicas in emission order.
+    Replicas are rounded to the precision the corpus CSV holds before they
+    are deduplicated and checked, so the corpus reads back as built.
+    Deduplication keeps the first occurrence of each canonical key,
+    scanning records in input order and replicas in emission order.
+    ValueError names the record of a replica that is not a valid row.
     """
-    out: list[LabeledPair] = []
-    seen: set[tuple] = set()
-    for rec in records:
-        base = LabeledPair(
-            features=align_training_record(rec.params),
-            label=summarize_judgments(rec.judgments),
-            origin_id=rec.record_id,
-        )
-        for rep in replicate(base):
-            key = canonical_key(rep.features)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(rep)
-    return TrainingCorpus(records=tuple(out))
+    records = list(records)
+    blocks = [replicate(align_training_record(rec.params).as_vector()) for rec in records]
+    X = _as_written(np.concatenate([np.empty((0, len(PARAM_COLUMNS))), *blocks]))
+    rows = _first_rows(X)
+    origin = np.repeat(np.arange(len(records)), [len(b) for b in blocks])[rows]
+    labels = np.array([summarize_judgments(rec.judgments) for rec in records], dtype=np.int8)
+    try:
+        return TrainingCorpus(X=X[rows], y=labels[origin], origin_ids=tuple(records[k].record_id for k in origin))
+    except _RowError as exc:
+        raise ValueError(f"record {records[origin[exc.row]].record_id!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +279,7 @@ def ingest_benchmark(path) -> IngestResult:
     seen: dict[tuple, str] = {}
     duplicates: list[tuple[str, str]] = []
     for record in parse_rows(path, rows, parse):
-        key = canonical_key(align_training_record(record.params))
+        key = canonical_key(align_training_record(record.params).as_vector())
         if key in seen:
             duplicates.append((record.record_id, seen[key]))
             continue
@@ -325,21 +334,22 @@ CORPUS_COLUMNS = (*PARAM_COLUMNS, "label", "origin_id")
 
 
 def write_corpus_csv(path, corpus: TrainingCorpus) -> None:
-    rows = ([*rec.features.as_vector().tolist(), rec.label, rec.origin_id] for rec in corpus.records)
-    write_csv(path, CORPUS_COLUMNS, rows)
+    rows = zip(corpus.X.tolist(), corpus.y.tolist(), corpus.origin_ids)
+    write_csv(path, CORPUS_COLUMNS, ([*x, label, origin] for x, label, origin in rows))
 
 
 def read_corpus_csv(path) -> TrainingCorpus:
+    """The corpus of a CSV of ``CORPUS_COLUMNS``; ValueError names the file and
+    the row of a cell that is not a number or of a row the corpus rejects."""
     header, rows = read_table(path)
     if header and header != list(CORPUS_COLUMNS):
         raise ValueError(f"{path}: expected corpus columns {CORPUS_COLUMNS}, got {header}")
-
-    def parse(cells):
-        features = AlignedPairFeatures.from_vector(cells[:8])
-        return LabeledPair(features=features, label=int(cells[8]), origin_id=cells[9])
-
-    records = parse_rows(path, rows, parse)
+    parsed = parse_rows(path, rows, lambda cells: ([float(c) for c in cells[:8]], int(cells[8])))
     try:
-        return TrainingCorpus(records=records)
-    except ValueError as exc:  # a repeated feature tuple
-        raise ValueError(f"{path}: {exc}") from None
+        return TrainingCorpus(
+            X=np.array([x for x, _ in parsed], dtype=float).reshape(-1, len(PARAM_COLUMNS)),
+            y=np.array([label for _, label in parsed]),
+            origin_ids=tuple(cells[9] for _, cells in rows),
+        )
+    except _RowError as exc:
+        raise ValueError(f"{path}: row {rows[exc.row][0]}: {exc}") from None

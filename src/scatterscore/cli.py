@@ -174,7 +174,8 @@ def cmd_generate(args, opts) -> int:
 def cmd_corpus(args, opts) -> int:
     with _input_errors(out=args.out):
         result = augment.ingest_benchmark(args.judgments)
-        corpus = augment.build_corpus(result.records)
+        with _input_errors(f"{args.judgments}: "):
+            corpus = augment.build_corpus(result.records)
         mergemodel.check_corpus(corpus)
     augment.write_corpus_csv(args.out, corpus)
     report = {

@@ -103,13 +103,6 @@ class MergingModel:
 # Splitting and balancing: each picks rows of the labels y by index
 
 
-def _matrix(records) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix and labels of a TrainingCorpus or a sequence of LabeledPair."""
-    X = np.array([r.features.as_vector() for r in records], dtype=float)
-    y = np.array([r.label for r in records], dtype=np.int8)
-    return X, y
-
-
 def _class_rows(y, folds: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Row indices of label 0 and of label 1; ValueError unless both labels are
     present and each has at least ``folds`` rows."""
@@ -160,7 +153,7 @@ def check_corpus(corpus, config: TrainConfig | None = None, cv: bool = False) ->
     """ValueError unless ``corpus`` has records of both labels and, given a
     ``config``, ``train_bagged`` (and, with ``cv``, ``cross_validate``) can
     run on it under that config."""
-    rows = _class_rows([r.label for r in corpus], config.cv_folds if cv else 0)
+    rows = _class_rows(corpus.y, config.cv_folds if cv else 0)
     if config is not None:
         _test_counts([len(r) for r in rows], config.test_fraction)
 
@@ -212,14 +205,14 @@ def _balance(y, method: str, seed: int) -> np.ndarray:
     raise ValueError(f"unknown balance method {method!r}")
 
 
-def corpus_fingerprint(records) -> str:
+def corpus_fingerprint(corpus) -> str:
     """SHA-256 over canonical (features, label) rows, order-independent."""
-    lines = sorted(f"{canonical_key(r.features)}|{r.label}" for r in records)
+    lines = sorted(f"{canonical_key(x)}|{label}" for x, label in zip(corpus.X.tolist(), corpus.y.tolist()))
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# Training: each entry point builds (X, y) once and passes row indices on
+# Training: each entry point takes the corpus's (X, y) and passes row indices on
 
 
 def _prepare(X: np.ndarray, y: np.ndarray, train: np.ndarray, config: TrainConfig, seed: int):
@@ -240,7 +233,7 @@ def train_bagged(corpus, config: TrainConfig):
     per-tree bootstraps ((seed, "bag"), "tree", i).  Preprocessing is
     fitted on the balanced training portion only.
     """
-    X, y = _matrix(corpus)
+    X, y = corpus.X, corpus.y
     train, test = stratified_split(y, config.test_fraction, config.seed)
     metadata = {
         "seed": config.seed,
@@ -273,7 +266,7 @@ def predict(model: MergingModel, features: AlignedPairFeatures) -> tuple[int, fl
     return int(_merges(frac)[0]), float(frac[0])
 
 
-def _cv_folds(records, y: np.ndarray, config: TrainConfig):
+def _cv_folds(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     """Yield (repeat, fold, train rows, test rows) of every fold of every repeat.
 
     Each label's rows are sorted by content and dealt round-robin into the
@@ -281,10 +274,8 @@ def _cv_folds(records, y: np.ndarray, config: TrainConfig):
     the other folds' rows, in fold order.
     """
     k = config.cv_folds
-    by_class = [
-        np.array(sorted(rows.tolist(), key=lambda i: canonical_key(records[i].features)))
-        for rows in _class_rows(y, k)
-    ]
+    keys = [canonical_key(x) for x in X.tolist()]
+    by_class = [np.array(sorted(rows.tolist(), key=keys.__getitem__)) for rows in _class_rows(y, k)]
     for rep in range(config.cv_repeats):
         rng = spawn_rng(config.seed, "cv", rep)
         dealt = [rows[rng.permutation(len(rows))] for rows in by_class]
@@ -300,10 +291,9 @@ def cross_validate(corpus, config: TrainConfig) -> list[float]:
     by content, so shuffling the corpus row order changes nothing.  A fold
     grows only what decides its test rows' votes (``bagged_majority``).
     """
-    records = list(corpus)
-    X, y = _matrix(records)
+    X, y = corpus.X, corpus.y
     out: list[float] = []
-    for rep, f, train, test in _cv_folds(records, y, config):
+    for rep, f, train, test in _cv_folds(X, y, config):
         seed = derive_seed(config.seed, "cv", rep, f)
         fitted, X_train, y_train = _prepare(X, y, train, config, seed)
         votes = bagged_majority(X_train, y_train, config.n_trees, derive_seed(seed, "bag"), fitted.apply_matrix(X[test]))
@@ -391,7 +381,7 @@ def train_baseline(corpus, config: TrainConfig, method: str, knn_k: int = 5) -> 
     """
     if method not in ("knn", "nb"):
         raise ValueError(f"unknown baseline method {method!r}")
-    X, y = _matrix(corpus)
+    X, y = corpus.X, corpus.y
     train, test = stratified_split(y, config.test_fraction, config.seed)
     fitted, X_train, y_train = _prepare(X, y, train, config, config.seed)
     vote = _knn(X_train, y_train, knn_k) if method == "knn" else _naive_bayes(X_train, y_train)

@@ -10,14 +10,15 @@ largest of (mu, sigmas) is normalized to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gmm import Covariance2, DegenerateCovarianceError, MixtureModel, Point2D
 
 HALF_PI = 0.5 * math.pi
-_ANGLE_TOL = 1e-6
+ANGLE_TOL = 1e-6  # how far past +-pi/2 a theta may lie
+SCALE_TOL = 1e-9  # how far from 1 the largest aligned scale may lie
 
 
 def wrap_angle(theta: float) -> float:
@@ -40,7 +41,7 @@ class ShapeParams:
     def __post_init__(self):
         if not (self.sigma_x > 0.0 and self.sigma_y > 0.0):
             raise ValueError(f"axis scales must be positive, got ({self.sigma_x}, {self.sigma_y})")
-        if not (math.isfinite(self.theta) and abs(self.theta) <= HALF_PI + _ANGLE_TOL):
+        if not (math.isfinite(self.theta) and abs(self.theta) <= HALF_PI + ANGLE_TOL):
             raise ValueError(f"theta must lie in [-pi/2, pi/2], got {self.theta}")
 
 
@@ -94,7 +95,7 @@ class AlignedPairFeatures(PairFeatures):
             self.shape_v.sigma_x,
             self.shape_v.sigma_y,
         )
-        if abs(top - 1.0) > 1e-9:
+        if abs(top - 1.0) > SCALE_TOL:
             raise ValueError(f"aligned features must have max scale 1, got {top}")
 
 
@@ -200,11 +201,3 @@ def aligned_pair_from_model(model: MixtureModel, u: int, v: int) -> AlignedPairF
     """Convenience: extract + align a component pair of a fitted mixture."""
     features, mean_u, mean_v = extract_pair_features(model, u, v)
     return align(features, mean_u, mean_v)
-
-
-def with_theta_u(features: AlignedPairFeatures, theta: float) -> AlignedPairFeatures:
-    return replace(features, shape_u=replace(features.shape_u, theta=theta))
-
-
-def with_theta_v(features: AlignedPairFeatures, theta: float) -> AlignedPairFeatures:
-    return replace(features, shape_v=replace(features.shape_v, theta=theta))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scatterscore.augment import LabeledPair
+from scatterscore.augment import TrainingCorpus
 from scatterscore.gmm import Covariance2, Scatterplot
 from scatterscore.mergemodel import TrainConfig, train_bagged
 from scatterscore.pairspace import PairFeatures, ShapeParams, align
@@ -39,10 +39,16 @@ def random_aligned(rng, mu_range=(0.0, 10.0)):
     return align(raw, (0.0, 0.0), (0.0, mu))
 
 
+def make_corpus(features, labels, prefix="p") -> TrainingCorpus:
+    """Corpus of aligned ``features`` with ``labels``, origin ids ``<prefix><row>``."""
+    X = np.array([f.as_vector() for f in features], dtype=float).reshape(-1, 8)
+    return TrainingCorpus(X=X, y=np.asarray(labels), origin_ids=[f"{prefix}{i}" for i in range(len(X))])
+
+
 def threshold_rule_pairs(n, seed, feature_index=0, noise=0.0):
     """Labeled pairs from a mean-threshold rule on one aligned feature.
 
-    Returns (pairs, clean_labels, threshold).  Noise flips the stored
+    Returns (corpus, clean_labels, threshold).  Noise flips the stored
     labels; clean_labels keep the rule's output.
     """
     rng = np.random.default_rng(seed)
@@ -54,11 +60,7 @@ def threshold_rule_pairs(n, seed, feature_index=0, noise=0.0):
     if noise > 0.0:
         flip = rng.random(n) < noise
         labels = np.where(flip, 1 - labels, labels)
-    pairs = [
-        LabeledPair(features=f, label=int(l), origin_id=f"r{i}")
-        for i, (f, l) in enumerate(zip(feats, labels))
-    ]
-    return pairs, clean, thr
+    return make_corpus(feats, labels, "r"), clean, thr
 
 
 def separation_rule_pairs(n, seed):
@@ -68,17 +70,15 @@ def separation_rule_pairs(n, seed):
     scales through alignment unchanged.
     """
     rng = np.random.default_rng(seed)
-    pairs = []
-    for i in range(n):
+    feats, labels = [], []
+    for _ in range(n):
         mu = rng.uniform(0.0, 12.0)
         su = random_shape(rng)
         sv = random_shape(rng)
         raw = PairFeatures(tau=rng.uniform(0.1, 0.9), mu=mu, shape_u=su, shape_v=sv)
-        label = int(mu <= 0.5 * (su.sigma_x + su.sigma_y + sv.sigma_x + sv.sigma_y))
-        pairs.append(
-            LabeledPair(features=align(raw, (0.0, 0.0), (0.0, mu)), label=label, origin_id=f"s{i}")
-        )
-    return pairs
+        labels.append(int(mu <= 0.5 * (su.sigma_x + su.sigma_y + sv.sigma_x + sv.sigma_y)))
+        feats.append(align(raw, (0.0, 0.0), (0.0, mu)))
+    return make_corpus(feats, labels, "s")
 
 
 def gaussian_blob(n, mean, seed, cov=None):

@@ -86,7 +86,7 @@ def test_criterion_2_original_benchmark():
         assert result.report.n_unique == 996
         corpus = build_corpus(result.records)
         assert len(corpus) == 16181
-        train, test = stratified_split([r.label for r in corpus], 0.2, seed=0)
+        train, test = stratified_split(corpus.y, 0.2, seed=0)
         assert (len(train), len(test)) == (12945, 3236)
         _, confusion = train_bagged(corpus, TrainConfig(seed=0))
         assert 0.94 <= mcc(confusion) <= 1.0
@@ -98,10 +98,8 @@ def test_criterion_3_synthetic_oracle_training():
         config = TrainConfig(seed=3)  # winner: up_sample + all four preprocessing steps
         model, _ = train_bagged(pairs, config)
         # held-out rows, judged against the generating rule
-        _, test = stratified_split([r.label for r in pairs], config.test_fraction, config.seed)
-        X = np.array([pairs[i].features.as_vector() for i in test])
-        y = clean[test]
-        value = mcc(ConfusionCounts.from_predictions(y, predict_matrix(model, X)))
+        _, test = stratified_split(pairs.y, config.test_fraction, config.seed)
+        value = mcc(ConfusionCounts.from_predictions(clean[test], predict_matrix(model, pairs.X[test])))
         assert value >= 0.90, f"held-out MCC {value:.4f}"
 
 
@@ -193,12 +191,13 @@ def test_criterion_5_pairspace_properties():
 
 def test_criterion_6_augmentation_oracle():
     with criterion(6, "augmentation replicas match a brute-force oracle over all symmetry regimes"):
-        from scatterscore.augment import LabeledPair, canonical_key, replicate
-        from scatterscore.pairspace import AlignedPairFeatures, ShapeParams
+        from scatterscore.augment import JudgmentRecord, canonical_key, replicate
+        from scatterscore.pairspace import AlignedPairFeatures, PairFeatures, ShapeParams
 
         rng = np.random.default_rng(600)
         regimes = ["generic", "zero_angles", "iso_u", "iso_v", "iso_both"]
         saw_high_tau = False
+        records = []
         for i in range(200):
             regime = regimes[i % len(regimes)]
             tau = float(rng.uniform(0.1, 0.5))
@@ -213,18 +212,19 @@ def test_criterion_6_augmentation_oracle():
             top = max(1.0, sux, suy, svx, svy)
             vec = (tau, 1.0, sux / top, suy / top, svx / top, svy / top, thu, thv)
             label = int(rng.integers(2))
-            rec = LabeledPair(
-                AlignedPairFeatures(
-                    vec[0], vec[1], ShapeParams(vec[6], vec[2], vec[3]), ShapeParams(vec[7], vec[4], vec[5])
-                ),
-                label,
-                "x",
+            features = AlignedPairFeatures(
+                vec[0], vec[1], ShapeParams(vec[6], vec[2], vec[3]), ShapeParams(vec[7], vec[4], vec[5])
             )
-            reps = replicate(rec)
-            assert {canonical_key(r.features) for r in reps} == brute_force_replicas(vec)
-            assert all(r.label == label for r in reps)
-            saw_high_tau = saw_high_tau or any(r.features.tau > 0.5 for r in reps)
+            reps = replicate(features.as_vector())
+            assert {canonical_key(r) for r in reps} == brute_force_replicas(vec)
+            saw_high_tau = saw_high_tau or bool((reps[:, 0] > 0.5).any())
+            records.append(JudgmentRecord(record_id=f"x{i}", params=PairFeatures.from_vector(vec), judgments=(label,)))
         assert saw_high_tau  # swap replicas extend tau beyond the input range
+        # every corpus row carries the label of the record it replicates
+        corpus = build_corpus(records)
+        labels = {r.record_id: r.judgments[0] for r in records}
+        assert corpus.y.tolist() == [labels[o] for o in corpus.origin_ids]
+        assert set(corpus.origin_ids) == set(labels)
 
 
 def test_criterion_7_graph_and_order(trained_merger):

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -15,10 +13,8 @@ from scatterscore.agreement import (
     alteration_percentage,
     bootstrap_kappa,
     landis_koch_label,
-    majority_vote_by_origin,
     min_alterations_to_displace,
     pairwise_relations,
-    read_group_csv,
     read_pair_judgments_csv,
     vanbelle_kappa,
     worst_case_formulas,
@@ -166,22 +162,6 @@ class TestBootstrap:
         summary = bootstrap_kappa(group, isolated, b=500, seed=3)
         assert abs(summary.mean - point) < 0.02
         assert set(summary.percentiles) == {2.5, 5.0, 25.0, 50.0, 75.0, 95.0, 97.5}
-
-
-class TestMajorityVoteByOrigin:
-    def test_majority(self):
-        assert majority_vote_by_origin([("a", 1), ("a", 1), ("a", 0)]) == {"a": 1}
-
-    def test_tie_merges(self):
-        assert majority_vote_by_origin([("a", 0), ("a", 1)]) == {"a": 1}
-
-    def test_groups_independent(self):
-        votes = [("a", 0), ("a", 0), ("a", 1), ("b", 1), ("b", 1), ("c", 0)]
-        assert majority_vote_by_origin(votes) == {"a": 0, "b": 1, "c": 0}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            majority_vote_by_origin([])
 
 
 class TestPairwiseRelations:
@@ -447,30 +427,6 @@ class TestWorstCase:
 
 
 class TestCsv:
-    def test_group_csv(self, tmp_path):
-        p = tmp_path / "group.csv"
-        p.write_text("item_id,r1,r2,r3\nitm1,1,0,1\nitm2,0,0,0\n")
-        ids, group = read_group_csv(p)
-        assert ids == ["itm1", "itm2"]
-        assert group.raters == 3
-        assert group.categories == ("0", "1")
-
-    @pytest.mark.parametrize("header", ["ITEM_ID,r1,r2,r3\n", "Item_Id,a,b,c\n"])
-    def test_group_csv_header_in_any_case(self, tmp_path, header):
-        p = tmp_path / "group.csv"
-        p.write_text(header + "itm1,1,0,1\n")
-        assert read_group_csv(p)[0] == ["itm1"]
-
-    @pytest.mark.parametrize("text", ["i1,1,0,1\ni2,0,0,0\n", "item_id\ni1\n", "id,r1\ni1,1\n"])
-    def test_group_csv_without_its_header_rejected(self, tmp_path, text):
-        # a file without the header line would lose its first item to it
-        p = tmp_path / "group.csv"
-        p.write_text(text)
-        header = [c.lower() for c in text.splitlines()[0].split(",")]
-        message = f"group.csv: expected columns item_id and at least one vote, got {header}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            read_group_csv(p)
-
     def test_pair_judgments_csv(self, tmp_path):
         p = tmp_path / "pairs.csv"
         p.write_text("idA,idB,v1,v2\na,b,<,=\nb,c,>,>\n")

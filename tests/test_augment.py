@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from scatterscore.augment import (
+    CORPUS_COLUMNS,
     ISOTROPIC_ANGLES,
     JudgmentRecord,
-    LabeledPair,
     TrainingCorpus,
     build_corpus,
     canonical_key,
@@ -26,13 +26,14 @@ from scatterscore.pairspace import (
     compose_covariance,
 )
 
-from conftest import random_aligned
+from conftest import make_corpus, random_aligned
 
 HALF_PI = math.pi / 2
 
 
 def aligned(tau, mu, su, sv):
-    return AlignedPairFeatures(tau, mu, ShapeParams(*su), ShapeParams(*sv))
+    """The 8 feature columns of an aligned pair."""
+    return AlignedPairFeatures(tau, mu, ShapeParams(*su), ShapeParams(*sv)).as_vector()
 
 
 def brute_force_replicas(vec, iso_tol=1e-9):
@@ -82,35 +83,33 @@ class TestCanonicalKey:
         assert canonical_key(a) != canonical_key(b)
 
     def test_negated_zero_angles_collide(self):
-        rec = LabeledPair(aligned(0.4, 1.0, (0.0, 0.5, 0.3), (0.0, 0.4, 0.2)), 1, "a")
-        reps = replicate(rec)
-        assert canonical_key(reps[0].features) == canonical_key(reps[1].features)
+        reps = replicate(aligned(0.4, 1.0, (0.0, 0.5, 0.3), (0.0, 0.4, 0.2)))
+        assert canonical_key(reps[0]) == canonical_key(reps[1])
 
 
 class TestReplicate:
     def test_generic_anisotropic_four_distinct(self):
-        rec = LabeledPair(aligned(0.4, 1.0, (0.3, 0.5, 0.3), (0.7, 0.4, 0.2)), 1, "a")
-        reps = replicate(rec)
+        reps = replicate(aligned(0.4, 1.0, (0.3, 0.5, 0.3), (0.7, 0.4, 0.2)))
         assert len(reps) == 4
-        assert len({canonical_key(r.features) for r in reps}) == 4
+        assert len({canonical_key(r) for r in reps}) == 4
 
     def test_zero_angles_collapse_to_two(self):
-        rec = LabeledPair(aligned(0.4, 1.0, (0.0, 0.5, 0.3), (0.0, 0.4, 0.2)), 0, "a")
-        reps = replicate(rec)
+        reps = replicate(aligned(0.4, 1.0, (0.0, 0.5, 0.3), (0.0, 0.4, 0.2)))
         assert len(reps) == 4
-        assert len({canonical_key(r.features) for r in reps}) == 2
+        assert len({canonical_key(r) for r in reps}) == 2
 
     def test_isotropic_u_twelve_unique(self):
-        rec = LabeledPair(aligned(0.4, 1.0, (0.0, 0.5, 0.5), (math.pi / 4, 0.4, 0.2)), 1, "a")
-        reps = replicate(rec)
+        reps = replicate(aligned(0.4, 1.0, (0.0, 0.5, 0.5), (math.pi / 4, 0.4, 0.2)))
         assert len(reps) == 4 + 9
-        assert len({canonical_key(r.features) for r in reps}) == 12
+        assert len({canonical_key(r) for r in reps}) == 12
 
     def test_labels_and_origin_preserved(self):
-        rec = LabeledPair(aligned(0.3, 1.0, (0.2, 0.5, 0.5), (0.1, 0.4, 0.4)), 0, "orig")
-        for rep in replicate(rec):
-            assert rep.label == 0
-            assert rep.origin_id == "orig"
+        # both components isotropic: 4 + 9 + 9 replicas of one record
+        raw = PairFeatures(0.3, 2.0, ShapeParams(0.2, 1.0, 1.0), ShapeParams(0.1, 0.8, 0.8))
+        corpus = build_corpus([JudgmentRecord(record_id="orig", params=raw, judgments=(0, 0, 1))])
+        assert len(corpus) > 4
+        assert corpus.y.tolist() == [0] * len(corpus)
+        assert corpus.origin_ids == ("orig",) * len(corpus)
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(77)
@@ -128,29 +127,26 @@ class TestReplicate:
                 svy = svx
             top = max(1.0, sux, suy, svx, svy)
             vec = (tau, 1.0, sux / top, suy / top, svx / top, svy / top, thu, thv)
-            rec = LabeledPair(
-                aligned(vec[0], vec[1], (vec[6], vec[2], vec[3]), (vec[7], vec[4], vec[5])),
-                1,
-                "x",
-            )
-            got = {canonical_key(r.features) for r in replicate(rec)}
-            assert got == brute_force_replicas(vec), f"regime {regime}, case {i}"
+            reps = replicate(aligned(vec[0], vec[1], (vec[6], vec[2], vec[3]), (vec[7], vec[4], vec[5])))
+            assert {canonical_key(r) for r in reps} == brute_force_replicas(vec), f"regime {regime}, case {i}"
+            assert len(reps) == 4 + 9 * {"iso_u": 1, "iso_v": 1, "iso_both": 2}.get(regime, 0)
 
     def test_swap_exchanges_roles_exactly(self):
-        rec = LabeledPair(aligned(0.3, 1.0, (0.5, 0.6, 0.2), (-0.4, 0.9, 0.1)), 1, "a")
-        swap = replicate(rec)[2].features
-        assert swap.tau == pytest.approx(0.7, abs=1e-15)
-        assert swap.shape_u == rec.features.shape_v
-        assert swap.shape_v == rec.features.shape_u
+        x = aligned(0.3, 1.0, (0.5, 0.6, 0.2), (-0.4, 0.9, 0.1))
+        swap = replicate(x)[2]
+        assert swap[0] == pytest.approx(0.7, abs=1e-15)
+        assert swap[1] == x[1]
+        assert swap[[2, 3, 6]].tolist() == x[[4, 5, 7]].tolist()
+        assert swap[[4, 5, 7]].tolist() == x[[2, 3, 6]].tolist()
 
     def test_negation_is_x_axis_reflection(self):
         # reflecting x -> -x conjugates the covariance with diag(-1, 1)
-        rec = LabeledPair(aligned(0.3, 1.0, (0.5, 0.6, 0.2), (-0.4, 0.9, 0.1)), 1, "a")
-        neg = replicate(rec)[1].features
+        x = aligned(0.3, 1.0, (0.5, 0.6, 0.2), (-0.4, 0.9, 0.1))
+        neg = replicate(x)[1]
         f = np.diag([-1.0, 1.0])
-        for shape, nshape in ((rec.features.shape_u, neg.shape_u), (rec.features.shape_v, neg.shape_v)):
-            original = compose_covariance(shape).as_matrix()
-            reflected = compose_covariance(nshape).as_matrix()
+        for sigmas, theta in ((slice(2, 4), 6), (slice(4, 6), 7)):
+            original = compose_covariance(ShapeParams(x[theta], *x[sigmas])).as_matrix()
+            reflected = compose_covariance(ShapeParams(neg[theta], *neg[sigmas])).as_matrix()
             assert np.allclose(f @ original @ f, reflected, atol=1e-12)
 
 
@@ -173,17 +169,18 @@ class TestBuildCorpus:
         r1 = self.record(raw, label=1, rid="first")
         r2 = self.record(raw, label=0, rid="second")
         corpus = build_corpus([r1, r2])
-        assert all(rec.origin_id == "first" for rec in corpus.records)
-        assert "second" not in corpus.provenance
+        assert corpus.origin_ids == ("first",) * len(corpus)
+        assert corpus.y.tolist() == [1] * len(corpus)
 
     def test_provenance_points_to_rows(self):
+        # rows come in record order, each record's in emission order
         raw1 = PairFeatures(0.4, 2.0, ShapeParams(0.0, 2.0, 1.0), ShapeParams(0.3, 1.5, 1.0))
         raw2 = PairFeatures(0.2, 5.0, ShapeParams(0.6, 2.5, 0.5), ShapeParams(0.0, 1.0, 1.0))
-        corpus = build_corpus([self.record(raw1, rid="a"), self.record(raw2, rid="b")])
-        for origin, rows in corpus.provenance.items():
-            for row in rows:
-                assert corpus.records[row].origin_id == origin
-        assert len(corpus.provenance["a"]) + len(corpus.provenance["b"]) == len(corpus)
+        a, b = self.record(raw1, rid="a"), self.record(raw2, label=0, rid="b")
+        corpus, alone = build_corpus([a, b]), [build_corpus([a]), build_corpus([b])]
+        assert corpus.origin_ids == ("a",) * len(alone[0]) + ("b",) * len(alone[1])
+        assert np.array_equal(corpus.X, np.concatenate([alone[0].X, alone[1].X]))
+        assert corpus.y.tolist() == [1] * len(alone[0]) + [0] * len(alone[1])
 
     def test_tau_swap_extends_coverage(self):
         rng = np.random.default_rng(3)
@@ -198,7 +195,7 @@ class TestBuildCorpus:
             records.append(self.record(raw, rid=f"r{i}"))
         corpus = build_corpus(records)
         assert all(r.params.tau <= 0.5 for r in records)
-        assert any(rec.features.tau > 0.5 for rec in corpus.records)
+        assert (corpus.X[:, 0] > 0.5).any()
 
     def test_no_duplicate_keys(self):
         rng = np.random.default_rng(8)
@@ -212,7 +209,7 @@ class TestBuildCorpus:
             )
             records.append(self.record(raw, rid=f"r{i}"))
         corpus = build_corpus(records)
-        keys = [canonical_key(rec.features) for rec in corpus.records]
+        keys = [canonical_key(x) for x in corpus.X]
         assert len(keys) == len(set(keys))
 
 
@@ -273,7 +270,7 @@ class TestIngest:
         write_bench(p, [bench_row("a", votes=[0] * 20 + [1] * 14)])
         result = ingest_benchmark(p)
         corpus = build_corpus(result.records)
-        assert all(rec.label == 0 for rec in corpus.records)
+        assert corpus.y.tolist() == [0] * len(corpus)
 
 
 class TestGenerateScatterplot:
@@ -310,22 +307,54 @@ class TestGenerateScatterplot:
         assert hits >= 18
 
 
+class TestCorpusRows:
+    # values at and around the bounds a row is checked against
+    EDGES = (
+        0.0, -0.0, 1.0, -1.0, 1e-17, 1.0 - 1e-16, 1.0 + 1e-10, 1.0 + 1e-8, 5.0, -0.25,
+        HALF_PI, HALF_PI + 1e-6, HALF_PI + 2e-6, -HALF_PI - 1e-6, -HALF_PI - 2e-6,
+        math.nan, math.inf, -math.inf,
+    )
+
+    def test_rows_rejected_exactly_as_the_dataclasses_reject(self):
+        rng = np.random.default_rng(9)
+        outcomes = set()
+        for _ in range(3000):
+            x, label = random_aligned(rng).as_vector(), int(rng.choice([0, 1, 1, 1, 2, -1]))
+            for j in rng.choice(8, size=int(rng.integers(1, 3)), replace=False):
+                x[j] = rng.choice(self.EDGES) if rng.random() < 0.8 else x[j] * rng.uniform(0.5, 2.0)
+            try:
+                AlignedPairFeatures.from_vector(x)
+                valid = label in (0, 1)
+            except ValueError:
+                valid = False
+            try:
+                TrainingCorpus(X=[x], y=[label], origin_ids=["a"])
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == valid, (x.tolist(), label)
+            outcomes.add(valid)
+        assert outcomes == {True, False}
+
+    def test_reader_names_the_first_bad_row(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        rows = ["0.5,1,0.5,0.5,0.5,0.5,0,0,1,a", "0.5,1,0.5,0.5,0.5,0.5,2,0,1,b", "1.5,1,0.5,0.5,0.5,0.4,0,0,1,c"]
+        path.write_text(",".join(CORPUS_COLUMNS) + "\n\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=r"corpus.csv: row 4: theta_u must be in \[-pi/2, pi/2\], got 2.0"):
+            read_corpus_csv(path)
+
+
 class TestCorpusCsv:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
-        pairs = [
-            LabeledPair(features=random_aligned(rng), label=int(rng.integers(2)), origin_id=f"r{i}")
-            for i in range(25)
-        ]
-        corpus = TrainingCorpus(records=tuple(pairs))
+        corpus = make_corpus([random_aligned(rng) for _ in range(25)], rng.integers(2, size=25), "r")
         path = tmp_path / "corpus.csv"
         write_corpus_csv(path, corpus)
         back = read_corpus_csv(path)
         assert len(back) == len(corpus)
-        for a, b in zip(corpus.records, back.records):
-            assert np.allclose(a.features.as_vector(), b.features.as_vector(), atol=1e-8)
-            assert a.label == b.label
-            assert a.origin_id == b.origin_id
+        assert np.allclose(corpus.X, back.X, atol=1e-8)
+        assert np.array_equal(corpus.y, back.y)
+        assert corpus.origin_ids == back.origin_ids
 
     def test_rejects_wrong_columns(self, tmp_path):
         path = tmp_path / "bad.csv"

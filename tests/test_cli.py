@@ -153,7 +153,31 @@ class TestCorpus:
         write_bench(judged, rows, n_votes=3)
         out = tmp_path / "corpus.csv"
         assert run("corpus", judged, "--out", out) == 0
-        assert set(read_corpus_csv(out).provenance) == {"r,1", "r2"}
+        assert set(read_corpus_csv(out).origin_ids) == {"r,1", "r2"}
+
+    @pytest.mark.parametrize("tau", ["0.9999999999999999", "1e-17"])
+    def test_tau_that_rounds_to_1_exit_2(self, tmp_path, capsys, tau):
+        # the corpus CSV holds 9 significant digits: tau or its swap's 1 - tau is written as 1
+        judged = tmp_path / "judged.csv"
+        judged.write_text((DATA / "judged.csv").read_text().replace("\nr01,0.2,", f"\nr01,{tau},", 1))
+        assert run("corpus", judged, "--out", tmp_path / "corpus.csv") == 2
+        assert f"{judged}: record 'r01': tau must be in (0, 1), got 1.0" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [judged]
+
+    def test_records_equal_as_written_are_deduplicated(self, tmp_path):
+        # r02b differs from r02 in theta_u below the 9 significant digits the corpus CSV holds
+        text = (DATA / "judged.csv").read_text()
+        r02 = next(line for line in text.splitlines() if line.startswith("r02,"))
+        cells = r02.split(",")
+        assert cells[7] == "1.17809725"
+        cells[0], cells[7] = "r02b", "1.178097254"
+        judged = tmp_path / "judged.csv"
+        judged.write_text(text + ",".join(cells) + "\n")
+        assert run("corpus", judged, "--out", tmp_path / "corpus.csv") == 0
+        report = json.loads((tmp_path / "corpus.csv.report.json").read_text())
+        assert report["unique_records"] == report["input_rows"] == 41
+        assert (tmp_path / "corpus.csv").read_bytes() == GOLDEN_CORPUS.read_bytes()
+        assert run("train", tmp_path / "corpus.csv", "--n-trees", 1, "--out", tmp_path / "m.json") == 0
 
 
 @pytest.fixture()
@@ -265,18 +289,23 @@ TRAIN_MUTATIONS = {
     "missing_header": "expected corpus columns",
     "header_only": "needs records of both labels",
     "repeated_record": "duplicate feature tuple",
+    "theta_outside": "must be in [-pi/2, pi/2]",
+    "sigma_not_positive": "must be > 0",
+    "mu_negative": "mu must be finite and >= 0",
 }
 
 
-def mutate_corpus_csv(text: str, kind: str, rng: np.random.Generator) -> str:
-    """``text`` of a corpus CSV with one ``kind`` of damage, at a row and cell drawn from ``rng``."""
+def mutate_corpus_csv(text: str, kind: str, rng: np.random.Generator) -> tuple[str, int | None]:
+    """``text`` of a corpus CSV with one ``kind`` of damage, at a row and cell drawn from ``rng``,
+    and the line number of the damaged row (None when the damage is to the whole file)."""
     header, *lines = text.splitlines()
     if kind == "missing_header":
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n", None
     if kind == "header_only":
-        return header + "\n"
+        return header + "\n", None
     rows = [line.split(",") for line in lines]
-    row = rows[int(rng.integers(len(rows)))]
+    index = int(rng.integers(len(rows)))
+    row = rows[index]
     if kind == "ragged_row":
         row[:] = row[:-1] if rng.integers(2) else row + ["r9"]
     elif kind == "non_numeric_cell":
@@ -292,24 +321,34 @@ def mutate_corpus_csv(text: str, kind: str, rng: np.random.Generator) -> str:
         row[1:6] = [str(float(c) * factor) for c in row[1:6]]
     elif kind == "repeated_record":
         rows.append(row[:9] + ["r9"])
-    return "\n".join([header, *map(",".join, rows)]) + "\n"
+        index = len(rows) - 1
+    elif kind == "theta_outside":
+        # beyond the 1e-6 that a theta may lie past +-pi/2
+        row[int(rng.integers(6, 8))] = str(rng.choice([-1.0, 1.0]) * (np.pi / 2 + 2e-6))
+    elif kind == "sigma_not_positive":
+        row[int(rng.integers(2, 6))] = str(rng.choice([0.0, -0.5]))
+    elif kind == "mu_negative":
+        row[1] = "-0.25"
+    return "\n".join([header, *map(",".join, rows)]) + "\n", index + 2
 
 
 class TestTrainMutations:
     """Seeded damage to the golden corpus: ``train``, with and without ``--cv``, exits 2, names the
-    file and writes no model, metrics or sidecar."""
+    file and the damaged row, and writes no model, metrics or sidecar."""
 
     @pytest.mark.parametrize("cv", [False, True], ids=["train", "cv"])
     @pytest.mark.parametrize("kind", TRAIN_MUTATIONS)
     def test_damage_exit_2(self, tmp_path, capsys, kind, cv):
         corpus = tmp_path / "corpus.csv"
         rng = np.random.default_rng(list(TRAIN_MUTATIONS).index(kind))
-        corpus.write_text(mutate_corpus_csv(GOLDEN_CORPUS.read_text(), kind, rng))
+        text, line = mutate_corpus_csv(GOLDEN_CORPUS.read_text(), kind, rng)
+        corpus.write_text(text)
         flags = ["--cv", "--cv-folds", 2, "--cv-repeats", 1] if cv else []
         code = run("train", corpus, "--n-trees", 1, *flags, "--out", tmp_path / "m.json")
         err = capsys.readouterr().err
         assert code == 2, err
-        assert f"{corpus}: " in err and TRAIN_MUTATIONS[kind] in err
+        where = f"{corpus}: " if line is None else f"{corpus}: row {line}: "
+        assert where in err and TRAIN_MUTATIONS[kind] in err
         assert list(tmp_path.glob("m.*")) == []
 
 

@@ -1,4 +1,4 @@
-"""Cross-module flows: corpus provenance -> per-origin agreement, and the
+"""Cross-module flows: corpus origin ids -> per-origin agreement, and the
 binary group-agreement path on merge decisions."""
 import math
 
@@ -9,12 +9,10 @@ from scatterscore.agreement import (
     GroupRatings,
     IsolatedRatings,
     bootstrap_kappa,
-    majority_vote_by_origin,
-    read_group_csv,
     vanbelle_kappa,
 )
-from scatterscore.augment import JudgmentRecord, build_corpus
-from scatterscore.mergemodel import TrainConfig, predict, train_bagged
+from scatterscore.augment import JudgmentRecord, build_corpus, summarize_judgments
+from scatterscore.mergemodel import TrainConfig, predict, predict_matrix, train_bagged
 from scatterscore.pairspace import PairFeatures, ShapeParams, align_training_record
 from scatterscore.preprocess import PreprocessSpec
 from scatterscore.util import derive_seed, spawn_rng
@@ -49,27 +47,25 @@ class TestPerOriginAgreement:
         )
         model, _ = train_bagged(corpus, config)
 
-        predictions = [
-            (rec.origin_id, predict(model, rec.features)[0]) for rec in corpus.records
-        ]
-        per_origin = majority_vote_by_origin(predictions)
+        # a merge decision is a one-cluster vote, so the label rule is the per-origin majority
+        by_origin = {}
+        for origin, h in zip(corpus.origin_ids, predict_matrix(model, corpus.X)):
+            by_origin.setdefault(origin, []).append(h)
         truth = {r.record_id: int(all(r.judgments)) for r in records}
-        kept = [o for o in per_origin if o in truth]
-        agreement_rate = np.mean([per_origin[o] == truth[o] for o in kept])
+        assert set(by_origin) <= set(truth)
+        agreement_rate = np.mean([summarize_judgments(v) == truth[o] for o, v in by_origin.items()])
         assert agreement_rate >= 0.95
 
     def test_origin_groups_match_provenance(self):
         records = grid_records(30, seed=32)
         corpus = build_corpus(records)
-        predictions = [(rec.origin_id, rec.label) for rec in corpus.records]
-        per_origin = majority_vote_by_origin(predictions)
-        for origin, rows in corpus.provenance.items():
-            # replicas inherit their origin's label, so the vote is unanimous
-            assert per_origin[origin] == corpus.records[rows[0]].label
+        labels = {r.record_id: summarize_judgments(r.judgments) for r in records}
+        # replicas inherit their origin's label
+        assert corpus.y.tolist() == [labels[o] for o in corpus.origin_ids]
 
 
 class TestBinaryGroupAgreement:
-    def test_merge_decisions_vs_judge_group(self, tmp_path):
+    def test_merge_decisions_vs_judge_group(self):
         records = grid_records(100, seed=33)
         corpus = build_corpus(records)
         config = TrainConfig(
@@ -79,15 +75,11 @@ class TestBinaryGroupAgreement:
 
         # noisy votes around the rule that generated the labels
         rng = spawn_rng(derive_seed(33, "votes"))
-        path = tmp_path / "group.csv"
-        with open(path, "w") as fh:
-            fh.write("item_id," + ",".join(f"r{i}" for i in range(34)) + "\n")
-            for rec in records:
-                base = int(all(rec.judgments))
-                votes = [str(base if rng.random() < 0.92 else 1 - base) for _ in range(34)]
-                fh.write(f"{rec.record_id}," + ",".join(votes) + "\n")
-        ids, group = read_group_csv(path)
-        assert ids == [r.record_id for r in records]
+        votes = []
+        for rec in records:
+            base = int(all(rec.judgments))
+            votes.append(tuple(str(base if rng.random() < 0.92 else 1 - base) for _ in range(34)))
+        group = GroupRatings(categories=("0", "1"), votes=tuple(votes))
 
         machine = IsolatedRatings(
             votes=tuple(str(predict(model, align_training_record(r.params))[0]) for r in records)

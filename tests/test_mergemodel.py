@@ -1,13 +1,15 @@
 import json
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from scatterscore import mergemodel
-from scatterscore.augment import LabeledPair, TrainingCorpus, canonical_key
+from scatterscore.augment import build_corpus, canonical_key, ingest_benchmark, read_corpus_csv, write_corpus_csv
 from scatterscore.mergemodel import (
     ConfusionCounts,
     ModelFormatError,
@@ -24,27 +26,21 @@ from scatterscore.mergemodel import (
     train_bagged,
     up_sample,
 )
-from scatterscore.pairspace import ShapeParams
+from scatterscore.pairspace import AlignedPairFeatures
 from scatterscore.preprocess import PreprocessSpec
 from scatterscore.trees import fit_bagged_trees
 from scatterscore.util import spawn_rng
 
-from conftest import random_aligned, threshold_rule_pairs
+from conftest import make_corpus, random_aligned, threshold_rule_pairs
 
 CS_ONLY = PreprocessSpec(steps=("center_scale",))
+JUDGED = Path(__file__).parent / "data" / "judged.csv"
 
 
 def labeled_pairs(n, seed, class1_fraction=0.5):
     rng = np.random.default_rng(seed)
     labels = (rng.random(n) < class1_fraction).astype(int)
-    return [
-        LabeledPair(features=random_aligned(rng), label=int(l), origin_id=f"p{i}")
-        for i, l in enumerate(labels)
-    ]
-
-
-def labels_of(records) -> np.ndarray:
-    return np.array([r.label for r in records])
+    return make_corpus([random_aligned(rng) for _ in range(n)], labels)
 
 
 class TestMcc:
@@ -70,31 +66,22 @@ class TestMcc:
 
 class TestStratifiedSplit:
     def test_small_balanced_example(self):
-        pairs = labeled_pairs(10, seed=1, class1_fraction=0.5)
-        # force exactly 5/5
-        pairs = [replace(p, label=i % 2) for i, p in enumerate(pairs)]
-        y = labels_of(pairs)
+        # exactly 5/5
+        y = replace(labeled_pairs(10, seed=1), y=np.arange(10) % 2).y
         train, test = stratified_split(y, 0.2, seed=0)
         assert len(train) == 8 and len(test) == 2
         assert y[test].sum() == 1
 
     def test_disjoint_union(self):
         pairs = labeled_pairs(57, seed=2)
-        train, test = stratified_split(labels_of(pairs), 0.3, seed=3)
+        train, test = stratified_split(pairs.y, 0.3, seed=3)
         assert set(train) | set(test) == set(range(len(pairs)))
         assert set(train) & set(test) == set()
 
     def test_total_is_rounded_fraction(self):
         for n, frac in ((16181, 0.2), (101, 0.25), (1000, 0.2)):
             sizes = [int(0.815 * n), n - int(0.815 * n)]
-            pairs = []
-            rng = np.random.default_rng(n)
-            for c, sz in enumerate(sizes):
-                for i in range(sz):
-                    pairs.append(
-                        LabeledPair(features=random_aligned(rng), label=c, origin_id=f"{c}-{i}")
-                    )
-            y = labels_of(pairs)
+            y = np.repeat([0, 1], sizes)
             train, test = stratified_split(y, frac, seed=1)
             assert len(test) == round(frac * n)
             # class proportions preserved within one record
@@ -103,7 +90,7 @@ class TestStratifiedSplit:
                 assert abs(got - frac * sz) < 1.0
 
     def test_deterministic(self):
-        y = labels_of(labeled_pairs(40, seed=4))
+        y = labeled_pairs(40, seed=4).y
         a = np.concatenate(stratified_split(y, 0.2, seed=9))
         b = np.concatenate(stratified_split(y, 0.2, seed=9))
         assert np.array_equal(a, b)
@@ -150,7 +137,13 @@ class TestBalancing:
 
 
 # The record-list split, balancing and CV folds that the index versions
-# replace; those must pick the same records, in the same order.
+# replace; those must pick the same records, in the same order.  A record is
+# its row number, label and canonical key.
+Record = namedtuple("Record", "row label key")
+
+
+def records_of(X, y):
+    return [Record(i, label, canonical_key(x)) for i, (x, label) in enumerate(zip(X.tolist(), y.tolist()))]
 
 
 def reference_stratified_split(records, test_fraction, seed):
@@ -200,7 +193,7 @@ REFERENCE_BALANCE = {
 def reference_cv_folds(records, config):
     """(train, test) records of every fold of every repeat."""
     by_class = [
-        sorted((r for r in records if r.label == c), key=lambda r: canonical_key(r.features))
+        sorted((r for r in records if r.label == c), key=lambda r: r.key)
         for c in sorted({r.label for r in records})
     ]
     out = []
@@ -216,18 +209,13 @@ def reference_cv_folds(records, config):
     return out
 
 
-def picked(records, rows):
-    """Identities of the records at ``rows``."""
-    return [id(records[i]) for i in rows]
-
-
 def ids(records):
-    return [id(r) for r in records]
+    return [r.row for r in records]
 
 
 # Balanced, and imbalanced towards label 0 and towards label 1.
 PROTOCOL_INPUTS = {
-    "balanced": lambda seed: [replace(p, label=i % 2) for i, p in enumerate(labeled_pairs(60, seed))],
+    "balanced": lambda seed: replace(labeled_pairs(60, seed), y=np.arange(60) % 2),
     "mostly 0": lambda seed: labeled_pairs(80, seed, class1_fraction=0.2),
     "mostly 1": lambda seed: labeled_pairs(80, seed, class1_fraction=0.8),
 }
@@ -237,47 +225,50 @@ PROTOCOL_INPUTS = {
 class TestIndexProtocol:
     def test_split_matches_reference(self, make):
         for seed in range(4):
-            records = make(seed)
+            corpus = make(seed)
+            records = records_of(corpus.X, corpus.y)
             for frac in (0.1, 0.2, 0.35):
-                train, test = stratified_split(labels_of(records), frac, seed)
+                train, test = stratified_split(corpus.y, frac, seed)
                 ref_train, ref_test = reference_stratified_split(records, frac, seed)
-                assert picked(records, train) == ids(ref_train)
-                assert picked(records, test) == ids(ref_test)
+                assert train.tolist() == ids(ref_train)
+                assert test.tolist() == ids(ref_test)
 
     @pytest.mark.parametrize("method", REFERENCE_BALANCE)
     def test_balance_matches_reference(self, make, method):
         for seed in range(4):
-            records = make(seed)
-            rows = mergemodel._balance(labels_of(records), method, seed)
-            assert picked(records, rows) == ids(REFERENCE_BALANCE[method](records, seed))
+            corpus = make(seed)
+            rows = mergemodel._balance(corpus.y, method, seed)
+            assert rows.tolist() == ids(REFERENCE_BALANCE[method](records_of(corpus.X, corpus.y), seed))
 
     @pytest.mark.parametrize("method", REFERENCE_BALANCE)
     def test_split_then_balance_matches_reference(self, make, method):
         for seed in range(3):
-            records = make(seed)
-            y = labels_of(records)
+            corpus = make(seed)
+            y = corpus.y
             train, _ = stratified_split(y, 0.2, seed)
             rows = train[mergemodel._balance(y[train], method, seed)]
-            ref_train, _ = reference_stratified_split(records, 0.2, seed)
-            assert picked(records, rows) == ids(REFERENCE_BALANCE[method](ref_train, seed))
+            ref_train, _ = reference_stratified_split(records_of(corpus.X, y), 0.2, seed)
+            assert rows.tolist() == ids(REFERENCE_BALANCE[method](ref_train, seed))
 
     def test_cv_folds_match_reference(self, make):
         for seed, folds in ((0, 2), (1, 3), (2, 5)):
-            records = make(seed)
-            np.random.default_rng(seed).shuffle(records)
+            corpus = make(seed)
+            order = np.random.default_rng(seed).permutation(len(corpus))
+            X, y = corpus.X[order], corpus.y[order]
             config = TrainConfig(seed=seed, cv_folds=folds, cv_repeats=2)
-            got = [(picked(records, train), picked(records, test))
-                   for _, _, train, test in mergemodel._cv_folds(records, labels_of(records), config)]
-            assert got == [(ids(train), ids(test)) for train, test in reference_cv_folds(records, config)]
+            got = [(train.tolist(), test.tolist()) for _, _, train, test in mergemodel._cv_folds(X, y, config)]
+            assert got == [(ids(train), ids(test)) for train, test in reference_cv_folds(records_of(X, y), config)]
 
 
 class TestCorpusOrRecords:
-    """A TrainingCorpus and the list of its records train the same way."""
+    """A corpus built from judgments and the records read back from its CSV train the same way."""
 
-    def setup_method(self):
-        pairs, _, _ = threshold_rule_pairs(300, seed=28, noise=0.1)
-        self.records = pairs
-        self.corpus = TrainingCorpus(records=pairs)
+    @pytest.fixture(autouse=True)
+    def corpora(self, tmp_path):
+        self.corpus = build_corpus(ingest_benchmark(JUDGED).records)
+        write_corpus_csv(tmp_path / "corpus.csv", self.corpus)
+        self.records = read_corpus_csv(tmp_path / "corpus.csv")
+        assert np.array_equal(self.corpus.X, self.records.X)
 
     def test_train_bagged(self):
         config = TrainConfig(n_trees=4, seed=3)
@@ -307,8 +298,8 @@ class TestTrainBagged:
         pairs, _, _ = threshold_rule_pairs(400, seed=12)
         config = TrainConfig(n_trees=1, seed=0, preprocess=CS_ONLY, balance="none")
         model, _ = train_bagged(pairs, config)
-        for rec in pairs[:40]:
-            h, frac = predict(model, rec.features)
+        for x in pairs.X[:40]:
+            h, frac = predict(model, AlignedPairFeatures.from_vector(x))
             assert frac in (0.0, 1.0)
             assert h == int(frac >= 0.5)
 
@@ -332,24 +323,10 @@ class TestTrainBagged:
         pairs, _, _ = threshold_rule_pairs(500, seed=15)
         config = TrainConfig(n_trees=2, seed=8, preprocess=CS_ONLY, balance="none")
         # reproduce the internal split, then perturb only test-row angles
-        _, test = stratified_split(labels_of(pairs), config.test_fraction, config.seed)
-        test_ids = {pairs[i].origin_id for i in test}
-        perturbed = [
-            replace(
-                r,
-                features=replace(
-                    r.features,
-                    shape_u=ShapeParams(
-                        -r.features.shape_u.theta,
-                        r.features.shape_u.sigma_x,
-                        r.features.shape_u.sigma_y,
-                    ),
-                ),
-            )
-            if r.origin_id in test_ids
-            else r
-            for r in pairs
-        ]
+        _, test = stratified_split(pairs.y, config.test_fraction, config.seed)
+        X = pairs.X.copy()
+        X[test, 6] *= -1.0  # theta_u
+        perturbed = replace(pairs, X=X)
         model_a, _ = train_bagged(pairs, config)
         model_b, _ = train_bagged(perturbed, config)
         assert np.array_equal(model_a.preprocess.means, model_b.preprocess.means)
@@ -360,11 +337,10 @@ class TestPredict:
     def test_memorizes_duplicated_pure_point(self):
         rng = np.random.default_rng(16)
         anchor = random_aligned(rng)
-        pairs = [
-            LabeledPair(features=random_aligned(rng), label=int(rng.integers(2)), origin_id=f"r{i}")
-            for i in range(300)
-        ]
-        pairs += [LabeledPair(features=anchor, label=1, origin_id=f"dup{i}") for i in range(100)]
+        drawn = [(random_aligned(rng).as_vector(), int(rng.integers(2))) for _ in range(300)]
+        drawn += [(anchor.as_vector(), 1)] * 100
+        # a corpus holds no repeated row, so the rows go in as bare (X, y)
+        pairs = SimpleNamespace(X=np.array([x for x, _ in drawn]), y=np.array([l for _, l in drawn], dtype=np.int8))
         config = TrainConfig(n_trees=25, seed=2, preprocess=CS_ONLY, balance="none")
         model, _ = train_bagged(pairs, config)
         h, frac = predict(model, anchor)
@@ -380,11 +356,11 @@ class TestPredict:
             assert predict(model, f) == predict(model, f)
 
 
-def reference_cross_validate(records, config):
+def reference_cross_validate(corpus, config):
     """Each fold's MCC from a full bag of trees and ``predict_matrix``."""
-    X, y = mergemodel._matrix(records)
+    X, y = corpus.X, corpus.y
     out = []
-    for rep, f, train, test in mergemodel._cv_folds(records, y, config):
+    for rep, f, train, test in mergemodel._cv_folds(X, y, config):
         seed = mergemodel.derive_seed(config.seed, "cv", rep, f)
         fitted, X_train, y_train = mergemodel._prepare(X, y, train, config, seed)
         bag = fit_bagged_trees(X_train, y_train, config.n_trees, mergemodel.derive_seed(seed, "bag"))
@@ -409,8 +385,8 @@ class TestCrossValidate:
             n_trees=3, seed=6, preprocess=CS_ONLY, balance="none", cv_folds=3, cv_repeats=2
         )
         a = cross_validate(pairs, config)
-        shuffled = list(pairs)
-        np.random.default_rng(0).shuffle(shuffled)
+        order = np.random.default_rng(0).permutation(len(pairs))
+        shuffled = replace(pairs, X=pairs.X[order], y=pairs.y[order], origin_ids=np.array(pairs.origin_ids)[order])
         b = cross_validate(shuffled, config)
         assert a == b
 
@@ -423,7 +399,7 @@ class TestCrossValidate:
 
     def test_folds_bounded_by_minority(self):
         pairs = labeled_pairs(30, seed=21, class1_fraction=0.9)
-        minority = min(Counter(r.label for r in pairs).values())
+        minority = min(Counter(pairs.y.tolist()).values())
         config = TrainConfig(cv_folds=minority + 1, cv_repeats=1)
         with pytest.raises(ValueError):
             cross_validate(pairs, config)

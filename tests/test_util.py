@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scatterscore.agreement import read_group_csv, read_pair_judgments_csv
+from scatterscore.agreement import read_pair_judgments_csv
 from scatterscore.augment import ingest_benchmark, read_corpus_csv
 from scatterscore.util import _seed_block, derive_seed, fmt_num, read_rows, read_table, spawn_rng, spawn_rngs, write_csv
 from scatterscore.vqm import read_scores_csv
@@ -139,7 +139,6 @@ _JUDGED_HEADER = "id,tau,mu,sigma_ux,sigma_uy,sigma_vx,sigma_vy,theta_u,theta_v,
         (read_scores_csv, "id,k_star,m,scalar_score", "a,2,1,1.33333333"),
         (ingest_benchmark, _JUDGED_HEADER, "r1,0.5,1,1,1,1,1,0,0,1"),
         (read_pair_judgments_csv, "idA,idB,v1", "a,b,<"),
-        (read_group_csv, "item_id,r1", "i1,0"),
     ],
 )
 def test_readers_reject_rows_of_the_wrong_width(tmp_path, reader, header, row):
