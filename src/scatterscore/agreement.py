@@ -323,11 +323,11 @@ def _pair_judgment(cells) -> tuple[tuple[str, str], tuple[str, ...]]:
 def read_pair_judgments_csv(path) -> tuple[list[tuple[str, str]], GroupRatings]:
     """Read idA,idB,vote_1..vote_R rows with votes in {<, =, >}."""
     header, rows = read_table(path)
-    if not rows:
-        raise ValueError(f"{path}: no judgment rows")
-    if len(header) < 3 or header[:2] != ["ida", "idb"]:
+    if header and (len(header) < 3 or header[:2] != ["ida", "idb"]):
         raise ValueError(f"{path}: expected columns idA,idB and at least one vote, got {header}")
-    parsed = parse_rows(path, rows, _pair_judgment)
+    parsed = [value for _, value in parse_rows(path, rows, _pair_judgment)]
+    if not parsed:
+        raise ValueError(f"{path}: no judgment rows")
     pairs = [pair for pair, _ in parsed]
     votes = [row_votes for _, row_votes in parsed]
     return pairs, GroupRatings(categories=RELATION_CATEGORIES, votes=tuple(votes))

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,9 +86,10 @@ class _RowError(ValueError):
 _RULES = ("in (0, 1)", "finite and >= 0", "> 0", "> 0", "> 0", "> 0", "in [-pi/2, pi/2]", "in [-pi/2, pi/2]")
 
 
-def _check_rows(X: np.ndarray, y: np.ndarray) -> None:
+def _check_rows(X: np.ndarray, y: np.ndarray, keys: np.ndarray) -> None:
     """_RowError at the first row of (X, y) that ``AlignedPairFeatures`` with a
-    label of 0 or 1 would reject, or whose canonical key repeats an earlier row's."""
+    label of 0 or 1 would reject, or whose canonical key (the row of ``keys``)
+    repeats an earlier row's."""
     faults = np.column_stack([
         ~((X[:, 0] > 0.0) & (X[:, 0] < 1.0)),
         ~((X[:, 1] >= 0.0) & np.isfinite(X[:, 1])),
@@ -103,27 +105,32 @@ def _check_rows(X: np.ndarray, y: np.ndarray) -> None:
         messages.append(f"aligned features must have max scale 1, got {max(row[1:6])}")
         messages.append(f"label must be 0 or 1, got {y[i]}")
         raise _RowError(i, messages[int(np.argmax(faults[i]))])
-    repeats = np.setdiff1d(np.arange(len(X)), _first_rows(X))
+    repeats = np.setdiff1d(np.arange(len(X)), _first_rows(keys))
     if len(repeats):
-        raise _RowError(int(repeats[0]), f"duplicate feature tuple in corpus: {canonical_key(X[repeats[0]])}")
+        i = int(repeats[0])
+        raise _RowError(i, f"duplicate feature tuple in corpus: {tuple(keys[i].tolist())}")
 
 
 @dataclass(frozen=True, eq=False)
 class TrainingCorpus:
     """Deduplicated labeled pairs as columns: the aligned features ``X`` (n, 8)
     in ``PARAM_COLUMNS`` order, the int8 labels ``y`` and the id of the
-    judgment record each row came from.  Rows are checked by ``_check_rows``."""
+    judgment record each row came from.  Rows are checked by ``_check_rows``.
+    ``keys`` holds each row's canonical key (``canonical_keys(X)``), computed once."""
 
     X: np.ndarray
     y: np.ndarray
     origin_ids: tuple[str, ...]
+    keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         X, y, origin_ids = np.asarray(self.X, dtype=float), np.asarray(self.y), tuple(self.origin_ids)
         if X.ndim != 2 or X.shape[1] != len(PARAM_COLUMNS) or not len(X) == len(y) == len(origin_ids):
             raise ValueError(f"corpus columns disagree: X {X.shape}, {len(y)} labels, {len(origin_ids)} origin ids")
-        _check_rows(X, y)
+        keys = canonical_keys(X)
+        _check_rows(X, y, keys)
         object.__setattr__(self, "X", X)
+        object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "y", y.astype(np.int8))
         object.__setattr__(self, "origin_ids", origin_ids)
 
@@ -144,21 +151,57 @@ def summarize_judgments(judgments) -> int:
 
 
 def canonical_key(vec) -> tuple:
-    """Dedup key of 8 features in ``PARAM_COLUMNS`` order: each rounded to 9 decimals, -0.0 as 0.0."""
+    """Dedup key of 8 features in ``PARAM_COLUMNS`` order: each rounded to 9 decimals, -0.0 as 0.0.
+    The per-value reference for ``canonical_keys``, which keys whole corpora."""
     return tuple(round(float(x), 9) + 0.0 for x in vec)
 
 
-def _first_rows(X: np.ndarray) -> np.ndarray:
-    """Index of the first row of each canonical key, ascending."""
-    first: dict[tuple, int] = {}
-    for i, key in enumerate(map(canonical_key, X.tolist())):
-        first.setdefault(key, i)
-    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
+# From 2**23 on, doubles lie more than 1e-9 apart, so round(v, 9) is v itself;
+# below it, v * 1e9 and its nearest integer stay under 2**53, where doubles are exact.
+_KEY_EXACT = 2.0**23
+_SPLIT = 2.0**27 + 1  # Veltkamp's splitter: a double's high and low 26 bits
+
+
+def _round9(v: np.ndarray) -> np.ndarray:
+    """``round(v, 9) + 0.0`` element for element: Python rounds the exact binary
+    value half to even, and reads the decimal back correctly rounded."""
+    small = np.abs(v) < _KEY_EXACT
+    x = np.where(small, v, 0.0)
+    p = x * 1e9
+    n = np.rint(p)
+    # rint(p) is the exact product's nearest integer unless p, rounded, lies half-way
+    # between two: then the product's rounding error (Dekker: 1e9 has 21 significant
+    # bits, so hi * 1e9 and lo * 1e9 are exact) decides the side.
+    tie = np.flatnonzero(np.abs(p - n) == 0.5)
+    if len(tie):
+        xt, pt = x[tie], p[tie]
+        hi = xt * _SPLIT - (xt * _SPLIT - xt)
+        error = (hi * 1e9 - pt) + (xt - hi) * 1e9
+        n[tie] = np.where(error > 0.0, np.ceil(pt), np.where(error < 0.0, np.floor(pt), n[tie]))
+    return np.where(small, n / 1e9, v) + 0.0
+
+
+def canonical_keys(X) -> np.ndarray:
+    """The canonical keys of the rows of ``X`` as an (n, 8) float array, one column
+    at a time: element for element the values of ``canonical_key``."""
+    X = np.asarray(X, dtype=float)
+    keys = np.empty_like(X)
+    for j in range(X.shape[1]):
+        keys[:, j] = _round9(X[:, j])
+    return keys
+
+
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """Index of the first of each distinct row of ``keys``, ascending."""
+    return np.sort(np.unique(keys, axis=0, return_index=True)[1])
 
 
 def _as_written(X: np.ndarray) -> np.ndarray:
     """``X`` at the 9 significant digits the corpus CSV holds."""
-    return np.array([float(fmt_num(v)) for v in X.ravel().tolist()]).reshape(X.shape)
+    out = np.empty_like(X)
+    for j in range(X.shape[1]):
+        out[:, j] = [float(fmt_num(v)) for v in X[:, j].tolist()]
+    return out
 
 
 def replicate(x) -> np.ndarray:
@@ -195,7 +238,7 @@ def build_corpus(records) -> TrainingCorpus:
     records = list(records)
     blocks = [replicate(align_training_record(rec.params).as_vector()) for rec in records]
     X = _as_written(np.concatenate([np.empty((0, len(PARAM_COLUMNS))), *blocks]))
-    rows = _first_rows(X)
+    rows = _first_rows(canonical_keys(X))
     origin = np.repeat(np.arange(len(records)), [len(b) for b in blocks])[rows]
     labels = np.array([summarize_judgments(rec.judgments) for rec in records], dtype=np.int8)
     try:
@@ -245,9 +288,7 @@ def read_params_csv(path) -> list[tuple[str, PairFeatures]]:
             raise ValueError(f"id {plot_id!r} is not a bare file name")
         return plot_id, params
 
-    param_sets = parse_rows(path, rows, parse)
-    reject_repeated_ids(path, rows, param_sets, "id")
-    return param_sets
+    return reject_repeated_ids(path, list(parse_rows(path, rows, parse)), "id")
 
 
 def ingest_benchmark(path) -> IngestResult:
@@ -255,8 +296,9 @@ def ingest_benchmark(path) -> IngestResult:
 
     Expected columns: ``id``, the eight generator parameters, optional
     ``alpha``/``n`` (dropped), then the per-subject vote columns
-    ``j1..jR`` with 1 = one-cluster.  Rows whose parameters coincide after
-    alignment are merged, keeping the first occurrence.
+    ``j1..jR`` with 1 = one-cluster.  Rows whose aligned parameters
+    coincide at the precision the corpus CSV holds are merged, keeping the
+    first occurrence.
     """
     header, rows = read_table(path, required=("id", *PARAM_COLUMNS))
     if not header:
@@ -275,18 +317,14 @@ def ingest_benchmark(path) -> IngestResult:
         record_id, params = id_and_params(cells)
         return JudgmentRecord(record_id=record_id, params=params, judgments=[int(cells[j]) for j in vote_cols])
 
-    records: list[JudgmentRecord] = []
-    seen: dict[tuple, str] = {}
-    duplicates: list[tuple[str, str]] = []
-    for record in parse_rows(path, rows, parse):
-        key = canonical_key(align_training_record(record.params).as_vector())
-        if key in seen:
-            duplicates.append((record.record_id, seen[key]))
-            continue
-        seen[key] = record.record_id
-        records.append(record)
-    report = IngestReport(n_rows=len(rows), n_unique=len(records), duplicates=tuple(duplicates))
-    return IngestResult(records=tuple(records), report=report)
+    records = [record for _, record in parse_rows(path, rows, parse)]
+    aligned = np.array([align_training_record(r.params).as_vector() for r in records]).reshape(-1, len(PARAM_COLUMNS))
+    _, first, inverse = np.unique(canonical_keys(_as_written(aligned)), axis=0, return_index=True, return_inverse=True)
+    kept = first[inverse.reshape(-1)].tolist()  # the inverse is (n, 1) on some numpy versions
+    duplicates = tuple((records[i].record_id, records[k].record_id) for i, k in enumerate(kept) if k != i)
+    unique = tuple(records[i] for i, k in enumerate(kept) if k == i)
+    report = IngestReport(n_rows=len(records), n_unique=len(unique), duplicates=duplicates)
+    return IngestResult(records=unique, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +372,8 @@ CORPUS_COLUMNS = (*PARAM_COLUMNS, "label", "origin_id")
 
 
 def write_corpus_csv(path, corpus: TrainingCorpus) -> None:
-    rows = zip(corpus.X.tolist(), corpus.y.tolist(), corpus.origin_ids)
-    write_csv(path, CORPUS_COLUMNS, ([*x, label, origin] for x, label, origin in rows))
+    rows = zip(corpus.X, corpus.y.tolist(), corpus.origin_ids)
+    write_csv(path, CORPUS_COLUMNS, ([*x.tolist(), label, origin] for x, label, origin in rows))
 
 
 def read_corpus_csv(path) -> TrainingCorpus:
@@ -344,12 +382,18 @@ def read_corpus_csv(path) -> TrainingCorpus:
     header, rows = read_table(path)
     if header and header != list(CORPUS_COLUMNS):
         raise ValueError(f"{path}: expected corpus columns {CORPUS_COLUMNS}, got {header}")
-    parsed = parse_rows(path, rows, lambda cells: ([float(c) for c in cells[:8]], int(cells[8])))
+    values, labels, origin_ids, lines = array("d"), [], [], array("q")
+    for line, (x, label, origin_id) in parse_rows(path, rows, _corpus_row):
+        values.extend(x)
+        labels.append(label)
+        origin_ids.append(origin_id)
+        lines.append(line)
     try:
-        return TrainingCorpus(
-            X=np.array([x for x, _ in parsed], dtype=float).reshape(-1, len(PARAM_COLUMNS)),
-            y=np.array([label for _, label in parsed]),
-            origin_ids=tuple(cells[9] for _, cells in rows),
-        )
+        X = np.frombuffer(values).reshape(-1, len(PARAM_COLUMNS))
+        return TrainingCorpus(X=X, y=np.array(labels), origin_ids=origin_ids)
     except _RowError as exc:
-        raise ValueError(f"{path}: row {rows[exc.row][0]}: {exc}") from None
+        raise ValueError(f"{path}: row {lines[exc.row]}: {exc}") from None
+
+
+def _corpus_row(cells: list[str]) -> tuple[list[float], int, str]:
+    return [float(c) for c in cells[:8]], int(cells[8]), cells[9]

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import canonical_key
 from .pairspace import AlignedPairFeatures
 from .preprocess import FittedPreprocess, PreprocessSpec, fit_preprocess
 from .trees import DecisionTree, bagged_majority, ensemble_vote_fraction, fit_bagged_trees
@@ -206,8 +205,9 @@ def _balance(y, method: str, seed: int) -> np.ndarray:
 
 
 def corpus_fingerprint(corpus) -> str:
-    """SHA-256 over canonical (features, label) rows, order-independent."""
-    lines = sorted(f"{canonical_key(x)}|{label}" for x, label in zip(corpus.X.tolist(), corpus.y.tolist()))
+    """SHA-256 over canonical (features, label) rows, order-independent: a row
+    is the tuple of its canonical key and its label."""
+    lines = sorted(f"{tuple(key.tolist())}|{label}" for key, label in zip(corpus.keys, corpus.y.tolist()))
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
@@ -266,16 +266,16 @@ def predict(model: MergingModel, features: AlignedPairFeatures) -> tuple[int, fl
     return int(_merges(frac)[0]), float(frac[0])
 
 
-def _cv_folds(X: np.ndarray, y: np.ndarray, config: TrainConfig):
+def _cv_folds(keys: np.ndarray, y: np.ndarray, config: TrainConfig):
     """Yield (repeat, fold, train rows, test rows) of every fold of every repeat.
 
-    Each label's rows are sorted by content and dealt round-robin into the
-    folds in the order of a seeded permutation; a fold's training rows are
-    the other folds' rows, in fold order.
+    Each label's rows are sorted by their canonical ``keys``, column 0 first,
+    and dealt round-robin into the folds in the order of a seeded
+    permutation; a fold's training rows are the other folds' rows, in fold
+    order.
     """
     k = config.cv_folds
-    keys = [canonical_key(x) for x in X.tolist()]
-    by_class = [np.array(sorted(rows.tolist(), key=keys.__getitem__)) for rows in _class_rows(y, k)]
+    by_class = [rows[np.lexsort(keys[rows].T[::-1])] for rows in _class_rows(y, k)]
     for rep in range(config.cv_repeats):
         rng = spawn_rng(config.seed, "cv", rep)
         dealt = [rows[rng.permutation(len(rows))] for rows in by_class]
@@ -293,7 +293,7 @@ def cross_validate(corpus, config: TrainConfig) -> list[float]:
     """
     X, y = corpus.X, corpus.y
     out: list[float] = []
-    for rep, f, train, test in _cv_folds(X, y, config):
+    for rep, f, train, test in _cv_folds(corpus.keys, y, config):
         seed = derive_seed(config.seed, "cv", rep, f)
         fitted, X_train, y_train = _prepare(X, y, train, config, seed)
         votes = bagged_majority(X_train, y_train, config.n_trees, derive_seed(seed, "bag"), fitted.apply_matrix(X[test]))

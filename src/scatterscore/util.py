@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import zlib
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -113,45 +114,54 @@ def read_rows(path):
                 yield reader.line_num, cells
 
 
-def read_table(path, required=()) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """(lower-cased header, [(line, cells)]) of a CSV; ``([], [])`` when empty.
+def read_table(path, required=()) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """(lower-cased header, iterator of (line, cells) per row) of a CSV; the
+    iterator is empty, and the header ``[]``, when the file is.
 
-    Raises ValueError when a ``required`` column is missing or a row is not
-    as wide as the header.
+    Raises ValueError when a ``required`` column is missing; the iterator
+    raises it at a row that is not as wide as the header.  Rows are read
+    as they are taken, so a caller that keeps only what it parses holds no
+    list of the file's cells.
     """
-    rows = list(read_rows(path))
-    if not rows:
-        return [], []
-    header = [c.lower() for c in rows[0][1]]
+    rows = read_rows(path)
+    first = next(rows, None)
+    if first is None:
+        return [], iter(())
+    header = [c.lower() for c in first[1]]
     missing = [c for c in required if c not in header]
     if missing:
+        rows.close()
         raise ValueError(f"{path}: missing required columns {missing}")
-    body = rows[1:]
-    for line, cells in body:
-        if len(cells) != len(header):
-            raise ValueError(f"{path}: row {line}: expected {len(header)} cells, got {len(cells)}")
-    return header, body
+    return header, _of_width(path, rows, len(header))
 
 
-def parse_rows(path, rows, parse) -> list:
-    """``parse(cells)`` per (line, cells) row; its ValueError gains the path and line number."""
-    out = []
+def _of_width(path, rows, width: int):
+    for line, cells in rows:
+        if len(cells) != width:
+            raise ValueError(f"{path}: row {line}: expected {width} cells, got {len(cells)}")
+        yield line, cells
+
+
+def parse_rows(path, rows, parse):
+    """Yield (line, ``parse(cells)``) per (line, cells) row; a ValueError from
+    ``parse`` gains the path and line number."""
     for line, cells in rows:
         try:
-            out.append(parse(cells))
+            value = parse(cells)
         except ValueError as exc:
             raise ValueError(f"{path}: row {line}: {exc}") from None
-    return out
+        yield line, value
 
 
-def reject_repeated_ids(path, rows, parsed, what: str) -> None:
-    """ValueError at the row whose id repeats an earlier one, naming both rows;
-    ``parsed`` holds the (id, ...) tuples of the (line, cells) ``rows``."""
+def reject_repeated_ids(path, parsed, what: str) -> list:
+    """The values of ``parsed``, (line, (id, ...)) pairs, without their lines;
+    ValueError at the row whose id repeats an earlier one, naming both rows."""
     first_line: dict[str, int] = {}
-    for (line, _), (item_id, *_) in zip(rows, parsed):
+    for line, (item_id, *_) in parsed:
         if item_id in first_line:
             raise ValueError(f"{path}: row {line}: {what} {item_id!r} repeats row {first_line[item_id]}")
         first_line[item_id] = line
+    return [value for _, value in parsed]
 
 
 def write_csv(path, header, rows) -> None:

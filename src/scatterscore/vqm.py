@@ -129,9 +129,8 @@ def read_scores_csv(path) -> list[tuple[str, VqmScore]]:
     header, rows = read_table(path)
     if header and header[:3] != ["id", "k_star", "m"]:
         raise ValueError(f"{path}: expected score columns {SCORE_COLUMNS}, got {header}")
-    scores = parse_rows(path, rows, lambda cells: (cells[0], VqmScore(m=int(cells[2]), k_star=int(cells[1]))))
-    reject_repeated_ids(path, rows, scores, "plot id")
-    return scores
+    scores = list(parse_rows(path, rows, lambda cells: (cells[0], VqmScore(m=int(cells[2]), k_star=int(cells[1])))))
+    return reject_repeated_ids(path, scores, "plot id")
 
 
 def write_ranking_csv(path, ranked) -> None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scatterscore.augment import (
     TrainingCorpus,
     build_corpus,
     canonical_key,
+    canonical_keys,
     generate_scatterplot,
     ingest_benchmark,
     read_corpus_csv,
@@ -85,6 +87,30 @@ class TestCanonicalKey:
     def test_negated_zero_angles_collide(self):
         reps = replicate(aligned(0.4, 1.0, (0.0, 0.5, 0.3), (0.0, 0.4, 0.2)))
         assert canonical_key(reps[0]) == canonical_key(reps[1])
+
+    def test_keys_array_equals_key_row_by_row(self):
+        rng = np.random.default_rng(11)
+        n = 20_000
+        spread = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 6, n)
+        # decimal half-way cases: a 5 in the tenth decimal, which no double holds
+        # exactly, so Python's round goes by the side the double lies on
+        digits = rng.integers(0, 10**9, 4000)
+        half_way = np.array([float(f"{w}.{d:09d}5") for w, d in zip(rng.integers(0, 10**6, 4000), digits)])
+        small_half_way = np.array([float(f"0.{'0' * z}{d:09d}5") for z, d in zip(rng.integers(0, 4, 4000), digits)])
+        # exact binary ties: k / 2**10 has ten decimals, the last a 5, and rounds half to even
+        ties = np.arange(-3000, 3000) / 1024.0
+        values = np.concatenate([
+            spread, half_way, -half_way, small_half_way, -small_half_way, ties, ties * 1e-3,
+            [-0.0, 0.0, -1e-12, 5e-10, -5e-10, 2.0**23, np.nextafter(2.0**23, 0.0), 1e7, np.inf, -np.inf],
+        ])
+        X = np.resize(values, (-(-len(values) // 8), 8))
+        want = [canonical_key(x) for x in X.tolist()]
+        got = canonical_keys(X)
+        assert [tuple(k) for k in got.tolist()] == want
+        # the keys hold no -0.0, as canonical_key's do not
+        assert not np.signbit(got[got == 0.0]).any()
+        # numpy's round (rint(v * 1e9) / 1e9) misses some of these cases
+        assert not np.array_equal(np.round(X, 9) + 0.0, got)
 
 
 class TestReplicate:
@@ -361,3 +387,25 @@ class TestCorpusCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             read_corpus_csv(path)
+
+    def test_read_keeps_no_object_per_cell(self, tmp_path):
+        # each row's cells are parsed into compact columns as the file is read,
+        # not held as strings, lists of floats and key tuples
+        rng = np.random.default_rng(12)
+        n = 5000
+        corpus = make_corpus([random_aligned(rng) for _ in range(n)], rng.integers(2, size=n), "r")
+        path = tmp_path / "corpus.csv"
+        write_corpus_csv(path, corpus)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            back = read_corpus_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(back) == n
+        assert peak / n < 800, f"{peak / n:.0f} bytes per row"

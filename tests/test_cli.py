@@ -175,7 +175,8 @@ class TestCorpus:
         judged.write_text(text + ",".join(cells) + "\n")
         assert run("corpus", judged, "--out", tmp_path / "corpus.csv") == 0
         report = json.loads((tmp_path / "corpus.csv.report.json").read_text())
-        assert report["unique_records"] == report["input_rows"] == 41
+        assert (report["input_rows"], report["unique_records"]) == (41, 40)
+        assert ["r02b", "r02"] in report["ingest_duplicates"]
         assert (tmp_path / "corpus.csv").read_bytes() == GOLDEN_CORPUS.read_bytes()
         assert run("train", tmp_path / "corpus.csv", "--n-trees", 1, "--out", tmp_path / "m.json") == 0
 

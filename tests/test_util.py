@@ -108,7 +108,7 @@ class TestCsv:
         write_csv(path, ("w", "x", "y", "z", "n"), [cells])
         header, rows = read_table(path)
         assert header == ["w", "x", "y", "z", "n"]
-        assert rows == [(3, ["a,b", 'say "hi"', "two\nlines", "0.5", "7"])]
+        assert list(rows) == [(3, ["a,b", 'say "hi"', "two\nlines", "0.5", "7"])]
 
     def test_line_numbers_skip_blank_rows(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -125,7 +125,8 @@ class TestCsv:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("\n\n")
-        assert read_table(path) == ([], [])
+        header, rows = read_table(path)
+        assert header == [] and list(rows) == []
 
 
 _CORPUS_ROW = "0.5,1,0.5,0.5,0.5,0.5,0,0,1,r1"
