@@ -59,7 +59,8 @@ LABEL_DO_NOT_MERGE = 0
 class JudgmentRecord:
     """One judged scatterplot: raw generator parameters + binary votes.
 
-    A vote of 1 means the subject saw one cluster, 0 more than one.
+    A vote of 1 means the subject saw one cluster, 0 more than one; the
+    CSV cells "1" and "0" are taken as those votes.
     """
 
     record_id: str
@@ -67,11 +68,12 @@ class JudgmentRecord:
     judgments: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "judgments", tuple(int(j) for j in self.judgments))
-        if len(self.judgments) < 1:
+        for j in self.judgments:
+            if j not in (0, 1, "0", "1"):
+                raise ValueError(f"votes must be 0 or 1, got {j!r}")
+        object.__setattr__(self, "judgments", tuple(map(int, self.judgments)))
+        if not self.judgments:
             raise ValueError("a judgment record needs at least one vote")
-        if any(j not in (0, 1) for j in self.judgments):
-            raise ValueError("votes must be 0 or 1")
 
 
 class _RowError(ValueError):
@@ -251,19 +253,6 @@ def build_corpus(records) -> TrainingCorpus:
 # Benchmark CSV ingestion
 
 
-@dataclass(frozen=True)
-class IngestReport:
-    n_rows: int
-    n_unique: int
-    duplicates: tuple[tuple[str, str], ...]  # (dropped_id, kept_id)
-
-
-@dataclass(frozen=True)
-class IngestResult:
-    records: tuple[JudgmentRecord, ...]
-    report: IngestReport
-
-
 def _params_parser(header: list[str]):
     """Row parser for the ``id`` and generator-parameter columns, found by name."""
     id_col = header.index("id")
@@ -291,18 +280,17 @@ def read_params_csv(path) -> list[tuple[str, PairFeatures]]:
     return reject_repeated_ids(path, list(parse_rows(path, rows, parse)), "id")
 
 
-def ingest_benchmark(path) -> IngestResult:
-    """Read a judged-benchmark CSV and merge alignment-equivalent rows.
+def ingest_benchmark(path) -> list[JudgmentRecord]:
+    """The judgment records of a judged-benchmark CSV, one per row, in file order.
 
     Expected columns: ``id``, the eight generator parameters, optional
     ``alpha``/``n`` (dropped), then the per-subject vote columns
-    ``j1..jR`` with 1 = one-cluster.  Rows whose aligned parameters
-    coincide at the precision the corpus CSV holds are merged, keeping the
-    first occurrence.
+    ``j1..jR`` with 1 = one-cluster.  Each id must be unique.  Which
+    records reach the corpus is for ``build_corpus`` to decide.
     """
     header, rows = read_table(path, required=("id", *PARAM_COLUMNS))
     if not header:
-        return IngestResult(records=(), report=IngestReport(0, 0, ()))
+        return []
     judge_cols = [c for c in header if c.startswith("j") and c[1:].isdigit()]
     if not judge_cols:
         raise ValueError(f"{path}: no judgment columns (j1..jR) found")
@@ -315,16 +303,26 @@ def ingest_benchmark(path) -> IngestResult:
 
     def parse(cells):
         record_id, params = id_and_params(cells)
-        return JudgmentRecord(record_id=record_id, params=params, judgments=[int(cells[j]) for j in vote_cols])
+        return record_id, JudgmentRecord(record_id, params, [cells[j] for j in vote_cols])
 
-    records = [record for _, record in parse_rows(path, rows, parse)]
-    aligned = np.array([align_training_record(r.params).as_vector() for r in records]).reshape(-1, len(PARAM_COLUMNS))
-    _, first, inverse = np.unique(canonical_keys(_as_written(aligned)), axis=0, return_index=True, return_inverse=True)
-    kept = first[inverse.reshape(-1)].tolist()  # the inverse is (n, 1) on some numpy versions
-    duplicates = tuple((records[i].record_id, records[k].record_id) for i, k in enumerate(kept) if k != i)
-    unique = tuple(records[i] for i, k in enumerate(kept) if k == i)
-    report = IngestReport(n_rows=len(records), n_unique=len(unique), duplicates=duplicates)
-    return IngestResult(records=unique, report=report)
+    return [record for _, record in reject_repeated_ids(path, list(parse_rows(path, rows, parse)), "id")]
+
+
+def duplicate_records(records, corpus: TrainingCorpus) -> list[tuple[str, str]]:
+    """(id, owner id) of each of ``records`` that owns no row of ``corpus``, which is
+    ``build_corpus(records)``: the owner is the record that owns the row the
+    record's aligned features, as written, repeat."""
+    owners = set(corpus.origin_ids)
+    dropped = [rec for rec in records if rec.record_id not in owners]
+    if not dropped:
+        return []
+    aligned = np.array([align_training_record(rec.params).as_vector() for rec in dropped])
+    # A canonical key holds no NaN and no -0.0, so two keys are equal exactly when their bytes are.
+    as_bytes = lambda keys: np.ascontiguousarray(keys).view(f"V{keys.itemsize * keys.shape[1]}").ravel()
+    rows = as_bytes(corpus.keys)
+    order = np.argsort(rows)
+    found = order[np.searchsorted(rows, as_bytes(canonical_keys(_as_written(aligned))), sorter=order)]
+    return [(rec.record_id, corpus.origin_ids[i]) for rec, i in zip(dropped, found.tolist())]
 
 
 # ---------------------------------------------------------------------------

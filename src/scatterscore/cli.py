@@ -173,21 +173,21 @@ def cmd_generate(args, opts) -> int:
 
 def cmd_corpus(args, opts) -> int:
     with _input_errors(out=args.out):
-        result = augment.ingest_benchmark(args.judgments)
+        records = augment.ingest_benchmark(args.judgments)
         with _input_errors(f"{args.judgments}: "):
-            corpus = augment.build_corpus(result.records)
-        mergemodel.check_corpus(corpus)
+            corpus = augment.build_corpus(records)
+            mergemodel.check_corpus(corpus)
     augment.write_corpus_csv(args.out, corpus)
     report = {
-        "input_rows": result.report.n_rows,
-        "unique_records": result.report.n_unique,
-        "ingest_duplicates": [list(d) for d in result.report.duplicates],
+        "input_rows": len(records),
+        "unique_records": len(set(corpus.origin_ids)),
+        "ingest_duplicates": [list(d) for d in augment.duplicate_records(records, corpus)],
         "corpus_size": len(corpus),
     }
     Path(str(args.out) + ".report.json").write_text(json.dumps(report, indent=2) + "\n")
     _write_sidecar(args.out, opts)
     print(
-        f"ingested {result.report.n_rows} rows -> {result.report.n_unique} unique records "
+        f"ingested {len(records)} rows -> {report['unique_records']} unique records "
         f"-> corpus of {len(corpus)} labeled pairs"
     )
     return 0

@@ -82,9 +82,8 @@ def test_criterion_2_original_benchmark():
         print("[ACCEPTANCE] criterion 2: SKIPPED — original judged-benchmark CSV not supplied")
         pytest.skip("benchmark-1 data not supplied")
     with criterion(2, "original benchmark reproduction (996 / 16181 / 12945+3236 / MCC)"):
-        result = ingest_benchmark(path)
-        assert result.report.n_unique == 996
-        corpus = build_corpus(result.records)
+        corpus = build_corpus(ingest_benchmark(path))
+        assert len(set(corpus.origin_ids)) == 996  # the judged records that own a corpus row
         assert len(corpus) == 16181
         train, test = stratified_split(corpus.y, 0.2, seed=0)
         assert (len(train), len(test)) == (12945, 3236)

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from scatterscore.augment import (
     build_corpus,
     canonical_key,
     canonical_keys,
+    duplicate_records,
     generate_scatterplot,
     ingest_benchmark,
     read_corpus_csv,
@@ -19,6 +22,7 @@ from scatterscore.augment import (
     summarize_judgments,
     write_corpus_csv,
 )
+from scatterscore.cli import main
 from scatterscore.gmm import FitConfig, select_model
 from scatterscore.pairspace import (
     AlignedPairFeatures,
@@ -256,24 +260,21 @@ class TestIngest:
     def test_rows_differing_only_by_n_merge(self, tmp_path):
         p = tmp_path / "bench.csv"
         write_bench(p, [bench_row("a", n=100), bench_row("b", n=1000)])
-        result = ingest_benchmark(p)
-        assert result.report.n_rows == 2
-        assert result.report.n_unique == 1
-        assert result.report.duplicates == (("b", "a"),)
+        records = ingest_benchmark(p)
+        assert [r.record_id for r in records] == ["a", "b"]
+        assert duplicate_records(records, build_corpus(records)) == [("b", "a")]
 
     def test_alignment_equivalent_rows_merge(self, tmp_path):
         # (0, 1, 2) and (pi/2, 2, 1) compose to the same covariance
         p = tmp_path / "bench.csv"
         write_bench(p, [bench_row("a", sux=1.0, suy=2.0, thu=0.0), bench_row("b", sux=2.0, suy=1.0, thu=HALF_PI)])
-        result = ingest_benchmark(p)
-        assert result.report.n_unique == 1
+        records = ingest_benchmark(p)
+        assert duplicate_records(records, build_corpus(records)) == [("b", "a")]
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
-        result = ingest_benchmark(p)
-        assert result.records == ()
-        assert result.report.n_rows == 0
+        assert ingest_benchmark(p) == []
 
     def test_malformed_row_reports_number(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -288,15 +289,113 @@ class TestIngest:
         row.insert(11, "42")
         p.write_text(header + "\n" + ",".join(row) + "\n")
         with pytest.warns(UserWarning, match="mystery"):
-            result = ingest_benchmark(p)
-        assert result.report.n_unique == 1
+            records = ingest_benchmark(p)
+        assert [r.judgments for r in records] == [(1, 1, 0, 1)]
 
     def test_votes_become_labels(self, tmp_path):
         p = tmp_path / "bench.csv"
         write_bench(p, [bench_row("a", votes=[0] * 20 + [1] * 14)])
-        result = ingest_benchmark(p)
-        corpus = build_corpus(result.records)
+        corpus = build_corpus(ingest_benchmark(p))
         assert corpus.y.tolist() == [0] * len(corpus)
+
+
+def corpus_report(tmp_path, judged) -> tuple[dict, TrainingCorpus]:
+    """The report and the corpus that ``scatterscore corpus`` writes for the judged CSV ``judged``."""
+    out = tmp_path / "corpus.csv"
+    assert main(["corpus", str(judged), "--out", str(out)]) == 0
+    return json.loads(Path(str(out) + ".report.json").read_text()), read_corpus_csv(out)
+
+
+def written_key(params: PairFeatures) -> tuple:
+    """The canonical key of a record's aligned features at the 9 significant digits the corpus CSV holds."""
+    return canonical_key(float(f"{v:.9g}") for v in align_training_record(params).as_vector())
+
+
+class TestCorpusReport:
+    """``unique_records`` counts the records that own a corpus row; ``ingest_duplicates`` pairs
+    each other record with the record that owns the row its aligned features repeat."""
+
+    def test_record_whose_swapped_replicas_are_new_rows_is_kept(self, tmp_path):
+        # a and b are equal as written, but their 1 - tau replicas are not
+        judged = tmp_path / "judged.csv"
+        judged.write_text(
+            "id,tau,mu,sigma_ux,sigma_uy,sigma_vx,sigma_vy,theta_u,theta_v,j1\n"
+            "a,0.01234567846,2,2,1,1.5,1,0.3,0.5,0\n"
+            "b,0.01234567854,2,2,1,1.5,1,0.3,0.5,0\n"
+            "c,0.3,1,1,1,2,1,0,0.4,1\n"
+        )
+        report, corpus = corpus_report(tmp_path, judged)
+        assert report == {"input_rows": 3, "unique_records": 3, "ingest_duplicates": [], "corpus_size": 18}
+        rows_of_b = corpus.X[[origin == "b" for origin in corpus.origin_ids]]
+        assert rows_of_b[:, 0].tolist() == [0.987654321, 0.987654321]
+
+    def test_mirror_records_are_listed(self, tmp_path):
+        # with mu = 0, r00779 is an angle reflection of r00541 and r00858 a component swap of r00820
+        judged = tmp_path / "judged.csv"
+        judged.write_text(
+            "id,tau,mu,sigma_ux,sigma_uy,sigma_vx,sigma_vy,theta_u,theta_v,j1,j2,j3\n"
+            "r00541,0.4,0.0,1.5,1.0,1.0,3.0,0.39269908169872414,1.5707963267948966,1,0,1\n"
+            "r00779,0.4,0.0,1.0,1.5,1.0,3.0,1.1780972450961724,1.5707963267948966,1,1,1\n"
+            "r00820,0.5,0.0,1.0,0.5,3.0,2.0,0.0,1.5707963267948966,0,0,1\n"
+            "r00858,0.5,0.0,3.0,2.0,1.0,0.5,1.5707963267948966,0.0,1,1,1\n"
+        )
+        report, corpus = corpus_report(tmp_path, judged)
+        assert report["ingest_duplicates"] == [["r00779", "r00541"], ["r00858", "r00820"]]
+        assert report["unique_records"] == 2 and set(corpus.origin_ids) == {"r00541", "r00820"}
+
+    def test_alignment_equivalent_rows(self, tmp_path):
+        # (0, 1, 2) and (pi/2, 2, 1) compose to the same covariance; c differs from a only in n
+        judged = tmp_path / "judged.csv"
+        rows = [
+            bench_row("a", sux=1.0, suy=2.0, thu=0.0, votes=[0] * 5),
+            bench_row("b", sux=2.0, suy=1.0, thu=HALF_PI, votes=[1] * 5),
+            bench_row("c", sux=1.0, suy=2.0, thu=0.0, n=7, votes=[1] * 5),
+            bench_row("d", mu=9.0, votes=[1] * 5),
+        ]
+        write_bench(judged, rows, n_votes=5)
+        report, corpus = corpus_report(tmp_path, judged)
+        assert report["ingest_duplicates"] == [["b", "a"], ["c", "a"]]
+        assert (report["input_rows"], report["unique_records"]) == (4, 2)
+        assert set(corpus.origin_ids) == {"a", "d"}
+        assert set(corpus.y[[origin == "a" for origin in corpus.origin_ids]].tolist()) == {0}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_report_matches_the_corpus(self, tmp_path, seed):
+        # grid records, and records that repeat an earlier one in another form
+        rng = np.random.default_rng(seed)
+        pick = lambda *values: float(rng.choice(values))
+        records = []
+        for i in range(60):
+            if records and rng.random() < 0.4:
+                tau, mu, sux, suy, svx, svy, thu, thv = records[int(rng.integers(len(records)))].params.as_vector()
+                kind = int(rng.integers(3))
+                if kind == 0:  # u's axes trade names: the same covariance
+                    sux, suy, thu = suy, sux, thu - HALF_PI if thu > 0 else thu + HALF_PI
+                elif kind == 1:  # u and v trade places, which reflects the plot
+                    tau, sux, suy, svx, svy, thu, thv = 1 - tau, svx, svy, sux, suy, -thv, -thu
+                else:  # below the written precision
+                    tau += 1e-11
+            else:
+                tau, mu = pick(0.3, 0.5, 0.7), pick(0.0, 0.0, 1.0, 2.0)
+                sux, suy, svx, svy = (pick(0.5, 1.0, 2.0) for _ in range(4))
+                thu, thv = (pick(0.0, math.pi / 8, -math.pi / 8, HALF_PI) for _ in range(2))
+            params = PairFeatures(tau, mu, ShapeParams(thu, sux, suy), ShapeParams(thv, svx, svy))
+            records.append(JudgmentRecord(f"r{i}", params, rng.integers(2, size=3).tolist()))
+        judged = tmp_path / "judged.csv"
+        write_bench(judged, [bench_row(r.record_id, *r.params.as_vector(), votes=r.judgments) for r in records], 3)
+        report, corpus = corpus_report(tmp_path, judged)
+        built = build_corpus(records)
+        assert np.array_equal(corpus.X, built.X) and np.array_equal(corpus.y, built.y)
+        assert corpus.origin_ids == built.origin_ids
+        assert report["input_rows"] == len(records) and report["corpus_size"] == len(corpus)
+        assert report["unique_records"] == len(set(corpus.origin_ids))
+        listed = dict(report["ingest_duplicates"])
+        assert len(listed) == len(records) - report["unique_records"] > 0
+        assert set(listed).isdisjoint(corpus.origin_ids)
+        owner = {canonical_key(x): origin for x, origin in zip(corpus.X, corpus.origin_ids)}
+        params = {r.record_id: r.params for r in records}
+        for dropped, kept in listed.items():
+            assert owner[written_key(params[dropped])] == kept
 
 
 class TestGenerateScatterplot:

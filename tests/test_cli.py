@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,105 @@ class TestCorpus:
         report = json.loads((tmp_path / "corpus.csv.report.json").read_text())
         assert (report["input_rows"], report["unique_records"]) == (41, 40)
         assert ["r02b", "r02"] in report["ingest_duplicates"]
+        assert (tmp_path / "corpus.csv").read_bytes() == GOLDEN_CORPUS.read_bytes()
+        assert run("train", tmp_path / "corpus.csv", "--n-trees", 1, "--out", tmp_path / "m.json") == 0
+
+
+# kind of damage to the judged CSV -> a fragment of corpus's exit-2 message after the file name
+CORPUS_MUTATIONS = {
+    "ragged_row": "cells, got",
+    "non_numeric_parameter": "could not convert string to float: 'abc'",
+    "tau_at_bound": "tau must be in (0, 1)",
+    "sigma_not_positive": "axis scales must be positive",
+    "theta_outside": "theta must lie in [-pi/2, pi/2]",
+    "vote_2": "votes must be 0 or 1, got '2'",
+    "blank_vote": "votes must be 0 or 1, got ''",
+    "missing_id_column": "missing required columns ['id']",
+    "missing_parameter_column": "missing required columns ['",
+    "no_vote_columns": "no judgment columns (j1..jR) found",
+    "repeated_id": "repeats row",
+    "empty_file": "needs records of both labels, has 0 with label 0 and 0 with label 1",
+    "header_only": "needs records of both labels, has 0 with label 0 and 0 with label 1",
+    "one_label": "needs records of both labels",
+}
+ROW_MUTATIONS = (
+    "ragged_row", "non_numeric_parameter", "tau_at_bound", "sigma_not_positive", "theta_outside",
+    "vote_2", "blank_vote", "repeated_id",
+)
+JUDGED = DATA / "judged.csv"  # 40 records: id, the 8 parameters, alpha, n and votes j1..j7
+
+
+def mutate_judged_csv(text: str, kind: str, rng: np.random.Generator) -> tuple[str, int | None]:
+    """``text`` of a judged CSV with one ``kind`` of damage, or of a valid variant, at a row and cell
+    drawn from ``rng``, and the line number of the damaged row (None when the damage is to the whole file)."""
+    rows = [line.split(",") for line in text.splitlines()]
+    votes = range(rows[0].index("j1"), len(rows[0]))
+    drop = {
+        "missing_id_column": [0],
+        "missing_parameter_column": [int(rng.integers(1, 9))],
+        "no_vote_columns": list(votes),
+        "alpha_n_absent": [rows[0].index("alpha"), rows[0].index("n")],
+    }.get(kind, [])
+    rows = [[cell for j, cell in enumerate(row) if j not in drop] for row in rows]
+    if kind == "empty_file":
+        rows = []
+    elif kind == "header_only":
+        rows = rows[:1]
+    elif kind == "unknown_column":
+        rows = [rows[0] + ["mystery"]] + [row + [str(rng.integers(100))] for row in rows[1:]]
+    elif kind == "one_label":
+        vote = str(rng.integers(2))
+        for row in rows[1:]:
+            row[votes.start:] = [vote] * len(votes)
+    if kind not in ROW_MUTATIONS:
+        return "".join(",".join(row) + "\n" for row in rows), None
+    index = int(rng.integers(2, len(rows)))
+    row = rows[index]
+    if kind == "ragged_row":
+        row[:] = row[:-1] if rng.integers(2) else row + ["1"]
+    elif kind == "non_numeric_parameter":
+        row[int(rng.integers(1, 9))] = "abc"
+    elif kind == "tau_at_bound":
+        row[1] = str(rng.integers(2))
+    elif kind == "sigma_not_positive":
+        row[int(rng.integers(3, 7))] = str(rng.choice([0.0, -0.5]))
+    elif kind == "theta_outside":
+        # beyond the 1e-6 that a theta may lie past +-pi/2
+        row[int(rng.integers(7, 9))] = str(rng.choice([-1.0, 1.0]) * (np.pi / 2 + 2e-6))
+    elif kind in ("vote_2", "blank_vote"):
+        row[int(rng.choice(votes))] = "2" if kind == "vote_2" else ""
+    elif kind == "repeated_id":
+        row[0] = rows[int(rng.integers(1, index))][0]
+    return "".join(",".join(row) + "\n" for row in rows), index + 1
+
+
+class TestCorpusMutations:
+    """Seeded damage to the judged CSV: ``corpus`` exits 2, names the file (and the damaged row) and
+    writes no corpus, report or sidecar; the valid variants exit 0 with a corpus ``train`` reads."""
+
+    @pytest.mark.parametrize("kind", CORPUS_MUTATIONS)
+    def test_damage_exit_2(self, tmp_path, capsys, kind):
+        judged = tmp_path / "judged.csv"
+        rng = np.random.default_rng(list(CORPUS_MUTATIONS).index(kind))
+        text, line = mutate_judged_csv(JUDGED.read_text(), kind, rng)
+        judged.write_text(text)
+        code = run("corpus", judged, "--out", tmp_path / "corpus.csv")
+        err = capsys.readouterr().err
+        assert code == 2, err
+        where = f"{judged}: " if line is None else f"{judged}: row {line}: "
+        assert where in err and CORPUS_MUTATIONS[kind] in err
+        assert sorted(tmp_path.iterdir()) == [judged]
+
+    @pytest.mark.parametrize("kind", ["alpha_n_present", "alpha_n_absent", "unknown_column"])
+    def test_valid_variant_exit_0(self, tmp_path, kind):
+        judged = tmp_path / "judged.csv"
+        text, _ = mutate_judged_csv(JUDGED.read_text(), kind, np.random.default_rng(0))
+        judged.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("corpus", judged, "--out", tmp_path / "corpus.csv") == 0
+        expected = [f"{judged}: ignoring unknown column 'mystery'"] if kind == "unknown_column" else []
+        assert [str(w.message) for w in caught] == expected
         assert (tmp_path / "corpus.csv").read_bytes() == GOLDEN_CORPUS.read_bytes()
         assert run("train", tmp_path / "corpus.csv", "--n-trees", 1, "--out", tmp_path / "m.json") == 0
 

@@ -298,7 +298,7 @@ class TestCorpusOrRecords:
 
     @pytest.fixture(autouse=True)
     def corpora(self, tmp_path):
-        self.corpus = build_corpus(ingest_benchmark(JUDGED).records)
+        self.corpus = build_corpus(ingest_benchmark(JUDGED))
         write_corpus_csv(tmp_path / "corpus.csv", self.corpus)
         self.records = read_corpus_csv(tmp_path / "corpus.csv")
         assert np.array_equal(self.corpus.X, self.records.X)
