@@ -34,13 +34,10 @@ from .augment import (
     summarize_judgments,
 )
 from .gmm import (
-    Covariance2,
     DegenerateCovarianceError,
     FitConfig,
     FitResult,
-    GaussianComponent,
     MixtureModel,
-    Point2D,
     Scatterplot,
     bic_value,
     fit_em,
@@ -61,14 +58,11 @@ from .mergemodel import (
     up_sample,
 )
 from .pairspace import (
-    AlignedPairFeatures,
     PairFeatures,
     ShapeParams,
-    align,
     align_training_record,
     compose_covariance,
     decompose_covariance,
-    extract_pair_features,
 )
 from .preprocess import FittedPreprocess, PreprocessSpec, fit_preprocess
 from .vqm import (

@@ -9,15 +9,15 @@ angle freedom), and deduplicated into a training corpus.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
+import sys
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gmm import Scatterplot
-from .pairspace import ANGLE_TOL, HALF_PI, SCALE_TOL, PairFeatures, ShapeParams, align_training_record
-from .util import fmt_num, parse_rows, read_table, reject_repeated_ids, spawn_rng, write_csv
+from .pairspace import ANGLE_TOL, HALF_PI, PairFeatures, ShapeParams, align_training_record
+from .util import fmt_num, parse_rows, read_rows, read_table, reject_repeated_ids, spawn_rng, write_csv
 
 #: Angle grid used to replicate records with an isotropic component: the
 #: ellipse orientation is unidentifiable there, so every orientation must
@@ -27,6 +27,7 @@ ISOTROPIC_ANGLES = tuple(
 )
 
 _ISO_TOL = 1e-9
+SCALE_TOL = 1e-9  # how far from 1 the largest aligned scale may lie
 
 #: Generator parameter grid of the original judged scatterplots.
 GENERATOR_GRID = {
@@ -89,9 +90,10 @@ _RULES = ("in (0, 1)", "finite and >= 0", "> 0", "> 0", "> 0", "> 0", "in [-pi/2
 
 
 def _check_rows(X: np.ndarray, y: np.ndarray, keys: np.ndarray) -> None:
-    """_RowError at the first row of (X, y) that ``AlignedPairFeatures`` with a
-    label of 0 or 1 would reject, or whose canonical key (the row of ``keys``)
-    repeats an earlier row's."""
+    """_RowError at the first row of (X, y) that ``PairFeatures.from_vector``
+    would reject, whose largest of mu and the sigmas is not 1 (within
+    SCALE_TOL), whose label is not 0 or 1, or whose canonical key (the row of
+    ``keys``) repeats an earlier row's."""
     faults = np.column_stack([
         ~((X[:, 0] > 0.0) & (X[:, 0] < 1.0)),
         ~((X[:, 1] >= 0.0) & np.isfinite(X[:, 1])),
@@ -295,9 +297,11 @@ def ingest_benchmark(path) -> list[JudgmentRecord]:
     if not judge_cols:
         raise ValueError(f"{path}: no judgment columns (j1..jR) found")
     known = {"id", *PARAM_COLUMNS, *_DROPPED_COLUMNS, *judge_cols}
-    for col in header:
-        if col not in known:
-            _warnings.warn(f"{path}: ignoring unknown column {col!r}")
+    unknown = [j for j, col in enumerate(header) if col not in known]
+    if unknown:
+        as_written = next(read_rows(path))[1]  # read_table lower-cases the header
+        for j in unknown:
+            print(f"warning: {path}: ignoring unknown column {as_written[j]!r}", file=sys.stderr)
     id_and_params = _params_parser(header)
     vote_cols = [header.index(c) for c in judge_cols]
 

@@ -148,6 +148,9 @@ def cmd_generate(args, opts) -> int:
             param_sets = augment.read_params_csv(args.params_file)
             if "manifest" in dict(param_sets):
                 raise ValueError(f"{args.params_file}: id 'manifest' would name the file that holds the manifest")
+            for i, (plot_id, params) in enumerate(param_sets):  # every plot is drawn once before any is written
+                with _input_errors(f"{args.params_file}: id {plot_id!r}: "):
+                    augment.generate_scatterplot(params, n, derive_seed(seed, "plot", i))
         elif opts["grid_count"] > 0:
             param_sets = [
                 (f"grid{i:04d}", augment.sample_grid_params(spawn_rng(seed, "grid", i)))

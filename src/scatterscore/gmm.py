@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,73 +34,46 @@ class DegenerateCovarianceError(ValueError):
     """Covariance matrix is singular or collapsed during fitting."""
 
 
-class Point2D(NamedTuple):
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class Covariance2:
-    """Symmetric 2x2 covariance stored as (xx, xy, yy)."""
-
-    xx: float
-    xy: float
-    yy: float
-
-    def __post_init__(self):
-        for name in ("xx", "xy", "yy"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"covariance entry {name} is not finite")
-        if self.xx < 0.0 or self.yy < 0.0:
-            raise ValueError("variances must be non-negative")
-
-    @property
-    def det(self) -> float:
-        return self.xx * self.yy - self.xy * self.xy
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.xx, self.xy], [self.xy, self.yy]], dtype=float)
-
-    @classmethod
-    def from_matrix(cls, m) -> "Covariance2":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        return cls(xx=float(m[0, 0]), xy=float(0.5 * (m[0, 1] + m[1, 0])), yy=float(m[1, 1]))
-
-
-@dataclass(frozen=True)
-class GaussianComponent:
-    weight: float
-    mean: Point2D
-    cov: Covariance2
-
-    def __post_init__(self):
-        if not (0.0 < self.weight <= 1.0):
-            raise ValueError(f"component weight must be in (0, 1], got {self.weight}")
-        if not (math.isfinite(self.mean[0]) and math.isfinite(self.mean[1])):
-            raise ValueError("component mean must be finite")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureModel:
-    """Weighted bivariate Gaussian mixture with its training log-likelihood."""
+    """Weighted bivariate Gaussian mixture with its training log-likelihood, as read-only arrays:
+    ``weights`` (K,), ``means`` (K, 2) and ``covs`` (K, 3), each row of ``covs`` (xx, xy, yy).  Two
+    models are equal when every array and number is."""
 
-    components: tuple[GaussianComponent, ...]
+    weights: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
     log_likelihood: float
     n_points: int
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) < 1:
-            raise ValueError("mixture needs at least one component")
-        total = sum(c.weight for c in self.components)
+        weights, means, covs = (np.array(a, dtype=float) for a in (self.weights, self.means, self.covs))
+        k = len(weights) if weights.ndim == 1 else 0
+        if k < 1 or means.shape != (k, 2) or covs.shape != (k, 3):
+            raise ValueError(f"expected K >= 1 weights with (K, 2) means and (K, 3) covariances, got shapes "
+                             f"{weights.shape}, {means.shape} and {covs.shape}")
+        if not np.isfinite(covs).all():
+            raise ValueError("covariance entries must be finite")
+        if (covs[:, [0, 2]] < 0.0).any():
+            raise ValueError("variances must be non-negative")
+        if not ((weights > 0.0) & (weights <= 1.0)).all():
+            raise ValueError(f"component weights must be in (0, 1], got {weights.tolist()}")
+        if not np.isfinite(means).all():
+            raise ValueError("component means must be finite")
+        total = sum(weights.tolist())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component weights sum to {total}, expected 1")
+        for name, a in (("weights", weights), ("means", means), ("covs", covs)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def k(self) -> int:
-        return len(self.components)
+        return len(self.weights)
+
+    def __eq__(self, other) -> bool:
+        fields = lambda m: (m.weights, m.means, m.covs, m.log_likelihood, m.n_points)
+        return isinstance(other, MixtureModel) and all(map(np.array_equal, fields(self), fields(other)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,15 +207,13 @@ def _posterior(logp: np.ndarray, k: int):
 def mixture_pdf(model: MixtureModel, points) -> np.ndarray:
     """Mixture density at each row of an (N, 2) array."""
     x, y = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1, 2).T)
-    comps = model.components
-    buf = np.empty((4, len(comps), x.shape[0]))
-    _centre(x, y, np.array([c.mean for c in comps], dtype=float), buf)
+    buf = np.empty((4, model.k, x.shape[0]))
+    _centre(x, y, model.means, buf)
     failed: dict = {}
-    logp = _log_joint([c.weight for c in comps], [(c.cov.xx, c.cov.xy, c.cov.yy) for c in comps], buf, len(comps),
-                      failed)
+    logp = _log_joint(model.weights, model.covs, buf, model.k, failed)
     if failed:
         raise DegenerateCovarianceError(failed[0])
-    return np.exp(_posterior(logp, len(comps))[1][0])
+    return np.exp(_posterior(logp, model.k)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +344,7 @@ def _effective_regularization(X: np.ndarray, config: FitConfig) -> float:
 
 def _build_model(weights, means, covs, loglik, n) -> MixtureModel:
     weights = np.asarray(weights, dtype=float)
-    weights = weights / weights.sum()
-    comps = tuple(
-        GaussianComponent(
-            weight=float(weights[j]),
-            mean=Point2D(float(means[j, 0]), float(means[j, 1])),
-            cov=Covariance2(float(covs[j, 0]), float(covs[j, 1]), float(covs[j, 2])),
-        )
-        for j in range(weights.shape[0])
-    )
-    return MixtureModel(components=comps, log_likelihood=float(loglik), n_points=int(n))
+    return MixtureModel(weights / weights.sum(), means, covs, float(loglik), int(n))
 
 
 def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig, beat_bic: float = -math.inf):

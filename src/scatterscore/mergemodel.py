@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pairspace import AlignedPairFeatures
 from .preprocess import FittedPreprocess, PreprocessSpec, fit_preprocess
 from .trees import DecisionTree, bagged_majority, ensemble_vote_fraction, fit_bagged_trees
 from .util import derive_seed, spawn_rng
@@ -256,14 +255,15 @@ def _merges(frac: np.ndarray) -> np.ndarray:
     return (frac >= 0.5).astype(np.int8)
 
 
-def predict_matrix(model: MergingModel, X: np.ndarray) -> np.ndarray:
-    return _merges(ensemble_vote_fraction(model.trees, model.preprocess.apply_matrix(X)))
+def predict(model: MergingModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Merge decisions (int8) and the share of trees voting 1 for each row of
+    the aligned feature matrix ``X``."""
+    frac = ensemble_vote_fraction(model.trees, model.preprocess.apply_matrix(X))
+    return _merges(frac), frac
 
 
-def predict(model: MergingModel, features: AlignedPairFeatures) -> tuple[int, float]:
-    """Merge decision for one aligned pair: (H, share of trees voting 1)."""
-    frac = ensemble_vote_fraction(model.trees, model.preprocess.apply_matrix(features.as_vector()))
-    return int(_merges(frac)[0]), float(frac[0])
+def predict_matrix(model: MergingModel, X) -> np.ndarray:
+    return predict(model, X)[0]
 
 
 def _cv_folds(keys: np.ndarray, y: np.ndarray, config: TrainConfig):
@@ -376,8 +376,7 @@ def _naive_bayes(X: np.ndarray, y: np.ndarray):
 def train_baseline(corpus, config: TrainConfig, method: str, knn_k: int = 5) -> ConfusionCounts:
     """Test confusion of a kNN or naive Bayes comparator trained like the bag.
 
-    Split, balancing and preprocessing are those of ``train_bagged``; each
-    test row is transformed on its own.
+    Split, balancing and preprocessing are those of ``train_bagged``.
     """
     if method not in ("knn", "nb"):
         raise ValueError(f"unknown baseline method {method!r}")
@@ -385,5 +384,5 @@ def train_baseline(corpus, config: TrainConfig, method: str, knn_k: int = 5) -> 
     train, test = stratified_split(y, config.test_fraction, config.seed)
     fitted, X_train, y_train = _prepare(X, y, train, config, config.seed)
     vote = _knn(X_train, y_train, knn_k) if method == "knn" else _naive_bayes(X_train, y_train)
-    votes = np.array([vote(fitted.apply_matrix(x)) for x in X[test]], dtype=np.int8)
+    votes = np.array([vote(x) for x in fitted.apply_matrix(X[test])], dtype=np.int8)
     return ConfusionCounts.from_predictions(y[test], votes)

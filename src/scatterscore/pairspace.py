@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmm import Covariance2, DegenerateCovarianceError, MixtureModel, Point2D
+from .gmm import DegenerateCovarianceError, MixtureModel
 
 HALF_PI = 0.5 * math.pi
 ANGLE_TOL = 1e-6  # how far past +-pi/2 a theta may lie
-SCALE_TOL = 1e-9  # how far from 1 the largest aligned scale may lie
 
 
 def wrap_angle(theta: float) -> float:
@@ -39,8 +38,8 @@ class ShapeParams:
     sigma_y: float
 
     def __post_init__(self):
-        if not (self.sigma_x > 0.0 and self.sigma_y > 0.0):
-            raise ValueError(f"axis scales must be positive, got ({self.sigma_x}, {self.sigma_y})")
+        if not (0.0 < self.sigma_x < math.inf and 0.0 < self.sigma_y < math.inf):
+            raise ValueError(f"axis scales must be positive and finite, got ({self.sigma_x}, {self.sigma_y})")
         if not (math.isfinite(self.theta) and abs(self.theta) <= HALF_PI + ANGLE_TOL):
             raise ValueError(f"theta must lie in [-pi/2, pi/2], got {self.theta}")
 
@@ -82,105 +81,42 @@ class PairFeatures:
         return cls(tau=tau, mu=mu, shape_u=ShapeParams(thu, sux, suy), shape_v=ShapeParams(thv, svx, svy))
 
 
-@dataclass(frozen=True)
-class AlignedPairFeatures(PairFeatures):
-    """Pair features in the classifier convention: max(mu, sigmas) == 1."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        top = max(
-            self.mu,
-            self.shape_u.sigma_x,
-            self.shape_u.sigma_y,
-            self.shape_v.sigma_x,
-            self.shape_v.sigma_y,
-        )
-        if abs(top - 1.0) > SCALE_TOL:
-            raise ValueError(f"aligned features must have max scale 1, got {top}")
-
-
-def compose_covariance(shape: ShapeParams) -> Covariance2:
-    """R * S^2 * R^T for rotation R(theta) and scaling S = diag(sx, sy)."""
+def compose_covariance(shape: ShapeParams) -> tuple[float, float, float]:
+    """(xx, xy, yy) of R * S^2 * R^T for rotation R(theta) and scaling S = diag(sx, sy)."""
     c = math.cos(shape.theta)
     s = math.sin(shape.theta)
     sx2 = shape.sigma_x * shape.sigma_x
     sy2 = shape.sigma_y * shape.sigma_y
-    return Covariance2(
-        xx=c * c * sx2 + s * s * sy2,
-        xy=c * s * (sx2 - sy2),
-        yy=s * s * sx2 + c * c * sy2,
-    )
+    return c * c * sx2 + s * s * sy2, c * s * (sx2 - sy2), s * s * sx2 + c * c * sy2
 
 
-def decompose_covariance(cov: Covariance2) -> ShapeParams:
-    """Inverse of :func:`compose_covariance`, in canonical form.
+def decompose_covariance(cov) -> ShapeParams:
+    """Inverse of :func:`compose_covariance` for a covariance given as (xx, xy, yy), in canonical form.
 
     Canonical form: sigma_x >= sigma_y (largest axis first), theta is the
     orientation of the sigma_x axis wrapped into (-pi/2, pi/2], and an
     isotropic covariance yields theta = 0.
     """
-    det = cov.det
-    if not (cov.xx > 0.0 and cov.yy > 0.0 and det > 0.0):
+    xx, xy, yy = map(float, cov)
+    det = xx * yy - xy * xy
+    if not (xx > 0.0 and yy > 0.0 and det > 0.0):
         raise DegenerateCovarianceError(f"covariance is not positive definite (det={det})")
-    theta = 0.5 * math.atan2(2.0 * cov.xy, cov.xx - cov.yy)
-    half_gap = math.hypot(0.5 * (cov.xx - cov.yy), cov.xy)
-    lam1 = 0.5 * (cov.xx + cov.yy) + half_gap
+    theta = 0.5 * math.atan2(2.0 * xy, xx - yy)
+    half_gap = math.hypot(0.5 * (xx - yy), xy)
+    lam1 = 0.5 * (xx + yy) + half_gap
     lam2 = det / lam1
     return ShapeParams(theta=theta, sigma_x=math.sqrt(lam1), sigma_y=math.sqrt(lam2))
 
 
-def extract_pair_features(model: MixtureModel, u: int, v: int):
-    """Pair features of components (u, v) plus their raw means.
-
-    tau = w_u / (w_u + w_v); mu is the Euclidean distance between means;
-    shapes come from :func:`decompose_covariance`.  The raw means are
-    returned for the later alignment-angle computation.
-    """
-    if u == v:
-        raise ValueError("pair indices must differ")
-    k = model.k
-    if not (0 <= u < k and 0 <= v < k):
-        raise ValueError(f"component index out of range for K={k}")
-    cu = model.components[u]
-    cv = model.components[v]
-    tau = cu.weight / (cu.weight + cv.weight)
-    mu = math.hypot(cv.mean.x - cu.mean.x, cv.mean.y - cu.mean.y)
-    features = PairFeatures(
-        tau=tau,
-        mu=mu,
-        shape_u=decompose_covariance(cu.cov),
-        shape_v=decompose_covariance(cv.cov),
-    )
-    return features, cu.mean, cv.mean
+def _rescaled(tau: float, mu: float, shape_u: ShapeParams, shape_v: ShapeParams, beta: float) -> list[float]:
+    """The aligned feature vector: both thetas turned by beta and wrapped, mu and the four sigmas divided
+    by their maximum."""
+    s = max(mu, shape_u.sigma_x, shape_u.sigma_y, shape_v.sigma_x, shape_v.sigma_y)
+    return [tau, mu / s, shape_u.sigma_x / s, shape_u.sigma_y / s, shape_v.sigma_x / s, shape_v.sigma_y / s,
+            wrap_angle(shape_u.theta + beta), wrap_angle(shape_v.theta + beta)]
 
 
-def _rescaled(features: PairFeatures, beta: float) -> AlignedPairFeatures:
-    su, sv = features.shape_u, features.shape_v
-    s = max(features.mu, su.sigma_x, su.sigma_y, sv.sigma_x, sv.sigma_y)
-    return AlignedPairFeatures(
-        tau=features.tau,
-        mu=features.mu / s,
-        shape_u=ShapeParams(wrap_angle(su.theta + beta), su.sigma_x / s, su.sigma_y / s),
-        shape_v=ShapeParams(wrap_angle(sv.theta + beta), sv.sigma_x / s, sv.sigma_y / s),
-    )
-
-
-def align(features: PairFeatures, mean_u: Point2D, mean_v: Point2D) -> AlignedPairFeatures:
-    """Map inferred pair features into the training convention.
-
-    The correcting angle beta (from the u->v center direction to the
-    positive y-axis) is added to both thetas, then mu and the four sigmas
-    are divided by their maximum.  Coincident means leave beta = 0: the
-    pattern is rotation-symmetric, so any choice is equivalent.
-    """
-    dx = float(mean_v[0]) - float(mean_u[0])
-    dy = float(mean_v[1]) - float(mean_u[1])
-    dist = math.hypot(dx, dy)
-    beta = 0.0 if dist < 1e-12 else HALF_PI - math.atan2(dy, dx)
-    return _rescaled(features, beta)
-
-
-def align_training_record(raw: PairFeatures) -> AlignedPairFeatures:
+def align_training_record(raw: PairFeatures) -> PairFeatures:
     """Align a generator-convention record (centers already on the y-axis).
 
     Each (theta, sigma_x, sigma_y) is passed through the composition /
@@ -188,16 +124,36 @@ def align_training_record(raw: PairFeatures) -> AlignedPairFeatures:
     convention, then the record is rescaled; no angle correction is
     needed because beta = 0 by construction.
     """
-    canonical = PairFeatures(
-        tau=raw.tau,
-        mu=raw.mu,
-        shape_u=decompose_covariance(compose_covariance(raw.shape_u)),
-        shape_v=decompose_covariance(compose_covariance(raw.shape_v)),
-    )
-    return _rescaled(canonical, beta=0.0)
+    shape_u = decompose_covariance(compose_covariance(raw.shape_u))
+    shape_v = decompose_covariance(compose_covariance(raw.shape_v))
+    return PairFeatures.from_vector(_rescaled(raw.tau, raw.mu, shape_u, shape_v, 0.0))
 
 
-def aligned_pair_from_model(model: MixtureModel, u: int, v: int) -> AlignedPairFeatures:
-    """Convenience: extract + align a component pair of a fitted mixture."""
-    features, mean_u, mean_v = extract_pair_features(model, u, v)
-    return align(features, mean_u, mean_v)
+def aligned_pair_from_model(model: MixtureModel, u, v) -> np.ndarray:
+    """(P, 8) aligned feature rows of the component pairs (u[i], v[i]) of a fitted mixture.
+
+    Per pair: tau = w_u / (w_u + w_v), mu is the distance between the
+    means, and the shapes come from :func:`decompose_covariance`.  The
+    correcting angle beta (from the u->v center direction to the positive
+    y-axis) is added to both thetas, then mu and the four sigmas are
+    divided by their maximum.  Coincident means leave beta = 0: the
+    pattern is rotation-symmetric, so any choice is equivalent.  Each pair
+    is computed with Python floats and ``math``: ``np.arctan2`` and
+    ``np.hypot`` can differ from them in the last bit.
+    """
+    u, v = np.atleast_1d(u).tolist(), np.atleast_1d(v).tolist()
+    if len(u) != len(v):
+        raise ValueError(f"got {len(u)} first and {len(v)} second pair indices")
+    if any(a == b for a, b in zip(u, v)):
+        raise ValueError("pair indices must differ")
+    if not all(0 <= j < model.k for j in u + v):
+        raise ValueError(f"component index out of range for K={model.k}")
+    weights, means, covs = model.weights.tolist(), model.means.tolist(), model.covs.tolist()
+    shapes = {j: decompose_covariance(covs[j]) for j in sorted(set(u + v))}
+    rows = []
+    for a, b in zip(u, v):
+        dx, dy = means[b][0] - means[a][0], means[b][1] - means[a][1]
+        mu = math.hypot(dx, dy)
+        beta = 0.0 if mu < 1e-12 else HALF_PI - math.atan2(dy, dx)
+        rows.append(_rescaled(weights[a] / (weights[a] + weights[b]), mu, shapes[a], shapes[b], beta))
+    return np.array(rows, dtype=float).reshape(-1, 8)

@@ -84,11 +84,9 @@ class FittedPreprocess:
         return self.input_dim
 
     def apply_matrix(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        squeeze = X.ndim == 1
-        X = np.atleast_2d(X).copy()
-        if X.shape[1] != self.input_dim:
-            raise ValueError(f"expected {self.input_dim} features, got {X.shape[1]}")
+        X = np.array(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.input_dim:
+            raise ValueError(f"expected a matrix of {self.input_dim} feature columns, got shape {X.shape}")
         if "center_scale" in self.steps:
             X = (X - self.means) / self.scales
         if "box_cox" in self.steps:
@@ -100,7 +98,7 @@ class FittedPreprocess:
         if "spatial_sign" in self.steps:
             norms = np.linalg.norm(X, axis=1, keepdims=True)
             np.divide(X, norms, out=X, where=norms > 0.0)
-        return X[0] if squeeze else X
+        return X
 
     def to_dict(self) -> dict:
         return {

@@ -49,13 +49,12 @@ class VqmScore:
 
 
 def build_merge_matrix(model: MixtureModel, merger: MergingModel) -> MergeMatrix:
-    """Classify every unordered component pair once; symmetric by construction."""
+    """Classify every unordered component pair once, all in one prediction; symmetric by construction."""
     k = model.k
     entries = np.eye(k, dtype=np.int8)
-    for u in range(k):
-        for v in range(u + 1, k):
-            h, _ = predict(merger, aligned_pair_from_model(model, u, v))
-            entries[u, v] = entries[v, u] = h
+    if k > 1:
+        u, v = np.triu_indices(k, 1)
+        entries[u, v] = entries[v, u] = predict(merger, aligned_pair_from_model(model, u, v))[0]
     return MergeMatrix(k=k, entries=entries)
 
 

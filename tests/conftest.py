@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from scatterscore.augment import TrainingCorpus
-from scatterscore.gmm import Covariance2, Scatterplot
+from scatterscore.gmm import Scatterplot
 from scatterscore.mergemodel import TrainConfig, train_bagged
-from scatterscore.pairspace import PairFeatures, ShapeParams, align
+from scatterscore.pairspace import PairFeatures, ShapeParams, _rescaled
 from scatterscore.preprocess import PreprocessSpec
 
 
-def random_spd(rng) -> Covariance2:
-    """Random SPD matrix built from a rotation and positive axis scales."""
+def random_spd(rng) -> tuple[float, float, float]:
+    """Random SPD matrix built from a rotation and positive axis scales, as (xx, xy, yy)."""
     theta = rng.uniform(-math.pi, math.pi)
     sx, sy = rng.uniform(0.2, 4.0, size=2)
     c, s = math.cos(theta), math.sin(theta)
     r = np.array([[c, -s], [s, c]])
     m = r @ np.diag([sx**2, sy**2]) @ r.T
-    return Covariance2(xx=m[0, 0], xy=m[0, 1], yy=m[1, 1])
+    return float(m[0, 0]), float(m[0, 1]), float(m[1, 1])
 
 
 def random_shape(rng, theta_range=(-math.pi / 2 * 0.999, math.pi / 2)) -> ShapeParams:
@@ -28,7 +28,13 @@ def random_shape(rng, theta_range=(-math.pi / 2 * 0.999, math.pi / 2)) -> ShapeP
     )
 
 
-def random_aligned(rng, mu_range=(0.0, 10.0)):
+def aligned_on_y_axis(raw: PairFeatures) -> PairFeatures:
+    """``raw`` aligned as the pair of a mixture whose center v lies straight above center u (beta = 0),
+    without the canonical round trip of ``align_training_record``."""
+    return PairFeatures.from_vector(_rescaled(raw.tau, raw.mu, raw.shape_u, raw.shape_v, 0.0))
+
+
+def random_aligned(rng, mu_range=(0.0, 10.0)) -> PairFeatures:
     mu = rng.uniform(*mu_range)
     raw = PairFeatures(
         tau=rng.uniform(0.05, 0.95),
@@ -36,7 +42,7 @@ def random_aligned(rng, mu_range=(0.0, 10.0)):
         shape_u=random_shape(rng),
         shape_v=random_shape(rng),
     )
-    return align(raw, (0.0, 0.0), (0.0, mu))
+    return aligned_on_y_axis(raw)
 
 
 def make_corpus(features, labels, prefix="p") -> TrainingCorpus:
@@ -77,7 +83,7 @@ def separation_rule_pairs(n, seed):
         sv = random_shape(rng)
         raw = PairFeatures(tau=rng.uniform(0.1, 0.9), mu=mu, shape_u=su, shape_v=sv)
         labels.append(int(mu <= 0.5 * (su.sigma_x + su.sigma_y + sv.sigma_x + sv.sigma_y)))
-        feats.append(align(raw, (0.0, 0.0), (0.0, mu)))
+        feats.append(aligned_on_y_axis(raw))
     return make_corpus(feats, labels, "s")
 
 

@@ -38,7 +38,7 @@ from scatterscore.mergemodel import (
     stratified_split,
     train_bagged,
 )
-from scatterscore.pairspace import align, compose_covariance, decompose_covariance
+from scatterscore.pairspace import compose_covariance, decompose_covariance
 from scatterscore.vqm import (
     MergeMatrix,
     VqmScore,
@@ -52,7 +52,7 @@ from conftest import gaussian_blob, random_aligned, random_spd, threshold_rule_p
 from test_agreement import binary_group
 from test_augment import brute_force_replicas
 from test_gmm import quadrature_of_mixture
-from test_pairspace import features_close
+from test_pairspace import as_matrix, features_close, from_matrix, pair_row
 from test_vqm import dfs_component_count
 
 
@@ -124,11 +124,11 @@ def test_criterion_4_gmm_properties():
         m1 = fit_em(sp, 1, FitConfig(n_restarts=1, seed=0, regularization=0.0))
         X = sp.points
         d = X - X.mean(axis=0)
-        assert m1.components[0].mean.x == pytest.approx(X[:, 0].mean(), abs=1e-9)
-        assert m1.components[0].mean.y == pytest.approx(X[:, 1].mean(), abs=1e-9)
-        assert m1.components[0].cov.xx == pytest.approx((d[:, 0] ** 2).mean(), abs=1e-9)
-        assert m1.components[0].cov.xy == pytest.approx((d[:, 0] * d[:, 1]).mean(), abs=1e-9)
-        assert m1.components[0].cov.yy == pytest.approx((d[:, 1] ** 2).mean(), abs=1e-9)
+        assert m1.means[0] == pytest.approx(X.mean(axis=0), abs=1e-9)
+        xx, xy, yy = m1.covs[0]
+        assert xx == pytest.approx((d[:, 0] ** 2).mean(), abs=1e-9)
+        assert xy == pytest.approx((d[:, 0] * d[:, 1]).mean(), abs=1e-9)
+        assert yy == pytest.approx((d[:, 1] ** 2).mean(), abs=1e-9)
 
         # BIC selection: K*=2 for 21-unit-separated blobs, K*=1 for single blobs
         sel_cfg = FitConfig(k_max=3, n_restarts=2, seed=0, em_tolerance=1e-6, max_iterations=200)
@@ -149,28 +149,21 @@ def test_criterion_5_pairspace_properties():
         for _ in range(1000):
             cov = random_spd(rng)
             back = compose_covariance(decompose_covariance(cov))
-            for a, b in ((back.xx, cov.xx), (back.xy, cov.xy), (back.yy, cov.yy)):
+            for a, b in zip(back, cov):
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
-        from scatterscore.gmm import Covariance2
         from scatterscore.pairspace import PairFeatures
 
         for _ in range(200):
             mean_u = rng.normal(size=2)
             mean_v = rng.normal(size=2) * 3.0
-            cov_u, cov_v = random_spd(rng), random_spd(rng)
+            cov_u, cov_v = as_matrix(random_spd(rng)), as_matrix(random_spd(rng))
             tau = rng.uniform(0.1, 0.9)
 
             def pipeline(mu_u, mu_v, mat_u, mat_v):
-                raw = PairFeatures(
-                    tau,
-                    float(np.hypot(*(np.asarray(mu_v) - mu_u))),
-                    decompose_covariance(Covariance2.from_matrix(mat_u)),
-                    decompose_covariance(Covariance2.from_matrix(mat_v)),
-                )
-                return align(raw, tuple(mu_u), tuple(mu_v))
+                return pair_row(tau, mu_u, mu_v, from_matrix(mat_u), from_matrix(mat_v))
 
-            base = pipeline(mean_u, mean_v, cov_u.as_matrix(), cov_v.as_matrix())
+            base = pipeline(mean_u, mean_v, cov_u, cov_v)
             delta, scale = rng.uniform(-math.pi, math.pi), rng.uniform(0.2, 5.0)
             shift = rng.normal(size=2) * 4.0
             c, s = math.cos(delta), math.sin(delta)
@@ -178,20 +171,22 @@ def test_criterion_5_pairspace_properties():
             moved = pipeline(
                 scale * rot @ mean_u + shift,
                 scale * rot @ mean_v + shift,
-                scale**2 * rot @ cov_u.as_matrix() @ rot.T,
-                scale**2 * rot @ cov_v.as_matrix() @ rot.T,
+                scale**2 * rot @ cov_u @ rot.T,
+                scale**2 * rot @ cov_v @ rot.T,
             )
             assert features_close(base, moved, tol=1e-8)
 
             # idempotence on already-aligned features
-            again = align(base, (0.0, 0.0), (0.0, base.mu))
+            aligned = PairFeatures.from_vector(base)
+            again = pair_row(aligned.tau, (0.0, 0.0), (0.0, aligned.mu), compose_covariance(aligned.shape_u),
+                             compose_covariance(aligned.shape_v))
             assert features_close(base, again, tol=1e-9)
 
 
 def test_criterion_6_augmentation_oracle():
     with criterion(6, "augmentation replicas match a brute-force oracle over all symmetry regimes"):
         from scatterscore.augment import JudgmentRecord, canonical_key, replicate
-        from scatterscore.pairspace import AlignedPairFeatures, PairFeatures, ShapeParams
+        from scatterscore.pairspace import PairFeatures, ShapeParams
 
         rng = np.random.default_rng(600)
         regimes = ["generic", "zero_angles", "iso_u", "iso_v", "iso_both"]
@@ -211,7 +206,7 @@ def test_criterion_6_augmentation_oracle():
             top = max(1.0, sux, suy, svx, svy)
             vec = (tau, 1.0, sux / top, suy / top, svx / top, svy / top, thu, thv)
             label = int(rng.integers(2))
-            features = AlignedPairFeatures(
+            features = PairFeatures(
                 vec[0], vec[1], ShapeParams(vec[6], vec[2], vec[3]), ShapeParams(vec[7], vec[4], vec[5])
             )
             reps = replicate(features.as_vector())
@@ -390,6 +385,6 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
         model = deserialize((run_a / "model.json").read_bytes())
         back = deserialize(serialize(model))
         rng = np.random.default_rng(902)
-        for _ in range(1000):
-            f = random_aligned(rng)
-            assert predict(model, f) == predict(back, f)
+        X = np.array([random_aligned(rng).as_vector() for _ in range(1000)])
+        (h, frac), (h_back, frac_back) = predict(model, X), predict(back, X)
+        assert h.tobytes() == h_back.tobytes() and frac.tobytes() == frac_back.tobytes()

@@ -9,6 +9,7 @@ import pytest
 from scatterscore.augment import (
     CORPUS_COLUMNS,
     ISOTROPIC_ANGLES,
+    SCALE_TOL,
     JudgmentRecord,
     TrainingCorpus,
     build_corpus,
@@ -25,7 +26,6 @@ from scatterscore.augment import (
 from scatterscore.cli import main
 from scatterscore.gmm import FitConfig, select_model
 from scatterscore.pairspace import (
-    AlignedPairFeatures,
     PairFeatures,
     ShapeParams,
     align_training_record,
@@ -33,13 +33,14 @@ from scatterscore.pairspace import (
 )
 
 from conftest import make_corpus, random_aligned
+from test_pairspace import as_matrix
 
 HALF_PI = math.pi / 2
 
 
 def aligned(tau, mu, su, sv):
     """The 8 feature columns of an aligned pair."""
-    return AlignedPairFeatures(tau, mu, ShapeParams(*su), ShapeParams(*sv)).as_vector()
+    return PairFeatures(tau, mu, ShapeParams(*su), ShapeParams(*sv)).as_vector()
 
 
 def brute_force_replicas(vec, iso_tol=1e-9):
@@ -175,8 +176,8 @@ class TestReplicate:
         neg = replicate(x)[1]
         f = np.diag([-1.0, 1.0])
         for sigmas, theta in ((slice(2, 4), 6), (slice(4, 6), 7)):
-            original = compose_covariance(ShapeParams(x[theta], *x[sigmas])).as_matrix()
-            reflected = compose_covariance(ShapeParams(neg[theta], *neg[sigmas])).as_matrix()
+            original = as_matrix(compose_covariance(ShapeParams(x[theta], *x[sigmas])))
+            reflected = as_matrix(compose_covariance(ShapeParams(neg[theta], *neg[sigmas])))
             assert np.allclose(f @ original @ f, reflected, atol=1e-12)
 
 
@@ -282,14 +283,14 @@ class TestIngest:
         with pytest.raises(ValueError, match="row 3"):
             ingest_benchmark(p)
 
-    def test_unknown_column_warns(self, tmp_path):
+    def test_unknown_column_warns(self, tmp_path, capsys):
         p = tmp_path / "extra.csv"
-        header = BENCH_HEADER + ",mystery," + ",".join(f"j{i+1}" for i in range(4))
+        header = BENCH_HEADER + ",Mystery," + ",".join(f"j{i+1}" for i in range(4))
         row = bench_row("a", votes=[1, 1, 0, 1]).split(",")
         row.insert(11, "42")
         p.write_text(header + "\n" + ",".join(row) + "\n")
-        with pytest.warns(UserWarning, match="mystery"):
-            records = ingest_benchmark(p)
+        records = ingest_benchmark(p)
+        assert capsys.readouterr().err == f"warning: {p}: ignoring unknown column 'Mystery'\n"
         assert [r.judgments for r in records] == [(1, 1, 0, 1)]
 
     def test_votes_become_labels(self, tmp_path):
@@ -448,8 +449,8 @@ class TestCorpusRows:
             for j in rng.choice(8, size=int(rng.integers(1, 3)), replace=False):
                 x[j] = rng.choice(self.EDGES) if rng.random() < 0.8 else x[j] * rng.uniform(0.5, 2.0)
             try:
-                AlignedPairFeatures.from_vector(x)
-                valid = label in (0, 1)
+                PairFeatures.from_vector(x)
+                valid = label in (0, 1) and abs(max(x[1:6]) - 1.0) <= SCALE_TOL
             except ValueError:
                 valid = False
             try:

@@ -117,6 +117,93 @@ class TestGenerate:
         assert sorted(tmp_path.iterdir()) == [params]
 
 
+# kind of damage to the params CSV -> a fragment of generate's exit-2 message after the file name
+GENERATE_MUTATIONS = {
+    "non_numeric_cell": "could not convert string to float: 'abc'",
+    "tau_outside": "tau must be in (0, 1)",
+    "sigma_not_positive": "axis scales must be positive",
+    "sigma_not_finite": "axis scales must be positive and finite",
+    "theta_outside": "theta must lie in [-pi/2, pi/2]",
+    "points_beyond_coordinate_limit": "coordinates must be finite and within",
+    "missing_column": "missing required columns ['",
+    "repeated_id": "repeats row",
+    "id_not_bare": "is not a bare file name",
+}
+PARAMS = DATA / "params.csv"  # id and the 8 parameters of 4 plots
+
+
+def mutate_params_csv(text: str, kind: str, rng: np.random.Generator) -> tuple[str, int | None]:
+    """``text`` of a params CSV with one ``kind`` of damage, or of a valid variant, at a row and cell drawn
+    from ``rng``, and the line number of the damaged row (None when the damage is to the whole file)."""
+    rows = [line.split(",") for line in text.splitlines()]
+    if kind == "missing_column":
+        drop = int(rng.integers(9))
+        rows = [row[:drop] + row[drop + 1:] for row in rows]
+    elif kind == "columns_shuffled":
+        order = rng.permutation(9)
+        rows = [[row[j] for j in order] for row in rows]
+    elif kind == "header_upper_case":
+        rows[0] = [cell.upper() for cell in rows[0]]
+    if kind not in GENERATE_MUTATIONS or kind == "missing_column":
+        return "".join(",".join(row) + "\n" for row in rows), None
+    index = int(rng.integers(2, len(rows)))  # a repeated id needs an earlier row
+    row = rows[index]
+    if kind == "non_numeric_cell":
+        row[int(rng.integers(1, 9))] = "abc"
+    elif kind == "tau_outside":
+        row[1] = str(rng.choice([0.0, 1.0, -0.5, 1.5]))
+    elif kind == "sigma_not_positive":
+        row[int(rng.integers(3, 7))] = str(rng.choice([0.0, -0.5]))
+    elif kind == "sigma_not_finite":
+        row[int(rng.integers(3, 7))] = str(rng.choice(["inf", "1e400"]))
+    elif kind == "theta_outside":
+        # beyond the 1e-6 that a theta may lie past +-pi/2
+        row[int(rng.integers(7, 9))] = str(rng.choice([-1.0, 1.0]) * (np.pi / 2 + 2e-6))
+    elif kind == "points_beyond_coordinate_limit":
+        row[int(rng.integers(2, 7))] = "1e300"  # mu or a sigma
+    elif kind == "repeated_id":
+        row[0] = rows[int(rng.integers(1, index))][0]
+    elif kind == "id_not_bare":
+        row[0] = str(rng.choice(["sub/p9", "../x", "a\\b", ".", "..", ""]))
+    return "".join(",".join(row) + "\n" for row in rows), index + 1
+
+
+class TestGenerateMutations:
+    """Seeded damage to the params CSV: ``generate`` exits 2, names the file (and the damaged row) and
+    writes nothing; the valid variants exit 0 with plots that ``score`` reads."""
+
+    @pytest.mark.parametrize("kind", GENERATE_MUTATIONS)
+    def test_damage_exit_2(self, tmp_path, capsys, kind):
+        params = tmp_path / "params.csv"
+        rng = np.random.default_rng(list(GENERATE_MUTATIONS).index(kind))
+        text, line = mutate_params_csv(PARAMS.read_text(), kind, rng)
+        params.write_text(text)
+        code = run("generate", "--params-file", params, "--n", 50, "--out", tmp_path / "plots")
+        err = capsys.readouterr().err
+        assert code == 2, err
+        where = f"{params}: " if line is None else f"{params}: row {line}: "
+        if kind == "points_beyond_coordinate_limit":
+            where = f"{params}: id {text.splitlines()[line - 1].split(',')[0]!r}: "
+        assert where in err and GENERATE_MUTATIONS[kind] in err, err
+        assert sorted(tmp_path.iterdir()) == [params]
+
+    @pytest.mark.parametrize("kind", ["unchanged", "columns_shuffled", "header_upper_case"])
+    def test_valid_variant_exit_0(self, tmp_path, kind):
+        params = tmp_path / "params.csv"
+        params.write_text(mutate_params_csv(PARAMS.read_text(), kind, np.random.default_rng(0))[0])
+        plots = tmp_path / "plots"
+        assert run("generate", "--params-file", params, "--n", 50, "--seed", 2, "--out", plots) == 0
+        with open(plots / "manifest.csv", newline="") as fh:
+            ids = [row["id"] for row in csv.DictReader(fh)]
+        assert ids == ["p0", "p1", "p2", "p3"]
+        model = tmp_path / "model.json"
+        assert run("train", GOLDEN_CORPUS, "--n-trees", 1, "--out", model) == 0
+        scores = tmp_path / "scores.csv"
+        files = [plots / f"{i}.csv" for i in ids]
+        assert run("score", *files, "--model", model, "--k-max", 2, "--n-restarts", 1, "--out", scores) == 0
+        assert [plot_id for plot_id, _ in vqm.read_scores_csv(scores)] == ids
+
+
 class TestCorpus:
     def test_builds_corpus_and_report(self, tmp_path, bench_csv):
         out = tmp_path / "corpus.csv"
@@ -223,7 +310,7 @@ def mutate_judged_csv(text: str, kind: str, rng: np.random.Generator) -> tuple[s
     elif kind == "header_only":
         rows = rows[:1]
     elif kind == "unknown_column":
-        rows = [rows[0] + ["mystery"]] + [row + [str(rng.integers(100))] for row in rows[1:]]
+        rows = [rows[0] + ["Mystery"]] + [row + [str(rng.integers(100))] for row in rows[1:]]
     elif kind == "one_label":
         vote = str(rng.integers(2))
         for row in rows[1:]:
@@ -268,15 +355,15 @@ class TestCorpusMutations:
         assert sorted(tmp_path.iterdir()) == [judged]
 
     @pytest.mark.parametrize("kind", ["alpha_n_present", "alpha_n_absent", "unknown_column"])
-    def test_valid_variant_exit_0(self, tmp_path, kind):
+    def test_valid_variant_exit_0(self, tmp_path, capsys, kind):
         judged = tmp_path / "judged.csv"
         text, _ = mutate_judged_csv(JUDGED.read_text(), kind, np.random.default_rng(0))
         judged.write_text(text)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run("corpus", judged, "--out", tmp_path / "corpus.csv") == 0
-        expected = [f"{judged}: ignoring unknown column 'mystery'"] if kind == "unknown_column" else []
-        assert [str(w.message) for w in caught] == expected
+        warned = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert warned == ([f"warning: {judged}: ignoring unknown column 'Mystery'"] if kind == "unknown_column" else [])
         assert (tmp_path / "corpus.csv").read_bytes() == GOLDEN_CORPUS.read_bytes()
         assert run("train", tmp_path / "corpus.csv", "--n-trees", 1, "--out", tmp_path / "m.json") == 0
 

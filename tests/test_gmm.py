@@ -5,12 +5,9 @@ import pytest
 
 from scatterscore import gmm
 from scatterscore.gmm import (
-    Covariance2,
     DegenerateCovarianceError,
     FitConfig,
-    GaussianComponent,
     MixtureModel,
-    Point2D,
     Scatterplot,
     bic_value,
     fit_em,
@@ -24,16 +21,17 @@ from scatterscore.util import spawn_rng
 
 from conftest import gaussian_blob, two_blob_plot
 
-IDENTITY = Covariance2(1.0, 0.0, 1.0)
+IDENTITY = (1.0, 0.0, 1.0)  # a covariance as (xx, xy, yy)
 
 
-def gaussian_density(point, mean, cov: Covariance2) -> float:
+def gaussian_density(point, mean, cov) -> float:
     """Scalar reference for one component's density, independent of the package:
-    det(2*pi*Sigma)^(-1/2) * exp(-1/2 (x-mu)^T Sigma^-1 (x-mu))."""
-    det = cov.det
+    det(2*pi*Sigma)^(-1/2) * exp(-1/2 (x-mu)^T Sigma^-1 (x-mu)), for Sigma given as (xx, xy, yy)."""
+    xx, xy, yy = cov
+    det = xx * yy - xy * xy
     dx = float(point[0]) - float(mean[0])
     dy = float(point[1]) - float(mean[1])
-    quad = (cov.yy * dx * dx - 2.0 * cov.xy * dx * dy + cov.xx * dy * dy) / det
+    quad = (yy * dx * dx - 2.0 * xy * dx * dy + xx * dy * dy) / det
     return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
 
@@ -51,23 +49,24 @@ def kernel_log_joint(x, y, weights, means, covs):
 def map_component(model, point) -> int:
     """Component with the largest log(pi_k) + log g_k at ``point``, from the
     kernel that the E-step and ``mixture_pdf`` share; ties go to the lowest index."""
-    comps = model.components
     logp = kernel_log_joint(
         np.array([float(point[0])]),
         np.array([float(point[1])]),
-        [c.weight for c in comps],
-        [c.mean for c in comps],
-        [(c.cov.xx, c.cov.xy, c.cov.yy) for c in comps],
+        model.weights.tolist(),
+        model.means.tolist(),
+        model.covs.tolist(),
     )
     return int(np.argmax(logp[:, 0]))
 
 
+def mixture(*components) -> MixtureModel:
+    """The mixture of (weight, mean, covariance) components."""
+    weights, means, covs = zip(*components)
+    return MixtureModel(weights=weights, means=means, covs=covs, log_likelihood=0.0, n_points=1)
+
+
 def single_gaussian_model(mean=(0.0, 0.0), cov=IDENTITY):
-    return MixtureModel(
-        components=(GaussianComponent(1.0, Point2D(*mean), cov),),
-        log_likelihood=0.0,
-        n_points=1,
-    )
+    return mixture((1.0, mean, cov))
 
 
 class TestGaussianDensity:
@@ -77,12 +76,12 @@ class TestGaussianDensity:
         assert density(single_gaussian_model(), (0, 0)) == pytest.approx(1.0 / (2 * math.pi), abs=1e-12)
 
     def test_determinant_scaling(self):
-        val = density(single_gaussian_model(cov=Covariance2(4.0, 0.0, 1.0)), (0, 0))
+        val = density(single_gaussian_model(cov=(4.0, 0.0, 1.0)), (0, 0))
         assert val == pytest.approx(1.0 / (2 * math.pi * 2.0), abs=1e-12)
 
     def test_point_symmetry_about_mean(self):
         rng = np.random.default_rng(0)
-        cov = Covariance2(2.0, 0.7, 1.5)
+        cov = (2.0, 0.7, 1.5)
         for _ in range(50):
             mx, my, ax, ay = rng.normal(size=4)
             model = single_gaussian_model((mx, my), cov)
@@ -92,43 +91,116 @@ class TestGaussianDensity:
 
     def test_singular_covariance_rejected(self):
         with pytest.raises(DegenerateCovarianceError):
-            mixture_pdf(single_gaussian_model(cov=Covariance2(1.0, 1.0, 1.0)), [(0.0, 0.0)])
+            mixture_pdf(single_gaussian_model(cov=(1.0, 1.0, 1.0)), [(0.0, 0.0)])
 
 
 class TestMixtureDensity:
     def test_single_component_reduction(self):
-        model = single_gaussian_model((0.5, -1.0), Covariance2(2.0, 0.3, 1.0))
+        model = single_gaussian_model((0.5, -1.0), (2.0, 0.3, 1.0))
         p = (0.2, 0.4)
-        assert density(model, p) == pytest.approx(
-            gaussian_density(p, (0.5, -1.0), Covariance2(2.0, 0.3, 1.0)), rel=1e-12
-        )
+        assert density(model, p) == pytest.approx(gaussian_density(p, (0.5, -1.0), (2.0, 0.3, 1.0)), rel=1e-12)
 
     def test_convexity_identity(self):
-        cov = Covariance2(1.5, -0.2, 0.8)
-        comp = GaussianComponent(0.5, Point2D(1.0, 2.0), cov)
-        two = MixtureModel(components=(comp, comp), log_likelihood=0.0, n_points=1)
+        cov = (1.5, -0.2, 0.8)
+        comp = (0.5, (1.0, 2.0), cov)
+        two = mixture(comp, comp)
         one = single_gaussian_model((1.0, 2.0), cov)
         assert density(two, (0.0, 0.0)) == pytest.approx(density(one, (0.0, 0.0)), rel=1e-12)
 
     def test_component_permutation_invariance(self):
-        c1 = GaussianComponent(0.3, Point2D(0.0, 0.0), IDENTITY)
-        c2 = GaussianComponent(0.7, Point2D(3.0, 1.0), Covariance2(2.0, 0.5, 1.0))
-        a = MixtureModel(components=(c1, c2), log_likelihood=0.0, n_points=1)
-        b = MixtureModel(components=(c2, c1), log_likelihood=0.0, n_points=1)
+        c1 = (0.3, (0.0, 0.0), IDENTITY)
+        c2 = (0.7, (3.0, 1.0), (2.0, 0.5, 1.0))
+        a = mixture(c1, c2)
+        b = mixture(c2, c1)
         pts = np.random.default_rng(1).normal(size=(20, 2))
         np.testing.assert_allclose(mixture_pdf(a, pts), mixture_pdf(b, pts), rtol=1e-12)
-        expected = [sum(c.weight * gaussian_density(p, c.mean, c.cov) for c in (c1, c2)) for p in pts]
+        expected = [sum(w * gaussian_density(p, mean, cov) for w, mean, cov in (c1, c2)) for p in pts]
         np.testing.assert_allclose(mixture_pdf(a, pts), expected, rtol=1e-12)
+
+
+class TestMixtureModel:
+    """A mixture's arrays are checked as they are built, and held read-only."""
+
+    GOOD = dict(weights=[0.25, 0.75], means=[(0.0, 0.0), (3.0, 1.0)], covs=[IDENTITY, (2.0, 0.5, 1.0)])
+
+    def model(self, **changes):
+        return MixtureModel(**{**self.GOOD, **changes}, log_likelihood=0.0, n_points=1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", range(3))
+    def test_non_finite_covariance_entry_rejected(self, entry, value):
+        cov = list(IDENTITY)
+        cov[entry] = value
+        with pytest.raises(ValueError, match="covariance entries must be finite"):
+            self.model(covs=[IDENTITY, cov])
+
+    @pytest.mark.parametrize("cov", [(-1.0, 0.0, 1.0), (1.0, 0.0, -1e-300)])
+    def test_negative_variance_rejected(self, cov):
+        with pytest.raises(ValueError, match="variances must be non-negative"):
+            self.model(covs=[cov, IDENTITY])
+
+    def test_singular_covariance_accepted(self):
+        # a covariance need not be positive definite until a density is evaluated
+        assert self.model(covs=[(1.0, 1.0, 1.0), (0.0, 0.0, 0.0)]).k == 2
+
+    @pytest.mark.parametrize("weights", [(0.0, 1.0), (-0.5, 1.5), (1.5, -0.5), (math.nan, 1.0), (1.0 + 1e-12, 1e-12)])
+    def test_weight_outside_unit_interval_rejected(self, weights):
+        with pytest.raises(ValueError, match=r"weights must be in \(0, 1\]"):
+            self.model(weights=weights)
+
+    @pytest.mark.parametrize("weights", [(0.25, 0.25), (0.5, 0.5 + 2e-9)])
+    def test_weights_not_summing_to_one_rejected(self, weights):
+        with pytest.raises(ValueError, match="weights sum to"):
+            self.model(weights=weights)
+
+    def test_weights_within_rounding_of_one_accepted(self):
+        assert self.model(weights=(0.5, 0.5 + 5e-10)).k == 2
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, value):
+        with pytest.raises(ValueError, match="means must be finite"):
+            self.model(means=[(0.0, value), (3.0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(weights=[1.0], means=[], covs=[]),
+            dict(weights=[], means=[], covs=[]),
+            dict(weights=1.0, means=[(0.0, 0.0)], covs=[IDENTITY]),
+            dict(weights=[[0.25, 0.75]]),
+            dict(means=[(0.0, 0.0)]),
+            dict(means=[(0.0, 0.0, 0.0), (3.0, 1.0, 0.0)]),
+            dict(covs=[IDENTITY]),
+            dict(covs=[(1.0, 0.0), (1.0, 0.0)]),
+            dict(covs=[[[1.0, 0.0], [0.0, 1.0]]] * 2),
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, changes):
+        with pytest.raises(ValueError, match="expected K >= 1 weights"):
+            self.model(**changes)
+
+    def test_arrays_are_read_only_copies(self):
+        weights = np.array([0.25, 0.75])
+        model = self.model(weights=weights)
+        weights[0] = 0.5
+        assert model.weights.tolist() == [0.25, 0.75]
+        for a in (model.weights, model.means, model.covs):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_equality_compares_every_value(self):
+        assert self.model() == self.model()
+        assert self.model() != self.model(covs=[IDENTITY, (2.0, 0.5, 1.5)])
+        assert self.model() != MixtureModel(**self.GOOD, log_likelihood=1.0, n_points=1)
+        assert self.model() != self.model(weights=[1.0], means=[(0.0, 0.0)], covs=[IDENTITY])
 
 
 def quadrature_of_mixture(model, half_width=8.0, n_cells=400):
     """Midpoint-rule integral of the mixture over a box covering all components."""
-    stds = [math.sqrt(max(c.cov.xx, c.cov.yy)) for c in model.components]
-    xs = [c.mean.x for c in model.components]
-    ys = [c.mean.y for c in model.components]
-    pad = half_width * max(stds)
-    x = np.linspace(min(xs) - pad, max(xs) + pad, n_cells + 1)
-    y = np.linspace(min(ys) - pad, max(ys) + pad, n_cells + 1)
+    pad = half_width * math.sqrt(model.covs[:, [0, 2]].max())
+    (x0, y0), (x1, y1) = model.means.min(axis=0), model.means.max(axis=0)
+    x = np.linspace(x0 - pad, x1 + pad, n_cells + 1)
+    y = np.linspace(y0 - pad, y1 + pad, n_cells + 1)
     cx = 0.5 * (x[:-1] + x[1:])
     cy = 0.5 * (y[:-1] + y[1:])
     gx, gy = np.meshgrid(cx, cy)
@@ -138,39 +210,23 @@ def quadrature_of_mixture(model, half_width=8.0, n_cells=400):
 
 
 def test_mixture_quadrature_normalizes():
-    c1 = GaussianComponent(0.4, Point2D(-1.0, 0.5), Covariance2(1.2, 0.4, 0.9))
-    c2 = GaussianComponent(0.6, Point2D(4.0, -2.0), Covariance2(0.5, -0.1, 2.0))
-    model = MixtureModel(components=(c1, c2), log_likelihood=0.0, n_points=1)
+    model = mixture((0.4, (-1.0, 0.5), (1.2, 0.4, 0.9)), (0.6, (4.0, -2.0), (0.5, -0.1, 2.0)))
     assert quadrature_of_mixture(model) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestMapAssign:
     def test_point_at_first_mean(self):
-        model = MixtureModel(
-            components=(
-                GaussianComponent(0.5, Point2D(0.0, 0.0), IDENTITY),
-                GaussianComponent(0.5, Point2D(50.0, 0.0), IDENTITY),
-            ),
-            log_likelihood=0.0,
-            n_points=1,
-        )
+        model = mixture((0.5, (0.0, 0.0), IDENTITY), (0.5, (50.0, 0.0), IDENTITY))
         assert map_component(model, (0.0, 0.0)) == 0
         assert map_component(model, (50.0, 0.0)) == 1
 
     def test_equal_components_tie_to_lowest(self):
-        comp = GaussianComponent(0.5, Point2D(0.0, 0.0), IDENTITY)
-        model = MixtureModel(components=(comp, comp), log_likelihood=0.0, n_points=1)
+        comp = (0.5, (0.0, 0.0), IDENTITY)
+        model = mixture(comp, comp)
         assert map_component(model, (1.3, -0.7)) == 0
 
     def test_perpendicular_bisector_tie(self):
-        model = MixtureModel(
-            components=(
-                GaussianComponent(0.5, Point2D(0.0, 0.0), IDENTITY),
-                GaussianComponent(0.5, Point2D(2.0, 0.0), IDENTITY),
-            ),
-            log_likelihood=0.0,
-            n_points=1,
-        )
+        model = mixture((0.5, (0.0, 0.0), IDENTITY), (0.5, (2.0, 0.0), IDENTITY))
         # both components evaluate bit-identically on the bisector x = 1
         p1 = 0.5 * gaussian_density((1.0, 0.7), (0.0, 0.0), IDENTITY)
         p2 = 0.5 * gaussian_density((1.0, 0.7), (2.0, 0.0), IDENTITY)
@@ -187,13 +243,13 @@ class TestFitEm:
         cfg = FitConfig(k_max=1, n_restarts=1, regularization=0.0, seed=0)
         model = fit_em(sp, 1, cfg)
         X = sp.points
-        assert model.components[0].weight == pytest.approx(1.0, abs=1e-12)
-        assert model.components[0].mean.x == pytest.approx(X[:, 0].mean(), abs=1e-9)
-        assert model.components[0].mean.y == pytest.approx(X[:, 1].mean(), abs=1e-9)
+        assert model.weights.tolist() == pytest.approx([1.0], abs=1e-12)
+        assert model.means[0] == pytest.approx(X.mean(axis=0), abs=1e-9)
         d = X - X.mean(axis=0)
-        assert model.components[0].cov.xx == pytest.approx((d[:, 0] ** 2).mean(), abs=1e-9)
-        assert model.components[0].cov.xy == pytest.approx((d[:, 0] * d[:, 1]).mean(), abs=1e-9)
-        assert model.components[0].cov.yy == pytest.approx((d[:, 1] ** 2).mean(), abs=1e-9)
+        xx, xy, yy = model.covs[0]
+        assert xx == pytest.approx((d[:, 0] ** 2).mean(), abs=1e-9)
+        assert xy == pytest.approx((d[:, 0] * d[:, 1]).mean(), abs=1e-9)
+        assert yy == pytest.approx((d[:, 1] ** 2).mean(), abs=1e-9)
 
     def test_fitted_mean_within_standard_error(self):
         n = 500
@@ -201,13 +257,13 @@ class TestFitEm:
             sp = gaussian_blob(n, [1.0, 3.0], seed=seed)
             model = fit_em(sp, 1, FitConfig(n_restarts=1, seed=seed, regularization=0.0))
             se = 1.0 / math.sqrt(n)
-            assert abs(model.components[0].mean.x - 1.0) < 5 * se
-            assert abs(model.components[0].mean.y - 3.0) < 5 * se
+            assert abs(model.means[0, 0] - 1.0) < 5 * se
+            assert abs(model.means[0, 1] - 3.0) < 5 * se
 
     def test_two_separated_clusters_recovered(self):
         sp = two_blob_plot(250, 20.0, seed=5)
         model = fit_em(sp, 2, FitConfig(n_restarts=3, seed=2))
-        means = sorted((c.mean.y for c in model.components))
+        means = sorted(model.means[:, 1])
         assert abs(means[0] - 0.0) < 0.5
         assert abs(means[1] - 20.0) < 0.5
 
@@ -248,9 +304,9 @@ class TestFitEm:
         cfg = FitConfig(n_restarts=2, seed=4)
         a = fit_em(sp, 2, cfg)
         b = fit_em(shifted, 2, cfg)
-        for ca, cb in zip(a.components, b.components):
-            assert cb.mean.x - ca.mean.x == pytest.approx(100.0, abs=1e-4)
-            assert cb.mean.y - ca.mean.y == pytest.approx(-40.0, abs=1e-4)
+        for (ax, ay), (bx, by) in zip(a.means, b.means):
+            assert bx - ax == pytest.approx(100.0, abs=1e-4)
+            assert by - ay == pytest.approx(-40.0, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +501,7 @@ class TestKernelBitIdentity:
     def test_log_joint_matches_reference(self):
         model = fit_em(KERNEL_PLOTS["blobs5"], 6, FitConfig(n_restarts=1, max_iterations=40))
         x, y = np.random.default_rng(0).normal(size=(2, 333)) * 5.0
-        args = (
-            [c.weight for c in model.components],
-            [c.mean for c in model.components],
-            [(c.cov.xx, c.cov.xy, c.cov.yy) for c in model.components],
-        )
+        args = (model.weights.tolist(), model.means.tolist(), model.covs.tolist())
         assert kernel_log_joint(x, y, *args).tobytes() == reference_log_joint(x, y, *args).tobytes()
 
     def test_restart_failing_the_determinant_check_leaves_the_block(self):
@@ -510,7 +562,7 @@ class TestKernelFailures:
         assert failed == {1: expected[1], 2: "covariance is singular (det=-3.0)"}
         assert lp[:3].tobytes() == reference_log_joint(x, y, np.full(3, 1 / 3), means, good).tobytes()
         assert np.isfinite(lp[3:]).all()
-        model = MixtureModel(tuple(GaussianComponent(1 / 3, Point2D(0.0, 0.0), Covariance2(*c)) for c in covs), 0.0, 4)
+        model = MixtureModel(np.full(3, 1 / 3), means, covs, 0.0, 4)
         assert raised(mixture_pdf, model, self.X) == expected
 
     def test_component_losing_all_responsibility(self):
@@ -668,8 +720,8 @@ def stub_sweep(monkeypatch, bics: dict, bars=None):
             raise DegenerateCovarianceError("all restarts failed")
         if bics[k] == "stopped":
             return None
-        comps = tuple(GaussianComponent(1.0 / k, Point2D(float(j), 0.0), IDENTITY) for j in range(k))
-        return MixtureModel(components=comps, log_likelihood=bics[k], n_points=scatterplot.n)
+        means = [(float(j), 0.0) for j in range(k)]
+        return MixtureModel(np.full(k, 1.0 / k), means, [IDENTITY] * k, log_likelihood=bics[k], n_points=scatterplot.n)
 
     monkeypatch.setattr(gmm, "fit_em", fake_fit_em)
     monkeypatch.setattr(gmm, "bic_value", lambda log_likelihood, k, n, mode: log_likelihood)
@@ -804,7 +856,7 @@ def test_unbarred_fit_of_the_snapped_plot_reaches_the_lattice_artefact():
     model, _ = fit_em_with_trace(plot, 10, config)
     assert bic_value(model.log_likelihood, 10, plot.n) > select_model(plot, config).bic + 100
     floor = gmm._effective_regularization(plot.points, config)
-    assert min(c.cov.yy for c in model.components) <= floor * (1 + 1e-9)
+    assert model.covs[:, 2].min() <= floor * (1 + 1e-9)
 
 
 def unbarred_sweep(monkeypatch, plot, config):

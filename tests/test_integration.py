@@ -81,9 +81,8 @@ class TestBinaryGroupAgreement:
             votes.append(tuple(str(base if rng.random() < 0.92 else 1 - base) for _ in range(34)))
         group = GroupRatings(categories=("0", "1"), votes=tuple(votes))
 
-        machine = IsolatedRatings(
-            votes=tuple(str(predict(model, align_training_record(r.params))[0]) for r in records)
-        )
+        aligned = [align_training_record(r.params).as_vector() for r in records]
+        machine = IsolatedRatings(votes=tuple(str(h) for h in predict(model, aligned)[0]))
         result = vanbelle_kappa(group, machine)
         assert result.kappa > 0.7
         summary = bootstrap_kappa(group, machine, b=300, seed=5)

@@ -27,7 +27,6 @@ from scatterscore.mergemodel import (
     train_bagged,
     up_sample,
 )
-from scatterscore.pairspace import AlignedPairFeatures
 from scatterscore.preprocess import PreprocessSpec
 from scatterscore.trees import fit_bagged_trees
 from scatterscore.util import spawn_rng
@@ -349,10 +348,9 @@ class TestTrainBagged:
         pairs, _, _ = threshold_rule_pairs(400, seed=12)
         config = TrainConfig(n_trees=1, seed=0, preprocess=CS_ONLY, balance="none")
         model, _ = train_bagged(pairs, config)
-        for x in pairs.X[:40]:
-            h, frac = predict(model, AlignedPairFeatures.from_vector(x))
-            assert frac in (0.0, 1.0)
-            assert h == int(frac >= 0.5)
+        h, frac = predict(model, pairs.X[:40])
+        assert set(frac.tolist()) <= {0.0, 1.0}
+        assert h.dtype == np.int8 and h.tolist() == frac.tolist()
 
     def test_determinism(self):
         pairs, _, _ = threshold_rule_pairs(600, seed=13)
@@ -395,17 +393,33 @@ class TestPredict:
         pairs = SimpleNamespace(X=X, y=np.array([l for _, l in drawn], dtype=np.int8), keys=canonical_keys(X))
         config = TrainConfig(n_trees=25, seed=2, preprocess=CS_ONLY, balance="none")
         model, _ = train_bagged(pairs, config)
-        h, frac = predict(model, anchor)
-        assert h == 1
-        assert frac > 0.9
+        h, frac = predict(model, anchor.as_vector()[None])
+        assert h.tolist() == [1]
+        assert frac[0] > 0.9
 
     def test_deterministic(self):
         pairs, _, _ = threshold_rule_pairs(300, seed=17)
         model, _ = train_bagged(pairs, TrainConfig(n_trees=5, seed=1))
         rng = np.random.default_rng(18)
-        for _ in range(20):
-            f = random_aligned(rng)
-            assert predict(model, f) == predict(model, f)
+        X = np.array([random_aligned(rng).as_vector() for _ in range(20)])
+        (h, frac), (h_again, frac_again) = predict(model, X), predict(model, X)
+        assert h.tobytes() == h_again.tobytes() and frac.tobytes() == frac_again.tobytes()
+
+    def test_rows_predicted_together_as_one_by_one(self):
+        pairs, _, _ = threshold_rule_pairs(300, seed=25)
+        model, _ = train_bagged(pairs, TrainConfig(n_trees=9, seed=3))
+        X = np.array([random_aligned(np.random.default_rng(i)).as_vector() for i in range(50)])
+        h, frac = predict(model, X)
+        rows = [predict(model, X[i:i + 1]) for i in range(len(X))]
+        assert h.tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
+        assert frac.tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
+        assert mergemodel.predict_matrix(model, X).tobytes() == h.tobytes()
+
+    def test_one_row_must_be_a_matrix(self):
+        pairs, _, _ = threshold_rule_pairs(100, seed=26)
+        model, _ = train_bagged(pairs, TrainConfig(n_trees=1, seed=0))
+        with pytest.raises(ValueError, match="8 feature columns"):
+            predict(model, pairs.X[0])
 
 
 def reference_cross_validate(corpus, config):
@@ -493,9 +507,9 @@ class TestSerialization:
         model, _ = train_bagged(pairs, TrainConfig(n_trees=10, seed=4))
         back = deserialize(serialize(model))
         rng = np.random.default_rng(23)
-        for _ in range(1000):
-            f = random_aligned(rng)
-            assert predict(model, f) == predict(back, f)
+        X = np.array([random_aligned(rng).as_vector() for _ in range(1000)])
+        (h, frac), (h_back, frac_back) = predict(model, X), predict(back, X)
+        assert h.tobytes() == h_back.tobytes() and frac.tobytes() == frac_back.tobytes()
 
     def test_metadata_preserved(self):
         pairs, _, _ = threshold_rule_pairs(200, seed=24)

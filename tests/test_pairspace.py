@@ -3,28 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from scatterscore.gmm import (
-    Covariance2,
-    DegenerateCovarianceError,
-    GaussianComponent,
-    MixtureModel,
-    Point2D,
-)
+from scatterscore.augment import TrainingCorpus
+from scatterscore.gmm import DegenerateCovarianceError, MixtureModel
 from scatterscore.pairspace import (
-    AlignedPairFeatures,
     PairFeatures,
     ShapeParams,
-    align,
     align_training_record,
+    aligned_pair_from_model,
     compose_covariance,
     decompose_covariance,
-    extract_pair_features,
     wrap_angle,
 )
 
 from conftest import random_spd
 
 HALF_PI = math.pi / 2
+IDENTITY = (1.0, 0.0, 1.0)
 
 
 def angles_close(a, b, tol=1e-9):
@@ -33,55 +27,64 @@ def angles_close(a, b, tol=1e-9):
     return min(d, math.pi - d) <= tol
 
 
-def features_close(a: PairFeatures, b: PairFeatures, tol=1e-9):
-    va, vb = a.as_vector(), b.as_vector()
-    return np.allclose(va[:6], vb[:6], atol=tol) and all(
-        angles_close(va[i], vb[i], tol) for i in (6, 7)
-    )
+def features_close(a, b, tol=1e-9):
+    """Two aligned feature vectors (or PairFeatures) agree, thetas modulo pi."""
+    va, vb = (np.asarray(f.as_vector() if isinstance(f, PairFeatures) else f) for f in (a, b))
+    return np.allclose(va[:6], vb[:6], atol=tol) and all(angles_close(va[i], vb[i], tol) for i in (6, 7))
+
+
+def as_matrix(cov) -> np.ndarray:
+    xx, xy, yy = cov
+    return np.array([[xx, xy], [xy, yy]])
+
+
+def from_matrix(m) -> tuple[float, float, float]:
+    return float(m[0, 0]), float(0.5 * (m[0, 1] + m[1, 0])), float(m[1, 1])
+
+
+def pair_row(tau, mean_u, mean_v, cov_u, cov_v) -> np.ndarray:
+    """The aligned row of the pair (0, 1) of a two-component mixture."""
+    model = MixtureModel([tau, 1.0 - tau], [mean_u, mean_v], [cov_u, cov_v], 0.0, 1)
+    return aligned_pair_from_model(model, 0, 1)[0]
 
 
 class TestCompose:
     def test_no_rotation(self):
-        cov = compose_covariance(ShapeParams(0.0, 2.0, 1.0))
-        assert (cov.xx, cov.xy, cov.yy) == (4.0, 0.0, 1.0)
+        assert compose_covariance(ShapeParams(0.0, 2.0, 1.0)) == (4.0, 0.0, 1.0)
 
     def test_quarter_turn_swaps_axes(self):
-        cov = compose_covariance(ShapeParams(HALF_PI, 2.0, 1.0))
-        assert cov.xx == pytest.approx(1.0, abs=1e-12)
-        assert cov.xy == pytest.approx(0.0, abs=1e-12)
-        assert cov.yy == pytest.approx(4.0, abs=1e-12)
+        assert compose_covariance(ShapeParams(HALF_PI, 2.0, 1.0)) == pytest.approx((1.0, 0.0, 4.0), abs=1e-12)
 
     def test_isotropic_rotation_invariant(self):
-        cov = compose_covariance(ShapeParams(math.pi / 4, 1.0, 1.0))
-        assert cov.xx == pytest.approx(1.0, abs=1e-12)
-        assert cov.xy == pytest.approx(0.0, abs=1e-12)
-        assert cov.yy == pytest.approx(1.0, abs=1e-12)
+        assert compose_covariance(ShapeParams(math.pi / 4, 1.0, 1.0)) == pytest.approx(IDENTITY, abs=1e-12)
 
 
 class TestDecompose:
     def test_identity_is_isotropic_convention(self):
-        shape = decompose_covariance(Covariance2(1.0, 0.0, 1.0))
-        assert shape == ShapeParams(0.0, 1.0, 1.0)
+        assert decompose_covariance(IDENTITY) == ShapeParams(0.0, 1.0, 1.0)
 
     def test_axis_aligned(self):
-        shape = decompose_covariance(Covariance2(4.0, 0.0, 1.0))
+        shape = decompose_covariance((4.0, 0.0, 1.0))
         assert shape.theta == 0.0
         assert shape.sigma_x == pytest.approx(2.0, abs=1e-12)
         assert shape.sigma_y == pytest.approx(1.0, abs=1e-12)
 
     def test_larger_axis_along_y(self):
-        shape = decompose_covariance(Covariance2(1.0, 0.0, 4.0))
+        shape = decompose_covariance((1.0, 0.0, 4.0))
         assert shape.theta == pytest.approx(HALF_PI, abs=1e-12)
         assert shape.sigma_x == pytest.approx(2.0)  # largest axis first
+
+    def test_array_row_same_as_floats(self):
+        cov = random_spd(np.random.default_rng(3))
+        assert decompose_covariance(np.array(cov)) == decompose_covariance(cov)
 
     def test_roundtrip_on_random_spd(self):
         rng = np.random.default_rng(123)
         for _ in range(1000):
             cov = random_spd(rng)
             back = compose_covariance(decompose_covariance(cov))
-            assert abs(back.xx - cov.xx) <= 1e-9 * max(1.0, abs(cov.xx))
-            assert abs(back.xy - cov.xy) <= 1e-9 * max(1.0, abs(cov.xy))
-            assert abs(back.yy - cov.yy) <= 1e-9 * max(1.0, abs(cov.yy))
+            for a, b in zip(back, cov):
+                assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
     def test_canonical_ordering_and_range(self):
         rng = np.random.default_rng(5)
@@ -96,9 +99,7 @@ class TestDecompose:
         swapped = ShapeParams(wrap_angle(0.3 + HALF_PI), 0.7, 2.0)
         a = compose_covariance(shape)
         b = compose_covariance(swapped)
-        assert a.xx == pytest.approx(b.xx, abs=1e-12)
-        assert a.xy == pytest.approx(b.xy, abs=1e-12)
-        assert a.yy == pytest.approx(b.yy, abs=1e-12)
+        assert a == pytest.approx(b, abs=1e-12)
         da, db = decompose_covariance(a), decompose_covariance(b)
         assert angles_close(da.theta, db.theta, tol=1e-12)
         assert da.sigma_x == pytest.approx(db.sigma_x, abs=1e-12)
@@ -106,104 +107,117 @@ class TestDecompose:
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(DegenerateCovarianceError):
-            decompose_covariance(Covariance2(1.0, 1.0, 1.0))
+            decompose_covariance((1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("cov", [(0.0, 0.0, 1.0), (1.0, 2.0, 1.0), (-1.0, 0.0, -1.0), (1e-200, 0.0, 1e-200)])
+    def test_rejects_every_non_positive_definite_kind(self, cov):
+        with pytest.raises(DegenerateCovarianceError):
+            decompose_covariance(cov)
 
 
 class TestExtractPairFeatures:
-    def make_model(self, w=(0.5, 0.5), means=((0.0, 0.0), (0.0, 3.0)), covs=None):
-        covs = covs or (Covariance2(1, 0, 1), Covariance2(1, 0, 1))
-        comps = tuple(
-            GaussianComponent(wi, Point2D(*m), c) for wi, m, c in zip(w, means, covs)
-        )
-        return MixtureModel(components=comps, log_likelihood=0.0, n_points=1)
+    """Pair features of a fitted mixture's components, from ``aligned_pair_from_model``."""
+
+    def make_model(self, w=(0.5, 0.5), means=((0.0, 0.0), (0.0, 3.0)), covs=(IDENTITY, IDENTITY)):
+        return MixtureModel(weights=w, means=means, covs=covs, log_likelihood=0.0, n_points=1)
 
     def test_weight_ratio(self):
-        # third component absorbs the remaining mass; tau only sees the pair
-        model = self.make_model(
-            w=(0.3, 0.6, 0.1),
-            means=((0, 0), (1, 0), (5, 5)),
-            covs=(Covariance2(1, 0, 1),) * 3,
-        )
-        feats, _, _ = extract_pair_features(model, 0, 1)
-        assert feats.tau == pytest.approx(1.0 / 3.0, abs=1e-12)
+        # the third component absorbs the remaining mass; tau only sees the pair
+        model = self.make_model(w=(0.3, 0.6, 0.1), means=((0, 0), (1, 0), (5, 5)), covs=(IDENTITY,) * 3)
+        assert aligned_pair_from_model(model, 0, 1)[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_direct_substitution(self):
-        model = self.make_model()
-        feats, mu_u, mu_v = extract_pair_features(model, 0, 1)
-        assert feats.tau == 0.5
-        assert feats.mu == 3.0
-        assert feats.shape_u == ShapeParams(0.0, 1.0, 1.0)
-        assert feats.shape_v == ShapeParams(0.0, 1.0, 1.0)
-        assert (mu_u, mu_v) == (Point2D(0.0, 0.0), Point2D(0.0, 3.0))
+        rows = aligned_pair_from_model(self.make_model(), 0, 1)
+        assert rows.shape == (1, 8)
+        assert rows[0].tolist() == [0.5, 1.0, 1 / 3, 1 / 3, 1 / 3, 1 / 3, 0.0, 0.0]
 
     def test_coincident_means(self):
-        model = self.make_model(means=((1.0, 1.0), (1.0, 1.0)))
-        feats, _, _ = extract_pair_features(model, 0, 1)
-        assert feats.mu == 0.0
+        assert aligned_pair_from_model(self.make_model(means=((1.0, 1.0), (1.0, 1.0))), 0, 1)[0, 1] == 0.0
 
     def test_same_index_rejected(self):
         with pytest.raises(ValueError):
-            extract_pair_features(self.make_model(), 1, 1)
+            aligned_pair_from_model(self.make_model(), 1, 1)
+
+    def test_rows_equal_one_pair_at_a_time(self):
+        rng = np.random.default_rng(12)
+        weights = rng.dirichlet(np.ones(5))
+        model = self.make_model(w=weights, means=rng.normal(size=(5, 2)) * 4.0,
+                                covs=[random_spd(rng) for _ in range(5)])
+        u, v = np.triu_indices(5, 1)
+        rows = aligned_pair_from_model(model, u, v)
+        assert rows.shape == (10, 8)
+        one_by_one = np.concatenate([aligned_pair_from_model(model, a, b) for a, b in zip(u.tolist(), v.tolist())])
+        assert rows.tobytes() == one_by_one.tobytes()
+        assert all(PairFeatures.from_vector(row) for row in rows)
+
+    def test_no_pairs_no_rows(self):
+        assert aligned_pair_from_model(self.make_model(), [], []).shape == (0, 8)
+
+    def test_degenerate_component_of_a_pair_rejected(self):
+        model = self.make_model(w=(0.3, 0.3, 0.4), means=((0, 0), (1, 0), (5, 5)),
+                                covs=(IDENTITY, (1.0, 1.0, 1.0), IDENTITY))
+        assert aligned_pair_from_model(model, 0, 2).shape == (1, 8)
+        with pytest.raises(DegenerateCovarianceError):
+            aligned_pair_from_model(model, [0, 0], [2, 1])
+
+    @pytest.mark.parametrize(
+        "u,v,message",
+        [(1, 1, "must differ"), ([0, 1], [1, 1], "must differ"), (0, 2, "out of range"), (-1, 0, "out of range"),
+         ([0, 1], [1], "got 2 first and 1 second")],
+    )
+    def test_bad_indices_rejected(self, u, v, message):
+        with pytest.raises(ValueError, match=message):
+            aligned_pair_from_model(self.make_model(), u, v)
 
 
 class TestAlign:
+    """A pair turned so that center v lies straight above center u, and rescaled."""
+
     def test_centers_on_y_axis_no_correction(self):
-        raw = PairFeatures(0.4, 5.0, ShapeParams(0.2, 2.0, 1.0), ShapeParams(-0.3, 1.5, 0.5))
-        out = align(raw, (0.0, 0.0), (0.0, 5.0))
-        assert out.shape_u.theta == pytest.approx(0.2, abs=1e-12)
-        assert out.shape_v.theta == pytest.approx(-0.3, abs=1e-12)
-        assert out.mu == 1.0  # mu = 5 dominates the sigmas
+        shape_u, shape_v = ShapeParams(0.2, 2.0, 1.0), ShapeParams(-0.3, 1.5, 0.5)
+        row = pair_row(0.4, (0.0, 0.0), (0.0, 5.0), compose_covariance(shape_u), compose_covariance(shape_v))
+        assert row[6] == pytest.approx(0.2, abs=1e-12)
+        assert row[7] == pytest.approx(-0.3, abs=1e-12)
+        assert row[1] == 1.0  # mu = 5 dominates the sigmas
+
+    def test_coincident_means_beta_zero(self):
+        row = pair_row(0.5, (1.0, 1.0), (1.0, 1.0), compose_covariance(ShapeParams(0.4, 2.0, 1.0)), IDENTITY)
+        assert row[6] == pytest.approx(0.4, abs=1e-12)
+        assert row[1] == 0.0
 
     def test_scale_invariance(self):
-        raw = PairFeatures(0.4, 5.0, ShapeParams(0.2, 2.0, 1.0), ShapeParams(-0.3, 1.5, 0.5))
-        big = PairFeatures(0.4, 50.0, ShapeParams(0.2, 20.0, 10.0), ShapeParams(-0.3, 15.0, 5.0))
-        a = align(raw, (0.0, 0.0), (0.0, 5.0))
-        b = align(big, (0.0, 0.0), (0.0, 50.0))
+        cov_u, cov_v = compose_covariance(ShapeParams(0.2, 2.0, 1.0)), compose_covariance(ShapeParams(-0.3, 1.5, 0.5))
+        a = pair_row(0.4, (0.0, 0.0), (0.0, 5.0), cov_u, cov_v)
+        b = pair_row(0.4, (0.0, 0.0), (0.0, 50.0), [100 * c for c in cov_u], [100 * c for c in cov_v])
         assert features_close(a, b, tol=1e-12)
 
     def test_normalization_invariant(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            mu = rng.uniform(0.0, 8.0)
-            raw = PairFeatures(
-                rng.uniform(0.1, 0.9),
-                mu,
-                decompose_covariance(random_spd(rng)),
-                decompose_covariance(random_spd(rng)),
-            )
-            out = align(raw, (0.0, 0.0), (0.0, mu))
-            v = out.as_vector()
-            assert max(v[1:6]) == pytest.approx(1.0, abs=1e-9)
+            row = pair_row(rng.uniform(0.1, 0.9), (0.0, 0.0), (0.0, rng.uniform(0.0, 8.0)), random_spd(rng),
+                           random_spd(rng))
+            assert max(row[1:6]) == pytest.approx(1.0, abs=1e-9)
 
     def test_similarity_invariance(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             mean_u = rng.normal(size=2)
             mean_v = rng.normal(size=2) * 3.0
-            cov_u, cov_v = random_spd(rng), random_spd(rng)
+            cov_u, cov_v = as_matrix(random_spd(rng)), as_matrix(random_spd(rng))
             tau = rng.uniform(0.1, 0.9)
-
-            def pipeline(mu_u, mu_v, mat_u, mat_v):
-                raw = PairFeatures(
-                    tau,
-                    float(np.hypot(*(np.asarray(mu_v) - mu_u))),
-                    decompose_covariance(Covariance2.from_matrix(mat_u)),
-                    decompose_covariance(Covariance2.from_matrix(mat_v)),
-                )
-                return align(raw, tuple(mu_u), tuple(mu_v))
-
-            base = pipeline(mean_u, mean_v, cov_u.as_matrix(), cov_v.as_matrix())
+            base = pair_row(tau, mean_u, mean_v, from_matrix(cov_u), from_matrix(cov_v))
 
             delta = rng.uniform(-math.pi, math.pi)
             scale = rng.uniform(0.1, 10.0)
             shift = rng.normal(size=2) * 5.0
             c, s = math.cos(delta), math.sin(delta)
             rot = np.array([[c, -s], [s, c]])
-            moved = pipeline(
+            moved = pair_row(
+                tau,
                 scale * rot @ mean_u + shift,
                 scale * rot @ mean_v + shift,
-                scale**2 * rot @ cov_u.as_matrix() @ rot.T,
-                scale**2 * rot @ cov_v.as_matrix() @ rot.T,
+                from_matrix(scale**2 * rot @ cov_u @ rot.T),
+                from_matrix(scale**2 * rot @ cov_v @ rot.T),
             )
             assert features_close(base, moved, tol=1e-8)
 
@@ -211,27 +225,18 @@ class TestAlign:
         rng = np.random.default_rng(9)
         for _ in range(50):
             mu = rng.uniform(0.5, 6.0)
-            raw = PairFeatures(
-                rng.uniform(0.1, 0.9),
-                mu,
-                decompose_covariance(random_spd(rng)),
-                decompose_covariance(random_spd(rng)),
-            )
-            once = align(raw, (0.0, 0.0), (0.0, mu))
-            again = align(once, (0.0, 0.0), (0.0, once.mu))
+            once = pair_row(rng.uniform(0.1, 0.9), (0.0, 0.0), (0.0, mu), random_spd(rng), random_spd(rng))
+            aligned = PairFeatures.from_vector(once)
+            again = pair_row(aligned.tau, (0.0, 0.0), (0.0, aligned.mu), compose_covariance(aligned.shape_u),
+                             compose_covariance(aligned.shape_v))
             assert features_close(once, again, tol=1e-9)
-
-    def test_coincident_means_beta_zero(self):
-        raw = PairFeatures(0.5, 0.0, ShapeParams(0.4, 2.0, 1.0), ShapeParams(0.0, 1.0, 1.0))
-        out = align(raw, (1.0, 1.0), (1.0, 1.0))
-        assert out.shape_u.theta == pytest.approx(0.4, abs=1e-12)
-        assert out.mu == 0.0
 
 
 class TestAlignTrainingRecord:
     def test_isotropic_fixed_point(self):
         raw = PairFeatures(0.5, 0.0, ShapeParams(0.0, 1.0, 1.0), ShapeParams(0.0, 1.0, 1.0))
         out = align_training_record(raw)
+        assert type(out) is PairFeatures
         assert out.shape_u == ShapeParams(0.0, 1.0, 1.0)
         assert out.shape_v == ShapeParams(0.0, 1.0, 1.0)
 
@@ -239,12 +244,9 @@ class TestAlignTrainingRecord:
         raw_shape = ShapeParams(HALF_PI, 2.0, 1.0)
         raw = PairFeatures(0.5, 0.0, raw_shape, ShapeParams(0.0, 0.5, 0.5))
         out = align_training_record(raw)
-        a = compose_covariance(raw_shape)
         s = 2.0  # max sigma after roundtrip
-        b = compose_covariance(out.shape_u)
-        assert b.xx * s * s == pytest.approx(a.xx, abs=1e-9)
-        assert b.xy * s * s == pytest.approx(a.xy, abs=1e-9)
-        assert b.yy * s * s == pytest.approx(a.yy, abs=1e-9)
+        back = [c * s * s for c in compose_covariance(out.shape_u)]
+        assert back == pytest.approx(compose_covariance(raw_shape), abs=1e-9)
 
     def test_benchmark_grid_record(self):
         raw = PairFeatures(0.5, 3.0, ShapeParams(0.0, 2.0, 1.0), ShapeParams(0.0, 1.0, 1.0))
@@ -259,6 +261,17 @@ class TestAlignTrainingRecord:
         out = align_training_record(raw)
         assert out.shape_u.sigma_x >= out.shape_u.sigma_y
         assert angles_close(out.shape_u.theta, HALF_PI, tol=1e-12)
+
+    def test_same_rule_as_a_mixture_pair(self):
+        # a generator record is the pair of a mixture with u at the origin and v at (0, mu)
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            tau, mu = rng.uniform(0.1, 0.9), rng.uniform(0.5, 8.0)
+            su, sv = (ShapeParams(rng.uniform(-1.5, 1.5), *rng.uniform(0.3, 3.0, size=2)) for _ in range(2))
+            record = align_training_record(PairFeatures(tau, mu, su, sv)).as_vector()
+            mixture = pair_row(tau, (0.0, 0.0), (0.0, mu), compose_covariance(su), compose_covariance(sv))
+            assert record[1:].tobytes() == mixture[1:].tobytes()
+            assert record[0] == pytest.approx(mixture[0], abs=1e-15)
 
 
 class TestWrapAngle:
@@ -284,11 +297,12 @@ class TestWrapAngle:
 
 class TestAlignedValidation:
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            AlignedPairFeatures(0.5, 2.0, ShapeParams(0.0, 1.0, 1.0), ShapeParams(0.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="max scale 1"):
+            TrainingCorpus(X=[[0.5, 2.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0]], y=[1], origin_ids=["a"])
 
     def test_accepts_both_half_pi_endpoints(self):
-        AlignedPairFeatures(0.5, 1.0, ShapeParams(-HALF_PI, 0.5, 0.5), ShapeParams(HALF_PI, 0.5, 0.5))
+        PairFeatures(0.5, 1.0, ShapeParams(-HALF_PI, 0.5, 0.5), ShapeParams(HALF_PI, 0.5, 0.5))
+        TrainingCorpus(X=[[0.5, 1.0, 0.5, 0.5, 0.5, 0.5, -HALF_PI, HALF_PI]], y=[1], origin_ids=["a"])
 
 
 class TestVectorCodec:
@@ -296,9 +310,8 @@ class TestVectorCodec:
         raw = PairFeatures(0.3, 2.0, ShapeParams(0.4, 1.5, 0.5), ShapeParams(-0.2, 1.0, 2.5))
         assert PairFeatures.from_vector(raw.as_vector()) == raw
         aligned = align_training_record(raw)
-        back = AlignedPairFeatures.from_vector(aligned.as_vector())
-        assert type(back) is AlignedPairFeatures and back == aligned
+        assert PairFeatures.from_vector(aligned.as_vector()) == aligned
 
     def test_from_vector_validates(self):
         with pytest.raises(ValueError):
-            AlignedPairFeatures.from_vector([0.5, 2.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+            PairFeatures.from_vector([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])

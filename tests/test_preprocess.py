@@ -103,25 +103,39 @@ class TestPca:
 class TestSpatialSign:
     def test_unit_norm(self):
         fitted = fit_preprocess(np.ones((2, 2)), PreprocessSpec(steps=("spatial_sign",)))
-        out = fitted.apply_matrix([3.0, 4.0])
-        assert np.allclose(out, [0.6, 0.8], atol=1e-12)
+        out = fitted.apply_matrix([[3.0, 4.0]])
+        assert np.allclose(out, [[0.6, 0.8]], atol=1e-12)
 
     def test_zero_row_unchanged(self):
         fitted = fit_preprocess(np.ones((2, 2)), PreprocessSpec(steps=("spatial_sign",)))
-        out = fitted.apply_matrix([0.0, 0.0])
-        assert np.array_equal(out, [0.0, 0.0])
+        out = fitted.apply_matrix([[0.0, 0.0]])
+        assert np.array_equal(out, [[0.0, 0.0]])
 
 
 class TestApply:
     def test_dimension_mismatch_rejected(self):
         fitted = fit_preprocess(np.ones((3, 2)), PreprocessSpec(steps=("center_scale",)))
         with pytest.raises(ValueError):
-            fitted.apply_matrix([1.0, 2.0, 3.0])
+            fitted.apply_matrix([[1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("X", [[1.0, 2.0], [[[1.0, 2.0]]], 1.0])
+    def test_not_a_matrix_rejected(self, X):
+        fitted = fit_preprocess(np.ones((3, 2)), PreprocessSpec(steps=("center_scale",)))
+        with pytest.raises(ValueError, match="matrix of 2 feature columns"):
+            fitted.apply_matrix(X)
+
+    def test_input_left_unchanged(self):
+        X = np.random.default_rng(8).uniform(1.0, 2.0, size=(20, 3))
+        fitted = fit_preprocess(X, PreprocessSpec(steps=("box_cox",)))
+        assert any(lam is not None for lam in fitted.boxcox_lambdas)
+        before = X.copy()
+        fitted.apply_matrix(X)
+        assert np.array_equal(X, before)
 
     def test_repeated_application_identical(self):
         X = np.random.default_rng(6).normal(size=(40, 8)) + 2.0
         fitted = fit_preprocess(X, PreprocessSpec())
-        row = X[7]
+        row = X[7:8]
         a = fitted.apply_matrix(row)
         b = fitted.apply_matrix(row)
         assert np.array_equal(a, b)

@@ -1,15 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from scatterscore.gmm import (
-    Covariance2,
-    FitConfig,
-    GaussianComponent,
-    MixtureModel,
-    Point2D,
-)
+from scatterscore import vqm
+from scatterscore.gmm import FitConfig, MixtureModel, select_model
+from scatterscore.mergemodel import TrainConfig, predict, train_bagged
+from scatterscore.pairspace import HALF_PI, aligned_pair_from_model, decompose_covariance, wrap_angle
 from scatterscore.vqm import (
     MergeMatrix,
     VqmScore,
@@ -23,7 +21,8 @@ from scatterscore.vqm import (
     write_scores_csv,
 )
 
-from conftest import gaussian_blob, two_blob_plot
+from conftest import gaussian_blob, separation_rule_pairs, two_blob_plot
+from test_gmm import blob_plot
 
 FIT_CFG = FitConfig(k_max=3, n_restarts=2, seed=0, em_tolerance=1e-6, max_iterations=200)
 
@@ -157,54 +156,110 @@ class TestRank:
         assert [i for i, _ in rank(scores)] == [i for i, _ in rank(scores[::-1])]
 
 
-def isotropic_component(weight, x, y, var=1.0):
-    return GaussianComponent(weight, Point2D(x, y), Covariance2(var, 0.0, var))
+def isotropic_model(*components) -> MixtureModel:
+    """The mixture of isotropic (weight, x, y[, variance]) components."""
+    weights, means, covs = [], [], []
+    for weight, x, y, *var in components:
+        var = var[0] if var else 1.0
+        weights.append(weight)
+        means.append((x, y))
+        covs.append((var, 0.0, var))
+    return MixtureModel(weights, means, covs, log_likelihood=0.0, n_points=1)
 
 
 class TestBuildMergeMatrix:
     def test_single_component(self, trained_merger):
-        model = MixtureModel(
-            components=(isotropic_component(1.0, 0.0, 0.0),), log_likelihood=0.0, n_points=1
-        )
-        mm = build_merge_matrix(model, trained_merger)
+        mm = build_merge_matrix(isotropic_model((1.0, 0.0, 0.0)), trained_merger)
         assert mm.k == 1
         assert count_components(mm) == 1
 
     def test_far_pair_not_merged(self, trained_merger):
-        model = MixtureModel(
-            components=(isotropic_component(0.5, 0.0, 0.0), isotropic_component(0.5, 0.0, 21.0)),
-            log_likelihood=0.0,
-            n_points=1,
-        )
+        model = isotropic_model((0.5, 0.0, 0.0), (0.5, 0.0, 21.0))
         mm = build_merge_matrix(model, trained_merger)
         assert mm.entries[0, 1] == 0
 
     def test_coincident_pair_merged(self, trained_merger):
-        model = MixtureModel(
-            components=(isotropic_component(0.5, 1.0, 1.0), isotropic_component(0.5, 1.0, 1.0)),
-            log_likelihood=0.0,
-            n_points=1,
-        )
+        model = isotropic_model((0.5, 1.0, 1.0), (0.5, 1.0, 1.0))
         mm = build_merge_matrix(model, trained_merger)
         assert mm.entries[0, 1] == 1
 
     def test_component_permutation_invariance(self, trained_merger):
-        comps = (
-            isotropic_component(0.3, 0.0, 0.0),
-            isotropic_component(0.3, 0.0, 1.2),
-            isotropic_component(0.4, 10.0, 0.0, var=2.0),
-        )
-        model = MixtureModel(components=comps, log_likelihood=0.0, n_points=1)
-        base = build_merge_matrix(model, trained_merger)
+        comps = ((0.3, 0.0, 0.0), (0.3, 0.0, 1.2), (0.4, 10.0, 0.0, 2.0))
+        base = build_merge_matrix(isotropic_model(*comps), trained_merger)
         perm = [2, 0, 1]
-        permuted_model = MixtureModel(
-            components=tuple(comps[i] for i in perm), log_likelihood=0.0, n_points=1
-        )
+        permuted_model = isotropic_model(*(comps[i] for i in perm))
         permuted = build_merge_matrix(permuted_model, trained_merger)
         for a in range(3):
             for b in range(3):
                 assert permuted.entries[a, b] == base.entries[perm[a], perm[b]]
         assert count_components(base) == count_components(permuted)
+
+
+def reference_pair_row(model, u, v) -> list[float]:
+    """The aligned row of the pair (u, v), one pair at a time: both covariances decomposed, the pair turned
+    by the angle that puts the direction from mean u to mean v on the positive y-axis, and mu and the
+    sigmas divided by their maximum."""
+    weights, means, covs = model.weights.tolist(), model.means.tolist(), model.covs.tolist()
+    su, sv = decompose_covariance(covs[u]), decompose_covariance(covs[v])
+    dx, dy = means[v][0] - means[u][0], means[v][1] - means[u][1]
+    mu = math.hypot(dx, dy)
+    beta = 0.0 if mu < 1e-12 else HALF_PI - math.atan2(dy, dx)
+    s = max(mu, su.sigma_x, su.sigma_y, sv.sigma_x, sv.sigma_y)
+    return [weights[u] / (weights[u] + weights[v]), mu / s, su.sigma_x / s, su.sigma_y / s, sv.sigma_x / s,
+            sv.sigma_y / s, wrap_angle(su.theta + beta), wrap_angle(sv.theta + beta)]
+
+
+def reference_merges(model, merger) -> tuple[np.ndarray, dict]:
+    """The merge matrix and each pair's vote share from one ``predict`` per pair."""
+    entries = np.eye(model.k, dtype=np.int8)
+    shares = {}
+    for u in range(model.k):
+        for v in range(u + 1, model.k):
+            h, frac = predict(merger, np.array([reference_pair_row(model, u, v)]))
+            entries[u, v] = entries[v, u] = h[0]
+            shares[u, v] = float(frac[0])
+    return entries, shares
+
+
+# (blobs, points, seed) of blob plots whose selected K* run from 1 to 6
+ORACLE_PLOTS = [(1, 200, 2000), (2, 200, 2000)] + [(6, 300, seed) for seed in range(2000, 2010)]
+
+
+@pytest.fixture(scope="module")
+def oracle_models():
+    config = FitConfig(k_max=7, n_restarts=2, seed=0)
+    return [select_model(blob_plot(*plot), config).model for plot in ORACLE_PLOTS]
+
+
+@pytest.fixture(scope="module")
+def full_pipeline_merger():
+    """A merging model with every preprocessing step, PCA's matrix product among them."""
+    model, _ = train_bagged(separation_rule_pairs(1500, seed=43), TrainConfig(n_trees=15, seed=7))
+    return model
+
+
+class TestBatchedMergeMatrix:
+    """One prediction over all of a plot's pairs gives each pair the vote share of a one-row prediction."""
+
+    @pytest.mark.parametrize("merger_name", ["trained_merger", "full_pipeline_merger"])
+    def test_every_share_equals_the_per_pair_share(self, request, oracle_models, merger_name):
+        merger = request.getfixturevalue(merger_name)
+        assert sorted({m.k for m in oracle_models}) == [1, 2, 3, 4, 5, 6]
+        for model in oracle_models:
+            entries, shares = reference_merges(model, merger)
+            u, v = np.triu_indices(model.k, 1)
+            batch = predict(merger, aligned_pair_from_model(model, u, v))[1]
+            assert batch.tolist() == [shares[pair] for pair in zip(u.tolist(), v.tolist())]
+            assert np.array_equal(build_merge_matrix(model, merger).entries, entries)
+
+    def test_one_prediction_per_plot_and_none_for_one_component(self, monkeypatch, trained_merger, oracle_models):
+        calls = []
+        monkeypatch.setattr(vqm, "predict", lambda merger, X: calls.append(len(X)) or predict(merger, X))
+        for model in oracle_models:
+            matrix = build_merge_matrix(model, trained_merger)
+            if model.k == 1:
+                assert matrix.entries.tolist() == [[1]]
+        assert calls == [m.k * (m.k - 1) // 2 for m in oracle_models if m.k > 1]
 
 
 class TestScoreScatterplot:
