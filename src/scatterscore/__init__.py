@@ -10,7 +10,6 @@ from .agreement import (
     AlterationPoint,
     BootstrapSummary,
     GroupRatings,
-    IsolatedRatings,
     KappaResult,
     WorstCase,
     alter_decisions,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ LANDIS_KOCH_BANDS = (
 PERCENTILES = (2.5, 5.0, 25.0, 50.0, 75.0, 95.0, 97.5)
 
 RELATION_CATEGORIES = ("<", "=", ">")
-_RELATION_CODE = {r: i for i, r in enumerate(RELATION_CATEGORIES)}
 # code of a relation -> the codes of the two other symbols, picked by one random bit
 _ALTERNATIVES = np.array([[a for a in range(3) if a != r] for r in range(3)], dtype=np.int8)
 
@@ -40,12 +39,23 @@ _ALTERNATIVES = np.array([[a for a in range(3) if a != r] for r in range(3)], dt
 _BLOCK = 128
 
 
+def _code(symbols, categories, what: str, dtype=np.int64) -> np.ndarray:
+    """Index in ``categories`` of each of ``symbols``; ValueError naming the first that is none of them."""
+    index = {c: i for i, c in enumerate(categories)}
+    codes = [index.get(s, -1) for s in symbols]
+    if -1 in codes:
+        raise ValueError(f"{what} {symbols[codes.index(-1)]!r} is not one of {tuple(categories)}")
+    return np.array(codes, dtype=dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class GroupRatings:
-    """items x raters category votes from a group of raters."""
+    """items x raters category votes from a group of raters.  ``codes`` holds
+    each vote's index in ``categories`` (items, raters), coded once."""
 
     categories: tuple[str, ...]
     votes: tuple[tuple[str, ...], ...]
+    codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "categories", tuple(self.categories))
@@ -57,11 +67,9 @@ class GroupRatings:
         widths = {len(row) for row in self.votes}
         if len(widths) != 1 or min(widths) < 1:
             raise ValueError("every item needs the same positive number of rater votes")
-        cat = set(self.categories)
-        for row in self.votes:
-            for v in row:
-                if v not in cat:
-                    raise ValueError(f"vote {v!r} is not a listed category")
+        codes = _code([v for row in self.votes for v in row], self.categories, "vote").reshape(self.items, -1)
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
 
     @property
     def items(self) -> int:
@@ -70,29 +78,6 @@ class GroupRatings:
     @property
     def raters(self) -> int:
         return len(self.votes[0])
-
-    def codes(self) -> np.ndarray:
-        index = {c: i for i, c in enumerate(self.categories)}
-        return np.array([[index[v] for v in row] for row in self.votes], dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class IsolatedRatings:
-    """Per-item category votes of a single rater (the measure)."""
-
-    votes: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "votes", tuple(self.votes))
-        if len(self.votes) < 1:
-            raise ValueError("need at least one vote")
-
-    def codes(self, categories) -> np.ndarray:
-        index = {c: i for i, c in enumerate(categories)}
-        try:
-            return np.array([index[v] for v in self.votes], dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"isolated vote {exc.args[0]!r} is not a listed category") from None
 
 
 @dataclass(frozen=True)
@@ -140,7 +125,7 @@ def _proportions(group: GroupRatings, n_votes: int, what: str, b: int = 1) -> np
         raise ValueError("b must be >= 1")
     if n_votes != group.items:
         raise ValueError(f"group has {group.items} items but there are {n_votes} {what}")
-    return (group.codes()[..., None] == np.arange(len(group.categories))).mean(axis=1)
+    return (group.codes[..., None] == np.arange(len(group.categories))).mean(axis=1)
 
 
 def _kappas(p_o: np.ndarray, q_bar: np.ndarray, codes: np.ndarray, n_categories: int):
@@ -178,10 +163,10 @@ def _summarize(b: int, block_kappas, k=None):
     return BootstrapSummary(b=b, mean=mean, sd=sd, min=lo, max=hi, percentiles=percentiles, values=values)
 
 
-def vanbelle_kappa(group: GroupRatings, isolated: IsolatedRatings) -> KappaResult:
-    """Chance-corrected agreement between the rater group and the measure."""
-    prop = _proportions(group, len(isolated.votes), "isolated votes")
-    iso = isolated.codes(group.categories)[None]
+def vanbelle_kappa(group: GroupRatings, votes) -> KappaResult:
+    """Chance-corrected agreement between the rater group and the measure's ``votes``, one per item."""
+    prop = _proportions(group, len(votes), "isolated votes")
+    iso = _code(votes, group.categories, "isolated vote")[None]
     p_o = prop[np.arange(group.items), iso].mean(axis=1)
     kappa, p_e = (float(v[0]) for v in _kappas(p_o, prop.mean(axis=0)[None], iso, prop.shape[1]))
     return KappaResult(
@@ -192,10 +177,10 @@ def vanbelle_kappa(group: GroupRatings, isolated: IsolatedRatings) -> KappaResul
     )
 
 
-def bootstrap_kappa(group: GroupRatings, isolated: IsolatedRatings, b: int, seed: int) -> BootstrapSummary:
-    """Item-level bootstrap of the kappa estimate; deterministic given seed."""
-    prop = _proportions(group, len(isolated.votes), "isolated votes", b)
-    iso = isolated.codes(group.categories)
+def bootstrap_kappa(group: GroupRatings, votes, b: int, seed: int) -> BootstrapSummary:
+    """Item-level bootstrap of the kappa between the group and the measure's ``votes``; deterministic given seed."""
+    prop = _proportions(group, len(votes), "isolated votes", b)
+    iso = _code(votes, group.categories, "isolated vote")
     n, n_cat = prop.shape
     rngs = spawn_rngs(seed, ("bootstrap",), range(b))
 
@@ -219,14 +204,6 @@ def pairwise_relations(scores, pairs) -> list[str]:
     return out
 
 
-def _relation_codes(relations: list) -> np.ndarray:
-    """int8 index into ``RELATION_CATEGORIES`` of each relation; ValueError names the first that is none."""
-    codes = [_RELATION_CODE.get(r, -1) for r in relations]
-    if -1 in codes:
-        raise ValueError(f"relation {relations[codes.index(-1)]!r} is not one of {RELATION_CATEGORIES}")
-    return np.array(codes, dtype=np.int8)
-
-
 def alter_decisions(relations, k: int, seed):
     """Change exactly k uniformly-chosen relations to a different symbol, drawing
     from ``spawn_rng(seed, "alter")`` or from ``seed`` if it is such a Generator.
@@ -240,7 +217,7 @@ def alter_decisions(relations, k: int, seed):
     relations = relations if coded else list(relations)
     if not (0 <= k <= len(relations)):
         raise ValueError(f"k must be in [0, {len(relations)}], got {k}")
-    codes = relations.copy() if coded else _relation_codes(relations)
+    codes = relations.copy() if coded else _code(relations, RELATION_CATEGORIES, "relation", np.int8)
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(seed, "alter")
     if k:
         positions = rng.choice(len(codes), size=k, replace=False)
@@ -252,7 +229,7 @@ def alteration_curve(relations, group: GroupRatings, k_values, b: int, seed: int
     """Kappa distribution after k random decision alterations, per k."""
     relations = list(relations)
     prop = _proportions(group, len(relations), "relations", b)
-    codes = _relation_codes(relations)
+    codes = _code(relations, RELATION_CATEGORIES, "relation", np.int8)
     n, n_cat = prop.shape
     q_bar = prop.mean(axis=0)
     items = np.arange(n)
@@ -314,9 +291,7 @@ def alteration_percentage(n_plots: int, r: float) -> float:
 
 
 def _pair_judgment(cells) -> tuple[tuple[str, str], tuple[str, ...]]:
-    for v in cells[2:]:
-        if v not in RELATION_CATEGORIES:
-            raise ValueError(f"vote {v!r} is not one of {RELATION_CATEGORIES}")
+    _code(cells[2:], RELATION_CATEGORIES, "vote")
     return (cells[0], cells[1]), tuple(cells[2:])
 
 

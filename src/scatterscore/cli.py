@@ -60,7 +60,7 @@ _TRAIN_FIELDS = dict(
 
 OPTIONS = {
     "generate": {"seed": (int, 0), "n": (int, 1000), "grid_count": (int, 0)},
-    "corpus": {"seed": (int, 0)},  # recorded, unused: the corpus draws nothing at random
+    "corpus": {},
     "train": {
         **_fields(TrainConfig, **_TRAIN_FIELDS),
         **_fields(PreprocessSpec, pca_threshold="pca_variance_threshold"),
@@ -75,10 +75,11 @@ OPTIONS = {
 }
 
 
-def _parse_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with _input_errors("cannot read config file: "):
-        text = Path(path).read_text()
+def _parse_config_file(path) -> dict[str, tuple[str, str]]:
+    """key -> (``<path>: line N``, value) of each key=value line."""
+    values: dict[str, tuple[str, str]] = {}
+    with _input_errors(f"cannot read config file {path}: "):
+        text = Path(path).read_text(encoding="utf-8")
     for i, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -86,12 +87,12 @@ def _parse_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise InputError(f"{path}: line {i}: expected key=value")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        values[key.strip()] = (f"{path}: line {i}", value.strip())
     return values
 
 
-def _coerce(key: str, raw: str, kind):
-    with _input_errors(f"config key {key!r}: "):
+def _coerce(where: str, key: str, raw: str, kind):
+    with _input_errors(f"{where}: config key {key!r}: "):
         if kind is not bool:
             return kind(raw)
         if raw.lower() in ("1", "true", "yes"):
@@ -105,10 +106,10 @@ def resolve_config(args: argparse.Namespace, options: dict) -> dict:
     """Merge defaults <- config file <- explicit flags; reject unknown keys."""
     resolved = {key: default for key, (_, default) in options.items()}
     if args.config:
-        for key, raw in _parse_config_file(args.config).items():
+        for key, (where, raw) in _parse_config_file(args.config).items():
             if key not in options:
-                raise InputError(f"unknown config key {key!r}")
-            resolved[key] = _coerce(key, raw, options[key][0])
+                raise InputError(f"{where}: unknown config key {key!r}")
+            resolved[key] = _coerce(where, key, raw, options[key][0])
     for key in options:
         if getattr(args, key) is not None:
             resolved[key] = getattr(args, key)
@@ -116,8 +117,7 @@ def resolve_config(args: argparse.Namespace, options: dict) -> dict:
 
 
 def _write_sidecar(out_path, resolved: dict) -> None:
-    lines = [f"{k}={resolved[k]}" for k in sorted(resolved)]
-    Path(str(out_path) + ".config.txt").write_text("\n".join(lines) + "\n")
+    Path(str(out_path) + ".config.txt").write_text("".join(f"{k}={resolved[k]}\n" for k in sorted(resolved)))
 
 
 def _config(cls, fields: dict, opts: dict, **extra):
@@ -237,7 +237,8 @@ def cmd_train(args, opts) -> int:
 def cmd_score(args, opts) -> int:
     with _input_errors(out=args.out):
         fit_config = _config(FitConfig, _FIT_FIELDS, opts)
-        merger = mergemodel.deserialize(Path(args.model).read_bytes())
+        with _input_errors(f"{args.model}: "):
+            merger = mergemodel.deserialize(Path(args.model).read_bytes())
         plots, paths = [], {}
         for path in args.points:  # read every file first, so a bad one fails before any fit
             plots.append(gmm.read_scatterplot_csv(path, plot_id=Path(path).stem))
@@ -283,9 +284,8 @@ def cmd_evaluate(args, opts) -> int:
             ks = [int(s) for s in ks]
 
     if mode == "pairwise":
-        isolated = agreement.IsolatedRatings(votes=tuple(relations))
-        point = agreement.vanbelle_kappa(group, isolated)
-        boot = agreement.bootstrap_kappa(group, isolated, b, seed)
+        point = agreement.vanbelle_kappa(group, relations)
+        boot = agreement.bootstrap_kappa(group, relations, b, seed)
         report = {
             "mode": "pairwise",
             "n_pairs": len(pairs),

@@ -7,6 +7,7 @@ so after centering it normally no-ops.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -65,6 +66,20 @@ def fit_box_cox_lambda(y: np.ndarray) -> float | None:
     return float(_BOXCOX_GRID[best])
 
 
+def _finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _finite_array(value, name: str) -> np.ndarray | None:
+    """``value`` as a float array (None stays None); ValueError unless it holds only finite numbers."""
+    if value is None:
+        return None
+    a = np.array(value)
+    if a.dtype.kind not in "if" or not np.isfinite(a).all():
+        raise ValueError(f"preprocess {name} must hold only finite numbers")
+    return a.astype(float)
+
+
 @dataclass(frozen=True, eq=False)
 class FittedPreprocess:
     """Frozen statistics of a fitted preprocessing pipeline."""
@@ -115,25 +130,28 @@ class FittedPreprocess:
     @classmethod
     def from_dict(cls, d: dict) -> "FittedPreprocess":
         """Inverse of :meth:`to_dict`; ValueError when a listed step's
-        statistics are missing or do not fit ``input_dim``, or when
+        statistics are missing or do not fit ``input_dim``, when a statistic
+        is not a finite number or a scale is not positive, or when
         ``spatial_sign`` is not the bool that says whether the step is listed."""
-        arr = lambda v: None if v is None else np.array(v, dtype=float)
-        lams = d.get("boxcox_lambdas")
+        dim, lams = d["input_dim"], d.get("boxcox_lambdas")
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise ValueError(f"preprocess input_dim must be a positive integer, got {dim!r}")
+        if lams is not None and not all(v is None or _finite_number(v) for v in lams):
+            raise ValueError("preprocess boxcox_lambdas must be finite numbers or null")
         fitted = cls(
             steps=PreprocessSpec(steps=d["steps"]).steps,
-            input_dim=int(d["input_dim"]),
-            means=arr(d.get("means")),
-            scales=arr(d.get("scales")),
+            input_dim=dim,
+            means=_finite_array(d.get("means"), "means"),
+            scales=_finite_array(d.get("scales"), "scales"),
             boxcox_lambdas=None if lams is None else tuple(None if v is None else float(v) for v in lams),
-            pca_mean=arr(d.get("pca_mean")),
-            pca_basis=arr(d.get("pca_basis")),
+            pca_mean=_finite_array(d.get("pca_mean"), "pca_mean"),
+            pca_basis=_finite_array(d.get("pca_basis"), "pca_basis"),
         )
+        if fitted.scales is not None and not np.all(fitted.scales > 0.0):
+            raise ValueError("preprocess scales must be positive")
         listed = "spatial_sign" in fitted.steps
         if d.get("spatial_sign") is not listed:
             raise ValueError(f"preprocess spatial_sign must be {listed} for steps {list(fitted.steps)}")
-        dim = fitted.input_dim
-        if dim < 1:
-            raise ValueError(f"preprocess input_dim must be positive, got {dim}")
         needed = {
             "center_scale": ("means", "scales"),
             "box_cox": ("boxcox_lambdas",),
@@ -150,56 +168,46 @@ class FittedPreprocess:
         return fitted
 
 
+def _pca(work: np.ndarray, threshold: float) -> dict:
+    """Mean and retained eigenvector basis of ``work``, enough axes for ``threshold`` of the variance."""
+    dim = work.shape[1]
+    pca_mean = work.mean(axis=0)
+    centered = work - pca_mean
+    cov = centered.T @ centered / (work.shape[0] - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.maximum(eigvals[order], 0.0)
+    eigvecs = eigvecs[:, order]
+    # sign convention: largest-magnitude entry of each axis positive
+    flip = np.sign(eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(dim)])
+    flip = np.where(flip == 0.0, 1.0, flip)
+    eigvecs = eigvecs * flip
+    total = float(eigvals.sum())
+    if total <= 0.0:
+        retained = 1
+    else:
+        frac = np.cumsum(eigvals) / total
+        retained = int(np.searchsorted(frac, threshold - 1e-12) + 1)
+        retained = min(retained, dim)
+    return {"pca_mean": pca_mean, "pca_basis": eigvecs[:, :retained]}
+
+
 def fit_preprocess(X, spec: PreprocessSpec) -> FittedPreprocess:
-    """Fit the requested steps on a feature matrix (rows = samples)."""
+    """Fit the requested steps on a feature matrix (rows = samples), each on
+    ``X`` as the steps before it transform it."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("fitting preprocessing needs a 2D matrix with at least 2 rows")
-    dim = X.shape[1]
-    work = X.copy()
-
-    means = scales = None
-    if "center_scale" in spec.steps:
-        means = work.mean(axis=0)
-        scales = work.std(axis=0)
-        scales = np.where(scales > 0.0, scales, 1.0)  # constant features pass through
-        work = (work - means) / scales
-
-    lambdas = None
-    if "box_cox" in spec.steps:
-        lambdas = tuple(fit_box_cox_lambda(work[:, j]) for j in range(dim))
-        for j, lam in enumerate(lambdas):
-            if lam is not None:
-                work[:, j] = _boxcox_transform(work[:, j], lam)
-
-    pca_mean = pca_basis = None
-    if "pca" in spec.steps:
-        pca_mean = work.mean(axis=0)
-        centered = work - pca_mean
-        cov = centered.T @ centered / (work.shape[0] - 1)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals)[::-1]
-        eigvals = np.maximum(eigvals[order], 0.0)
-        eigvecs = eigvecs[:, order]
-        # sign convention: largest-magnitude entry of each axis positive
-        flip = np.sign(eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(dim)])
-        flip = np.where(flip == 0.0, 1.0, flip)
-        eigvecs = eigvecs * flip
-        total = float(eigvals.sum())
-        if total <= 0.0:
-            retained = 1
-        else:
-            frac = np.cumsum(eigvals) / total
-            retained = int(np.searchsorted(frac, spec.pca_variance_threshold - 1e-12) + 1)
-            retained = min(retained, dim)
-        pca_basis = eigvecs[:, :retained]
-
-    return FittedPreprocess(
-        steps=spec.steps,
-        input_dim=dim,
-        means=means,
-        scales=scales,
-        boxcox_lambdas=lambdas,
-        pca_mean=pca_mean,
-        pca_basis=pca_basis,
-    )
+    fitted = FittedPreprocess(steps=(), input_dim=X.shape[1])
+    for step in spec.steps:
+        work = fitted.apply_matrix(X)
+        stats = {}
+        if step == "center_scale":
+            scales = work.std(axis=0)  # a constant feature passes through with scale 1
+            stats = {"means": work.mean(axis=0), "scales": np.where(scales > 0.0, scales, 1.0)}
+        elif step == "box_cox":
+            stats = {"boxcox_lambdas": tuple(fit_box_cox_lambda(column) for column in work.T)}
+        elif step == "pca":
+            stats = _pca(work, spec.pca_variance_threshold)
+        fitted = dataclasses.replace(fitted, steps=fitted.steps + (step,), **stats)
+    return fitted

@@ -70,24 +70,21 @@ class DecisionTree:
 
         Every child comes after its parent, so each walk from the root ends.
         """
-        tree = cls(
-            feature=np.array(d["feature"], dtype=np.int32),
-            threshold=np.array(d["threshold"], dtype=float),
-            left=np.array(d["left"], dtype=np.int32),
-            right=np.array(d["right"], dtype=np.int32),
-            leaf_class=np.array(d["leaf_class"], dtype=np.int8),
-        )
-        n = tree.feature.size
-        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_class)
-        if n == 0 or any(a.shape != (n,) for a in arrays):
+        raw = {name: np.array(d[name]) for name in ("feature", "threshold", "left", "right", "leaf_class")}
+        feature, threshold, left, right, leaf_class = raw.values()
+        n = feature.size
+        if n == 0 or any(a.shape != (n,) for a in raw.values()):
             raise ValueError("tree node arrays must share one nonzero length")
-        if tree.feature.min() < -1 or tree.leaf_class.min() < 0 or tree.leaf_class.max() > 1:
+        if any(a.dtype.kind != "i" for a in (feature, left, right, leaf_class)):
+            raise ValueError("tree features, children and leaf classes must be integers")
+        if threshold.dtype.kind not in "if" or not np.isfinite(threshold).all():
+            raise ValueError("tree thresholds must be finite numbers")
+        if feature.min() < -1 or leaf_class.min() < 0 or leaf_class.max() > 1:
             raise ValueError("tree features must be >= -1 and leaf classes 0 or 1")
-        inner = np.flatnonzero(tree.feature >= 0)
-        left, right = tree.left[inner], tree.right[inner]
-        if np.any(np.minimum(left, right) <= inner) or np.any(np.maximum(left, right) >= n):
+        inner = np.flatnonzero(feature >= 0)
+        if np.any(np.minimum(left, right)[inner] <= inner) or np.any(np.maximum(left, right)[inner] >= n):
             raise ValueError("each child node must come after its parent and inside the tree")
-        return tree
+        return cls(feature, threshold.astype(float), left, right, leaf_class.astype(np.int8))
 
 
 def _presort(X: np.ndarray) -> np.ndarray:

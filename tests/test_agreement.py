@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from scatterscore.agreement import (
     RELATION_CATEGORIES,
     AlterationPoint,
     GroupRatings,
-    IsolatedRatings,
     alter_decisions,
     alteration_curve,
     alteration_percentage,
@@ -30,7 +31,7 @@ def binary_group(rows):
 class TestVanbelleKappa:
     def test_unanimous_agreement_is_one(self):
         group = binary_group([["1"] * 5, ["0"] * 5, ["1"] * 5])
-        isolated = IsolatedRatings(votes=("1", "0", "1"))
+        isolated = ("1", "0", "1")
         result = vanbelle_kappa(group, isolated)
         assert result.kappa == 1.0
         assert result.observed_agreement == 1.0
@@ -45,7 +46,7 @@ class TestVanbelleKappa:
             categories=("x", "y"),
             votes=(("x", "x", "y"), ("y", "y", "y"), ("x", "y", "y"), ("x", "x", "x")),
         )
-        isolated = IsolatedRatings(votes=("x", "y", "y", "y"))
+        isolated = ("x", "y", "y", "y")
         result = vanbelle_kappa(group, isolated)
         assert result.observed_agreement == pytest.approx(7 / 12, abs=1e-12)
         assert result.expected_agreement == pytest.approx(1 / 2, abs=1e-12)
@@ -57,7 +58,7 @@ class TestVanbelleKappa:
         group_rows = [["1" if rng.random() < 0.7 else "0" for _ in range(8)] for _ in range(n)]
         marginal = np.mean([row.count("1") / 8 for row in group_rows])
         iso = tuple("1" if rng.random() < marginal else "0" for _ in range(n))
-        result = vanbelle_kappa(binary_group(group_rows), IsolatedRatings(votes=iso))
+        result = vanbelle_kappa(binary_group(group_rows), iso)
         assert abs(result.kappa) < 0.02
 
     def test_category_relabel_invariance(self):
@@ -66,34 +67,78 @@ class TestVanbelleKappa:
         iso = tuple("a" if rng.random() < 0.5 else "b" for _ in range(40))
         base = vanbelle_kappa(
             GroupRatings(categories=("a", "b"), votes=tuple(tuple(r) for r in votes)),
-            IsolatedRatings(votes=iso),
+            iso,
         )
         renamed = vanbelle_kappa(
             GroupRatings(
                 categories=("zz", "qq"),
                 votes=tuple(tuple("zz" if v == "a" else "qq" for v in r) for r in votes),
             ),
-            IsolatedRatings(votes=tuple("zz" if v == "a" else "qq" for v in iso)),
+            tuple("zz" if v == "a" else "qq" for v in iso),
         )
         assert base.kappa == pytest.approx(renamed.kappa, abs=1e-12)
 
     def test_single_rater_group_matching_is_one(self):
         group = GroupRatings(categories=("0", "1"), votes=(("1",), ("0",), ("1",)))
-        isolated = IsolatedRatings(votes=("1", "0", "1"))
+        isolated = ("1", "0", "1")
         assert vanbelle_kappa(group, isolated).kappa == 1.0
 
     def test_dimension_mismatch_rejected(self):
         group = binary_group([["1", "1"], ["0", "0"]])
         with pytest.raises(ValueError):
-            vanbelle_kappa(group, IsolatedRatings(votes=("1",)))
+            vanbelle_kappa(group, ("1",))
 
     def test_all_same_category_convention(self):
         group = binary_group([["1", "1"], ["1", "1"]])
-        result = vanbelle_kappa(group, IsolatedRatings(votes=("1", "1")))
+        result = vanbelle_kappa(group, ("1", "1"))
         assert result.expected_agreement == 1.0
         assert result.kappa == 1.0
-        result0 = vanbelle_kappa(group, IsolatedRatings(votes=("1", "0")))
+        result0 = vanbelle_kappa(group, ("1", "0"))
         assert result0.kappa == 0.0
+
+
+class TestCoder:
+    def test_group_codes_each_vote_once_read_only(self, monkeypatch):
+        group = GroupRatings(categories=("x", "y", "z"), votes=(("z", "x"), ("y", "y"), ("x", "z")))
+        assert group.codes.tolist() == [[2, 0], [1, 1], [0, 2]]
+        with pytest.raises(ValueError, match="read-only"):
+            group.codes[0, 0] = 1
+        coded = []
+        real = agreement._code
+        monkeypatch.setattr(agreement, "_code", lambda *args: coded.append(args[2]) or real(*args))
+        vanbelle_kappa(group, ("z", "y", "x"))
+        bootstrap_kappa(group, ("z", "y", "x"), b=3, seed=0)
+        assert coded == ["isolated vote", "isolated vote"]
+
+    def test_group_vote_outside_the_categories_named(self):
+        with pytest.raises(ValueError, match=re.escape("vote '2' is not one of ('0', '1')")):
+            binary_group([["0", "1"], ["1", "2"], ["2", "0"]])
+
+    @pytest.mark.parametrize("measure", [vanbelle_kappa, lambda g, v: bootstrap_kappa(g, v, b=2, seed=0)])
+    def test_measure_vote_outside_the_group_categories_named(self, measure):
+        group = binary_group([["1", "0"], ["0", "0"], ["1", "1"]])
+        with pytest.raises(ValueError, match=re.escape("isolated vote 'yes' is not one of ('0', '1')")):
+            measure(group, ("1", "yes", "no"))
+
+    def test_more_than_127_categories(self):
+        categories = tuple(f"c{i}" for i in range(300))
+        codes = np.array([[299, 128, 299], [5, 200, 200], [128, 128, 7]])
+        group = GroupRatings(categories=categories, votes=[[categories[c] for c in row] for row in codes])
+        assert group.codes.tolist() == codes.tolist()
+        measure = ("c299", "c200", "c128")
+        result = vanbelle_kappa(group, measure)
+        assert result.observed_agreement == pytest.approx(2 / 3, abs=1e-12)
+        assert result.kappa.hex() == reference_kappa(reference_terms(group), np.array([299, 200, 128]), 300).hex()
+
+    def test_pair_rows_go_through_the_coder(self, tmp_path, monkeypatch):
+        coded = []
+        real = agreement._code
+        monkeypatch.setattr(agreement, "_code", lambda *args: coded.append(args[1:]) or real(*args))
+        p = tmp_path / "pairs.csv"
+        p.write_text("idA,idB,v1,v2\na,b,<,>\nb,c,=,\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: row 3: vote '' is not one of ('<', '=', '>')")):
+            read_pair_judgments_csv(p)
+        assert coded == [(RELATION_CATEGORIES, "vote")] * 2
 
 
 class TestLandisKoch:
@@ -123,7 +168,7 @@ class TestLandisKoch:
 class TestBootstrap:
     def test_perfect_agreement_zero_spread(self):
         group = binary_group([["1"] * 4, ["0"] * 4, ["1"] * 4])
-        isolated = IsolatedRatings(votes=("1", "0", "1"))
+        isolated = ("1", "0", "1")
         summary = bootstrap_kappa(group, isolated, b=50, seed=1)
         assert summary.mean == 1.0
         assert summary.sd == 0.0
@@ -132,7 +177,7 @@ class TestBootstrap:
     def test_identical_items_match_point_estimate(self):
         # any resample of identical items is the original multiset
         group = binary_group([["1", "1", "0"]] * 6)
-        isolated = IsolatedRatings(votes=("1",) * 6)
+        isolated = ("1",) * 6
         point = vanbelle_kappa(group, isolated).kappa
         summary = bootstrap_kappa(group, isolated, b=1, seed=0)
         assert summary.values[0] == pytest.approx(point, abs=1e-12)
@@ -141,7 +186,7 @@ class TestBootstrap:
         rng = np.random.default_rng(9)
         rows = [["1" if rng.random() < 0.6 else "0" for _ in range(6)] for _ in range(50)]
         iso = tuple("1" if rng.random() < 0.6 else "0" for _ in range(50))
-        group, isolated = binary_group(rows), IsolatedRatings(votes=iso)
+        group, isolated = binary_group(rows), iso
         a = bootstrap_kappa(group, isolated, b=200, seed=7)
         b = bootstrap_kappa(group, isolated, b=200, seed=7)
         assert np.array_equal(a.values, b.values)
@@ -157,7 +202,7 @@ class TestBootstrap:
             truth = rng.random() < 0.5
             rows.append(["1" if (rng.random() < 0.85) == truth else "0" for _ in range(31)])
             iso.append("1" if (rng.random() < 0.9) == truth else "0")
-        group, isolated = binary_group(rows), IsolatedRatings(votes=tuple(iso))
+        group, isolated = binary_group(rows), tuple(iso)
         point = vanbelle_kappa(group, isolated).kappa
         summary = bootstrap_kappa(group, isolated, b=500, seed=3)
         assert abs(summary.mean - point) < 0.02
@@ -255,7 +300,7 @@ class TestAlterationCurve:
 
     def test_k0_has_zero_variance(self):
         relations, group = self.make_data()
-        point = vanbelle_kappa(group, IsolatedRatings(votes=tuple(relations))).kappa
+        point = vanbelle_kappa(group, tuple(relations)).kappa
         curve = alteration_curve(relations, group, [0], b=20, seed=0)
         assert curve[0].sd == 0.0
         assert curve[0].mean == pytest.approx(point, abs=1e-12)
@@ -297,13 +342,17 @@ def reference_kappa(prop, iso_codes, n_categories):
     return (p_o - p_e) / (1.0 - p_e)
 
 
+def reference_codes(votes, categories):
+    return np.array([categories.index(v) for v in votes])
+
+
 def reference_terms(group):
-    codes = group.codes()
+    codes = np.array([reference_codes(row, group.categories) for row in group.votes])
     return np.stack([(codes == c).mean(axis=1) for c in range(len(group.categories))], axis=1)
 
 
 def reference_bootstrap(group, isolated, b, seed):
-    prop, iso = reference_terms(group), isolated.codes(group.categories)
+    prop, iso = reference_terms(group), reference_codes(isolated, group.categories)
     n, n_cat = prop.shape
     values = np.empty(b)
     for i in range(b):
@@ -353,7 +402,7 @@ class TestBlocksMatchReference:
     @pytest.mark.parametrize("seed", [0, 3, 17])
     def test_bootstrap_values_bitwise_equal(self, seed):
         relations, group = self.make_data()
-        isolated = IsolatedRatings(votes=tuple(relations))
+        isolated = tuple(relations)
         for b in self.B_VALUES:
             got = bootstrap_kappa(group, isolated, b=b, seed=seed).values
             assert got.tobytes() == reference_bootstrap(group, isolated, b, seed).tobytes(), b
@@ -385,8 +434,8 @@ class TestBlocksMatchReference:
             (GroupRatings(categories=("<", ">"), votes=(("<",), (">",))), ["<", ">"]),
         ]
         for g, votes in cases:
-            isolated = IsolatedRatings(votes=tuple(votes))
-            prop, iso, n_cat = reference_terms(g), isolated.codes(g.categories), len(g.categories)
+            isolated = tuple(votes)
+            prop, iso, n_cat = reference_terms(g), reference_codes(isolated, g.categories), len(g.categories)
             p_o = float(prop[np.arange(len(iso)), iso].mean())
             p_e = float(prop.mean(axis=0) @ (np.bincount(iso, minlength=n_cat) / len(iso)))
             got = vanbelle_kappa(g, isolated)

@@ -761,6 +761,109 @@ class TestScoreMutations:
         assert not scores.exists()
 
 
+# kind of damage to a trained model.json -> a fragment of score's exit-2 message after the file name
+MODEL_MUTATIONS = {
+    "truncated": "corrupt model payload",
+    "empty_file": "empty model payload",
+    "not_an_object": "not a merging-model payload",
+    "trees_not_a_list": "corrupt model payload",
+    "no_trees": "model needs at least one tree",
+    "tree_missing_array": "corrupt model payload: 'threshold'",
+    "threshold_string": "tree thresholds must be finite numbers",
+    "threshold_nan": "tree thresholds must be finite numbers",
+    "threshold_1e999": "tree thresholds must be finite numbers",
+    "feature_fractional": "tree features, children and leaf classes must be integers",
+    "child_nested": "corrupt model payload",
+    "preprocess_not_an_object": "corrupt model payload",
+    "input_dim_fractional": "preprocess input_dim must be a positive integer, got 8.5",
+    "means_string": "preprocess means must hold only finite numbers",
+    "means_infinity": "preprocess means must hold only finite numbers",
+    "scale_zero": "preprocess scales must be positive",
+    "boxcox_lambda_nan": "preprocess boxcox_lambdas must be finite numbers or null",
+    "pca_basis_nan": "preprocess pca_basis must hold only finite numbers",
+    "pca_basis_ragged": "corrupt model payload",
+}
+
+
+def mutate_model_json(data: bytes, kind: str, rng: np.random.Generator) -> bytes:
+    """``data`` of a trained model.json with one ``kind`` of damage, at a tree, node or feature drawn from ``rng``."""
+    if kind == "truncated":
+        return data[: int(rng.integers(1, len(data)))]
+    if kind == "empty_file":
+        return b""
+    payload = json.loads(data)
+    pre, tree = payload["preprocess"], payload["trees"][int(rng.integers(len(payload["trees"])))]
+    node, j = int(rng.integers(len(tree["feature"]))), int(rng.integers(pre["input_dim"]))
+    inner = [i for i, f in enumerate(tree["feature"]) if f >= 0]
+    if kind == "not_an_object":
+        payload = [payload]
+    elif kind == "trees_not_a_list":
+        payload["trees"] = len(payload["trees"])
+    elif kind == "no_trees":
+        payload["trees"] = []
+    elif kind == "tree_missing_array":
+        del tree["threshold"]
+    elif kind == "threshold_string":
+        tree["threshold"][node] = str(tree["threshold"][node])
+    elif kind in ("threshold_nan", "threshold_1e999"):
+        tree["threshold"][node] = float("nan") if kind == "threshold_nan" else 123456.75
+    elif kind == "feature_fractional":
+        tree["feature"][inner[int(rng.integers(len(inner)))]] += 0.7
+    elif kind == "child_nested":
+        i = inner[int(rng.integers(len(inner)))]
+        tree["left"][i] = [tree["left"][i]]
+    elif kind == "preprocess_not_an_object":
+        payload["preprocess"] = list(pre)
+    elif kind == "input_dim_fractional":
+        pre["input_dim"] += 0.5
+    elif kind in ("means_string", "means_infinity"):
+        pre["means"][j] = str(pre["means"][j]) if kind == "means_string" else float("inf")
+    elif kind == "scale_zero":
+        pre["scales"][j] = 0.0
+    elif kind == "boxcox_lambda_nan":
+        pre["boxcox_lambdas"][j] = float("nan")
+    elif kind == "pca_basis_nan":
+        pre["pca_basis"][j][int(rng.integers(len(pre["pca_basis"][j])))] = float("nan")
+    elif kind == "pca_basis_ragged":
+        pre["pca_basis"][j] = pre["pca_basis"][j][:-1]
+    return json.dumps(payload, indent=1).replace("123456.75", "1e999").encode()
+
+
+class TestModelMutations:
+    """Seeded damage to a trained model.json: ``score`` exits 2 naming the file before any fit and
+    writes no scores or sidecar; the intact model exits 0 with scores ``rank`` reads."""
+
+    @pytest.fixture(scope="class")
+    def model_bytes(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        assert run("train", GOLDEN_CORPUS, "--n-trees", 3, "--out", path) == 0
+        return path.read_bytes()
+
+    def score(self, tmp_path, monkeypatch, data):
+        model = tmp_path / "model.json"
+        model.write_bytes(data)
+        fits = []
+        real = vqm.select_model
+        monkeypatch.setattr(vqm, "select_model", lambda *args: fits.append(args) or real(*args))
+        code = run("score", P0, "--model", model, "--k-max", 2, "--n-restarts", 1, "--out", tmp_path / "s.csv")
+        return code, model, fits
+
+    @pytest.mark.parametrize("kind", MODEL_MUTATIONS)
+    def test_damage_exit_2(self, tmp_path, model_bytes, monkeypatch, capsys, kind):
+        rng = np.random.default_rng(list(MODEL_MUTATIONS).index(kind))
+        code, model, fits = self.score(tmp_path, monkeypatch, mutate_model_json(model_bytes, kind, rng))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"error: {model}: " in err and MODEL_MUTATIONS[kind] in err
+        assert fits == []
+        assert sorted(tmp_path.iterdir()) == [model]
+
+    def test_intact_model_exit_0(self, tmp_path, model_bytes, monkeypatch):
+        code, _, fits = self.score(tmp_path, monkeypatch, model_bytes)
+        assert code == 0 and len(fits) == 1
+        assert run("rank", tmp_path / "s.csv", "--out", tmp_path / "ranking.csv") == 0
+
+
 class TestEvaluate:
     def write_inputs(self, tmp_path, n_plots=6, raters=5):
         rng = np.random.default_rng(1)
@@ -916,7 +1019,7 @@ class TestEvaluateMutations:
 # with the other options at their defaults or at their FAST value.
 SET = {
     "generate": {"seed": 4, "n": 30, "grid_count": 2},
-    "corpus": {"seed": 4},
+    "corpus": {},
     "train": {
         "seed": 4, "method": "nb", "n_trees": 2, "test_fraction": 0.3, "balance": "none",
         "preprocess": "center_scale", "pca_threshold": 0.9, "knn_k": 3, "cv": True, "cv_folds": 3,
@@ -1008,3 +1111,78 @@ class TestOptions:
         with pytest.raises(SystemExit) as exc:
             run("rank", *inputs["rank"], "--seed", 1, "--out", tmp_path / "r.csv")
         assert exc.value.code == 2
+
+    def test_corpus_takes_no_seed(self, tmp_path, inputs):
+        # the corpus draws nothing at random, so there is no seed to record
+        with pytest.raises(SystemExit) as exc:
+            run("corpus", *inputs["corpus"], "--seed", 1, "--out", tmp_path / "c.csv")
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+        assert run("corpus", *inputs["corpus"], "--out", tmp_path / "c.csv") == 0
+        assert Path(str(tmp_path / "c.csv") + ".config.txt").read_text() == ""
+
+
+# kind of damage to a config file -> a fragment of the exit-2 message; a line of the file, or the whole file
+CONFIG_LINE_MUTATIONS = {
+    "no_equals": ("n_trees 3", "expected key=value"),
+    "unknown_key": ("mystery=1", "unknown config key 'mystery'"),
+    "bad_int": ("n_trees=three", "config key 'n_trees': invalid literal for int()"),
+    "bad_float": ("test_fraction=0.2.5", "config key 'test_fraction': could not convert string to float"),
+    "bad_bool": ("cv=maybe", "config key 'cv': not a boolean: 'maybe'"),
+    "empty_value": ("n_trees=", "config key 'n_trees': invalid literal for int()"),
+}
+CONFIG_FILE_MUTATIONS = {
+    "non_utf8": "codec can't decode",
+    "directory": "Is a directory",
+    "missing": "No such file or directory",
+}
+VALID_CONFIG_LINES = ["# training config", "seed=5", "", "cv_folds=2  # folds", "balance=none"]
+
+
+class TestConfigMutations:
+    """Seeded damage to a ``--config`` file: ``train`` exits 2, names the file (and the damaged line)
+    and writes nothing; the intact file exits 0 with its values in the sidecar."""
+
+    def train(self, tmp_path, cfg):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run("train", GOLDEN_CORPUS, "--n-trees", 1, "--config", cfg, "--out", out / "m.json")
+        return code, sorted(out.iterdir())
+
+    @pytest.mark.parametrize("kind", CONFIG_LINE_MUTATIONS)
+    def test_line_damage_exit_2(self, tmp_path, capsys, kind):
+        line, message = CONFIG_LINE_MUTATIONS[kind]
+        lines = list(VALID_CONFIG_LINES)
+        at = int(np.random.default_rng(list(CONFIG_LINE_MUTATIONS).index(kind)).integers(len(lines) + 1))
+        lines.insert(at, line)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        code, written = self.train(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"error: {cfg}: line {at + 1}: {message}" in err
+        assert written == []
+
+    @pytest.mark.parametrize("kind", CONFIG_FILE_MUTATIONS)
+    def test_file_damage_exit_2(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "run.cfg"
+        if kind == "non_utf8":
+            text = "\n".join(VALID_CONFIG_LINES).encode()
+            at = int(np.random.default_rng(0).integers(len(text)))
+            cfg.write_bytes(text[:at] + b"\xff" + text[at:])
+        elif kind == "directory":
+            cfg.mkdir()
+        code, written = self.train(tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"cannot read config file {cfg}: " in err and CONFIG_FILE_MUTATIONS[kind] in err
+        assert written == []
+
+    def test_intact_file_exit_0(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(VALID_CONFIG_LINES) + "\n")
+        code, written = self.train(tmp_path, cfg)
+        assert code == 0
+        sidecar = (tmp_path / "out" / "m.json.config.txt").read_text().splitlines()
+        assert {"seed=5", "cv_folds=2", "balance=none", "n_trees=1"} <= set(sidecar)
+        assert tmp_path / "out" / "m.json" in written

@@ -7,7 +7,6 @@ import pytest
 
 from scatterscore.agreement import (
     GroupRatings,
-    IsolatedRatings,
     bootstrap_kappa,
     vanbelle_kappa,
 )
@@ -82,7 +81,7 @@ class TestBinaryGroupAgreement:
         group = GroupRatings(categories=("0", "1"), votes=tuple(votes))
 
         aligned = [align_training_record(r.params).as_vector() for r in records]
-        machine = IsolatedRatings(votes=tuple(str(h) for h in predict(model, aligned)[0]))
+        machine = tuple(str(h) for h in predict(model, aligned)[0])
         result = vanbelle_kappa(group, machine)
         assert result.kappa > 0.7
         summary = bootstrap_kappa(group, machine, b=300, seed=5)

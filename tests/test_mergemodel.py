@@ -482,6 +482,12 @@ MALFORMED_TREES = {
     "leaf class 2": lambda t: t.update(leaf_class=[2] * len(t["leaf_class"])),
     "short threshold array": lambda t: t.update(threshold=t["threshold"][:-1]),
     "no nodes": lambda t: t.update({key: [] for key in t}),
+    "NaN threshold": lambda t: t.update(threshold=[float("nan")] + t["threshold"][1:]),
+    "infinite threshold": lambda t: t.update(threshold=t["threshold"][:-1] + [float("-inf")]),
+    "string threshold": lambda t: t.update(threshold=[str(t["threshold"][0])] + t["threshold"][1:]),
+    "fractional feature": lambda t: t.update(feature=[t["feature"][0] + 0.7] + t["feature"][1:]),
+    "fractional child": lambda t: t.update(right=[t["right"][0] + 0.5] + t["right"][1:]),
+    "boolean leaf classes": lambda t: t.update(leaf_class=[bool(c) for c in t["leaf_class"]]),
 }
 
 MALFORMED_PREPROCESS = {
@@ -498,6 +504,14 @@ MALFORMED_PREPROCESS = {
     "spatial_sign false with the step listed": lambda pre: pre.update(spatial_sign=False),
     "spatial_sign not a bool": lambda pre: pre.update(spatial_sign="yes please"),
     "spatial_sign true without the step": lambda pre: pre.update(steps=pre["steps"][:-1]),
+    "fractional input_dim": lambda pre: pre.update(input_dim=pre["input_dim"] + 0.5),
+    "zero scale": lambda pre: pre.update(scales=[0.0] + pre["scales"][1:]),
+    "negative scale": lambda pre: pre.update(scales=[-1.0] + pre["scales"][1:]),
+    "infinite mean": lambda pre: pre.update(means=pre["means"][:-1] + [float("inf")]),
+    "string mean": lambda pre: pre.update(means=["0.5"] + pre["means"][1:]),
+    "NaN Box-Cox lambda": lambda pre: pre.update(boxcox_lambdas=[float("nan")] + pre["boxcox_lambdas"][1:]),
+    "NaN pca_mean": lambda pre: pre.update(pca_mean=[float("nan")] + pre["pca_mean"][1:]),
+    "NaN in pca_basis": lambda pre: pre["pca_basis"][0].__setitem__(0, float("nan")),
 }
 
 
