@@ -26,7 +26,6 @@ from .augment import (
     JudgmentRecord,
     TrainingCorpus,
     build_corpus,
-    canonical_key,
     generate_scatterplot,
     ingest_benchmark,
     replicate,

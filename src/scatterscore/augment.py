@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,11 +89,10 @@ class _RowError(ValueError):
 _RULES = ("in (0, 1)", "finite and >= 0", "> 0", "> 0", "> 0", "> 0", "in [-pi/2, pi/2]", "in [-pi/2, pi/2]")
 
 
-def _check_rows(X: np.ndarray, y: np.ndarray, keys: np.ndarray) -> None:
+def _check_rows(X: np.ndarray, y: np.ndarray) -> None:
     """_RowError at the first row of (X, y) that ``PairFeatures.from_vector``
     would reject, whose largest of mu and the sigmas is not 1 (within
-    SCALE_TOL), whose label is not 0 or 1, or whose canonical key (the row of
-    ``keys``) repeats an earlier row's."""
+    SCALE_TOL), whose label is not 0 or 1, or whose features repeat an earlier row's."""
     faults = np.column_stack([
         ~((X[:, 0] > 0.0) & (X[:, 0] < 1.0)),
         ~((X[:, 1] >= 0.0) & np.isfinite(X[:, 1])),
@@ -109,32 +108,29 @@ def _check_rows(X: np.ndarray, y: np.ndarray, keys: np.ndarray) -> None:
         messages.append(f"aligned features must have max scale 1, got {max(row[1:6])}")
         messages.append(f"label must be 0 or 1, got {y[i]}")
         raise _RowError(i, messages[int(np.argmax(faults[i]))])
-    repeats = np.setdiff1d(np.arange(len(X)), _first_rows(keys))
+    repeats = np.setdiff1d(np.arange(len(X)), _first_rows(X))
     if len(repeats):
         i = int(repeats[0])
-        raise _RowError(i, f"duplicate feature tuple in corpus: {tuple(keys[i].tolist())}")
+        raise _RowError(i, f"duplicate feature tuple in corpus: {tuple(X[i].tolist())}")
 
 
 @dataclass(frozen=True, eq=False)
 class TrainingCorpus:
     """Deduplicated labeled pairs as columns: the aligned features ``X`` (n, 8)
     in ``PARAM_COLUMNS`` order, the int8 labels ``y`` and the id of the
-    judgment record each row came from.  Rows are checked by ``_check_rows``.
-    ``keys`` holds each row's canonical key (``canonical_keys(X)``), computed once."""
+    judgment record each row came from.  Rows are checked by ``_check_rows``;
+    ``X`` holds no -0.0, so two rows are the same exactly when their bytes are."""
 
     X: np.ndarray
     y: np.ndarray
     origin_ids: tuple[str, ...]
-    keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        X, y, origin_ids = np.asarray(self.X, dtype=float), np.asarray(self.y), tuple(self.origin_ids)
+        X, y, origin_ids = np.asarray(self.X, dtype=float) + 0.0, np.asarray(self.y), tuple(self.origin_ids)
         if X.ndim != 2 or X.shape[1] != len(PARAM_COLUMNS) or not len(X) == len(y) == len(origin_ids):
             raise ValueError(f"corpus columns disagree: X {X.shape}, {len(y)} labels, {len(origin_ids)} origin ids")
-        keys = canonical_keys(X)
-        _check_rows(X, y, keys)
+        _check_rows(X, y)
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "y", y.astype(np.int8))
         object.__setattr__(self, "origin_ids", origin_ids)
 
@@ -154,50 +150,9 @@ def summarize_judgments(judgments) -> int:
     return LABEL_DO_NOT_MERGE if 2 * n_more_than_one > len(votes) else LABEL_MERGE
 
 
-def canonical_key(vec) -> tuple:
-    """Dedup key of 8 features in ``PARAM_COLUMNS`` order: each rounded to 9 decimals, -0.0 as 0.0.
-    The per-value reference for ``canonical_keys``, which keys whole corpora."""
-    return tuple(round(float(x), 9) + 0.0 for x in vec)
-
-
-# From 2**23 on, doubles lie more than 1e-9 apart, so round(v, 9) is v itself;
-# below it, v * 1e9 and its nearest integer stay under 2**53, where doubles are exact.
-_KEY_EXACT = 2.0**23
-_SPLIT = 2.0**27 + 1  # Veltkamp's splitter: a double's high and low 26 bits
-
-
-def _round9(v: np.ndarray) -> np.ndarray:
-    """``round(v, 9) + 0.0`` element for element: Python rounds the exact binary
-    value half to even, and reads the decimal back correctly rounded."""
-    small = np.abs(v) < _KEY_EXACT
-    x = np.where(small, v, 0.0)
-    p = x * 1e9
-    n = np.rint(p)
-    # rint(p) is the exact product's nearest integer unless p, rounded, lies half-way
-    # between two: then the product's rounding error (Dekker: 1e9 has 21 significant
-    # bits, so hi * 1e9 and lo * 1e9 are exact) decides the side.
-    tie = np.flatnonzero(np.abs(p - n) == 0.5)
-    if len(tie):
-        xt, pt = x[tie], p[tie]
-        hi = xt * _SPLIT - (xt * _SPLIT - xt)
-        error = (hi * 1e9 - pt) + (xt - hi) * 1e9
-        n[tie] = np.where(error > 0.0, np.ceil(pt), np.where(error < 0.0, np.floor(pt), n[tie]))
-    return np.where(small, n / 1e9, v) + 0.0
-
-
-def canonical_keys(X) -> np.ndarray:
-    """The canonical keys of the rows of ``X`` as an (n, 8) float array, one column
-    at a time: element for element the values of ``canonical_key``."""
-    X = np.asarray(X, dtype=float)
-    keys = np.empty_like(X)
-    for j in range(X.shape[1]):
-        keys[:, j] = _round9(X[:, j])
-    return keys
-
-
-def _first_rows(keys: np.ndarray) -> np.ndarray:
-    """Index of the first of each distinct row of ``keys``, ascending."""
-    return np.sort(np.unique(keys, axis=0, return_index=True)[1])
+def _first_rows(X: np.ndarray) -> np.ndarray:
+    """Index of the first of each distinct row of ``X``, ascending."""
+    return np.sort(np.unique(X, axis=0, return_index=True)[1])
 
 
 def _as_written(X: np.ndarray) -> np.ndarray:
@@ -235,14 +190,14 @@ def build_corpus(records) -> TrainingCorpus:
 
     Replicas are rounded to the precision the corpus CSV holds before they
     are deduplicated and checked, so the corpus reads back as built.
-    Deduplication keeps the first occurrence of each canonical key,
+    Deduplication keeps the first of each distinct row as written,
     scanning records in input order and replicas in emission order.
     ValueError names the record of a replica that is not a valid row.
     """
     records = list(records)
     blocks = [replicate(align_training_record(rec.params).as_vector()) for rec in records]
     X = _as_written(np.concatenate([np.empty((0, len(PARAM_COLUMNS))), *blocks]))
-    rows = _first_rows(canonical_keys(X))
+    rows = _first_rows(X)
     origin = np.repeat(np.arange(len(records)), [len(b) for b in blocks])[rows]
     labels = np.array([summarize_judgments(rec.judgments) for rec in records], dtype=np.int8)
     try:
@@ -270,7 +225,7 @@ def read_params_csv(path) -> list[tuple[str, PairFeatures]]:
     """
     header, rows = read_table(path, required=("id", *PARAM_COLUMNS))
     if not header:
-        return []
+        raise ValueError(f"{path}: no parameter rows")
     id_and_params = _params_parser(header)
 
     def parse(cells):
@@ -279,7 +234,10 @@ def read_params_csv(path) -> list[tuple[str, PairFeatures]]:
             raise ValueError(f"id {plot_id!r} is not a bare file name")
         return plot_id, params
 
-    return reject_repeated_ids(path, list(parse_rows(path, rows, parse)), "id")
+    parsed = list(parse_rows(path, rows, parse))
+    if not parsed:
+        raise ValueError(f"{path}: no parameter rows")
+    return reject_repeated_ids(path, parsed, "id")
 
 
 def ingest_benchmark(path) -> list[JudgmentRecord]:
@@ -321,11 +279,11 @@ def duplicate_records(records, corpus: TrainingCorpus) -> list[tuple[str, str]]:
     if not dropped:
         return []
     aligned = np.array([align_training_record(rec.params).as_vector() for rec in dropped])
-    # A canonical key holds no NaN and no -0.0, so two keys are equal exactly when their bytes are.
-    as_bytes = lambda keys: np.ascontiguousarray(keys).view(f"V{keys.itemsize * keys.shape[1]}").ravel()
-    rows = as_bytes(corpus.keys)
+    # Rows as written hold no NaN and no -0.0, so two are equal exactly when their bytes are.
+    as_bytes = lambda X: np.ascontiguousarray(X).view(f"V{X.itemsize * X.shape[1]}").ravel()
+    rows = as_bytes(corpus.X)
     order = np.argsort(rows)
-    found = order[np.searchsorted(rows, as_bytes(canonical_keys(_as_written(aligned))), sorter=order)]
+    found = order[np.searchsorted(rows, as_bytes(_as_written(aligned)), sorter=order)]
     return [(rec.record_id, corpus.origin_ids[i]) for rec, i in zip(dropped, found.tolist())]
 
 

@@ -204,9 +204,9 @@ def _balance(y, method: str, seed: int) -> np.ndarray:
 
 
 def corpus_fingerprint(corpus) -> str:
-    """SHA-256 over canonical (features, label) rows, order-independent: a row
-    is the tuple of its canonical key and its label."""
-    lines = sorted(f"{tuple(key.tolist())}|{label}" for key, label in zip(corpus.keys, corpus.y.tolist()))
+    """SHA-256 over the corpus's (features, label) rows, order-independent: a
+    row is the tuple of its features and its label."""
+    lines = sorted(f"{tuple(x.tolist())}|{label}" for x, label in zip(corpus.X, corpus.y.tolist()))
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
@@ -266,16 +266,16 @@ def predict_matrix(model: MergingModel, X) -> np.ndarray:
     return predict(model, X)[0]
 
 
-def _cv_folds(keys: np.ndarray, y: np.ndarray, config: TrainConfig):
+def _cv_folds(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     """Yield (repeat, fold, train rows, test rows) of every fold of every repeat.
 
-    Each label's rows are sorted by their canonical ``keys``, column 0 first,
+    Each label's rows are sorted by their features ``X``, column 0 first,
     and dealt round-robin into the folds in the order of a seeded
     permutation; a fold's training rows are the other folds' rows, in fold
     order.
     """
     k = config.cv_folds
-    by_class = [rows[np.lexsort(keys[rows].T[::-1])] for rows in _class_rows(y, k)]
+    by_class = [rows[np.lexsort(X[rows].T[::-1])] for rows in _class_rows(y, k)]
     for rep in range(config.cv_repeats):
         rng = spawn_rng(config.seed, "cv", rep)
         dealt = [rows[rng.permutation(len(rows))] for rows in by_class]
@@ -293,7 +293,7 @@ def cross_validate(corpus, config: TrainConfig) -> list[float]:
     """
     X, y = corpus.X, corpus.y
     out: list[float] = []
-    for rep, f, train, test in _cv_folds(corpus.keys, y, config):
+    for rep, f, train, test in _cv_folds(X, y, config):
         seed = derive_seed(config.seed, "cv", rep, f)
         fitted, X_train, y_train = _prepare(X, y, train, config, seed)
         votes = bagged_majority(X_train, y_train, config.n_trees, derive_seed(seed, "bag"), fitted.apply_matrix(X[test]))

@@ -75,7 +75,8 @@ class DecisionTree:
         n = feature.size
         if n == 0 or any(a.shape != (n,) for a in raw.values()):
             raise ValueError("tree node arrays must share one nonzero length")
-        if any(a.dtype.kind != "i" for a in (feature, left, right, leaf_class)):
+        # np.array reads a JSON true or false among integers as 1 or 0
+        if any(raw[k].dtype.kind != "i" or bool in map(type, d[k]) for k in ("feature", "left", "right", "leaf_class")):
             raise ValueError("tree features, children and leaf classes must be integers")
         if threshold.dtype.kind not in "if" or not np.isfinite(threshold).all():
             raise ValueError("tree thresholds must be finite numbers")
@@ -189,7 +190,8 @@ def grow_tree(X: np.ndarray, y: np.ndarray, counts=None, *, order=None, query=No
         stack.append((len(nodes) + 1, np.compress(~to_left, rows).reshape(d, -1), reach_right))
         nodes += [[-1, 0.0, -1, -1, 0], [-1, 0.0, -1, -1, 0]]
 
-    return DecisionTree.from_dict(dict(zip(("feature", "threshold", "left", "right", "leaf_class"), zip(*nodes))))
+    feature, threshold, left, right, leaf_class = map(np.array, zip(*nodes))
+    return DecisionTree(feature, threshold, left, right, leaf_class.astype(np.int8))
 
 
 def _bootstraps(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int):

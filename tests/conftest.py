@@ -45,6 +45,12 @@ def random_aligned(rng, mu_range=(0.0, 10.0)) -> PairFeatures:
     return aligned_on_y_axis(raw)
 
 
+def canonical_key(vec) -> tuple:
+    """8 features rounded to 9 decimals, -0.0 as 0.0: compares symmetry replicas before
+    they are rounded to the precision the corpus CSV holds."""
+    return tuple(round(float(x), 9) + 0.0 for x in vec)
+
+
 def make_corpus(features, labels, prefix="p") -> TrainingCorpus:
     """Corpus of aligned ``features`` with ``labels``, origin ids ``<prefix><row>``."""
     X = np.array([f.as_vector() for f in features], dtype=float).reshape(-1, 8)

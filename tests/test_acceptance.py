@@ -47,7 +47,7 @@ from scatterscore.vqm import (
     score_scatterplot,
 )
 
-from conftest import gaussian_blob, random_aligned, random_spd, threshold_rule_pairs, two_blob_plot
+from conftest import canonical_key, gaussian_blob, random_aligned, random_spd, threshold_rule_pairs, two_blob_plot
 from test_agreement import binary_group
 from test_augment import brute_force_replicas
 from test_gmm import quadrature_of_mixture
@@ -184,7 +184,7 @@ def test_criterion_5_pairspace_properties():
 
 def test_criterion_6_augmentation_oracle():
     with criterion(6, "augmentation replicas match a brute-force oracle over all symmetry regimes"):
-        from scatterscore.augment import JudgmentRecord, canonical_key, replicate
+        from scatterscore.augment import JudgmentRecord, replicate
         from scatterscore.pairspace import PairFeatures, ShapeParams
 
         rng = np.random.default_rng(600)

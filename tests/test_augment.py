@@ -13,8 +13,6 @@ from scatterscore.augment import (
     JudgmentRecord,
     TrainingCorpus,
     build_corpus,
-    canonical_key,
-    canonical_keys,
     duplicate_records,
     generate_scatterplot,
     ingest_benchmark,
@@ -32,7 +30,7 @@ from scatterscore.pairspace import (
     compose_covariance,
 )
 
-from conftest import make_corpus, random_aligned
+from conftest import canonical_key, make_corpus, random_aligned
 from test_pairspace import as_matrix
 
 HALF_PI = math.pi / 2
@@ -46,8 +44,8 @@ def aligned(tau, mu, su, sv):
 def brute_force_replicas(vec, iso_tol=1e-9):
     """Independent enumeration of the symmetry replicas of an 8-tuple.
 
-    Works on raw tuples (tau, mu, sux, suy, svx, svy, thu, thv) with the
-    same rounding as the canonical dedup key.
+    Works on raw tuples (tau, mu, sux, suy, svx, svy, thu, thv), rounded
+    as ``canonical_key`` rounds.
     """
     tau, mu, sux, suy, svx, svy, thu, thv = vec
     out = [
@@ -60,7 +58,7 @@ def brute_force_replicas(vec, iso_tol=1e-9):
         out.extend((tau, mu, sux, suy, svx, svy, a, thv) for a in ISOTROPIC_ANGLES)
     if abs(svx - svy) <= iso_tol:
         out.extend((tau, mu, sux, suy, svx, svy, thu, a) for a in ISOTROPIC_ANGLES)
-    return {tuple(round(x, 9) + 0.0 for x in t) for t in out}
+    return {canonical_key(t) for t in out}
 
 
 class TestSummarizeJudgments:
@@ -78,44 +76,33 @@ class TestSummarizeJudgments:
             summarize_judgments([])
 
 
+def judged_record(rid, tau, mu, su, sv, label=1):
+    """A judgment record of the generator parameters (tau, mu, (theta, sigma_x, sigma_y) of u and of v)."""
+    return JudgmentRecord(rid, PairFeatures(tau, mu, ShapeParams(*su), ShapeParams(*sv)), (label,))
+
+
 class TestCanonicalKey:
+    """A corpus row is known by its value as written: 9 significant digits, -0.0 as 0.0."""
+
     def test_tiny_perturbation_same_key(self):
-        a = aligned(0.4, 1.0, (0.1, 0.5, 0.3), (0.2, 0.4, 0.2))
-        b = aligned(0.4, 1.0, (0.1, 0.5 + 1e-12, 0.3), (0.2, 0.4, 0.2))
-        assert canonical_key(a) == canonical_key(b)
+        a = judged_record("a", 0.4, 1.0, (0.1, 0.5, 0.3), (0.2, 0.4, 0.2))
+        b = judged_record("b", 0.4, 1.0, (0.1, 0.5 + 1e-12, 0.3), (0.2, 0.4, 0.2), label=0)
+        corpus = build_corpus([a, b])
+        assert set(corpus.origin_ids) == {"a"}
+        assert duplicate_records([a, b], corpus) == [("b", "a")]
 
     def test_visible_difference_distinct_key(self):
-        a = aligned(0.4, 1.0, (0.1, 0.5, 0.3), (0.2, 0.4, 0.2))
-        b = aligned(0.401, 1.0, (0.1, 0.5, 0.3), (0.2, 0.4, 0.2))
-        assert canonical_key(a) != canonical_key(b)
+        a = judged_record("a", 0.4, 1.0, (0.1, 0.5, 0.3), (0.2, 0.4, 0.2))
+        b = judged_record("b", 0.401, 1.0, (0.1, 0.5, 0.3), (0.2, 0.4, 0.2))
+        corpus = build_corpus([a, b])
+        assert corpus.origin_ids == ("a",) * 4 + ("b",) * 4
+        assert duplicate_records([a, b], corpus) == []
 
     def test_negated_zero_angles_collide(self):
         reps = replicate(aligned(0.4, 1.0, (0.0, 0.5, 0.3), (0.0, 0.4, 0.2)))
-        assert canonical_key(reps[0]) == canonical_key(reps[1])
-
-    def test_keys_array_equals_key_row_by_row(self):
-        rng = np.random.default_rng(11)
-        n = 20_000
-        spread = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 6, n)
-        # decimal half-way cases: a 5 in the tenth decimal, which no double holds
-        # exactly, so Python's round goes by the side the double lies on
-        digits = rng.integers(0, 10**9, 4000)
-        half_way = np.array([float(f"{w}.{d:09d}5") for w, d in zip(rng.integers(0, 10**6, 4000), digits)])
-        small_half_way = np.array([float(f"0.{'0' * z}{d:09d}5") for z, d in zip(rng.integers(0, 4, 4000), digits)])
-        # exact binary ties: k / 2**10 has ten decimals, the last a 5, and rounds half to even
-        ties = np.arange(-3000, 3000) / 1024.0
-        values = np.concatenate([
-            spread, half_way, -half_way, small_half_way, -small_half_way, ties, ties * 1e-3,
-            [-0.0, 0.0, -1e-12, 5e-10, -5e-10, 2.0**23, np.nextafter(2.0**23, 0.0), 1e7, np.inf, -np.inf],
-        ])
-        X = np.resize(values, (-(-len(values) // 8), 8))
-        want = [canonical_key(x) for x in X.tolist()]
-        got = canonical_keys(X)
-        assert [tuple(k) for k in got.tolist()] == want
-        # the keys hold no -0.0, as canonical_key's do not
-        assert not np.signbit(got[got == 0.0]).any()
-        # numpy's round (rint(v * 1e9) / 1e9) misses some of these cases
-        assert not np.array_equal(np.round(X, 9) + 0.0, got)
+        assert np.signbit(reps[1, 6:]).all()  # -0.0: the same angle as reps[0]'s
+        corpus = build_corpus([judged_record("a", 0.4, 1.0, (0.0, 0.5, 0.3), (0.0, 0.4, 0.2))])
+        assert len(corpus) == 2 and not np.signbit(corpus.X).any()
 
 
 class TestReplicate:
@@ -240,8 +227,7 @@ class TestBuildCorpus:
             )
             records.append(self.record(raw, rid=f"r{i}"))
         corpus = build_corpus(records)
-        keys = [canonical_key(x) for x in corpus.X]
-        assert len(keys) == len(set(keys))
+        assert len({tuple(x) for x in corpus.X.tolist()}) == len(corpus)
 
 
 BENCH_HEADER = "id,tau,mu,sigma_ux,sigma_uy,sigma_vx,sigma_vy,theta_u,theta_v,alpha,n"
@@ -307,9 +293,9 @@ def corpus_report(tmp_path, judged) -> tuple[dict, TrainingCorpus]:
     return json.loads(Path(str(out) + ".report.json").read_text()), read_corpus_csv(out)
 
 
-def written_key(params: PairFeatures) -> tuple:
-    """The canonical key of a record's aligned features at the 9 significant digits the corpus CSV holds."""
-    return canonical_key(float(f"{v:.9g}") for v in align_training_record(params).as_vector())
+def written_row(params: PairFeatures) -> tuple:
+    """A record's aligned features at the 9 significant digits the corpus CSV holds."""
+    return tuple(float(f"{v:.9g}") + 0.0 for v in align_training_record(params).as_vector())
 
 
 class TestCorpusReport:
@@ -329,6 +315,20 @@ class TestCorpusReport:
         assert report == {"input_rows": 3, "unique_records": 3, "ingest_duplicates": [], "corpus_size": 18}
         rows_of_b = corpus.X[[origin == "b" for origin in corpus.origin_ids]]
         assert rows_of_b[:, 0].tolist() == [0.987654321, 0.987654321]
+
+    def test_record_equal_at_9_decimals_but_not_as_written_is_kept(self, tmp_path):
+        # a and b round to one tau at 9 decimals; as written, only their 1 - tau replicas are equal
+        judged = tmp_path / "judged.csv"
+        judged.write_text(
+            "id,tau,mu,sigma_ux,sigma_uy,sigma_vx,sigma_vy,theta_u,theta_v,j1\n"
+            "a,0.0123456781,2,2,1,1.5,1,0.3,0.5,0\n"
+            "b,0.0123456784,2,2,1,1.5,1,0.3,0.5,0\n"
+            "c,0.3,1,1,1,2,1,0,0.4,1\n"
+        )
+        report, corpus = corpus_report(tmp_path, judged)
+        assert report == {"input_rows": 3, "unique_records": 3, "ingest_duplicates": [], "corpus_size": 18}
+        rows_of_b = corpus.X[[origin == "b" for origin in corpus.origin_ids]]
+        assert rows_of_b[:, 0].tolist() == [0.0123456784, 0.0123456784]
 
     def test_mirror_records_are_listed(self, tmp_path):
         # with mu = 0, r00779 is an angle reflection of r00541 and r00858 a component swap of r00820
@@ -393,10 +393,10 @@ class TestCorpusReport:
         listed = dict(report["ingest_duplicates"])
         assert len(listed) == len(records) - report["unique_records"] > 0
         assert set(listed).isdisjoint(corpus.origin_ids)
-        owner = {canonical_key(x): origin for x, origin in zip(corpus.X, corpus.origin_ids)}
+        owner = {tuple(x): origin for x, origin in zip(corpus.X.tolist(), corpus.origin_ids)}
         params = {r.record_id: r.params for r in records}
         for dropped, kept in listed.items():
-            assert owner[written_key(params[dropped])] == kept
+            assert owner[written_row(params[dropped])] == kept
 
 
 class TestGenerateScatterplot:

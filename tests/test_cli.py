@@ -128,7 +128,10 @@ GENERATE_MUTATIONS = {
     "missing_column": "missing required columns ['",
     "repeated_id": "repeats row",
     "id_not_bare": "is not a bare file name",
+    "empty_file": "no parameter rows",
+    "header_only": "no parameter rows",
 }
+WHOLE_FILE_DAMAGE = ("missing_column", "empty_file", "header_only")
 PARAMS = DATA / "params.csv"  # id and the 8 parameters of 4 plots
 
 
@@ -144,7 +147,9 @@ def mutate_params_csv(text: str, kind: str, rng: np.random.Generator) -> tuple[s
         rows = [[row[j] for j in order] for row in rows]
     elif kind == "header_upper_case":
         rows[0] = [cell.upper() for cell in rows[0]]
-    if kind not in GENERATE_MUTATIONS or kind == "missing_column":
+    elif kind in ("empty_file", "header_only"):
+        rows = rows[:1] if kind == "header_only" else []
+    if kind not in GENERATE_MUTATIONS or kind in WHOLE_FILE_DAMAGE:
         return "".join(",".join(row) + "\n" for row in rows), None
     index = int(rng.integers(2, len(rows)))  # a repeated id needs an earlier row
     row = rows[index]
@@ -782,6 +787,7 @@ MODEL_MUTATIONS = {
     "boxcox_lambda_nan": "preprocess boxcox_lambdas must be finite numbers or null",
     "pca_basis_nan": "preprocess pca_basis must hold only finite numbers",
     "pca_basis_ragged": "corrupt model payload",
+    "node_array_boolean": "tree features, children and leaf classes must be integers",
 }
 
 
@@ -826,6 +832,9 @@ def mutate_model_json(data: bytes, kind: str, rng: np.random.Generator) -> bytes
         pre["pca_basis"][j][int(rng.integers(len(pre["pca_basis"][j])))] = float("nan")
     elif kind == "pca_basis_ragged":
         pre["pca_basis"][j] = pre["pca_basis"][j][:-1]
+    elif kind == "node_array_boolean":  # JSON true or false among the integers
+        name = str(rng.choice(["feature", "left", "right", "leaf_class"]))
+        tree[name][node] = bool(tree[name][node])
     return json.dumps(payload, indent=1).replace("123456.75", "1e999").encode()
 
 

@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from scatterscore import augment, cli, mergemodel
-from scatterscore.augment import build_corpus, canonical_key, canonical_keys, ingest_benchmark, read_corpus_csv, write_corpus_csv
+from scatterscore import mergemodel
+from scatterscore.augment import build_corpus, ingest_benchmark, read_corpus_csv, write_corpus_csv
 from scatterscore.mergemodel import (
     ConfusionCounts,
     ModelFormatError,
@@ -138,12 +138,12 @@ class TestBalancing:
 
 # The record-list split, balancing and CV folds that the index versions
 # replace; those must pick the same records, in the same order.  A record is
-# its row number, label and canonical key.
+# its row number, label and features, -0.0 read as 0.0.
 Record = namedtuple("Record", "row label key")
 
 
 def records_of(X, y):
-    return [Record(i, label, canonical_key(x)) for i, (x, label) in enumerate(zip(X.tolist(), y.tolist()))]
+    return [Record(i, label, tuple(v + 0.0 for v in x)) for i, (x, label) in enumerate(zip(X.tolist(), y.tolist()))]
 
 
 def reference_stratified_split(records, test_fraction, seed):
@@ -220,8 +220,8 @@ def reference_fingerprint(X, y):
 
 def near_twins(n, seed):
     """Labeled pairs in which every odd row's tau is the row before's, rounded to 9
-    decimals, plus 3e-10: the canonical keys of the two tie in tau where their
-    values do not, so keys and values order the rows differently.  Some angles are -0.0."""
+    decimals, plus 3e-10: the two tie in tau at 9 decimals where their values do
+    not, so only an order by value tells them apart.  Some angles are -0.0."""
     corpus = labeled_pairs(n, seed)
     X = corpus.X.copy()
     X[0::2, 0] = np.round(X[0::2, 0], 9)
@@ -230,7 +230,7 @@ def near_twins(n, seed):
     return replace(corpus, X=X)
 
 
-# Balanced, imbalanced towards label 0 and towards label 1, and with keys that tie in tau.
+# Balanced, imbalanced towards label 0 and towards label 1, and with rows that tie in tau at 9 decimals.
 PROTOCOL_INPUTS = {
     "balanced": lambda seed: replace(labeled_pairs(60, seed), y=np.arange(60) % 2),
     "mostly 0": lambda seed: labeled_pairs(80, seed, class1_fraction=0.2),
@@ -274,7 +274,7 @@ class TestIndexProtocol:
             order = np.random.default_rng(seed).permutation(len(corpus))
             X, y = corpus.X[order], corpus.y[order]
             config = TrainConfig(seed=seed, cv_folds=folds, cv_repeats=2)
-            dealt = mergemodel._cv_folds(canonical_keys(X), y, config)
+            dealt = mergemodel._cv_folds(X, y, config)
             got = [(train.tolist(), test.tolist()) for _, _, train, test in dealt]
             assert got == [(ids(train), ids(test)) for train, test in reference_cv_folds(records_of(X, y), config)]
 
@@ -282,14 +282,6 @@ class TestIndexProtocol:
         for seed in range(3):
             corpus = make(seed)
             assert corpus_fingerprint(corpus) == reference_fingerprint(corpus.X, corpus.y)
-
-
-def test_keys_not_values_order_the_folds():
-    corpus = near_twins(80, 0)
-    config = TrainConfig(seed=0, cv_folds=3, cv_repeats=1)
-    by_keys = [test.tolist() for *_, test in mergemodel._cv_folds(corpus.keys, corpus.y, config)]
-    by_values = [test.tolist() for *_, test in mergemodel._cv_folds(corpus.X, corpus.y, config)]
-    assert by_keys != by_values
 
 
 class TestCorpusOrRecords:
@@ -316,20 +308,6 @@ class TestCorpusOrRecords:
     def test_fingerprint(self):
         want = reference_fingerprint(self.corpus.X, self.corpus.y)
         assert corpus_fingerprint(self.corpus) == corpus_fingerprint(self.records) == want
-
-    def test_train_cv_keys_the_corpus_once(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counting_keys(X):
-            calls.append(len(X))
-            return canonical_keys(X)
-
-        monkeypatch.setattr(augment, "canonical_keys", counting_keys)
-        write_corpus_csv(tmp_path / "corpus.csv", self.corpus)
-        argv = ["train", tmp_path / "corpus.csv", "--cv", "--cv-folds", 2, "--cv-repeats", 1, "--n-trees", 3,
-                "--out", tmp_path / "cv.json"]
-        assert cli.main([str(a) for a in argv]) == 0
-        assert calls == [len(self.corpus)]
 
     @pytest.mark.parametrize("method", ["knn", "nb"])
     def test_train_baseline(self, method):
@@ -388,9 +366,8 @@ class TestPredict:
         anchor = random_aligned(rng)
         drawn = [(random_aligned(rng).as_vector(), int(rng.integers(2))) for _ in range(300)]
         drawn += [(anchor.as_vector(), 1)] * 100
-        # a corpus holds no repeated row, so the rows go in as bare (X, y) and their keys
-        X = np.array([x for x, _ in drawn])
-        pairs = SimpleNamespace(X=X, y=np.array([l for _, l in drawn], dtype=np.int8), keys=canonical_keys(X))
+        # a corpus holds no repeated row, so the rows go in as bare (X, y)
+        pairs = SimpleNamespace(X=np.array([x for x, _ in drawn]), y=np.array([l for _, l in drawn], dtype=np.int8))
         config = TrainConfig(n_trees=25, seed=2, preprocess=CS_ONLY, balance="none")
         model, _ = train_bagged(pairs, config)
         h, frac = predict(model, anchor.as_vector()[None])
@@ -426,7 +403,7 @@ def reference_cross_validate(corpus, config):
     """Each fold's MCC from a full bag of trees and ``predict_matrix``."""
     X, y = corpus.X, corpus.y
     out = []
-    for rep, f, train, test in mergemodel._cv_folds(corpus.keys, y, config):
+    for rep, f, train, test in mergemodel._cv_folds(X, y, config):
         seed = mergemodel.derive_seed(config.seed, "cv", rep, f)
         fitted, X_train, y_train = mergemodel._prepare(X, y, train, config, seed)
         bag = fit_bagged_trees(X_train, y_train, config.n_trees, mergemodel.derive_seed(seed, "bag"))
