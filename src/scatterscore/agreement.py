@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import parse_rows, read_table, spawn_rng, spawn_rngs
+from .util import parse_rows, read_table, spawn_rngs
 from .vqm import compare
 
 LANDIS_KOCH_BANDS = (
@@ -204,25 +204,17 @@ def pairwise_relations(scores, pairs) -> list[str]:
     return out
 
 
-def alter_decisions(relations, k: int, seed):
-    """Change exactly k uniformly-chosen relations to a different symbol, drawing
-    from ``spawn_rng(seed, "alter")`` or from ``seed`` if it is such a Generator.
-
-    ``relations`` is a sequence of symbols, and a list of them is returned; or
-    an int8 array of their indices into ``RELATION_CATEGORIES``, not checked,
-    and a new such array is returned.  Raises ValueError for k outside
-    [0, len(relations)] or a symbol outside ``RELATION_CATEGORIES``.
-    """
-    coded = isinstance(relations, np.ndarray) and relations.dtype == np.int8
-    relations = relations if coded else list(relations)
-    if not (0 <= k <= len(relations)):
-        raise ValueError(f"k must be in [0, {len(relations)}], got {k}")
-    codes = relations.copy() if coded else _code(relations, RELATION_CATEGORIES, "relation", np.int8)
-    rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(seed, "alter")
+def alter_decisions(codes: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """A copy of the int8 relation ``codes`` (indices into ``RELATION_CATEGORIES``,
+    not checked) with exactly k uniformly chosen ones changed to another
+    relation, drawn from ``rng``.  Raises ValueError for k outside [0, len(codes)]."""
+    if not (0 <= k <= len(codes)):
+        raise ValueError(f"k must be in [0, {len(codes)}], got {k}")
+    codes = codes.copy()
     if k:
         positions = rng.choice(len(codes), size=k, replace=False)
         codes[positions] = _ALTERNATIVES[codes[positions], rng.integers(2, size=k)]
-    return codes if coded else [RELATION_CATEGORIES[c] for c in codes.tolist()]
+    return codes
 
 
 def alteration_curve(relations, group: GroupRatings, k_values, b: int, seed: int) -> list[AlterationPoint]:

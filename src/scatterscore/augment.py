@@ -279,11 +279,10 @@ def duplicate_records(records, corpus: TrainingCorpus) -> list[tuple[str, str]]:
     if not dropped:
         return []
     aligned = np.array([align_training_record(rec.params).as_vector() for rec in dropped])
-    # Rows as written hold no NaN and no -0.0, so two are equal exactly when their bytes are.
-    as_bytes = lambda X: np.ascontiguousarray(X).view(f"V{X.itemsize * X.shape[1]}").ravel()
-    rows = as_bytes(corpus.X)
-    order = np.argsort(rows)
-    found = order[np.searchsorted(rows, as_bytes(_as_written(aligned)), sorter=order)]
+    # the dedupe of build_corpus, with the corpus rows first: each dropped row's first equal is its owner's
+    rows = np.concatenate([corpus.X, _as_written(aligned)])
+    _, first, group = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    found = first[group.ravel()[len(corpus):]]  # the inverse's shape differs across numpy versions
     return [(rec.record_id, corpus.origin_ids[i]) for rec, i in zip(dropped, found.tolist())]
 
 

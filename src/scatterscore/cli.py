@@ -144,6 +144,8 @@ def cmd_generate(args, opts) -> int:
     with _input_errors():
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if args.params_file and opts["grid_count"]:
+            raise ValueError("give --params-file or --grid-count, not both")
         if args.params_file:
             param_sets = augment.read_params_csv(args.params_file)
             if "manifest" in dict(param_sets):

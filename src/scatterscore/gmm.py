@@ -461,13 +461,13 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
 
 
 def read_scatterplot_csv(path, plot_id: str | None = None) -> Scatterplot:
-    """Read a two-column x,y CSV (header row optional).
+    """Read a two-column x,y CSV (an optional header as its first non-blank row).
 
     Trailing empty cells are ignored; any other empty cell is an error, and
     so is a coordinate that :class:`Scatterplot` rejects.
     """
     rows: list[tuple[float, float]] = []
-    for line, cells in read_rows(path):
+    for i, (line, cells) in enumerate(read_rows(path)):
         while not cells[-1]:
             cells.pop()
         if not all(cells):
@@ -477,7 +477,7 @@ def read_scatterplot_csv(path, plot_id: str | None = None) -> Scatterplot:
         try:
             rows.append((float(cells[0]), float(cells[1])))
         except ValueError:
-            if line == 1:  # header row
+            if i == 0:  # header row: the first non-blank one
                 continue
             raise ValueError(f"{path}: row {line}: non-numeric cell in {cells!r}") from None
     if not rows:

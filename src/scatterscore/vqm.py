@@ -1,9 +1,9 @@
 """End-to-end scatterplot scoring: merge matrix, cluster count, ranking.
 
 A fitted mixture's component pairs are classified merge/not-merge; the
-merge decisions form a symmetric binary matrix whose connected components
-count the perceived clusters M.  The (M, K*) pair orders scatterplots
-lexicographically from simple (1,1) to complex (K*,K*).
+merge decisions form a symmetric binary matrix whose connected components,
+found by boolean reachability, count the perceived clusters M.  The (M, K*)
+pair orders scatterplots lexicographically from simple (1,1) to complex (K*,K*).
 """
 from __future__ import annotations
 
@@ -59,22 +59,13 @@ def build_merge_matrix(model: MixtureModel, merger: MergingModel) -> MergeMatrix
 
 
 def count_components(matrix: MergeMatrix) -> int:
-    """Connected components of the merge graph, via union-find."""
-    parent = list(range(matrix.k))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u in range(matrix.k):
-        for v in range(u + 1, matrix.k):
-            if matrix.entries[u, v]:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-    return len({find(i) for i in range(matrix.k)})
+    """Connected components of the merge graph: the distinct rows of its
+    reachability matrix.  Squaring the adjacency (diagonal 1) j times joins the
+    nodes within 2**j steps; ``k.bit_length()`` squarings exceed any path's k - 1 steps."""
+    reach = matrix.entries.astype(bool)
+    for _ in range(matrix.k.bit_length()):
+        reach = reach @ reach
+    return len(np.unique(reach, axis=0))
 
 
 def score_scatterplot(scatterplot: Scatterplot, fit_config: FitConfig, merger: MergingModel) -> VqmScore:
@@ -129,6 +120,8 @@ def read_scores_csv(path) -> list[tuple[str, VqmScore]]:
     if header and header[:3] != ["id", "k_star", "m"]:
         raise ValueError(f"{path}: expected score columns {SCORE_COLUMNS}, got {header}")
     scores = list(parse_rows(path, rows, lambda cells: (cells[0], VqmScore(m=int(cells[2]), k_star=int(cells[1])))))
+    if not scores:
+        raise ValueError(f"{path}: no score rows")
     return reject_repeated_ids(path, scores, "plot id")
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from scatterscore.agreement import (
+    RELATION_CATEGORIES,
     GroupRatings,
     alter_decisions,
     alteration_curve,
@@ -38,6 +39,7 @@ from scatterscore.mergemodel import (
     train_bagged,
 )
 from scatterscore.pairspace import compose_covariance, decompose_covariance
+from scatterscore.util import spawn_rng
 from scatterscore.vqm import (
     MergeMatrix,
     VqmScore,
@@ -274,11 +276,11 @@ def test_criterion_8_agreement_suite():
             1750.0 / math.sqrt(6187500.0), abs=1e-9
         )
 
-        base = ["<", "=", ">"] * 10
+        base = np.tile(np.arange(len(RELATION_CATEGORIES), dtype=np.int8), 10)
         for k in (0, 1, 7, 30):
             for seed in range(5):
-                out = alter_decisions(base, k, seed=seed)
-                assert sum(a != b for a, b in zip(base, out)) == k
+                out = alter_decisions(base, k, spawn_rng(seed, "alter"))
+                assert int((out != base).sum()) == k
 
         relations = [("<", "=", ">")[rng.integers(3)] for _ in range(50)]
         votes = tuple(

@@ -226,66 +226,55 @@ class TestPairwiseRelations:
             pairwise_relations([("a", VqmScore(1, 1))], [("a", "zzz")])
 
 
+def coded(relations):
+    return np.array([RELATION_CATEGORIES.index(r) for r in relations], dtype=np.int8)
+
+
+def alter(relations, k, seed):
+    """``alter_decisions`` on the codes of the symbols ``relations``, on the alter stream of ``seed``, as symbols."""
+    return [RELATION_CATEGORIES[c] for c in alter_decisions(coded(relations), k, spawn_rng(seed, "alter"))]
+
+
 class TestAlterDecisions:
     BASE = ["<", "=", ">", "<", "=", ">", "<", "="]
 
     def test_k0_identity(self):
-        assert alter_decisions(self.BASE, 0, seed=1) == self.BASE
+        codes = coded(self.BASE)
+        out = alter_decisions(codes, 0, spawn_rng(1, "alter"))
+        assert out.dtype == np.int8 and out is not codes and out.tolist() == codes.tolist()
 
     def test_full_alteration_changes_everything(self):
-        out = alter_decisions(self.BASE, len(self.BASE), seed=2)
+        out = alter(self.BASE, len(self.BASE), seed=2)
         assert all(a != b for a, b in zip(self.BASE, out))
 
     def test_exactly_k_positions_differ(self):
+        codes = coded(self.BASE)
         for k in range(len(self.BASE) + 1):
             for seed in range(10):
-                out = alter_decisions(self.BASE, k, seed=seed)
-                assert sum(a != b for a, b in zip(self.BASE, out)) == k
+                out = alter_decisions(codes, k, spawn_rng(seed, "alter"))
+                assert int((out != codes).sum()) == k
+        assert codes.tolist() == coded(self.BASE).tolist()
 
     def test_alternative_frequencies_balanced(self):
         counts = {"=": 0, ">": 0}
         for seed in range(10000):
-            out = alter_decisions(["<"], 1, seed=seed)
+            out = alter(["<"], 1, seed=seed)
             counts[out[0]] += 1
         frequency = counts["="] / 10000
         assert abs(frequency - 0.5) < 0.02
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            alter_decisions(self.BASE, len(self.BASE) + 1, seed=0)
-
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_unknown_symbol_rejected(self, k):
-        with pytest.raises(ValueError, match="'!'"):
-            alter_decisions(["<", "!"], k, seed=0)
+        with pytest.raises(ValueError, match=r"k must be in \[0, 8\], got 9"):
+            alter_decisions(coded(self.BASE), len(self.BASE) + 1, spawn_rng(0, "alter"))
 
     def test_matches_per_position_reference(self):
         rng = np.random.default_rng(12)
-        relations = [RELATION_CATEGORIES[i] for i in rng.integers(3, size=40)]
+        codes = rng.integers(3, size=40).astype(np.int8)
+        relations = [RELATION_CATEGORIES[c] for c in codes]
         for seed in range(1000):
             for k in (0, 1, 7, 40):
-                assert alter_decisions(relations, k, seed) == reference_alter(relations, k, seed)
-
-    def test_coded_array_equals_the_list(self):
-        rng = np.random.default_rng(14)
-        relations = [RELATION_CATEGORIES[i] for i in rng.integers(3, size=40)]
-        codes = np.array([RELATION_CATEGORIES.index(r) for r in relations], dtype=np.int8)
-        for seed in range(200):
-            for k in (0, 1, 7, 40):
-                got = alter_decisions(codes, k, seed)
-                assert got.dtype == np.int8 and got is not codes
-                assert [RELATION_CATEGORIES[c] for c in got] == alter_decisions(relations, k, seed)
-        assert [RELATION_CATEGORIES[c] for c in codes] == relations
-        with pytest.raises(ValueError, match=r"k must be in \[0, 40\], got 41"):
-            alter_decisions(codes, 41, 0)
-
-    def test_generator_on_the_alter_stream_equals_its_seed(self):
-        rng = np.random.default_rng(13)
-        relations = [RELATION_CATEGORIES[i] for i in rng.integers(3, size=40)]
-        for seed in (0, 3, 2**40, -7):
-            for k in (0, 1, 7, 40):
-                expected = alter_decisions(relations, k, seed)
-                assert alter_decisions(relations, k, spawn_rng(seed, "alter")) == expected
+                got = alter_decisions(codes, k, spawn_rng(seed, "alter"))
+                assert got.tolist() == coded(reference_alter(relations, k, seed)).tolist()
 
 
 class TestAlterationCurve:
@@ -317,6 +306,12 @@ class TestAlterationCurve:
         a = alteration_curve(relations, group, [5, 15], b=50, seed=9)
         b = alteration_curve(relations, group, [5, 15], b=50, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_unknown_symbol_rejected(self, k):
+        group = GroupRatings(categories=RELATION_CATEGORIES, votes=(("<", "="), ("=", "=")))
+        with pytest.raises(ValueError, match="'!'"):
+            alteration_curve(["<", "!"], group, [k], b=2, seed=0)
 
     def test_alters_each_replicate_through_module_attribute(self, monkeypatch):
         # Tracing wraps agreement.alter_decisions to time the curve per k.

@@ -90,6 +90,20 @@ class TestGenerate:
         assert len(header) == len(row) == 12
         assert row[:2] == ["p,1", "p,1.csv"]
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_params_file_with_grid_count_exit_2(self, tmp_path, capsys, how):
+        out = tmp_path / "o"
+        argv = ["generate", "--params-file", PARAMS, "--n", 20, "--out", out]
+        if how == "flag":
+            argv += ["--grid-count", 3]
+        else:
+            (tmp_path / "run.cfg").write_text("grid_count=3\n")
+            argv += ["--config", tmp_path / "run.cfg"]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "--params-file" in err and "--grid-count" in err
+        assert not out.exists()
+
     def test_params_file(self, tmp_path):
         params = tmp_path / "params.csv"
         params.write_text(
@@ -654,6 +668,21 @@ class TestScoreRank:
         assert "row 4: plot id 'p0' repeats row 2" in capsys.readouterr().err
         assert not (tmp_path / "ranking.csv").exists()
 
+    @pytest.mark.parametrize("text", ["", "\n", "id,k_star,m,scalar_score\n"])
+    def test_rank_without_score_rows_exit_2(self, tmp_path, capsys, text):
+        scores, ranking = tmp_path / "scores.csv", tmp_path / "ranking.csv"
+        scores.write_text(text)
+        assert run("rank", scores, "--out", ranking) == 2
+        assert f"{scores}: no score rows" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [scores]
+
+    @pytest.mark.parametrize("text,code", [("\n\nx,y\n1,2\n3,4\n", 0), ("1,2\nx,y\n3,4\n", 2)])
+    def test_header_only_as_first_non_blank_row(self, tmp_path, trained_model_file, text, code):
+        plot, out = tmp_path / "p.csv", tmp_path / "s.csv"
+        plot.write_text(text)
+        assert run("score", plot, "--model", trained_model_file, "--k-max", 1, "--n-restarts", 1, "--out", out) == code
+        assert out.exists() == (code == 0)
+
     def test_empty_cell_exit_2(self, tmp_path, trained_model_file, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1.0,2.0\n1,,2\n")
@@ -956,7 +985,7 @@ EVAL_MUTATIONS = {
     ("scores", "m_above_k_star"): "need 1 <= m <= k_star",
     ("scores", "non_integer_k_star"): "invalid literal for int()",
     ("scores", "missing_header"): "expected score columns",
-    ("scores", "header_only"): "has no score",
+    ("scores", "header_only"): "no score rows",
     ("pairs", "blank_vote"): "vote '' is not one of",
     ("pairs", "ragged_row"): "cells, got",
     ("pairs", "unknown_id"): "has no score",

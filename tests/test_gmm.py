@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -912,6 +913,18 @@ class TestIo:
         sp = read_scatterplot_csv(path)
         assert sp.n == 2
         assert sp.points[1, 1] == -1.25
+
+    def test_header_after_blank_lines(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("\n\nx,y\n1,2\n3,4\n")
+        assert read_scatterplot_csv(path).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("text,line", [("1,2\nx,y\n3,4\n", 2), ("\nx,y\n1,2\n\nx,y\n", 5)])
+    def test_header_after_data_rejected(self, tmp_path, text, line):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"row {line}: non-numeric cell in ['x', 'y']")):
+            read_scatterplot_csv(path)
 
     def test_trailing_empty_cells_ignored(self, tmp_path):
         path = tmp_path / "pts.csv"

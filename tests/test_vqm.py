@@ -67,15 +67,20 @@ class TestCountComponents:
     def test_k1(self):
         assert count_components(matrix_from_edges(1, [])) == 1
 
+    def test_path_graph(self):
+        # the longest chain a component can have: k - 1 steps from end to end, in a shuffled node order
+        rng = np.random.default_rng(98)
+        for k in range(1, 65):
+            order = rng.permutation(k)
+            m = matrix_from_edges(k, zip(order, order[1:]))
+            assert count_components(m) == dfs_component_count(m.entries) == 1, k
+
     def test_against_dfs_oracle(self):
         rng = np.random.default_rng(99)
         for _ in range(1000):
-            k = int(rng.integers(1, 9))
-            m = np.eye(k, dtype=np.int8)
-            for u in range(k):
-                for v in range(u + 1, k):
-                    if rng.random() < 0.3:
-                        m[u, v] = m[v, u] = 1
+            k = int(rng.integers(1, 41))
+            upper = np.triu(rng.random((k, k)) < rng.uniform(0.0, 3.0 / k), 1)
+            m = (upper | upper.T | np.eye(k, dtype=bool)).astype(np.int8)
             assert count_components(MergeMatrix(k=k, entries=m)) == dfs_component_count(m)
 
 
