@@ -23,6 +23,11 @@ per-K BIC of the K values fitted before the sweep stops (a K whose
 restarts all stopped below the best BIC is left out), K* and the warnings
 that name the stopped K and the K values left unfitted.
 
+``sweeps.json`` pins ``select_model`` with the default ``FitConfig`` on 60
+``tests/test_gmm.py::blob_plot`` plots (seeds 1000-1059, 2-6 blobs, N
+150-400), one plot a line: K*, the per-K BIC and, for each K passed to
+``fit_em``, the M-steps run by each restart that did not fail.
+
 ``trees.json`` pins the node arrays of every tree: the pipeline's 9-tree
 model, and ``fit_bagged_trees(n_trees=5)`` on a seeded matrix with tied
 values, repeated rows, a constant column and noisy labels.  Thresholds are
@@ -41,6 +46,7 @@ from scatterscore import gmm, mergemodel, trees
 from scatterscore.cli import main
 
 from conftest import random_aligned
+from test_gmm import blob_plot
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -59,6 +65,8 @@ TRAIN_RUNS = {
 }
 GROUPED = "grouped.json"
 PATIENCE = "patience.json"
+SWEEPS = "sweeps.json"
+SWEEP_SEEDS = range(1000, 1060)
 TREES = "trees.json"
 
 
@@ -147,6 +155,34 @@ def patience_values() -> bytes:
     return (json.dumps(values, indent=1) + "\n").encode()
 
 
+def sweep_plot(seed: int) -> gmm.Scatterplot:
+    """The blob plot of one ``sweeps.json`` seed: 2-6 blobs, 150-400 points."""
+    return blob_plot(2 + seed % 5, 150 + 5 * (seed % 51), seed)
+
+
+def sweeps_values() -> bytes:
+    values, fit = [], gmm.fit_em_with_trace
+    for seed in SWEEP_SEEDS:
+        steps = {}
+
+        def recording_fit(scatterplot, k, config, beat_bic):
+            model, traces = fit(scatterplot, k, config, beat_bic)
+            steps[k] = [len(t) - 1 for t in traces]
+            return model, traces
+
+        gmm.fit_em_with_trace = recording_fit
+        try:
+            res = gmm.select_model(sweep_plot(seed), gmm.FitConfig())
+        finally:
+            gmm.fit_em_with_trace = fit
+        values.append(f'"{seed}": ' + json.dumps({
+            "k_star": res.k_star,
+            "per_k_bic": [[k, f"{b:.9g}"] for k, b in res.per_k_bic],
+            "iterations": [[k, its] for k, its in steps.items()],
+        }))
+    return ("{\n" + ",\n".join(values) + "\n}\n").encode()
+
+
 def tied_matrix() -> tuple[np.ndarray, np.ndarray]:
     """200 rows of 4 features on a 0.1 grid: many tied values, 40 repeated
     rows, a constant column and about 10% flipped labels."""
@@ -175,7 +211,7 @@ def tree_values(pipeline_trees) -> bytes:
 
 def test_pipeline_matches_golden(tmp_path):
     got = run_pipeline(tmp_path)
-    assert sorted([*got, GROUPED, PATIENCE]) == sorted(p.name for p in GOLDEN.iterdir())
+    assert sorted([*got, GROUPED, PATIENCE, SWEEPS]) == sorted(p.name for p in GOLDEN.iterdir())
     for name, data in got.items():
         assert data == (GOLDEN / name).read_bytes(), f"{name} differs from tests/data/golden/{name}"
 
@@ -188,6 +224,10 @@ def test_patience_sweep_matches_golden():
     assert patience_values() == (GOLDEN / PATIENCE).read_bytes()
 
 
+def test_blob_sweeps_match_golden():
+    assert sweeps_values() == (GOLDEN / SWEEPS).read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -197,4 +237,5 @@ if __name__ == "__main__":
             (GOLDEN / name).write_bytes(data)
     (GOLDEN / GROUPED).write_bytes(grouped_values())
     (GOLDEN / PATIENCE).write_bytes(patience_values())
+    (GOLDEN / SWEEPS).write_bytes(sweeps_values())
     print(f"wrote pins to {GOLDEN}")
