@@ -249,7 +249,12 @@ def cmd_score(args, opts) -> int:
             if plots[-1].id in paths:
                 raise ValueError(f"{paths[plots[-1].id]} and {path} both give plot id {plots[-1].id!r}")
             paths[plots[-1].id] = path
-    scores = [(sp.id, vqm.score_scatterplot(sp, fit_config, merger)) for sp in plots]
+    scores = []
+    for sp in plots:
+        alerts: list[str] = []
+        scores.append((sp.id, vqm.score_scatterplot(sp, fit_config, merger, alerts)))
+        for alert in alerts:
+            print(f"warning: {sp.id}: {alert}", file=sys.stderr)
     vqm.write_scores_csv(args.out, scores)
     _write_sidecar(args.out, opts)
     print(f"scored {len(scores)} scatterplots -> {args.out}")

@@ -16,6 +16,7 @@ import numpy as np
 from .util import read_rows, spawn_rng, write_csv
 
 LOG_2PI = math.log(2.0 * math.pi)
+EPS = float(np.finfo(float).eps)
 # Largest coordinate magnitude that can be fitted: a covariance determinant is of the order of the
 # coordinate spread to the fourth power, and (2 * COORD_LIMIT)**4 stays a sixteenth below the float maximum.
 COORD_LIMIT = float(np.finfo(float).max) ** 0.25 / 4
@@ -37,14 +38,16 @@ class DegenerateCovarianceError(ValueError):
 @dataclass(frozen=True, eq=False)
 class MixtureModel:
     """Weighted bivariate Gaussian mixture with its training log-likelihood, as read-only arrays:
-    ``weights`` (K,), ``means`` (K, 2) and ``covs`` (K, 3), each row of ``covs`` (xx, xy, yy).  Two
-    models are equal when every array and number is."""
+    ``weights`` (K,), ``means`` (K, 2) and ``covs`` (K, 3), each row of ``covs`` (xx, xy, yy), and the
+    ``iterations`` (M-steps) of the EM run that fitted it.  Two models are equal when every array, the
+    log-likelihood and the point count are."""
 
     weights: np.ndarray
     means: np.ndarray
     covs: np.ndarray
     log_likelihood: float
     n_points: int
+    iterations: int = 0
 
     def __post_init__(self):
         weights, means, covs = (np.array(a, dtype=float) for a in (self.weights, self.means, self.covs))
@@ -134,17 +137,20 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     """The BIC-selected fit.  ``per_k_bic`` holds, for each fitted K, the BIC of its best completed restart;
-    a K whose restarts all stopped early is left out and named in ``warnings``."""
+    a K whose restarts all stopped early is left out and named in ``warnings``.  ``alerts`` are the warnings
+    that name a K skipped as degenerate or a fitted K whose kept restart stopped at ``max_iterations``."""
 
     model: MixtureModel
     bic: float
     k_star: int
     per_k_bic: tuple[tuple[int, float], ...]
     warnings: tuple[str, ...] = ()
+    alerts: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "per_k_bic", tuple((int(k), float(b)) for k, b in self.per_k_bic))
         object.__setattr__(self, "warnings", tuple(self.warnings))
+        object.__setattr__(self, "alerts", tuple(self.alerts))
         if self.k_star != self.model.k:
             raise ValueError("k_star must match the selected model's component count")
 
@@ -152,68 +158,60 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # Density evaluation
 #
-# The kernel works on groups of k rows, one group per mixture: a (4, R*k, n) scratch array holds, for R
-# mixtures of k components each, one row per component in each of four planes.
+# A bivariate Gaussian's log-density is linear in the moment features (x^2, xy, y^2, x, y, 1) of a point, so
+# the log-joint of R mixtures of k components at n points is one (R, k, 6) @ (6, n) product.  Its rows come in
+# groups of k, one group per mixture.
 
 
-def _centre(x: np.ndarray, y: np.ndarray, means: np.ndarray, buf: np.ndarray) -> None:
-    """x and y minus each row of means, into buf[2] and buf[3] of a (4, rows, n) scratch array."""
-    np.subtract(x, means[:, :1], out=buf[2])
-    np.subtract(y, means[:, 1:], out=buf[3])
+def _features(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (6, n) moment features (x^2, xy, y^2, x, y, 1) of the points (x, y)."""
+    return np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)])
 
 
-def _log_joint(weights, covs, buf: np.ndarray, k: int, failed: dict) -> np.ndarray:
-    """(rows, n) array of log(pi_j) + log g_j(p), in buf[0] of a (4, rows, n) scratch array whose buf[2]
-    and buf[3] hold the points centred by :func:`_centre`; covs rows are (xx, xy, yy).  Each element gets
-    the operations, in the order, of a loop over components.  Each group i of k rows that is not in
-    ``failed`` and has a singular covariance is added to it, with a message naming the group's first; the
-    rows of every group in ``failed`` get finite values that mean nothing."""
-    covs = np.array(covs, dtype=float)
+def _coefficients(weights, means, covs, k: int, failed: dict) -> np.ndarray:
+    """(rows, 6) coefficients whose product with :func:`_features` is log(pi_j) + log g_j, for the rows of
+    weights, means and covs (xx, xy, yy).  Each group i of k rows that is not in ``failed`` and has a singular
+    covariance is added to it, with a message naming the group's first; the rows of every group in ``failed``
+    get finite values that mean nothing."""
+    means, covs = np.array(means, dtype=float), np.array(covs, dtype=float)
     det = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1]
-    for j in np.flatnonzero(~((det > 0.0) & np.isfinite(det))).tolist():
-        failed.setdefault(j // k, f"covariance is singular (det={det[j].item()})")
+    regular = (det > 0.0) & (det < math.inf)
+    if not regular.all():
+        for j in np.flatnonzero(~regular).tolist():
+            failed.setdefault(j // k, f"covariance is singular (det={det[j].item()})")
     for i in failed:
-        covs[i * k:(i + 1) * k] = 0.0
+        means[i * k:(i + 1) * k] = covs[i * k:(i + 1) * k] = 0.0
         det[i * k:(i + 1) * k] = 1.0
-    xx, xy, yy = covs.T
-    with np.errstate(over="ignore"):  # as Python floats would, a near-singular det gives inf columns
-        a, b, c = (-0.5 * yy / det)[:, None], (xy / det)[:, None], (0.5 * xx / det)[:, None]
-    # math.log, not np.log: the two can differ in the last bit
-    log_norm = np.array([0.5 * math.log(d) + LOG_2PI for d in det.tolist()])[:, None]
-    log_weight = np.array([math.log(v) for v in np.asarray(weights, dtype=float).tolist()])[:, None]
-    lp, t, d0, d1 = buf
-    # -quad/2 with quad = (yy*d0^2 - 2*xy*d0*d1 + xx*d1^2) / det
-    np.multiply(a, d0, out=lp)
-    lp += np.multiply(b, d1, out=t)
-    lp *= d0
-    lp -= np.multiply(np.multiply(c, d1, out=t), d1, out=t)
-    lp -= log_norm
-    lp += log_weight
-    return lp
+    coef = np.empty((len(det), 6))
+    with np.errstate(over="ignore"):  # as Python floats would, a near-singular det gives inf coefficients
+        # the precision matrix as (pxx, -pxy, pyy), then its product with the mean
+        prec = np.divide(covs[:, ::-1], det[:, None], out=coef[:, :3])
+        np.subtract(prec[:, ::2] * means, prec[:, 1:2] * means[:, ::-1], out=coef[:, 3:5])
+        coef[:, 5] = np.log(weights) - 0.5 * np.log(det) - LOG_2PI - 0.5 * (coef[:, 3:5] * means).sum(axis=1)
+    prec[:, ::2] *= -0.5
+    return coef
 
 
-def _posterior(logp: np.ndarray, k: int):
-    """exp(logp) normalized over each group of k rows, computed in place, and the (groups, n) log of the
-    group sums."""
-    groups = logp.reshape(-1, k, logp.shape[1])
-    m = groups.max(axis=1)
-    groups -= m[:, None]
+def _posterior(logp: np.ndarray):
+    """exp(logp) normalized over axis 1 of a (groups, k, n) array, computed in place, and the (groups, n) log
+    of the group sums."""
+    m = logp.max(axis=1)
+    logp -= m[:, None]
     np.exp(logp, out=logp)
-    total = groups.sum(axis=1)
-    groups /= total[:, None]
+    total = logp.sum(axis=1)
+    logp /= total[:, None]
     return logp, m + np.log(total)
 
 
 def mixture_pdf(model: MixtureModel, points) -> np.ndarray:
     """Mixture density at each row of an (N, 2) array."""
-    x, y = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1, 2).T)
-    buf = np.empty((4, model.k, x.shape[0]))
-    _centre(x, y, model.means, buf)
+    X = np.asarray(points, dtype=float).reshape(-1, 2)
+    centre = X.mean(axis=0) if len(X) else np.zeros(2)
     failed: dict = {}
-    logp = _log_joint(model.weights, model.covs, buf, model.k, failed)
+    coef = _coefficients(model.weights, model.means - centre, model.covs, model.k, failed)
     if failed:
         raise DegenerateCovarianceError(failed[0])
-    return np.exp(_posterior(logp, model.k)[1][0])
+    return np.exp(_posterior(coef[None] @ _features(*(X - centre).T))[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -240,39 +238,19 @@ def _pooled_covariance(X: np.ndarray) -> np.ndarray:
     return d.T @ d / X.shape[0]
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[j] @ b[j] for every row j; bitwise equal to the 1-D dot products."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _m_step(x, y, nk, n_points, reg, buf, k: int):
-    """Weights, means and covariances from the count-weighted responsibilities in buf[0] and their row
-    sums nk; overwrites buf, leaving the points centred on the new means for the next E-step."""
-    rw, rd, d0, d1 = buf
-    weights = nk / n_points
-    # one product per group: on stacked groups BLAS can round the last bit differently
-    sums = [(rw[j:j + k] @ x, rw[j:j + k] @ y) for j in range(0, rw.shape[0], k)]
-    means = (np.concatenate(sums, axis=1) / nk).T
-    _centre(x, y, means, buf)
-    np.multiply(rw, d0, out=rd)
-    covs = np.empty((rw.shape[0], 3))
-    covs[:, 0] = _row_dots(rd, d0) / nk + reg
-    covs[:, 1] = _row_dots(rd, d1) / nk
-    covs[:, 2] = _row_dots(np.multiply(rw, d1, out=rd), d1) / nk + reg
-    return weights, means, covs
-
-
-def _leave(buf: np.ndarray, k: int, live: list, ended: dict, outcomes: list) -> np.ndarray:
-    """Set ``outcomes[live[i]] = ended[i]`` for each group i in ended, drop those groups from live and move
-    the k rows of each other group down in every plane of buf; returns the kept rows' former indices."""
-    kept = [i for i in range(len(live)) if i not in ended]
-    for i, outcome in ended.items():
-        outcomes[live[i]] = outcome
-    for new, old in enumerate(kept):
-        if new != old:
-            buf[:, new * k:(new + 1) * k] = buf[:, old * k:(old + 1) * k]
-    live[:] = [live[i] for i in kept]
-    return (np.array(kept, dtype=np.intp)[:, None] * k + np.arange(k)).ravel()
+def _m_step(stats: np.ndarray, n_points: int, reg: float):
+    """Weights, means and covariances from the (groups, k, 6) count-weighted sums of the responsibilities
+    times the moment features.  A variance E[x^2] - m^2 at or below 16 eps E[x^2] is rounding noise, so it is
+    set to 0 before ``reg`` is added: a component on one lattice row or one point gets exactly ``reg``."""
+    stats = stats.reshape(-1, 6)
+    nk = stats[:, 5:]
+    moments = stats[:, :5] / nk
+    second, means = moments[:, :3], moments[:, 3:]
+    covs = second - means.take([0, 0, 1], axis=1) * means.take([0, 1, 1], axis=1)
+    variances = covs[:, ::2]
+    variances[variances <= 16 * EPS * second[:, ::2]] = 0.0
+    variances += reg
+    return nk[:, 0] / n_points, means, covs
 
 
 def _aitken_limit(trace: list) -> float:
@@ -286,31 +264,37 @@ def _aitken_limit(trace: list) -> float:
 
 def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float, need: float = -math.inf) -> list:
     """The ``config.n_restarts`` EM runs of one K in lockstep, as one block with a group of k rows per run:
-    seeded and scaled on all of X, iterated on its distinct points.  A run leaves the block after the
-    E-step in which it converges, reaches ``max_iterations``, fails (a singular covariance, a lost
-    component, or a log-likelihood that is not finite at the end) or stops because its projected
-    log-likelihood stays below ``need`` (see STOP_AFTER).  Returns each run's (weights, means, covs, loglik,
-    trace), its trace alone if it stopped, or the message of its failure, in restart order."""
+    seeded and scaled on all of X, iterated on its distinct points centred on the mean of X.  Each E-step is
+    one batched product of the runs' coefficients with the points' moment features, and each M-step one
+    batched product of their responsibilities with the count-weighted features: one product per group, so a
+    run gives the bits it gives alone.  A run leaves the block after the E-step in which it converges, reaches
+    ``max_iterations``, fails (a singular covariance, a lost component, or a log-likelihood that is not finite
+    at the end) or stops because its projected log-likelihood stays below ``need`` (see STOP_AFTER).  Returns
+    each run's (weights, means, covs, loglik, trace), its trace alone if it stopped, or the message of its
+    failure, in restart order."""
     n_runs = config.n_restarts
     pooled = _pooled_covariance(X)
     cov0 = np.array([pooled[0, 0] + reg, pooled[0, 1], pooled[1, 1] + reg])
     if cov0[0] * cov0[2] - cov0[1] ** 2 <= 0.0:
         return ["initial pooled covariance is singular"] * n_runs
+    centre = X.mean(axis=0)
     means = np.concatenate([_kmeanspp_means(X, k, spawn_rng(config.seed, "em", k, r)) for r in range(n_runs)])
+    means -= centre
     covs = np.tile(cov0, (n_runs * k, 1))
     weights = np.full(n_runs * k, 1.0 / k)
 
     x, y, w = grouped
-    buf = np.empty((4, n_runs * k, x.shape[0]))
-    _centre(x, y, means, buf)
+    phi = _features(x - centre[0], y - centre[1])
+    wphi = (phi * w).T.copy()
+    buf = np.empty((n_runs * k, x.shape[0]))
     live, outcomes, traces = list(range(n_runs)), [None] * n_runs, [[] for _ in range(n_runs)]
     ended: dict = {}  # group -> outcome of each run that leaves after this E-step
     while True:
-        block = buf[:, :len(live) * k]
-        logp = _log_joint(weights, covs, block, k, ended)
-        logliks = (w * _posterior(logp, k)[1]).sum(axis=1).tolist()
-        nk = np.multiply(block[0], w, out=block[0]).sum(axis=1)
-        nks = nk.tolist()
+        coef = _coefficients(weights, means, covs, k, ended).reshape(len(live), k, 6)
+        resp, logsum = _posterior(np.matmul(coef, phi, out=buf[:len(live) * k].reshape(len(live), k, -1)))
+        logliks = (w * logsum).sum(axis=1).tolist()
+        stats = np.matmul(resp, wphi)
+        nks = stats[:, :, 5].tolist()
         for i, (trace, loglik) in enumerate(zip([traces[r] for r in live], logliks)):
             if i in ended:
                 continue
@@ -319,20 +303,22 @@ def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float, need:
             rows = slice(i * k, (i + 1) * k)
             if converged or len(trace) > config.max_iterations:
                 # in picking the best restart, nothing compares > NaN
-                ended[i] = ((weights[rows], means[rows], covs[rows], loglik, np.array(trace)) if math.isfinite(loglik)
-                            else f"log-likelihood is not finite ({loglik})")
-            elif any(v < 1e-10 for v in nks[rows]):
+                ended[i] = ((weights[rows], means[rows] + centre, covs[rows], loglik, np.array(trace))
+                            if math.isfinite(loglik) else f"log-likelihood is not finite ({loglik})")
+            elif any(v < 1e-10 for v in nks[i]):
                 ended[i] = "a component lost all responsibility"
             elif len(trace) > STOP_AFTER and _aitken_limit(trace) < need - STOP_MARGIN:
                 ended[i] = np.array(trace)
         if ended:
-            nk = nk[_leave(buf, k, live, ended, outcomes)]
+            for i, outcome in ended.items():
+                outcomes[live[i]] = outcome
+            kept = [i for i in range(len(live)) if i not in ended]
+            live, stats = [live[i] for i in kept], stats[kept]
             if not live:
                 return outcomes
-        weights, means, covs = _m_step(x, y, nk, X.shape[0], reg, buf[:, :len(live) * k], k)
-        # scalar pow for xy**2, as in the cov0 check: np.square can differ in the last bit
-        ended = {j // k: "covariance collapsed to a singular matrix"
-                 for j, (xx, xy, yy) in enumerate(covs.tolist()) if xx * yy - xy**2 <= 0.0}
+        weights, means, covs = _m_step(stats, X.shape[0], reg)
+        collapsed = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1] <= 0.0
+        ended = {j // k: "covariance collapsed to a singular matrix" for j in np.flatnonzero(collapsed).tolist()}
 
 
 def _effective_regularization(X: np.ndarray, config: FitConfig) -> float:
@@ -342,9 +328,9 @@ def _effective_regularization(X: np.ndarray, config: FitConfig) -> float:
     return config.regularization * scale
 
 
-def _build_model(weights, means, covs, loglik, n) -> MixtureModel:
+def _build_model(weights, means, covs, loglik, n, iterations=0) -> MixtureModel:
     weights = np.asarray(weights, dtype=float)
-    return MixtureModel(weights / weights.sum(), means, covs, float(loglik), int(n))
+    return MixtureModel(weights / weights.sum(), means, covs, float(loglik), int(n), int(iterations))
 
 
 def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig, beat_bic: float = -math.inf):
@@ -381,7 +367,7 @@ def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig, beat_
     if not fits:
         return None, traces
     best = max(fits, key=lambda fit: fit[3])  # the first restart with the largest log-likelihood
-    return _build_model(*best[:4], scatterplot.n), traces
+    return _build_model(*best[:4], scatterplot.n, len(best[4]) - 1), traces
 
 
 def fit_em(scatterplot: Scatterplot, k: int, config: FitConfig, beat_bic: float = -math.inf) -> MixtureModel | None:
@@ -411,13 +397,15 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
     a K where some stop may list a lower BIC than it would reach without
     the bar.  K values that cannot be fitted (K > N, or degenerate fits)
     are skipped, neither counting toward the patience nor resetting it;
-    they, the K whose restarts all stopped and the K values left unfitted
-    are recorded in ``FitResult.warnings``.
+    they, the K whose restarts all stopped, the K whose kept restart stopped
+    at ``max_iterations`` and the K values left unfitted are recorded in
+    ``FitResult.warnings``.
     """
     if scatterplot.n < 2:
         raise ValueError("model selection needs at least 2 points")
     per_k: list[tuple[int, float]] = []
     warnings: list[str] = []
+    alerts: list[str] = []
     best_model = None
     best_bic = -math.inf
     best_k = 0
@@ -433,7 +421,8 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
         try:
             model = fit_em(scatterplot, k, config, beat_bic=best_bic)
         except DegenerateCovarianceError as exc:
-            warnings.append(f"k={k} skipped: {exc}")
+            alerts.append(f"k={k} skipped: {exc}")
+            warnings.append(alerts[-1])
             continue
         if model is None:
             warnings.append(f"k={k}: every restart stopped below the BIC of k={best_k}")
@@ -441,6 +430,9 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
             continue
         bic = bic_value(model.log_likelihood, k, scatterplot.n, config.bic_penalty_mode)
         per_k.append((k, bic))
+        if model.iterations >= config.max_iterations:
+            alerts.append(f"k={k}: the kept restart stopped at the cap of {model.iterations} EM iterations")
+            warnings.append(alerts[-1])
         if bic > best_bic:
             best_model, best_bic, best_k, misses = model, bic, k, 0
         else:
@@ -453,6 +445,7 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
         k_star=best_k,
         per_k_bic=tuple(per_k),
         warnings=tuple(warnings),
+        alerts=tuple(alerts),
     )
 
 

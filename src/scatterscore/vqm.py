@@ -68,9 +68,12 @@ def count_components(matrix: MergeMatrix) -> int:
     return len(np.unique(reach, axis=0))
 
 
-def score_scatterplot(scatterplot: Scatterplot, fit_config: FitConfig, merger: MergingModel) -> VqmScore:
-    """Full pipeline: BIC-selected mixture -> merge matrix -> (M, K*)."""
+def score_scatterplot(scatterplot: Scatterplot, fit_config: FitConfig, merger: MergingModel,
+                      alerts: list | None = None) -> VqmScore:
+    """Full pipeline: BIC-selected mixture -> merge matrix -> (M, K*); appends the fit's alerts to ``alerts``."""
     result = select_model(scatterplot, fit_config)
+    if alerts is not None:
+        alerts.extend(result.alerts)
     m = count_components(build_merge_matrix(result.model, merger))
     return VqmScore(m=m, k_star=result.k_star)
 

@@ -1,9 +1,12 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scatterscore.augment import TrainingCorpus
+from scatterscore.cli import main
 from scatterscore.gmm import Scatterplot
 from scatterscore.mergemodel import TrainConfig, train_bagged
 from scatterscore.pairspace import PairFeatures, ShapeParams, _rescaled
@@ -121,3 +124,28 @@ def trained_merger():
     )
     model, _ = train_bagged(pairs, config)
     return model
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def benchmark_plots(tmp_path_factory) -> dict:
+    """The seed-0 plots of the ``score-batch`` and ``score-pixel`` benchmark workloads, written as
+    ``perfbench/run.py`` writes them: {"batch": [six paths], "pixel": [one path]}."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    d = tmp_path_factory.mktemp("benchmark_plots")
+    grids = (("batch", inputs.GRID_SHAPES, inputs.PLOT_N), ("raw", inputs.PIXEL_SHAPES, inputs.PIXEL_N))
+    for name, shapes, n in grids:
+        inputs.write_grid_params(d / f"{name}.params.csv", shapes)
+        assert main(["generate", "--params-file", str(d / f"{name}.params.csv"), "--n", str(n), "--seed", "0",
+                     "--out", str(d / name)]) == 0
+    for n_blobs in (3, 4, 5, 6):
+        inputs.write_blob_plot(d / "batch" / f"blob{n_blobs}.csv", 0, n_blobs)
+    (d / "pixel").mkdir()
+    points = np.loadtxt(d / "raw" / "pixel0.csv", delimiter=",", skiprows=1)
+    inputs.write_points(d / "pixel" / "pixel0.csv", inputs.snap_to_pixels(points))
+    batch = [d / "batch" / f"{name}.csv" for name in (*inputs.GRID_SHAPES, "blob3", "blob4", "blob5", "blob6")]
+    return {"batch": batch, "pixel": [d / "pixel" / "pixel0.csv"]}

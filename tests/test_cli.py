@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -597,6 +598,31 @@ class TestScoreRank:
         scalars = {l.split(",")[1]: float(l.split(",")[4]) for l in rlines[1:]}
         assert sorted(body, key=lambda i: -scalars[i]) == body
         assert sorted(asc_body, key=lambda i: scalars[i]) == asc_body
+
+    def test_capped_fits_warn_on_stderr(self, tmp_path, trained_model_file, benchmark_plots, capsys):
+        # the six seed-0 score-batch plots: with 3 EM iterations every K >= 2 stops at the cap
+        scores = tmp_path / "scores.csv"
+        assert run("score", *benchmark_plots["batch"], "--model", trained_model_file, "--max-iterations", 3,
+                   "--out", scores) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(scores.read_text().splitlines()) == 7
+        assert {line.split(": ")[1] for line in err} == {path.stem for path in benchmark_plots["batch"]}
+        assert all(re.fullmatch(r"warning: \w+: k=([2-9]|10): the kept restart stopped at the cap of 3 EM iterations",
+                                line) for line in err)
+
+    def test_default_run_prints_no_warning(self, tmp_path, trained_model_file, benchmark_plots, capsys):
+        plots = [*benchmark_plots["batch"], *benchmark_plots["pixel"]]
+        assert run("score", *plots, "--model", trained_model_file, "--out", tmp_path / "scores.csv") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_degenerate_k_warns_on_stderr(self, tmp_path, trained_model_file, capsys):
+        sites = tmp_path / "sites.csv"
+        sites.write_text("x,y\n" + "0,0\n" * 10 + "4,0\n" * 10 + "1,3\n" * 10)
+        assert run("score", sites, "--model", trained_model_file, "--k-max", 3, "--regularization", 0,
+                   "--out", tmp_path / "scores.csv") == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: sites: k={k} skipped: all 5 EM restarts failed: covariance collapsed to a singular matrix"
+            for k in (2, 3)]
 
     def test_comma_in_plot_id_round_trips_to_rank(self, tmp_path, trained_model_file):
         plot = tmp_path / "a,b.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -40,23 +41,20 @@ def density(model, point) -> float:
     return float(mixture_pdf(model, np.asarray(point, dtype=float).reshape(1, 2))[0])
 
 
-def kernel_log_joint(x, y, weights, means, covs):
-    """``gmm._log_joint`` of the points centred on ``means`` in a fresh buffer."""
-    buf = np.empty((4, len(weights), x.shape[0]))
-    gmm._centre(x, y, np.asarray(means, dtype=float), buf)
-    return gmm._log_joint(weights, covs, buf, len(weights), {})
+def kernel_log_joint(x, y, weights, means, covs, centre=(0.0, 0.0)):
+    """The kernel's log(pi_j) + log g_j at the points (x, y), all centred on ``centre``: one coefficient
+    product with the moment features, as in the E-step and ``mixture_pdf``."""
+    centre = np.asarray(centre, dtype=float)
+    coef = gmm._coefficients(weights, np.asarray(means, dtype=float) - centre, covs, len(weights), {})
+    return np.matmul(coef[None], gmm._features(x - centre[0], y - centre[1]))[0]
 
 
 def map_component(model, point) -> int:
-    """Component with the largest log(pi_k) + log g_k at ``point``, from the
-    kernel that the E-step and ``mixture_pdf`` share; ties go to the lowest index."""
-    logp = kernel_log_joint(
-        np.array([float(point[0])]),
-        np.array([float(point[1])]),
-        model.weights.tolist(),
-        model.means.tolist(),
-        model.covs.tolist(),
-    )
+    """Component with the largest log(pi_k) + log g_k at ``point``, from the kernel that the E-step and
+    ``mixture_pdf`` share, centred on the point as ``mixture_pdf`` centres a single point; ties go to the
+    lowest index."""
+    x, y = np.array([float(point[0])]), np.array([float(point[1])])
+    logp = kernel_log_joint(x, y, model.weights, model.means, model.covs, centre=point)
     return int(np.argmax(logp[:, 0]))
 
 
@@ -233,7 +231,7 @@ class TestMapAssign:
         p2 = 0.5 * gaussian_density((1.0, 0.7), (2.0, 0.0), IDENTITY)
         assert p1 == p2
         logp = kernel_log_joint(np.array([1.0]), np.array([0.7]), [0.5, 0.5], [(0.0, 0.0), (2.0, 0.0)],
-                                [(1.0, 0.0, 1.0)] * 2)
+                                [(1.0, 0.0, 1.0)] * 2, centre=(1.0, 0.7))
         assert logp[0, 0] == logp[1, 0]
         assert map_component(model, (1.0, 0.7)) == 0
 
@@ -318,10 +316,10 @@ class ReferenceFailure(Exception):
     pass
 
 
-def reference_component_log_pdf(x, y, mean, xx, xy, yy):
+def centred_log_pdf(x, y, mean, xx, xy, yy):
+    """One component's log-density at the points (x, y) from the points centred on its mean: the formula
+    the kernel used before the moment form, kept as a tolerance oracle."""
     det = xx * yy - xy * xy
-    if not (det > 0.0 and np.isfinite(det)):
-        raise DegenerateCovarianceError(f"covariance is singular (det={det})")
     d0 = x - mean[0]
     d1 = y - mean[1]
     lp = (-0.5 * yy / det * d0 + xy / det * d1) * d0
@@ -330,15 +328,35 @@ def reference_component_log_pdf(x, y, mean, xx, xy, yy):
     return lp
 
 
+def reference_coefficients(weights, means, covs):
+    """The (k, 6) moment-form coefficients of one mixture, component by component in Python floats: the
+    precision matrix P, P @ mean, and log(pi) - log det / 2 - log 2pi - mean @ P @ mean / 2."""
+    rows = []
+    for weight, (mx, my), (xx, xy, yy) in zip(np.asarray(weights).tolist(), np.asarray(means).tolist(),
+                                               np.asarray(covs).tolist()):
+        det = xx * yy - xy * xy
+        if not (det > 0.0 and det < math.inf):
+            raise DegenerateCovarianceError(f"covariance is singular (det={det})")
+        pxx, nxy, pyy = yy / det, xy / det, xx / det
+        lx, ly = pxx * mx - nxy * my, pyy * my - nxy * mx
+        const = float(np.log(weight)) - 0.5 * float(np.log(det)) - gmm.LOG_2PI - 0.5 * (lx * mx + ly * my)
+        rows.append([pxx * -0.5, nxy, pyy * -0.5, lx, ly, const])
+    return np.array(rows)
+
+
+def reference_features(x, y, w):
+    """The (6, n) moment features of the points and their count-weighted (n, 6) transpose."""
+    phi = np.array([x * x, x * y, y * y, x, y, np.ones_like(x)])
+    return phi, np.ascontiguousarray((phi * w).T)
+
+
 def reference_log_joint(x, y, weights, means, covs):
-    logp = np.empty((len(weights), x.shape[0]))
-    for j in range(len(weights)):
-        logp[j] = math.log(weights[j]) + reference_component_log_pdf(x, y, means[j], *covs[j])
-    return logp
+    """log(pi_j) + log g_j at the (already centred) points, one (1, k, 6) @ (6, n) product."""
+    return np.matmul(reference_coefficients(weights, means, covs)[None], reference_features(x, y, 1.0)[0])[0]
 
 
-def reference_e_step(x, y, w, weights, means, covs):
-    logp = reference_log_joint(x, y, weights, means, covs)
+def reference_e_step(phi, w, weights, means, covs):
+    logp = np.matmul(reference_coefficients(weights, means, covs)[None], phi)[0]
     m = logp.max(axis=0)
     p = np.exp(logp - m)
     total = p.sum(axis=0)
@@ -346,48 +364,54 @@ def reference_e_step(x, y, w, weights, means, covs):
     return p, float((w * (m + np.log(total))).sum())
 
 
-def reference_m_step(x, y, w, n_points, resp, reg):
-    k = resp.shape[0]
-    rw = resp * w
-    nk = rw.sum(axis=1)
-    if np.any(nk < 1e-10):
+def reference_m_step(wphi, n_points, resp, reg):
+    """Weights, means and covariances from one (1, k, n) @ (n, 6) product, component by component in Python
+    floats: a variance at or below 16 eps of its second moment is rounding noise and becomes 0 before reg."""
+    stats = np.matmul(resp[None], wphi)[0].tolist()
+    if any(row[5] < 1e-10 for row in stats):
         raise ReferenceFailure("a component lost all responsibility")
-    weights = nk / n_points
-    means = np.column_stack([rw @ x, rw @ y]) / nk[:, None]
-    covs = np.empty((k, 3))
-    for j in range(k):
-        d0 = x - means[j, 0]
-        d1 = y - means[j, 1]
-        rd0 = rw[j] * d0
-        covs[j, 0] = rd0 @ d0 / nk[j] + reg
-        covs[j, 1] = rd0 @ d1 / nk[j]
-        covs[j, 2] = (rw[j] * d1) @ d1 / nk[j] + reg
-        if covs[j, 0] * covs[j, 2] - covs[j, 1] ** 2 <= 0.0:
+    eps16 = 16 * np.finfo(float).eps
+    weights, means, covs = [], [], []
+    for sxx, sxy, syy, sx, sy, nk in stats:
+        mx, my = sx / nk, sy / nk
+        exx, exy, eyy = sxx / nk, sxy / nk, syy / nk
+        xx, xy, yy = exx - mx * mx, exy - mx * my, eyy - my * my
+        xx = (0.0 if xx <= eps16 * exx else xx) + reg
+        yy = (0.0 if yy <= eps16 * eyy else yy) + reg
+        if xx * yy - xy * xy <= 0.0:
             raise ReferenceFailure("covariance collapsed to a singular matrix")
-    return weights, means, covs
+        weights.append(nk / n_points)
+        means.append([mx, my])
+        covs.append([xx, xy, yy])
+    return np.array(weights), np.array(means), np.array(covs)
 
 
 def reference_run_em(X, grouped, k, config, reg, restart):
+    """One restart on its own, on the distinct points centred on the mean of X."""
     rng = spawn_rng(config.seed, "em", k, restart)
-    means = gmm._kmeanspp_means(X, k, rng)
+    centre = X.mean(axis=0)
+    means = gmm._kmeanspp_means(X, k, rng) - centre
     pooled = gmm._pooled_covariance(X)
     cov0 = np.array([pooled[0, 0] + reg, pooled[0, 1], pooled[1, 1] + reg])
     if cov0[0] * cov0[2] - cov0[1] ** 2 <= 0.0:
         raise ReferenceFailure("initial pooled covariance is singular")
     covs = np.tile(cov0, (k, 1))
     weights = np.full(k, 1.0 / k)
+    x, y, w = grouped
+    phi, wphi = reference_features(x - centre[0], y - centre[1], w)
     trace = []
     prev = None
     for _ in range(config.max_iterations):
-        resp, loglik = reference_e_step(*grouped, weights, means, covs)
+        resp, loglik = reference_e_step(phi, w, weights, means, covs)
         trace.append(loglik)
         if prev is not None and loglik - prev <= config.em_tolerance * max(1.0, abs(prev)):
-            return weights, means, covs, loglik, np.array(trace)
+            break
         prev = loglik
-        weights, means, covs = reference_m_step(*grouped, X.shape[0], resp, reg)
-    _, loglik = reference_e_step(*grouped, weights, means, covs)
-    trace.append(loglik)
-    return weights, means, covs, loglik, np.array(trace)
+        weights, means, covs = reference_m_step(wphi, X.shape[0], resp, reg)
+    else:
+        _, loglik = reference_e_step(phi, w, weights, means, covs)
+        trace.append(loglik)
+    return weights, means + centre, covs, loglik, np.array(trace)
 
 
 def grouped_points(X):
@@ -408,9 +432,9 @@ def reference_runs(X, k, config):
     return runs
 
 
-def kernel_runs(X, k, config):
+def kernel_runs(X, k, config, need=-math.inf):
     """The restarts of one K run in lockstep by ``gmm._run_em``."""
-    return gmm._run_em(X, grouped_points(X), k, config, gmm._effective_regularization(X, config))
+    return gmm._run_em(X, grouped_points(X), k, config, gmm._effective_regularization(X, config), need)
 
 
 def run_bytes(runs):
@@ -465,14 +489,27 @@ def raised(call, *args):
     return None
 
 
-def mixed_exit_plot(seed=11, centre=20):
-    """A blob and lattice points on which, under MIXED_EXITS, K=6 restarts leave the block at different
-    iterations: covariances collapse in the 7th and 8th M-step, a component is lost in the 8th, one
-    restart converges after the 9th, and the rest stop at the cap of 10."""
+def mixed_exit_plot(seed=30, spread=0.01):
+    """Points around two to four far-apart sites, each point within about ``spread`` of its site, on which,
+    under MIXED_EXITS, K=4 restarts leave the block at different iterations: a covariance collapses in the 7th
+    M-step, a component is lost in the 8th (a narrow component at each site leaves a wide one next to nothing),
+    restarts converge after the 5th and the 6th, and the rest stop at the cap of 10."""
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(8, 16))
-    blob = rng.normal(size=(int(rng.integers(20, 60)), 2)) * 2 + centre
-    return Scatterplot(np.vstack([blob, np.round(rng.normal(size=(m, 2)) * 1.5) / 1.5]))
+    sites = rng.normal(size=(int(rng.integers(2, 5)), 2)) * 10
+    X = sites[rng.integers(len(sites), size=int(rng.integers(20, 80)))]
+    return Scatterplot(X + rng.normal(size=X.shape) * spread)
+
+
+def hairline_plot(seed=6, a=1e-155):
+    """A blob and a line of points at x = +-a, mirrored across x = 0 row by row, so that the mean of x is exactly
+    0 and the line keeps its offsets +-a when centred.  A component that settles on the line has an x
+    variance of about a^2, a subnormal number: its determinant stays positive, its precision overflows to inf,
+    inf meets 0 in its log-density, and its restart's log-likelihood turns NaN."""
+    rng = np.random.default_rng(seed)
+    half = np.vstack([rng.normal(size=(30, 2)) + [8.0, 0.0], np.column_stack([np.full(20, a), rng.normal(size=20)])])
+    X = np.empty((2 * len(half), 2))
+    X[0::2], X[1::2] = half, half * [-1.0, 1.0]
+    return Scatterplot(X)
 
 
 MIXED_EXITS = FitConfig(regularization=0.0, n_restarts=10, max_iterations=10, seed=0, em_tolerance=1e-3)
@@ -489,14 +526,14 @@ class TestKernelBitIdentity:
 
     def test_restarts_leave_the_block_at_different_iterations(self):
         X = mixed_exit_plot().points
-        expected = reference_runs(X, 6, MIXED_EXITS)
+        expected = reference_runs(X, 4, MIXED_EXITS)
         lengths = [len(run[4]) for run in expected if not isinstance(run, str)]
         failures = [run for run in expected if isinstance(run, str)]
         assert min(lengths) < MIXED_EXITS.max_iterations + 1 == max(lengths)
-        assert sorted(set(failures)) == ["a component lost all responsibility",
-                                         "covariance collapsed to a singular matrix"]
-        assert run_bytes(kernel_runs(X, 6, MIXED_EXITS)) == run_bytes(expected)
-        assert fit_outcome(mixed_exit_plot(), 6, MIXED_EXITS) == reference_fit_outcome(mixed_exit_plot(), 6,
+        assert sorted(failures) == ["a component lost all responsibility",
+                                    "covariance collapsed to a singular matrix"]
+        assert run_bytes(kernel_runs(X, 4, MIXED_EXITS)) == run_bytes(expected)
+        assert fit_outcome(mixed_exit_plot(), 4, MIXED_EXITS) == reference_fit_outcome(mixed_exit_plot(), 4,
                                                                                         MIXED_EXITS)
 
     def test_log_joint_matches_reference(self):
@@ -506,22 +543,17 @@ class TestKernelBitIdentity:
         assert kernel_log_joint(x, y, *args).tobytes() == reference_log_joint(x, y, *args).tobytes()
 
     def test_restart_failing_the_determinant_check_leaves_the_block(self):
-        # Without regularization one restart's covariance gets so narrow that an inf column meets a 0
-        # (numpy warns "invalid value", here as in the per-restart loop): its covariances turn NaN and the
-        # determinant check of the next E-step fails, while the other restarts collapse or converge.
-        X = mixed_exit_plot().points
-        cfg = FitConfig(regularization=0.0, n_restarts=6, max_iterations=12, seed=1, em_tolerance=1e-3)
+        # Without regularization, restarts 0 and 2 settle on the hairline and their log-likelihood turns NaN
+        # (numpy warns of overflow and "invalid value", here as in the per-restart loop): their covariances turn
+        # NaN and the determinant check of the next E-step fails, while the other restarts converge.
+        X = hairline_plot().points
+        cfg = FitConfig(regularization=0.0, n_restarts=6, max_iterations=20, seed=0, em_tolerance=1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = reference_runs(X, 4, cfg)
             got = kernel_runs(X, 4, cfg)
-        assert expected[1] == "covariance is singular (det=nan)"
-        assert [len(run[4]) for run in expected if not isinstance(run, str)] == [11, 12]
+        assert expected[0] == expected[2] == "covariance is singular (det=nan)"
+        assert [len(run[4]) for run in expected if not isinstance(run, str)] == [4, 13, 10, 5]
         assert run_bytes(got) == run_bytes(expected)
-
-    @pytest.mark.parametrize("n", [1, 3, 17, 500, 2038, 4001])
-    def test_row_dots_equal_one_dimensional_dots(self, n):
-        a, b = np.random.default_rng(n).normal(size=(2, 10, n)) * 7.0
-        assert gmm._row_dots(a, b).tobytes() == np.array([a[j] @ b[j] for j in range(10)]).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 500, 2038])
     def test_block_reductions_equal_per_block_reductions(self, n):
@@ -534,62 +566,102 @@ class TestKernelBitIdentity:
             assert (w * lse).sum(axis=1).tobytes() == np.array([(w * lse[i]).sum() for i in range(r)]).tobytes()
 
 
+def restart_alone(monkeypatch, X, k, config, restart):
+    """Restart ``restart`` of ``gmm._run_em``, run as a block of one that is seeded as that restart."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gmm, "spawn_rng", lambda seed, tag, k, r: spawn_rng(seed, tag, k, restart))
+        return kernel_runs(X, k, dataclasses.replace(config, n_restarts=1))[0]
+
+
+class TestRestartIndependence:
+    """Each restart of a block gives the bits it gives when run alone: the E-step and M-step products are
+    batched, one product per restart of the same shape as its own."""
+
+    CONFIG = FitConfig(max_iterations=100, seed=0)
+
+    def check(self, monkeypatch, X):
+        for k in range(1, 9):
+            block = kernel_runs(X, k, self.CONFIG)
+            alone = [restart_alone(monkeypatch, X, k, self.CONFIG, r) for r in range(self.CONFIG.n_restarts)]
+            assert run_bytes(block) == run_bytes(alone), f"k={k}"
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_PLOTS))
+    def test_kernel_plots(self, monkeypatch, name):
+        self.check(monkeypatch, KERNEL_PLOTS[name].points)
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_benchmark_plots(self, monkeypatch, benchmark_plots, index):
+        path = [*benchmark_plots["batch"], *benchmark_plots["pixel"]][index]
+        self.check(monkeypatch, read_scatterplot_csv(path).points)
+
+
+def test_log_joint_within_tolerance_of_the_centred_formula():
+    # The moment form adds and cancels larger terms than the centred formula did: on the points of each
+    # KERNEL_PLOTS plot, centred as the E-step centres them, it stays within 1e-10 of it, relative.
+    worst = 0.0
+    for sp in KERNEL_PLOTS.values():
+        X = sp.points
+        x, y = X.T
+        for k in range(1, 6):
+            model = fit_em(sp, k, FitConfig(n_restarts=1, max_iterations=40))
+            got = kernel_log_joint(x, y, model.weights, model.means, model.covs, centre=X.mean(axis=0))
+            oracle = np.array([math.log(w) + centred_log_pdf(x, y, mean, *cov)
+                               for w, mean, cov in zip(model.weights, model.means, model.covs.tolist())])
+            worst = max(worst, float((np.abs(got - oracle) / np.abs(oracle)).max()))
+    assert worst < 1e-10, worst
+
+
 class TestKernelFailures:
     """The kernel raises what the per-component loops raised, on every failure path."""
 
     X = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 2.0], [0.5, 3.0]])
     W = np.array([1.0, 2.0, 1.0, 3.0])
 
-    @staticmethod
-    def centred(x, y, rows):
-        """A (4, rows, n) buffer with the points centred on the origin."""
-        buf = np.empty((4, rows, x.shape[0]))
-        gmm._centre(x, y, np.zeros((rows, 2)), buf)
-        return buf
-
     def test_singular_covariance_first_bad_component_named(self):
         x, y = self.X.T.copy()
+        phi, _ = reference_features(x, y, self.W)
         means = np.zeros((3, 2))
         covs = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, 2.0, 1.0]])  # det 1, 0, -3
-        expected = raised(reference_e_step, x, y, self.W, np.full(3, 1 / 3), means, covs)
+        expected = raised(reference_e_step, phi, self.W, np.full(3, 1 / 3), means, covs)
         assert expected == (DegenerateCovarianceError, "covariance is singular (det=0.0)")
         failed = {}
-        assert np.isfinite(gmm._log_joint(np.full(3, 1 / 3), covs, self.centred(x, y, 3), 3, failed)).all()
+        assert np.isfinite(gmm._coefficients(np.full(3, 1 / 3), means, covs, 3, failed)).all()
         assert failed == {0: expected[1]}
         # in a block of restarts, only the group holding a singular covariance fails, and its rows stay finite
         good = covs[:1].repeat(3, axis=0)
         failed = {}
-        lp = gmm._log_joint(np.full(9, 1 / 3), np.vstack([good, covs, covs[::-1]]), self.centred(x, y, 9), 3, failed)
+        coef = gmm._coefficients(np.full(9, 1 / 3), np.zeros((9, 2)), np.vstack([good, covs, covs[::-1]]), 3, failed)
         assert failed == {1: expected[1], 2: "covariance is singular (det=-3.0)"}
-        assert lp[:3].tobytes() == reference_log_joint(x, y, np.full(3, 1 / 3), means, good).tobytes()
-        assert np.isfinite(lp[3:]).all()
+        assert coef[:3].tobytes() == reference_coefficients(np.full(3, 1 / 3), means, good).tobytes()
+        assert np.isfinite(coef[3:]).all()
         model = MixtureModel(np.full(3, 1 / 3), means, covs, 0.0, 4)
         assert raised(mixture_pdf, model, self.X) == expected
 
     def test_component_losing_all_responsibility(self):
         x, y = self.X.T.copy()
         resp = np.array([[0.5, 1.0, 0.0, 0.2], [0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 1.0, 0.8]])
-        expected = raised(reference_m_step, x, y, self.W, 7, resp, 1e-6)
+        expected = raised(reference_m_step, reference_features(x, y, self.W)[1], 7, resp, 1e-6)
         assert expected == (ReferenceFailure, "a component lost all responsibility")
         # in the block, the restart that loses a component leaves it with that message
         X = mixed_exit_plot().points
-        reference = reference_runs(X, 6, MIXED_EXITS)
-        kernel = kernel_runs(X, 6, MIXED_EXITS)
+        reference = reference_runs(X, 4, MIXED_EXITS)
+        kernel = kernel_runs(X, 4, MIXED_EXITS)
         lost = [i for i, run in enumerate(reference) if run == expected[1]]
         assert lost and [kernel[i] for i in lost] == [expected[1]] * len(lost)
 
     def test_restart_with_a_nan_log_likelihood_fails(self):
-        # Without regularization, restart 0's yy variance underflows to about 1e-320: an inf column meets a
-        # 0 and its log-likelihood turns NaN.  Nothing compares > NaN, so the reference keeps it as best.
-        sp = mixed_exit_plot(seed=193, centre=10)
-        alone = FitConfig(regularization=0.0, n_restarts=1, max_iterations=10, seed=0, em_tolerance=1e-3)
+        # Restart 0's log-likelihood turns NaN at its last E-step, the 12th (see hairline_plot).  Nothing
+        # compares > NaN, so the reference keeps it as best.
+        sp = hairline_plot()
+        config = FitConfig(regularization=0.0, n_restarts=6, max_iterations=11, seed=0, em_tolerance=1e-3)
+        alone = FitConfig(regularization=0.0, n_restarts=1, max_iterations=11, seed=0, em_tolerance=1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = reference_runs(sp.points, 4, MIXED_EXITS)
-            got = kernel_runs(sp.points, 4, MIXED_EXITS)
-            model, traces = fit_em_with_trace(sp, 4, MIXED_EXITS)
+            expected = reference_runs(sp.points, 4, config)
+            got = kernel_runs(sp.points, 4, config)
+            model, traces = fit_em_with_trace(sp, 4, config)
             with pytest.raises(DegenerateCovarianceError, match=r"all 1 EM restarts failed: .*not finite \(nan\)"):
                 fit_em_with_trace(sp, 4, alone)
-        assert math.isnan(expected[0][3])
+        assert math.isnan(expected[0][3]) and len(expected[0][4]) == 12
         assert got[0] == "log-likelihood is not finite (nan)"
         assert run_bytes(got[1:]) == run_bytes(expected[1:])
         best = max(expected[1:], key=lambda run: run[3])
@@ -602,6 +674,26 @@ class TestKernelFailures:
         expected = reference_runs(X, 3, cfg)
         assert expected == ["covariance collapsed to a singular matrix"] * 3
         assert kernel_runs(X, 3, cfg) == expected
+
+
+def far_point_plot(seed):
+    """40 standard-normal points and one far point (5 to 50 from the origin on each axis, random signs)
+    repeated one to three times."""
+    rng = np.random.default_rng(seed)
+    far = rng.uniform(5.0, 50.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+    return Scatterplot(np.vstack([rng.normal(size=(40, 2)), np.repeat(far[None], int(rng.integers(1, 4)), axis=0)]))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_collapse_without_regularization_stays_a_failure(k):
+    # Without regularization every restart puts a component on the far point or on two points, whose
+    # covariance is singular.  E[x^2] - m^2 leaves a rounding residue there (a variance of about 1e-14 without
+    # the clamp to 0), which must not pass as a fit.
+    config = FitConfig(regularization=0.0, n_restarts=5, seed=0)
+    for seed in range(40):
+        with pytest.raises(DegenerateCovarianceError) as info:
+            fit_em(far_point_plot(seed), k, config)
+        assert str(info.value) == "all 5 EM restarts failed: covariance collapsed to a singular matrix", seed
 
 
 def reference_stop(trace, need):
@@ -708,6 +800,31 @@ class TestSelectModel:
         assert np.isfinite(res.bic)
 
 
+class TestAlerts:
+    """``FitResult.alerts``: the warnings that name a K skipped as degenerate or a K whose kept restart stopped at
+    the iteration cap."""
+
+    def test_kept_restart_at_the_cap(self):
+        sp = KERNEL_PLOTS["blobs3"]
+        res = select_model(sp, FitConfig(k_max=4, max_iterations=3))
+        assert [k for k, _ in res.per_k_bic] == [1, 2, 3, 4]
+        assert res.alerts == res.warnings == tuple(f"k={k}: the kept restart stopped at the cap of 3 EM iterations"
+                                                   for k in (2, 3, 4))
+        # K=1 converges after two M-steps, before the cap
+        assert fit_em(sp, 1, FitConfig(max_iterations=3)).iterations == 2
+
+    def test_converged_sweep_has_none(self):
+        res = select_model(KERNEL_PLOTS["blobs3"], FitConfig(k_max=4))
+        assert res.alerts == res.warnings == () and res.model.iterations == 7
+
+    def test_degenerate_k(self):
+        sites = Scatterplot(np.repeat([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]], 10, axis=0))
+        res = select_model(sites, FitConfig(k_max=3, regularization=0.0))
+        assert res.k_star == 1
+        assert res.alerts == res.warnings == tuple(
+            f"k={k} skipped: all 5 EM restarts failed: covariance collapsed to a singular matrix" for k in (2, 3))
+
+
 def stub_sweep(monkeypatch, bics: dict, bars=None):
     """Make ``select_model`` see BIC ``bics[k]`` for each K (None: every restart degenerate; "stopped": every
     restart stopped below the bar); returns the list of K values it fits, and appends each bar to ``bars``."""
@@ -769,6 +886,7 @@ class TestBicPatience:
             "k=4 skipped: all restarts failed",
             "k=6..10 not fitted: no BIC gain over k=2 in 2 consecutive K",
         )
+        assert res.alerts == ("k=4 skipped: all restarts failed",)
 
     def test_k_whose_restarts_all_stop_is_a_miss(self, monkeypatch):
         bics = {1: -10.0, 2: -5.0, 3: "stopped", 4: -4.0, 5: "stopped", 6: -6.0, 7: 0.0}
@@ -783,6 +901,7 @@ class TestBicPatience:
             "k=5: every restart stopped below the BIC of k=4",
             "k=7..10 not fitted: no BIC gain over k=4 in 2 consecutive K",
         )
+        assert res.alerts == ()
 
     @pytest.mark.parametrize("bics,expected", [
         ({1: -10.0, 2: -5.0, 3: -4.0, 4: -3.0},
