@@ -8,6 +8,7 @@ restarts and initialization draw from seeds derived with
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -218,24 +219,46 @@ def mixture_pdf(model: MixtureModel, points) -> np.ndarray:
 # EM fitting
 
 
-def _kmeanspp_means(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = X.shape[0]
+def _kmeanspp_means(xs: np.ndarray, ys: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k seeds from the points (xs, ys): the first uniform, each next one drawn with probability proportional
+    to its squared distance to the nearest seed so far, by the inverse-CDF draw that
+    ``rng.choice(n, p=d2 / total)`` makes, which gives the same index and leaves the same stream state."""
+    n = xs.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
+    d2 = (xs - xs[chosen[0]]) ** 2 + (ys - ys[chosen[0]]) ** 2
     for _ in range(k - 1):
         total = float(d2.sum())
         if total > 0.0:
-            j = int(rng.choice(n, p=d2 / total))
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            j = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             j = int(rng.integers(n))
         chosen.append(j)
-        d2 = np.minimum(d2, ((X - X[j]) ** 2).sum(axis=1))
-    return X[np.array(chosen)].copy()
+        np.minimum(d2, (xs - xs[j]) ** 2 + (ys - ys[j]) ** 2, out=d2)
+    return np.column_stack([xs[chosen], ys[chosen]])
 
 
-def _pooled_covariance(X: np.ndarray) -> np.ndarray:
-    d = X - X.mean(axis=0)
-    return d.T @ d / X.shape[0]
+@functools.lru_cache(maxsize=1)
+def _em_inputs(scatterplot: Scatterplot) -> tuple:
+    """The EM inputs that depend only on the plot: the x and y columns of all N points, which seeding draws
+    from; their mean, the centre; the pooled covariance about it; the variance scale (1 when it is 0); and
+    the (6, n) moment features ``phi`` of the n distinct points centred on the centre, their counts ``w``
+    and the count-weighted (n, 6) ``wphi``, all read-only.  Held for the last plot only: a Scatterplot
+    hashes by identity and its points are read-only, so they cannot go stale."""
+    X = scatterplot.points
+    xs, ys = np.ascontiguousarray(X.T)
+    centre = X.mean(axis=0)
+    d = X - centre
+    pooled = d.T @ d / X.shape[0]
+    scale = float(X.var(axis=0).mean())
+    distinct, counts = np.unique(X, axis=0, return_counts=True)
+    w = counts.astype(float)
+    phi = _features(distinct[:, 0] - centre[0], distinct[:, 1] - centre[1])
+    wphi = (phi * w).T.copy()
+    for a in (xs, ys, centre, pooled, phi, w, wphi):
+        a.setflags(write=False)
+    return xs, ys, centre, pooled, scale if scale > 0.0 else 1.0, phi, w, wphi
 
 
 def _m_step(stats: np.ndarray, n_points: int, reg: float):
@@ -262,31 +285,29 @@ def _aitken_limit(trace: list) -> float:
     return trace[-2] + last / (1.0 - last / before)
 
 
-def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float, need: float = -math.inf) -> list:
-    """The ``config.n_restarts`` EM runs of one K in lockstep, as one block with a group of k rows per run:
-    seeded and scaled on all of X, iterated on its distinct points centred on the mean of X.  Each E-step is
-    one batched product of the runs' coefficients with the points' moment features, and each M-step one
-    batched product of their responsibilities with the count-weighted features: one product per group, so a
-    run gives the bits it gives alone.  A run leaves the block after the E-step in which it converges, reaches
-    ``max_iterations``, fails (a singular covariance, a lost component, or a log-likelihood that is not finite
-    at the end) or stops because its projected log-likelihood stays below ``need`` (see STOP_AFTER).  Returns
-    each run's (weights, means, covs, loglik, trace), its trace alone if it stopped, or the message of its
-    failure, in restart order."""
+def _run_em(inputs: tuple, k: int, config: FitConfig, need: float = -math.inf) -> list:
+    """The ``config.n_restarts`` EM runs of one K on a plot's :func:`_em_inputs`, in lockstep, as one block
+    with a group of k rows per run: seeded on all N points, iterated on the distinct points centred on their
+    mean.  Each E-step is one batched product of the runs' coefficients with the points' moment features, and
+    each M-step one batched product of their responsibilities with the count-weighted features: one product
+    per group, so a run gives the bits it gives alone.  A run leaves the block after the E-step in which it
+    converges, reaches ``max_iterations``, fails (a singular covariance, a lost component, or a log-likelihood
+    that is not finite at the end) or stops because its projected log-likelihood stays below ``need`` (see
+    STOP_AFTER).  A covariance whose determinant xx*yy - xy*xy is at most 16 eps xx*yy is singular: below
+    that, the determinant is rounding residue.  Returns each run's (weights, means, covs, loglik, trace), its
+    trace alone if it stopped, or the message of its failure, in restart order."""
     n_runs = config.n_restarts
-    pooled = _pooled_covariance(X)
+    xs, ys, centre, pooled, scale, phi, w, wphi = inputs
+    reg = config.regularization * scale
     cov0 = np.array([pooled[0, 0] + reg, pooled[0, 1], pooled[1, 1] + reg])
-    if cov0[0] * cov0[2] - cov0[1] ** 2 <= 0.0:
+    if cov0[0] * cov0[2] - cov0[1] ** 2 <= 16 * EPS * cov0[0] * cov0[2]:
         return ["initial pooled covariance is singular"] * n_runs
-    centre = X.mean(axis=0)
-    means = np.concatenate([_kmeanspp_means(X, k, spawn_rng(config.seed, "em", k, r)) for r in range(n_runs)])
+    means = np.concatenate([_kmeanspp_means(xs, ys, k, spawn_rng(config.seed, "em", k, r)) for r in range(n_runs)])
     means -= centre
     covs = np.tile(cov0, (n_runs * k, 1))
     weights = np.full(n_runs * k, 1.0 / k)
 
-    x, y, w = grouped
-    phi = _features(x - centre[0], y - centre[1])
-    wphi = (phi * w).T.copy()
-    buf = np.empty((n_runs * k, x.shape[0]))
+    buf = np.empty((n_runs * k, phi.shape[1]))
     live, outcomes, traces = list(range(n_runs)), [None] * n_runs, [[] for _ in range(n_runs)]
     ended: dict = {}  # group -> outcome of each run that leaves after this E-step
     while True:
@@ -294,7 +315,7 @@ def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float, need:
         resp, logsum = _posterior(np.matmul(coef, phi, out=buf[:len(live) * k].reshape(len(live), k, -1)))
         logliks = (w * logsum).sum(axis=1).tolist()
         stats = np.matmul(resp, wphi)
-        nks = stats[:, :, 5].tolist()
+        lost = (stats[:, :, 5] < 1e-10).any(axis=1).tolist()
         for i, (trace, loglik) in enumerate(zip([traces[r] for r in live], logliks)):
             if i in ended:
                 continue
@@ -305,7 +326,7 @@ def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float, need:
                 # in picking the best restart, nothing compares > NaN
                 ended[i] = ((weights[rows], means[rows] + centre, covs[rows], loglik, np.array(trace))
                             if math.isfinite(loglik) else f"log-likelihood is not finite ({loglik})")
-            elif any(v < 1e-10 for v in nks[i]):
+            elif lost[i]:
                 ended[i] = "a component lost all responsibility"
             elif len(trace) > STOP_AFTER and _aitken_limit(trace) < need - STOP_MARGIN:
                 ended[i] = np.array(trace)
@@ -316,16 +337,9 @@ def _run_em(X: np.ndarray, grouped, k: int, config: FitConfig, reg: float, need:
             live, stats = [live[i] for i in kept], stats[kept]
             if not live:
                 return outcomes
-        weights, means, covs = _m_step(stats, X.shape[0], reg)
-        collapsed = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1] <= 0.0
+        weights, means, covs = _m_step(stats, xs.shape[0], reg)
+        collapsed = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1] <= 16 * EPS * covs[:, 0] * covs[:, 2]
         ended = {j // k: "covariance collapsed to a singular matrix" for j in np.flatnonzero(collapsed).tolist()}
-
-
-def _effective_regularization(X: np.ndarray, config: FitConfig) -> float:
-    scale = float(X.var(axis=0).mean())
-    if scale <= 0.0:
-        scale = 1.0
-    return config.regularization * scale
 
 
 def _build_model(weights, means, covs, loglik, n, iterations=0) -> MixtureModel:
@@ -351,14 +365,8 @@ def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig, beat_
         raise ValueError("k must be >= 1")
     if scatterplot.n < k:
         raise ValueError(f"need at least k={k} points, got N={scatterplot.n}")
-    X = scatterplot.points
-    reg = _effective_regularization(X, config)
-    distinct, counts = np.unique(X, axis=0, return_counts=True)
-    x, y = np.ascontiguousarray(distinct.T)
-    grouped = (x, y, counts.astype(float))
-
     need = (beat_bic - bic_value(0.0, k, scatterplot.n, config.bic_penalty_mode)) / 2
-    outcomes = _run_em(X, grouped, k, config, reg, need)
+    outcomes = _run_em(_em_inputs(scatterplot), k, config, need)
     traces = [outcome if isinstance(outcome, np.ndarray) else outcome[4]
               for outcome in outcomes if not isinstance(outcome, str)]
     if not traces:

@@ -366,7 +366,8 @@ def reference_e_step(phi, w, weights, means, covs):
 
 def reference_m_step(wphi, n_points, resp, reg):
     """Weights, means and covariances from one (1, k, n) @ (n, 6) product, component by component in Python
-    floats: a variance at or below 16 eps of its second moment is rounding noise and becomes 0 before reg."""
+    floats: a variance at or below 16 eps of its second moment is rounding noise and becomes 0 before reg, and
+    a covariance whose determinant is at most 16 eps xx*yy has collapsed."""
     stats = np.matmul(resp[None], wphi)[0].tolist()
     if any(row[5] < 1e-10 for row in stats):
         raise ReferenceFailure("a component lost all responsibility")
@@ -378,7 +379,7 @@ def reference_m_step(wphi, n_points, resp, reg):
         xx, xy, yy = exx - mx * mx, exy - mx * my, eyy - my * my
         xx = (0.0 if xx <= eps16 * exx else xx) + reg
         yy = (0.0 if yy <= eps16 * eyy else yy) + reg
-        if xx * yy - xy * xy <= 0.0:
+        if xx * yy - xy * xy <= eps16 * xx * yy:
             raise ReferenceFailure("covariance collapsed to a singular matrix")
         weights.append(nk / n_points)
         means.append([mx, my])
@@ -386,14 +387,39 @@ def reference_m_step(wphi, n_points, resp, reg):
     return np.array(weights), np.array(means), np.array(covs)
 
 
+def reference_kmeanspp(X, k, rng):
+    """k-means++ seeds of the rows of X, each next one drawn by ``Generator.choice`` with probability
+    proportional to its squared distance to the nearest seed so far; uniform when every point lies on a
+    seed."""
+    n = X.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(k - 1):
+        total = float(d2.sum())
+        if total > 0.0:
+            j = int(rng.choice(n, p=d2 / total))
+        else:
+            j = int(rng.integers(n))
+        chosen.append(j)
+        d2 = np.minimum(d2, ((X - X[j]) ** 2).sum(axis=1))
+    return X[np.array(chosen)].copy()
+
+
+def effective_regularization(X, config):
+    """``config.regularization`` times the mean of the two coordinate variances of X (1 when it is 0)."""
+    scale = float(X.var(axis=0).mean())
+    return config.regularization * (scale if scale > 0.0 else 1.0)
+
+
 def reference_run_em(X, grouped, k, config, reg, restart):
     """One restart on its own, on the distinct points centred on the mean of X."""
     rng = spawn_rng(config.seed, "em", k, restart)
     centre = X.mean(axis=0)
-    means = gmm._kmeanspp_means(X, k, rng) - centre
-    pooled = gmm._pooled_covariance(X)
+    means = reference_kmeanspp(X, k, rng) - centre
+    d = X - centre
+    pooled = d.T @ d / X.shape[0]
     cov0 = np.array([pooled[0, 0] + reg, pooled[0, 1], pooled[1, 1] + reg])
-    if cov0[0] * cov0[2] - cov0[1] ** 2 <= 0.0:
+    if cov0[0] * cov0[2] - cov0[1] ** 2 <= 16 * np.finfo(float).eps * cov0[0] * cov0[2]:
         raise ReferenceFailure("initial pooled covariance is singular")
     covs = np.tile(cov0, (k, 1))
     weights = np.full(k, 1.0 / k)
@@ -422,7 +448,7 @@ def grouped_points(X):
 
 def reference_runs(X, k, config):
     """Each restart of ``reference_run_em`` run on its own: its results, or its failure message."""
-    grouped, reg = grouped_points(X), gmm._effective_regularization(X, config)
+    grouped, reg = grouped_points(X), effective_regularization(X, config)
     runs = []
     for restart in range(config.n_restarts):
         try:
@@ -433,8 +459,8 @@ def reference_runs(X, k, config):
 
 
 def kernel_runs(X, k, config, need=-math.inf):
-    """The restarts of one K run in lockstep by ``gmm._run_em``."""
-    return gmm._run_em(X, grouped_points(X), k, config, gmm._effective_regularization(X, config), need)
+    """The restarts of one K run in lockstep by ``gmm._run_em``, on the inputs of a new plot of the points X."""
+    return gmm._run_em(gmm._em_inputs(Scatterplot(X)), k, config, need)
 
 
 def run_bytes(runs):
@@ -696,6 +722,82 @@ def test_collapse_without_regularization_stays_a_failure(k):
         assert str(info.value) == "all 5 EM restarts failed: covariance collapsed to a singular matrix", seed
 
 
+@pytest.mark.parametrize("plot_seed,seed,k", [(2, 19, 2), (3, 6, 2), (24, 6, 2), (25, 12, 3)])
+def test_collapse_is_judged_against_the_variances(plot_seed, seed, k):
+    # A component on the far point and one point of the blob, on a line that is not parallel to an axis, has a
+    # singular covariance whose determinant xx*yy - xy*xy is rounding residue of either sign.  In these
+    # restarts it comes out positive, 1e-16 to 7e-16 of xx*yy, and a det <= 0 rule keeps a converged fit on it
+    # (log-likelihood -95 to -90 after 10 to 16 M-steps); a determinant of at most 16 eps xx*yy is a collapse.
+    X = far_point_plot(plot_seed).points
+    config = FitConfig(regularization=0.0, n_restarts=1, seed=seed)
+    assert kernel_runs(X, k, config) == reference_runs(X, k, config) == ["covariance collapsed to a singular matrix"]
+    with pytest.raises(DegenerateCovarianceError, match="^all 1 EM restarts failed: covariance collapsed"):
+        fit_em(far_point_plot(plot_seed), k, config)
+
+
+def seeding_cases():
+    """200 seeded (X, k, seed) cases: N from 1 to 4000 (log-uniform, and 4000 in every 25th), K from 1 to 10,
+    as normal points, as points on a few sites (heavy duplicates), as normal points snapped to a coarse
+    lattice, and all points identical (every draw after the first from the total == 0 branch)."""
+    cases = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n, k = int(np.exp(rng.uniform(0.0, np.log(4000.0)))), int(rng.integers(1, 11))
+        n = 4000 if seed % 25 == 0 else n
+        kind = seed % 4
+        if kind == 0:
+            X = rng.normal(size=(n, 2)) * rng.uniform(0.1, 100.0)
+        elif kind == 1:
+            X = rng.normal(size=(5, 2))[rng.integers(5, size=n)]
+        elif kind == 2:
+            X = np.round(rng.normal(size=(n, 2)) * 2.0)
+        else:
+            X = np.tile(rng.normal(size=(1, 2)), (n, 1))
+        cases.append((X, k, seed))
+    return cases
+
+
+def test_seeding_draws_what_choice_draws():
+    # gmm._kmeanspp_means draws each seed by inverse CDF (cumsum, random(), searchsorted) where the reference
+    # calls Generator.choice: the same seeds, bit for bit, and the same generator state after them.
+    kinds = {"identical": 0, "duplicates": 0, "n=1": 0}
+    for X, k, seed in seeding_cases():
+        ours, theirs = spawn_rng(seed, "em", k, 0), spawn_rng(seed, "em", k, 0)
+        got = gmm._kmeanspp_means(np.ascontiguousarray(X[:, 0]), np.ascontiguousarray(X[:, 1]), k, ours)
+        assert got.tobytes() == reference_kmeanspp(X, k, theirs).tobytes(), seed
+        assert ours.bit_generator.state == theirs.bit_generator.state, seed
+        distinct = len(np.unique(X, axis=0))
+        kinds["identical"] += distinct == 1 and k > 1
+        kinds["duplicates"] += 1 < distinct < len(X) / 2
+        kinds["n=1"] += len(X) == 1
+    assert kinds["identical"] >= 50 and kinds["duplicates"] >= 60 and kinds["n=1"] >= 10, kinds
+
+
+class StepGenerator(np.random.Generator):
+    """A Generator whose ``integers`` gives 0 and whose ``random`` gives the values ``draws`` in turn; its
+    ``choice`` draws with that ``random`` too."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self.draws = list(draws)
+
+    def integers(self, *args, **kwargs):
+        return 0
+
+    def random(self, *args, **kwargs):
+        return self.draws.pop(0)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 0.75])
+def test_seeding_draw_on_a_cdf_step_picks_as_choice_does(u):
+    # After the seed at point 0, the squared distances are (0, 0, 1, 1, 1, 1) and the CDF (0, 0, .25, .5, .75, 1):
+    # a draw u on a step picks the point after it (side="left" would pick the one before, at u = 0 a point of
+    # probability 0, a second copy of the first seed).
+    X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    got = gmm._kmeanspp_means(np.ascontiguousarray(X[:, 0]), np.ascontiguousarray(X[:, 1]), 2, StepGenerator([u]))
+    assert got.tobytes() == reference_kmeanspp(X, 2, StepGenerator([u])).tobytes() == X[[0, 2 + int(u * 4)]].tobytes()
+
+
 def reference_stop(trace, need):
     """The M-step at which the projected stop ends a restart with this no-bar trace, or None: the first t of at
     least 50 before the trace's own end with dL_t <= 1e-3 |L_t|, dL_{t-1} > 0, a = dL_t / dL_{t-1} in [0, 1)
@@ -717,8 +819,7 @@ class TestProjectedStop:
         X = KERNEL_PLOTS["blobs3"].points
         expected = reference_runs(X, 6, self.CONFIG)
         assert [reference_stop(run[4].tolist(), self.NEED) for run in expected] == [52, 59, None, None]
-        got = gmm._run_em(X, grouped_points(X), 6, self.CONFIG, gmm._effective_regularization(X, self.CONFIG),
-                          self.NEED)
+        got = kernel_runs(X, 6, self.CONFIG, self.NEED)
         for run, ref, steps in zip(got[:2], expected[:2], (52, 59)):
             assert isinstance(run, np.ndarray) and run.tobytes() == ref[4][:steps + 1].tobytes()
         assert run_bytes(got[2:]) == run_bytes(expected[2:])
@@ -734,6 +835,46 @@ class TestProjectedStop:
         model, traces = fit_em_with_trace(sp, 6, self.CONFIG, beat_bic=bic_value(-540.0, 6, sp.n))
         assert model is None and fit_em(sp, 6, self.CONFIG, beat_bic=bic_value(-540.0, 6, sp.n)) is None
         assert len(traces) == 4 and all(51 <= len(t) < len(f) for t, f in zip(traces, full))
+
+
+def fit_bytes(sp, k, config, beat_bic=-math.inf):
+    """The bytes of ``fit_em_with_trace``: the model's arrays, log-likelihood and iterations, and each trace."""
+    model, traces = fit_em_with_trace(sp, k, config, beat_bic)
+    if model is not None:
+        model = [np.asarray(v).tobytes() for v in (model.weights, model.means, model.covs, model.log_likelihood,
+                                                    model.iterations)]
+    return model, [t.tobytes() for t in traces]
+
+
+class TestEmInputsCache:
+    """``gmm._em_inputs`` builds a plot's EM inputs once and holds them for the last plot fitted: no fit depends
+    on whether they were held."""
+
+    CONFIG = TestProjectedStop.CONFIG
+
+    @pytest.mark.parametrize("bar", [-math.inf, bic_value(TestProjectedStop.NEED, 6, KERNEL_PLOTS["blobs3"].n)])
+    def test_fits_of_k_in_sequence_equal_fits_on_fresh_plots(self, bar):
+        sp = Scatterplot(KERNEL_PLOTS["blobs3"].points)
+        before = gmm._em_inputs.cache_info()
+        in_sequence = [fit_bytes(sp, k, self.CONFIG, bar) for k in range(1, 7)]
+        after = gmm._em_inputs.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 5)
+        assert in_sequence == [fit_bytes(Scatterplot(sp.points), k, self.CONFIG, bar) for k in range(1, 7)]
+        assert not any(a.flags.writeable for a in gmm._em_inputs(sp) if isinstance(a, np.ndarray))
+
+    def test_select_model_groups_the_plot_once(self, monkeypatch, benchmark_plots):
+        plot = read_scatterplot_csv(benchmark_plots["pixel"][0])
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(args) or unique(*args, **kwargs))
+        fitted = fitted_ks(monkeypatch)
+        select_model(plot, FitConfig())
+        assert fitted == [1, 2, 3, 4] and len(calls) == 1
+
+    def test_alternating_plots_each_get_their_own_fit(self):
+        plots = [Scatterplot(KERNEL_PLOTS[name].points) for name in ("blobs3", "grid_snapped")]
+        alternating = [fit_bytes(sp, k, self.CONFIG) for k in range(1, 5) for sp in plots]
+        assert alternating == [fit_bytes(Scatterplot(sp.points), k, self.CONFIG) for k in range(1, 5) for sp in plots]
+        assert gmm._em_inputs.cache_info().currsize == 1  # the inputs of the last plot only
 
 
 class TestBic:
@@ -975,7 +1116,7 @@ def test_unbarred_fit_of_the_snapped_plot_reaches_the_lattice_artefact():
     config = FitConfig()
     model, _ = fit_em_with_trace(plot, 10, config)
     assert bic_value(model.log_likelihood, 10, plot.n) > select_model(plot, config).bic + 100
-    floor = gmm._effective_regularization(plot.points, config)
+    floor = effective_regularization(plot.points, config)
     assert model.covs[:, 2].min() <= floor * (1 + 1e-9)
 
 
