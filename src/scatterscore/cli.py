@@ -30,8 +30,11 @@ class InputError(Exception):
 
 @contextlib.contextmanager
 def _input_errors(prefix: str = "", out=None):
-    """Report an OSError, ValueError or KeyError raised inside, or a missing ``out`` directory, as a bad input."""
+    """Report an OSError, ValueError or KeyError raised inside as a bad input; so too an ``out``
+    that is a directory or whose parent is not one."""
     try:
+        if out is not None and Path(out).is_dir():
+            raise ValueError(f"--out {out} is a directory")
         if out is not None and not Path(out).parent.is_dir():
             raise ValueError(f"--out {out}: {Path(out).parent} is not a directory")
         yield
@@ -150,9 +153,6 @@ def cmd_generate(args, opts) -> int:
             param_sets = augment.read_params_csv(args.params_file)
             if "manifest" in dict(param_sets):
                 raise ValueError(f"{args.params_file}: id 'manifest' would name the file that holds the manifest")
-            for i, (plot_id, params) in enumerate(param_sets):  # every plot is drawn once before any is written
-                with _input_errors(f"{args.params_file}: id {plot_id!r}: "):
-                    augment.generate_scatterplot(params, n, derive_seed(seed, "plot", i))
         elif opts["grid_count"] > 0:
             param_sets = [
                 (f"grid{i:04d}", augment.sample_grid_params(spawn_rng(seed, "grid", i)))
@@ -160,15 +160,17 @@ def cmd_generate(args, opts) -> int:
             ]
         else:
             raise ValueError("provide --params-file or --grid-count")
+        plots, manifest_rows = [], []
+        for i, (plot_id, params) in enumerate(param_sets):  # every plot is drawn once, before --out is created
+            plot_seed = derive_seed(seed, "plot", i)
+            with _input_errors(f"{args.params_file or '--grid-count'}: id {plot_id!r}: "):
+                plots.append(augment.generate_scatterplot(params, n, plot_seed, plot_id=plot_id))
+            manifest_rows.append([plot_id, f"{plot_id}.csv", n, plot_seed, *params.as_vector()])
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_rows = []
-    for i, (plot_id, params) in enumerate(param_sets):
-        plot_seed = derive_seed(seed, "plot", i)
-        fname = f"{plot_id}.csv"
-        gmm.write_scatterplot_csv(out_dir / fname, augment.generate_scatterplot(params, n, plot_seed, plot_id=plot_id))
-        manifest_rows.append([plot_id, fname, n, plot_seed, *params.as_vector()])
+    for plot, row in zip(plots, manifest_rows):
+        gmm.write_scatterplot_csv(out_dir / row[1], plot)
     manifest = out_dir / "manifest.csv"
     write_csv(manifest, ("id", "file", "n", "seed", *augment.PARAM_COLUMNS), manifest_rows)
     _write_sidecar(manifest, opts)
@@ -297,10 +299,7 @@ def cmd_evaluate(args, opts) -> int:
             "mode": "pairwise",
             "n_pairs": len(pairs),
             "n_raters": group.raters,
-            "kappa": point.kappa,
-            "observed_agreement": point.observed_agreement,
-            "expected_agreement": point.expected_agreement,
-            "label": point.label,
+            **dataclasses.asdict(point),
             "bootstrap": {
                 "b": boot.b,
                 "seed": seed,

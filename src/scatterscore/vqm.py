@@ -36,9 +36,10 @@ class MergeMatrix:
         object.__setattr__(self, "entries", e)
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=True)
 class VqmScore:
-    """(clusters after merging, components before merging)."""
+    """(clusters after merging, components before merging), ordered as the
+    paper orders plots: by m, then by k_star, as the field order gives."""
 
     m: int
     k_star: int
@@ -79,13 +80,8 @@ def score_scatterplot(scatterplot: Scatterplot, fit_config: FitConfig, merger: M
 
 
 def compare(a: VqmScore, b: VqmScore) -> str:
-    """Lexicographic order by m then k_star; returns '<', '=' or '>'."""
-    ka, kb = (a.m, a.k_star), (b.m, b.k_star)
-    if ka < kb:
-        return "<"
-    if ka > kb:
-        return ">"
-    return "="
+    """``VqmScore``'s order (m, then k_star); returns '<', '=' or '>'."""
+    return "<" if a < b else ">" if a > b else "="
 
 
 def scalar_score(score: VqmScore) -> float:
@@ -98,13 +94,12 @@ def scalar_score(score: VqmScore) -> float:
 
 
 def rank(scores, ascending: bool = False) -> list:
-    """Stable sort of (id, VqmScore) pairs; ties keep input order.
+    """Stable sort of (id, VqmScore) pairs in ``VqmScore``'s order; ties keep input order.
 
     Default is descending complexity (most promising view first); pass
     ascending=True for the simple-to-complex chain.
     """
-    items = list(scores)
-    return sorted(items, key=lambda t: (t[1].m, t[1].k_star), reverse=not ascending)
+    return sorted(scores, key=lambda t: t[1], reverse=not ascending)
 
 
 # ---------------------------------------------------------------------------

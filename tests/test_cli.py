@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scatterscore import vqm
+from scatterscore import augment, vqm
 from scatterscore.augment import read_corpus_csv
 from scatterscore.cli import main
 
@@ -104,6 +104,14 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "--params-file" in err and "--grid-count" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source,plots", [(["--params-file", DATA / "params.csv"], 4), (["--grid-count", 3], 3)])
+    def test_each_plot_drawn_once(self, tmp_path, monkeypatch, source, plots):
+        calls = []
+        draw = augment.generate_scatterplot
+        monkeypatch.setattr(augment, "generate_scatterplot", lambda *a, **kw: calls.append(a) or draw(*a, **kw))
+        assert run("generate", *source, "--n", 20, "--out", tmp_path / "o") == 0
+        assert len(calls) == plots == len(list((tmp_path / "o").glob("*.csv"))) - 1
 
     def test_params_file(self, tmp_path):
         params = tmp_path / "params.csv"
@@ -1170,6 +1178,17 @@ class TestOptions:
         assert run(command, *inputs[command], "--out", out) == 2
         assert f"{tmp_path / 'nodir'} is not a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["corpus", "train", "score", "rank", "evaluate"])
+    def test_out_that_is_a_directory_exit_2(self, tmp_path, inputs, capsys, command):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept\n")
+        assert run(command, *inputs[command], "--out", out) == 2
+        assert f"--out {out} is a directory" in capsys.readouterr().err
+        assert [(p.name, p.read_text()) for p in out.iterdir()] == [("kept.txt", "kept\n")]
+        assert not Path(str(out) + ".config.txt").exists()
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_rank_takes_no_seed(self, tmp_path, inputs):
         with pytest.raises(SystemExit) as exc:
