@@ -160,6 +160,9 @@ def cmd_generate(args, opts) -> int:
             ]
         else:
             raise ValueError("provide --params-file or --grid-count")
+        existing = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+        if not existing.is_dir():
+            raise ValueError(f"--out {args.out}: {existing} is not a directory")
         plots, manifest_rows = [], []
         for i, (plot_id, params) in enumerate(param_sets):  # every plot is drawn once, before --out is created
             plot_seed = derive_seed(seed, "plot", i)
@@ -254,7 +257,10 @@ def cmd_score(args, opts) -> int:
     scores = []
     for sp in plots:
         alerts: list[str] = []
-        scores.append((sp.id, vqm.score_scatterplot(sp, fit_config, merger, alerts)))
+        try:
+            scores.append((sp.id, vqm.score_scatterplot(sp, fit_config, merger, alerts)))
+        except gmm.DegenerateCovarianceError as exc:
+            raise gmm.DegenerateCovarianceError(f"{paths[sp.id]}: {exc}") from exc
         for alert in alerts:
             print(f"warning: {sp.id}: {alert}", file=sys.stderr)
     vqm.write_scores_csv(args.out, scores)
@@ -300,21 +306,15 @@ def cmd_evaluate(args, opts) -> int:
             "n_pairs": len(pairs),
             "n_raters": group.raters,
             **dataclasses.asdict(point),
-            "bootstrap": {
-                "b": boot.b,
-                "seed": seed,
-                "mean": boot.mean,
-                "sd": boot.sd,
-                "min": boot.min,
-                "max": boot.max,
-                "percentiles": {str(k): v for k, v in boot.percentiles.items()},
-            },
+            # the seed follows b; the replicate values stay out
+            "bootstrap": {"b": b, "seed": seed, **{k: v for k, v in vars(boot).items() if k != "values"}},
         }
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
         print(f"kappa {point.kappa:.4f} ({point.label}) over {len(pairs)} pairs")
     else:
         curve = agreement.alteration_curve(relations, group, ks, b, seed)
-        write_csv(args.out, ("k", "mean", "sd", "min", "max"), ((p.k, p.mean, p.sd, p.min, p.max) for p in curve))
+        header = [f.name for f in dataclasses.fields(agreement.AlterationPoint)]
+        write_csv(args.out, header, map(dataclasses.astuple, curve))
         print(f"alteration curve over k={ks} -> {args.out}")
     _write_sidecar(args.out, opts)
     return 0

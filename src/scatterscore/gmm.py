@@ -23,6 +23,9 @@ EPS = float(np.finfo(float).eps)
 COORD_LIMIT = float(np.finfo(float).max) ** 0.25 / 4
 # The K sweep stops once this many consecutive fitted K have not raised the best BIC.
 BIC_PATIENCE = 2
+# The BIC penalty of each bic_penalty_mode, per K: the component count, or the free parameter count (K-1 weights +
+# 2K means + 3K covariance entries).
+BIC_PENALTIES = {"component_count": lambda k: k, "free_parameter_count": lambda k: 6 * k - 1}
 # A restart of a K that needs a log-likelihood L* to beat the best BIC so far stops once it has run STOP_AFTER
 # M-steps, its last step is at most STOP_STEP * |L|, its steps shrink, and Aitken's projection of their limit
 # is more than STOP_MARGIN below L*.  A heuristic: a late jump (a component settling on one lattice row) can
@@ -131,7 +134,7 @@ class FitConfig:
             raise ValueError("n_restarts must be >= 1")
         if not (math.isfinite(self.regularization) and self.regularization >= 0.0):
             raise ValueError(f"regularization must be finite and >= 0, got {self.regularization}")
-        if self.bic_penalty_mode not in ("component_count", "free_parameter_count"):
+        if self.bic_penalty_mode not in BIC_PENALTIES:
             raise ValueError(f"unknown bic_penalty_mode {self.bic_penalty_mode!r}")
 
 
@@ -139,21 +142,21 @@ class FitConfig:
 class FitResult:
     """The BIC-selected fit.  ``per_k_bic`` holds, for each fitted K, the BIC of its best completed restart;
     a K whose restarts all stopped early is left out and named in ``warnings``.  ``alerts`` are the warnings
-    that name a K skipped as degenerate or a fitted K whose kept restart stopped at ``max_iterations``."""
+    that name a K skipped as degenerate or a fitted K whose kept restart stopped at ``max_iterations``.
+    ``k_star`` and ``bic`` are read off ``model`` and ``per_k_bic``."""
 
     model: MixtureModel
-    bic: float
-    k_star: int
     per_k_bic: tuple[tuple[int, float], ...]
     warnings: tuple[str, ...] = ()
     alerts: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "per_k_bic", tuple((int(k), float(b)) for k, b in self.per_k_bic))
-        object.__setattr__(self, "warnings", tuple(self.warnings))
-        object.__setattr__(self, "alerts", tuple(self.alerts))
-        if self.k_star != self.model.k:
-            raise ValueError("k_star must match the selected model's component count")
+    @property
+    def k_star(self) -> int:
+        return self.model.k
+
+    @property
+    def bic(self) -> float:
+        return dict(self.per_k_bic)[self.k_star]
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +387,10 @@ def fit_em(scatterplot: Scatterplot, k: int, config: FitConfig, beat_bic: float 
 
 
 def bic_value(log_likelihood: float, k: int, n_points: int, mode: str = "free_parameter_count") -> float:
-    """2L - penalty*log(N); penalty is K or the free parameter count 6K-1."""
-    if mode == "component_count":
-        penalty = k
-    elif mode == "free_parameter_count":
-        penalty = 6 * k - 1  # K-1 weights + 2K means + 3K covariance entries
-    else:
+    """2L - penalty*log(N), with the penalty of ``mode`` in ``BIC_PENALTIES``."""
+    if mode not in BIC_PENALTIES:
         raise ValueError(f"unknown bic_penalty_mode {mode!r}")
-    return 2.0 * log_likelihood - penalty * math.log(n_points)
+    return 2.0 * log_likelihood - BIC_PENALTIES[mode](k) * math.log(n_points)
 
 
 def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
@@ -416,12 +415,11 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
     alerts: list[str] = []
     best_model = None
     best_bic = -math.inf
-    best_k = 0
     misses = 0
     for k in range(1, config.k_max + 1):
         if misses == BIC_PATIENCE:
             unfitted = f"k={k}" if k == config.k_max else f"k={k}..{config.k_max}"
-            warnings.append(f"{unfitted} not fitted: no BIC gain over k={best_k} in {misses} consecutive K")
+            warnings.append(f"{unfitted} not fitted: no BIC gain over k={best_model.k} in {misses} consecutive K")
             break
         if k > scatterplot.n:
             warnings.append(f"k={k} skipped: more components than points (N={scatterplot.n})")
@@ -433,7 +431,7 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
             warnings.append(alerts[-1])
             continue
         if model is None:
-            warnings.append(f"k={k}: every restart stopped below the BIC of k={best_k}")
+            warnings.append(f"k={k}: every restart stopped below the BIC of k={best_model.k}")
             misses += 1
             continue
         bic = bic_value(model.log_likelihood, k, scatterplot.n, config.bic_penalty_mode)
@@ -442,15 +440,13 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
             alerts.append(f"k={k}: the kept restart stopped at the cap of {model.iterations} EM iterations")
             warnings.append(alerts[-1])
         if bic > best_bic:
-            best_model, best_bic, best_k, misses = model, bic, k, 0
+            best_model, best_bic, misses = model, bic, 0
         else:
             misses += 1
     if best_model is None:
         raise DegenerateCovarianceError("no component count could be fitted")
     return FitResult(
         model=best_model,
-        bic=best_bic,
-        k_star=best_k,
         per_k_bic=tuple(per_k),
         warnings=tuple(warnings),
         alerts=tuple(alerts),

@@ -108,39 +108,31 @@ def decompose_covariance(cov) -> ShapeParams:
     return ShapeParams(theta=theta, sigma_x=math.sqrt(lam1), sigma_y=math.sqrt(lam2))
 
 
-def _rescaled(tau: float, mu: float, shape_u: ShapeParams, shape_v: ShapeParams, beta: float) -> list[float]:
-    """The aligned feature vector: both thetas turned by beta and wrapped, mu and the four sigmas divided
-    by their maximum."""
-    s = max(mu, shape_u.sigma_x, shape_u.sigma_y, shape_v.sigma_x, shape_v.sigma_y)
-    return [tau, mu / s, shape_u.sigma_x / s, shape_u.sigma_y / s, shape_v.sigma_x / s, shape_v.sigma_y / s,
-            wrap_angle(shape_u.theta + beta), wrap_angle(shape_v.theta + beta)]
+def _aligned_row(w_a: float, w_b: float, mean_a, mean_b, shape_a: ShapeParams, shape_b: ShapeParams) -> list[float]:
+    """The aligned row of components a and b: beta (from the a->b center direction to the positive y-axis) is
+    added to both thetas, and mu and the four sigmas are divided by their maximum.  Coincident means leave
+    beta = 0: the pattern is rotation-symmetric, so any choice is equivalent."""
+    dx, dy = mean_b[0] - mean_a[0], mean_b[1] - mean_a[1]
+    mu = math.hypot(dx, dy)
+    beta = 0.0 if mu < 1e-12 else HALF_PI - math.atan2(dy, dx)
+    s = max(mu, shape_a.sigma_x, shape_a.sigma_y, shape_b.sigma_x, shape_b.sigma_y)
+    return [w_a / (w_a + w_b), mu / s, shape_a.sigma_x / s, shape_a.sigma_y / s, shape_b.sigma_x / s,
+            shape_b.sigma_y / s, wrap_angle(shape_a.theta + beta), wrap_angle(shape_b.theta + beta)]
 
 
 def align_training_record(raw: PairFeatures) -> PairFeatures:
-    """Align a generator-convention record (centers already on the y-axis).
-
-    Each (theta, sigma_x, sigma_y) is passed through the composition /
-    decomposition round trip to land in the canonical decomposition
-    convention, then the record is rescaled; no angle correction is
-    needed because beta = 0 by construction.
-    """
+    """Align a generator-convention record as a two-component mixture: weights tau and 1 - tau, u at (0, 0),
+    v at (0, mu) (so beta = 0), and each shape through the composition / decomposition round trip into the
+    canonical decomposition convention."""
     shape_u = decompose_covariance(compose_covariance(raw.shape_u))
     shape_v = decompose_covariance(compose_covariance(raw.shape_v))
-    return PairFeatures.from_vector(_rescaled(raw.tau, raw.mu, shape_u, shape_v, 0.0))
+    return PairFeatures.from_vector(_aligned_row(raw.tau, 1.0 - raw.tau, (0.0, 0.0), (0.0, raw.mu), shape_u, shape_v))
 
 
 def aligned_pair_from_model(model: MixtureModel, u, v) -> np.ndarray:
-    """(P, 8) aligned feature rows of the component pairs (u[i], v[i]) of a fitted mixture.
-
-    Per pair: tau = w_u / (w_u + w_v), mu is the distance between the
-    means, and the shapes come from :func:`decompose_covariance`.  The
-    correcting angle beta (from the u->v center direction to the positive
-    y-axis) is added to both thetas, then mu and the four sigmas are
-    divided by their maximum.  Coincident means leave beta = 0: the
-    pattern is rotation-symmetric, so any choice is equivalent.  Each pair
-    is computed with Python floats and ``math``: ``np.arctan2`` and
-    ``np.hypot`` can differ from them in the last bit.
-    """
+    """(P, 8) aligned feature rows of the component pairs (u[i], v[i]) of a fitted mixture, with the shapes from
+    :func:`decompose_covariance`.  Each pair is computed with Python floats and ``math``: ``np.arctan2`` and
+    ``np.hypot`` can differ from them in the last bit."""
     u, v = np.atleast_1d(u).tolist(), np.atleast_1d(v).tolist()
     if len(u) != len(v):
         raise ValueError(f"got {len(u)} first and {len(v)} second pair indices")
@@ -150,10 +142,5 @@ def aligned_pair_from_model(model: MixtureModel, u, v) -> np.ndarray:
         raise ValueError(f"component index out of range for K={model.k}")
     weights, means, covs = model.weights.tolist(), model.means.tolist(), model.covs.tolist()
     shapes = {j: decompose_covariance(covs[j]) for j in sorted(set(u + v))}
-    rows = []
-    for a, b in zip(u, v):
-        dx, dy = means[b][0] - means[a][0], means[b][1] - means[a][1]
-        mu = math.hypot(dx, dy)
-        beta = 0.0 if mu < 1e-12 else HALF_PI - math.atan2(dy, dx)
-        rows.append(_rescaled(weights[a] / (weights[a] + weights[b]), mu, shapes[a], shapes[b], beta))
+    rows = [_aligned_row(weights[a], weights[b], means[a], means[b], shapes[a], shapes[b]) for a, b in zip(u, v)]
     return np.array(rows, dtype=float).reshape(-1, 8)

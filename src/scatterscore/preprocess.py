@@ -116,16 +116,9 @@ class FittedPreprocess:
         return X
 
     def to_dict(self) -> dict:
-        return {
-            "steps": list(self.steps),
-            "input_dim": self.input_dim,
-            "means": None if self.means is None else self.means.tolist(),
-            "scales": None if self.scales is None else self.scales.tolist(),
-            "boxcox_lambdas": None if self.boxcox_lambdas is None else list(self.boxcox_lambdas),
-            "pca_mean": None if self.pca_mean is None else self.pca_mean.tolist(),
-            "pca_basis": None if self.pca_basis is None else self.pca_basis.tolist(),
-            "spatial_sign": "spatial_sign" in self.steps,
-        }
+        """Each field as JSON-ready lists (None stays None), then the ``spatial_sign`` flag."""
+        fields = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in dataclasses.fields(self)}
+        return {**fields, "spatial_sign": "spatial_sign" in self.steps}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedPreprocess":

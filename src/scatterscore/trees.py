@@ -15,6 +15,7 @@ grows each tree only where undecided query rows reach it.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +57,7 @@ class DecisionTree:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "leaf_class": self.leaf_class.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
@@ -70,7 +65,7 @@ class DecisionTree:
 
         Every child comes after its parent, so each walk from the root ends.
         """
-        raw = {name: np.array(d[name]) for name in ("feature", "threshold", "left", "right", "leaf_class")}
+        raw = {f.name: np.array(d[f.name]) for f in dataclasses.fields(cls)}
         feature, threshold, left, right, leaf_class = raw.values()
         n = feature.size
         if n == 0 or any(a.shape != (n,) for a in raw.values()):

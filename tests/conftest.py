@@ -9,7 +9,7 @@ from scatterscore.augment import TrainingCorpus
 from scatterscore.cli import main
 from scatterscore.gmm import Scatterplot
 from scatterscore.mergemodel import TrainConfig, train_bagged
-from scatterscore.pairspace import PairFeatures, ShapeParams, _rescaled
+from scatterscore.pairspace import PairFeatures, ShapeParams, _aligned_row
 from scatterscore.preprocess import PreprocessSpec
 
 
@@ -34,7 +34,8 @@ def random_shape(rng, theta_range=(-math.pi / 2 * 0.999, math.pi / 2)) -> ShapeP
 def aligned_on_y_axis(raw: PairFeatures) -> PairFeatures:
     """``raw`` aligned as the pair of a mixture whose center v lies straight above center u (beta = 0),
     without the canonical round trip of ``align_training_record``."""
-    return PairFeatures.from_vector(_rescaled(raw.tau, raw.mu, raw.shape_u, raw.shape_v, 0.0))
+    row = _aligned_row(raw.tau, 1.0 - raw.tau, (0.0, 0.0), (0.0, raw.mu), raw.shape_u, raw.shape_v)
+    return PairFeatures.from_vector(row)
 
 
 def random_aligned(rng, mu_range=(0.0, 10.0)) -> PairFeatures:

@@ -105,6 +105,24 @@ class TestGenerate:
         assert "--params-file" in err and "--grid-count" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--params-file", DATA / "params.csv", "--n", 0], "n must be >= 1, got 0"),
+        (["--n", 20], "provide --params-file or --grid-count"),
+    ])
+    def test_no_size_or_no_source_exit_2(self, tmp_path, capsys, argv, message):
+        assert run("generate", *argv, "--out", tmp_path / "o") == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["afile", "afile/plots"])
+    def test_out_on_a_file_exit_2(self, tmp_path, monkeypatch, capsys, out):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        monkeypatch.setattr(augment, "generate_scatterplot", lambda *a, **kw: pytest.fail("a plot was drawn"))
+        assert run("generate", "--params-file", DATA / "params.csv", "--n", 20, "--out", tmp_path / out) == 2
+        assert f"--out {tmp_path / out}: {afile} is not a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == "kept\n"
+
     @pytest.mark.parametrize("source,plots", [(["--params-file", DATA / "params.csv"], 4), (["--grid-count", 3], 3)])
     def test_each_plot_drawn_once(self, tmp_path, monkeypatch, source, plots):
         calls = []
@@ -488,6 +506,20 @@ class TestTrain:
         assert "n_trees=3" in sidecar  # from file
         assert "seed=6" in sidecar  # flag wins
 
+    def test_cv_false_in_config_file(self, tmp_path, small_corpus):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("cv=false\n")
+        model = tmp_path / "model.json"
+        assert run("train", small_corpus, "--config", cfg, "--n-trees", 3, "--out", model) == 0
+        assert "cv=False" in Path(str(model) + ".config.txt").read_text().splitlines()
+        assert "cv_mcc_mean" not in json.loads(model.with_suffix(".metrics.json").read_text())
+
+    def test_preprocess_none(self, tmp_path, small_corpus):
+        model = tmp_path / "model.json"
+        assert run("train", small_corpus, "--preprocess", "none", "--n-trees", 3, "--out", model) == 0
+        preprocess = json.loads(model.read_text())["preprocess"]
+        assert preprocess["steps"] == [] and preprocess["spatial_sign"] is False
+
     def test_unknown_config_key_exit_2(self, tmp_path, small_corpus):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mystery=1\n")
@@ -631,6 +663,15 @@ class TestScoreRank:
         assert capsys.readouterr().err.splitlines() == [
             f"warning: sites: k={k} skipped: all 5 EM restarts failed: covariance collapsed to a singular matrix"
             for k in (2, 3)]
+
+    def test_unfittable_plot_exit_1_names_it(self, tmp_path, trained_model_file, capsys):
+        same = tmp_path / "same.csv"
+        same.write_text("x,y\n1,2\n1,2\n1,2\n")
+        scores = tmp_path / "scores.csv"
+        assert run("score", P0, same, "--model", trained_model_file, "--k-max", 2, "--regularization", 0,
+                   "--out", scores) == 1
+        assert capsys.readouterr().err == f"internal error: {same}: no component count could be fitted\n"
+        assert not scores.exists() and not Path(str(scores) + ".config.txt").exists()
 
     def test_comma_in_plot_id_round_trips_to_rank(self, tmp_path, trained_model_file):
         plot = tmp_path / "a,b.csv"
@@ -992,6 +1033,18 @@ class TestEvaluate:
         )
         assert code == 2
         assert "needs --k-values" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--b", 0], "--b must be >= 1"),
+        (["--mode", "alteration", "--k-values", "0,16"], "--k-values must be integers in [0, 15], got '0,16'"),
+        (["--mode", "alteration", "--k-values", "1.5"], "--k-values must be integers in [0, 15], got '1.5'"),
+    ])
+    def test_bad_b_or_k_values_exit_2(self, tmp_path, capsys, argv, message):
+        scores, pairs = self.write_inputs(tmp_path)
+        out = tmp_path / "out"
+        assert run("evaluate", "--scores", scores, "--pairs", pairs, *argv, "--out", out) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_duplicate_score_id_exit_2(self, tmp_path, capsys):

@@ -263,15 +263,17 @@ class TestAlignTrainingRecord:
         assert angles_close(out.shape_u.theta, HALF_PI, tol=1e-12)
 
     def test_same_rule_as_a_mixture_pair(self):
-        # a generator record is the pair of a mixture with u at the origin and v at (0, mu)
+        # a generator record is the pair of a mixture with weights tau and 1 - tau, u at the origin and v at
+        # (0, mu): the same row, bit for bit, also at coincident or nearly coincident centers and at theta = +-pi/2
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            tau, mu = rng.uniform(0.1, 0.9), rng.uniform(0.5, 8.0)
-            su, sv = (ShapeParams(rng.uniform(-1.5, 1.5), *rng.uniform(0.3, 3.0, size=2)) for _ in range(2))
+        for i in range(10_000):
+            tau = (rng.uniform(0.01, 0.99), 1e-9, 0.5, 1.0 - 1e-9)[i % 4]
+            mu = (rng.uniform(0.0, 10.0), 0.0, rng.uniform(0.0, 1e-12), 1e-12)[i // 4 % 4]
+            thetas = (rng.uniform(-HALF_PI, HALF_PI), rng.uniform(-HALF_PI, HALF_PI), HALF_PI, -HALF_PI)
+            su, sv = (ShapeParams(thetas[(i // 16 + j) % 4], *rng.uniform(0.3, 3.0, size=2)) for j in (0, 1))
             record = align_training_record(PairFeatures(tau, mu, su, sv)).as_vector()
             mixture = pair_row(tau, (0.0, 0.0), (0.0, mu), compose_covariance(su), compose_covariance(sv))
-            assert record[1:].tobytes() == mixture[1:].tobytes()
-            assert record[0] == pytest.approx(mixture[0], abs=1e-15)
+            assert record.tobytes() == mixture.tobytes(), (tau, mu, su, sv)
 
 
 class TestWrapAngle:
@@ -284,6 +286,7 @@ class TestWrapAngle:
             (0.6 * math.pi, -0.4 * math.pi),
             (math.pi, 0.0),
             (-2.3 * math.pi, 0.7 * math.pi - math.pi),
+            (math.nextafter(HALF_PI, 4), HALF_PI),  # the modulo rounds to pi, which lands on -pi/2
         ],
     )
     def test_values(self, theta, expect):

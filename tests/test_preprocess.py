@@ -63,6 +63,12 @@ class TestBoxCox:
         assert fit_box_cox_lambda(y) == pytest.approx(expect)
         assert abs(fit_box_cox_lambda(y)) <= 0.2
 
+    def test_column_of_ones_gives_no_lambda(self):
+        # every lambda maps 1 to exactly 0, so no lambda gives a finite log-likelihood
+        fitted = fit_preprocess(np.ones((10, 2)), PreprocessSpec(steps=("box_cox",)))
+        assert fitted.boxcox_lambdas == (None, None)
+        assert fitted.output_dim == 2 and np.array_equal(fitted.apply_matrix(np.ones((1, 2))), [[1.0, 1.0]])
+
     def test_applied_after_centering_noops(self):
         X = np.random.default_rng(1).normal(size=(50, 3))
         fitted = fit_preprocess(X, PreprocessSpec(steps=("center_scale", "box_cox")))
@@ -92,6 +98,11 @@ class TestPca:
         X = np.column_stack([base[:, 0], base[:, 1], base[:, 0] + 1e-6 * rng.normal(size=200)])
         fitted = fit_preprocess(X, PreprocessSpec(steps=("center_scale", "pca"), pca_variance_threshold=0.95))
         assert fitted.output_dim == 2
+
+    def test_constant_matrix_keeps_one_axis(self):
+        fitted = fit_preprocess(np.full((5, 3), 2.0), PreprocessSpec())
+        assert fitted.pca_basis.shape == (3, 1) and fitted.output_dim == 1
+        assert np.array_equal(fitted.apply_matrix(np.full((2, 3), 2.0)), np.zeros((2, 1)))
 
     def test_deterministic(self):
         X = np.random.default_rng(5).normal(size=(60, 4))
