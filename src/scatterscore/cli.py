@@ -254,11 +254,16 @@ def cmd_score(args, opts) -> int:
             if plots[-1].id in paths:
                 raise ValueError(f"{paths[plots[-1].id]} and {path} both give plot id {plots[-1].id!r}")
             paths[plots[-1].id] = path
+    # a batch's sweeps run in lockstep, bit for bit as one at a time; one plot is fitted by score_scatterplot
+    fits = gmm.select_models(plots, fit_config) if len(plots) > 1 else [None]
     scores = []
-    for sp in plots:
+    for sp, fit in zip(plots, fits):
         alerts: list[str] = []
         try:
-            scores.append((sp.id, vqm.score_scatterplot(sp, fit_config, merger, alerts)))
+            if isinstance(fit, gmm.DegenerateCovarianceError):
+                raise fit
+            scores.append((sp.id, vqm.score_scatterplot(sp, fit_config, merger, alerts) if fit is None
+                           else vqm.score_fit(fit, merger, alerts)))
         except gmm.DegenerateCovarianceError as exc:
             raise gmm.DegenerateCovarianceError(f"{paths[sp.id]}: {exc}") from exc
         for alert in alerts:

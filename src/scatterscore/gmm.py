@@ -33,6 +33,10 @@ BIC_PENALTIES = {"component_count": lambda k: k, "free_parameter_count": lambda 
 STOP_AFTER = 50
 STOP_STEP = 1e-3
 STOP_MARGIN = 2.0
+# select_models fits plots of equal distinct-point count n in blocks of at most BLOCK_ELEMENTS // (n_restarts *
+# k_max * n) plots, so that a block's (groups, K, n) arrays hold at most this many floats (2 MB) however many
+# plots a batch has; a plot larger than that is a block of its own.
+BLOCK_ELEMENTS = 2**18
 
 
 class DegenerateCovarianceError(ValueError):
@@ -172,20 +176,24 @@ def _features(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)])
 
 
-def _coefficients(weights, means, covs, k: int, failed: dict) -> np.ndarray:
+def _coefficients(weights, means, covs, k: int, failed: dict, det=None) -> np.ndarray:
     """(rows, 6) coefficients whose product with :func:`_features` is log(pi_j) + log g_j, for the rows of
-    weights, means and covs (xx, xy, yy).  Each group i of k rows that is not in ``failed`` and has a singular
-    covariance is added to it, with a message naming the group's first; the rows of every group in ``failed``
-    get finite values that mean nothing."""
-    means, covs = np.array(means, dtype=float), np.array(covs, dtype=float)
-    det = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1]
+    weights, means and covs (xx, xy, yy), with ``det`` the determinants xx*yy - xy*xy if already computed.
+    Each group i of k rows that is not in ``failed`` and has a singular covariance is added to it, with a
+    message naming the group's first; the rows of every group in ``failed`` get finite values that mean
+    nothing."""
+    means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
+    if det is None:
+        det = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1]
     regular = (det > 0.0) & (det < math.inf)
     if not regular.all():
         for j in np.flatnonzero(~regular).tolist():
             failed.setdefault(j // k, f"covariance is singular (det={det[j].item()})")
-    for i in failed:
-        means[i * k:(i + 1) * k] = covs[i * k:(i + 1) * k] = 0.0
-        det[i * k:(i + 1) * k] = 1.0
+    if failed:
+        means, covs, det = means.copy(), covs.copy(), det.copy()
+        for i in failed:
+            means[i * k:(i + 1) * k] = covs[i * k:(i + 1) * k] = 0.0
+            det[i * k:(i + 1) * k] = 1.0
     coef = np.empty((len(det), 6))
     with np.errstate(over="ignore"):  # as Python floats would, a near-singular det gives inf coefficients
         # the precision matrix as (pxx, -pxy, pyy), then its product with the mean
@@ -242,13 +250,11 @@ def _kmeanspp_means(xs: np.ndarray, ys: np.ndarray, k: int, rng: np.random.Gener
     return np.column_stack([xs[chosen], ys[chosen]])
 
 
-@functools.lru_cache(maxsize=1)
-def _em_inputs(scatterplot: Scatterplot) -> tuple:
+def _build_em_inputs(scatterplot: Scatterplot) -> tuple:
     """The EM inputs that depend only on the plot: the x and y columns of all N points, which seeding draws
     from; their mean, the centre; the pooled covariance about it; the variance scale (1 when it is 0); and
     the (6, n) moment features ``phi`` of the n distinct points centred on the centre, their counts ``w``
-    and the count-weighted (n, 6) ``wphi``, all read-only.  Held for the last plot only: a Scatterplot
-    hashes by identity and its points are read-only, so they cannot go stale."""
+    and the count-weighted (n, 6) ``wphi``, all read-only."""
     X = scatterplot.points
     xs, ys = np.ascontiguousarray(X.T)
     centre = X.mean(axis=0)
@@ -264,17 +270,29 @@ def _em_inputs(scatterplot: Scatterplot) -> tuple:
     return xs, ys, centre, pooled, scale if scale > 0.0 else 1.0, phi, w, wphi
 
 
-def _m_step(stats: np.ndarray, n_points: int, reg: float):
+# A plot's EM inputs, held for the last plot fitted one K at a time: a Scatterplot hashes by identity and its
+# points are read-only, so they cannot go stale.
+_em_inputs = functools.lru_cache(maxsize=1)(_build_em_inputs)
+
+# The columns of the means whose products centre the second moments (xx, xy, yy).
+_FIRST, _SECOND = np.array([0, 0, 1]), np.array([0, 1, 1])
+
+
+def _m_step(stats: np.ndarray, n_points, reg):
     """Weights, means and covariances from the (groups, k, 6) count-weighted sums of the responsibilities
-    times the moment features.  A variance E[x^2] - m^2 at or below 16 eps E[x^2] is rounding noise, so it is
-    set to 0 before ``reg`` is added: a component on one lattice row or one point gets exactly ``reg``."""
+    times the moment features, with ``n_points`` the (rows,) point counts and ``reg`` the (rows, 1)
+    regularizations of the rows' plots.  A variance E[x^2] - m^2 at or below 16 eps E[x^2] is rounding noise,
+    so it is set to 0 before ``reg`` is added: a component on one lattice row or one point gets exactly
+    ``reg``."""
     stats = stats.reshape(-1, 6)
     nk = stats[:, 5:]
     moments = stats[:, :5] / nk
     second, means = moments[:, :3], moments[:, 3:]
-    covs = second - means.take([0, 0, 1], axis=1) * means.take([0, 1, 1], axis=1)
+    covs = second - means.take(_FIRST, axis=1) * means.take(_SECOND, axis=1)
     variances = covs[:, ::2]
-    variances[variances <= 16 * EPS * second[:, ::2]] = 0.0
+    noise = variances <= 16 * EPS * second[:, ::2]
+    if noise.any():
+        variances[noise] = 0.0
     variances += reg
     return nk[:, 0] / n_points, means, covs
 
@@ -288,66 +306,123 @@ def _aitken_limit(trace: list) -> float:
     return trace[-2] + last / (1.0 - last / before)
 
 
-def _run_em(inputs: tuple, k: int, config: FitConfig, need: float = -math.inf) -> list:
-    """The ``config.n_restarts`` EM runs of one K on a plot's :func:`_em_inputs`, in lockstep, as one block
-    with a group of k rows per run: seeded on all N points, iterated on the distinct points centred on their
-    mean.  Each E-step is one batched product of the runs' coefficients with the points' moment features, and
-    each M-step one batched product of their responsibilities with the count-weighted features: one product
-    per group, so a run gives the bits it gives alone.  A run leaves the block after the E-step in which it
-    converges, reaches ``max_iterations``, fails (a singular covariance, a lost component, or a log-likelihood
-    that is not finite at the end) or stops because its projected log-likelihood stays below ``need`` (see
-    STOP_AFTER).  A covariance whose determinant xx*yy - xy*xy is at most 16 eps xx*yy is singular: below
-    that, the determinant is rounding residue.  Returns each run's (weights, means, covs, loglik, trace), its
-    trace alone if it stopped, or the message of its failure, in restart order."""
-    n_runs = config.n_restarts
-    xs, ys, centre, pooled, scale, phi, w, wphi = inputs
-    reg = config.regularization * scale
-    cov0 = np.array([pooled[0, 0] + reg, pooled[0, 1], pooled[1, 1] + reg])
-    if cov0[0] * cov0[2] - cov0[1] ** 2 <= 16 * EPS * cov0[0] * cov0[2]:
-        return ["initial pooled covariance is singular"] * n_runs
-    means = np.concatenate([_kmeanspp_means(xs, ys, k, spawn_rng(config.seed, "em", k, r)) for r in range(n_runs)])
-    means -= centre
-    covs = np.tile(cov0, (n_runs * k, 1))
-    weights = np.full(n_runs * k, 1.0 / k)
+def _spans(plot_of_group: list) -> list:
+    """(plot, first group, end) of each run of consecutive groups of one plot."""
+    starts = [i for i, p in enumerate(plot_of_group) if i == 0 or p != plot_of_group[i - 1]]
+    return [(plot_of_group[a], a, b) for a, b in zip(starts, [*starts[1:], len(plot_of_group)])]
 
-    buf = np.empty((n_runs * k, phi.shape[1]))
-    live, outcomes, traces = list(range(n_runs)), [None] * n_runs, [[] for _ in range(n_runs)]
+
+def _run_em(inputs: list, k: int, config: FitConfig, needs: list) -> list:
+    """The ``config.n_restarts`` EM runs of one K on each of several plots, given as their :func:`_em_inputs`
+    (all with the same distinct-point count n) and their ``needs``, in lockstep, as one block with a group of k
+    rows per run: seeded on all N points, iterated on the distinct points centred on their mean.  Each
+    E-step takes, for each plot, one batched product of its runs' coefficients with its moment features, and
+    each M-step one batched product of their responsibilities with its count-weighted features: one product
+    per group, of the shape it has when the run is alone, and every other step is elementwise or per group,
+    so a run gives the bits it gives alone.  A plot's groups stay contiguous as runs leave the block.  A run
+    leaves after the E-step in which it converges, reaches ``max_iterations``, fails (a singular covariance,
+    a lost component, or a log-likelihood that is not finite at the end) or stops because its projected
+    log-likelihood stays below its plot's need (see STOP_AFTER).  A covariance whose determinant
+    xx*yy - xy*xy is at most 16 eps xx*yy is singular: below that, the determinant is rounding residue.
+    Returns, for each plot, each run's (weights, means, covs, loglik, trace), its trace alone if it stopped,
+    or the message of its failure, in restart order."""
+    n_runs = config.n_restarts
+    xss, yss, centres, pooleds, scales, phis, ws, wphis = zip(*inputs)
+    regs = [config.regularization * scale for scale in scales]
+    outcomes = [[None] * n_runs for _ in inputs]
+    traces = [[[] for _ in range(n_runs)] for _ in inputs]
+    live, means, covs = [], [], []  # live: the (plot, restart) of each group of the block
+    for p, (xs, ys, centre, pooled, reg) in enumerate(zip(xss, yss, centres, pooleds, regs)):
+        cov0 = np.array([pooled[0, 0] + reg, pooled[0, 1], pooled[1, 1] + reg])
+        if cov0[0] * cov0[2] - cov0[1] ** 2 <= 16 * EPS * cov0[0] * cov0[2]:
+            outcomes[p] = ["initial pooled covariance is singular"] * n_runs
+            continue
+        live += [(p, r) for r in range(n_runs)]
+        means += [_kmeanspp_means(xs, ys, k, spawn_rng(config.seed, "em", k, r)) - centre for r in range(n_runs)]
+        covs.append(np.tile(cov0, (n_runs * k, 1)))
+    if not live:
+        return outcomes
+    plot_w, plot_n, plot_reg = np.stack(ws), np.array([len(xs) for xs in xss], dtype=float), np.array(regs)
+
+    def layout(live):
+        """The spans of the plots' groups in the block, each group's point counts, and each row's N and
+        regularization."""
+        plot_of = np.array([p for p, _ in live])
+        return (_spans(plot_of.tolist()), plot_w[plot_of], np.repeat(plot_n[plot_of], k),
+                np.repeat(plot_reg[plot_of], k)[:, None])
+
+    spans, w, n_points, reg = layout(live)
+    means, covs = np.concatenate(means), np.concatenate(covs)
+    weights, det = np.full(len(live) * k, 1.0 / k), None
+    buf = np.empty((len(live) * k, phis[0].shape[1]))
     ended: dict = {}  # group -> outcome of each run that leaves after this E-step
     while True:
-        coef = _coefficients(weights, means, covs, k, ended).reshape(len(live), k, 6)
-        resp, logsum = _posterior(np.matmul(coef, phi, out=buf[:len(live) * k].reshape(len(live), k, -1)))
+        n_groups = len(live)
+        coef = _coefficients(weights, means, covs, k, ended, det).reshape(n_groups, k, 6)
+        logp = buf[:n_groups * k].reshape(n_groups, k, -1)
+        for p, a, b in spans:
+            np.matmul(coef[a:b], phis[p], out=logp[a:b])
+        resp, logsum = _posterior(logp)
         logliks = (w * logsum).sum(axis=1).tolist()
-        stats = np.matmul(resp, wphi)
-        lost = (stats[:, :, 5] < 1e-10).any(axis=1).tolist()
-        for i, (trace, loglik) in enumerate(zip([traces[r] for r in live], logliks)):
+        stats = np.empty((n_groups, k, 6))
+        for p, a, b in spans:
+            np.matmul(resp[a:b], wphis[p], out=stats[a:b])
+        lost = stats[:, :, 5] < 1e-10
+        lost = lost.any(axis=1).tolist() if lost.any() else [False] * n_groups
+        for i, ((p, r), loglik) in enumerate(zip(live, logliks)):
             if i in ended:
                 continue
+            trace = traces[p][r]
             converged = bool(trace) and loglik - trace[-1] <= config.em_tolerance * max(1.0, abs(trace[-1]))
             trace.append(loglik)
             rows = slice(i * k, (i + 1) * k)
             if converged or len(trace) > config.max_iterations:
                 # in picking the best restart, nothing compares > NaN
-                ended[i] = ((weights[rows], means[rows] + centre, covs[rows], loglik, np.array(trace))
+                ended[i] = ((weights[rows], means[rows] + centres[p], covs[rows], loglik, np.array(trace))
                             if math.isfinite(loglik) else f"log-likelihood is not finite ({loglik})")
             elif lost[i]:
                 ended[i] = "a component lost all responsibility"
-            elif len(trace) > STOP_AFTER and _aitken_limit(trace) < need - STOP_MARGIN:
+            elif len(trace) > STOP_AFTER and _aitken_limit(trace) < needs[p] - STOP_MARGIN:
                 ended[i] = np.array(trace)
         if ended:
             for i, outcome in ended.items():
-                outcomes[live[i]] = outcome
-            kept = [i for i in range(len(live)) if i not in ended]
-            live, stats = [live[i] for i in kept], stats[kept]
-            if not live:
+                p, r = live[i]
+                outcomes[p][r] = outcome
+            kept = [i for i in range(n_groups) if i not in ended]
+            if not kept:
                 return outcomes
-        weights, means, covs = _m_step(stats, xs.shape[0], reg)
-        collapsed = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1] <= 16 * EPS * covs[:, 0] * covs[:, 2]
-        ended = {j // k: "covariance collapsed to a singular matrix" for j in np.flatnonzero(collapsed).tolist()}
+            live, stats = [live[i] for i in kept], stats[kept]
+            spans, w, n_points, reg = layout(live)
+        weights, means, covs = _m_step(stats, n_points, reg)
+        det = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1]
+        collapsed = det <= 16 * EPS * covs[:, 0] * covs[:, 2]
+        ended = ({j // k: "covariance collapsed to a singular matrix" for j in np.flatnonzero(collapsed).tolist()}
+                 if collapsed.any() else {})
 
 
 def _build_model(weights, means, covs, loglik, n, iterations=0) -> MixtureModel:
     weights = np.asarray(weights, dtype=float)
     return MixtureModel(weights / weights.sum(), means, covs, float(loglik), int(n), int(iterations))
+
+
+def _loglik_needed(beat_bic: float, k: int, n_points: int, config: FitConfig) -> float:
+    """The log-likelihood a fit of k components to n_points points needs for a BIC above ``beat_bic``."""
+    return (beat_bic - bic_value(0.0, k, n_points, config.bic_penalty_mode)) / 2
+
+
+def _best_restart(outcomes: list, n_points: int):
+    """The model of the first restart with the largest log-likelihood among one plot's :func:`_run_em`
+    outcomes (None when none completed but one stopped), and the trace of each restart that did not fail.
+    Raises :class:`DegenerateCovarianceError` when every restart failed."""
+    traces = [outcome if isinstance(outcome, np.ndarray) else outcome[4]
+              for outcome in outcomes if not isinstance(outcome, str)]
+    if not traces:
+        raise DegenerateCovarianceError(f"all {len(outcomes)} EM restarts failed: {outcomes[-1]}")
+    fits = [outcome for outcome in outcomes if isinstance(outcome, tuple)]
+    if not fits:
+        return None, traces
+    best = max(fits, key=lambda fit: fit[3])
+    return _build_model(*best[:4], n_points, len(best[4]) - 1), traces
 
 
 def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig, beat_bic: float = -math.inf):
@@ -368,17 +443,8 @@ def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig, beat_
         raise ValueError("k must be >= 1")
     if scatterplot.n < k:
         raise ValueError(f"need at least k={k} points, got N={scatterplot.n}")
-    need = (beat_bic - bic_value(0.0, k, scatterplot.n, config.bic_penalty_mode)) / 2
-    outcomes = _run_em(_em_inputs(scatterplot), k, config, need)
-    traces = [outcome if isinstance(outcome, np.ndarray) else outcome[4]
-              for outcome in outcomes if not isinstance(outcome, str)]
-    if not traces:
-        raise DegenerateCovarianceError(f"all {config.n_restarts} EM restarts failed: {outcomes[-1]}")
-    fits = [outcome for outcome in outcomes if isinstance(outcome, tuple)]
-    if not fits:
-        return None, traces
-    best = max(fits, key=lambda fit: fit[3])  # the first restart with the largest log-likelihood
-    return _build_model(*best[:4], scatterplot.n, len(best[4]) - 1), traces
+    need = _loglik_needed(beat_bic, k, scatterplot.n, config)
+    return _best_restart(_run_em([_em_inputs(scatterplot)], k, config, [need])[0], scatterplot.n)
 
 
 def fit_em(scatterplot: Scatterplot, k: int, config: FitConfig, beat_bic: float = -math.inf) -> MixtureModel | None:
@@ -391,6 +457,60 @@ def bic_value(log_likelihood: float, k: int, n_points: int, mode: str = "free_pa
     if mode not in BIC_PENALTIES:
         raise ValueError(f"unknown bic_penalty_mode {mode!r}")
     return 2.0 * log_likelihood - BIC_PENALTIES[mode](k) * math.log(n_points)
+
+
+class _Sweep:
+    """One plot's K sweep as :func:`select_model` states it: which K to fit, and what each fit adds."""
+
+    def __init__(self, n_points: int, config: FitConfig):
+        self.n_points, self.config = n_points, config
+        self.per_k: list[tuple[int, float]] = []
+        self.warnings: list[str] = []
+        self.alerts: list[str] = []
+        self.best_model, self.best_bic, self.misses, self.ended = None, -math.inf, 0, False
+
+    def should_fit(self, k: int) -> bool:
+        """Whether K is fitted; a sweep past its patience ends at K, and a K above N is skipped."""
+        if self.ended:
+            return False
+        if self.misses == BIC_PATIENCE:
+            unfitted = f"k={k}" if k == self.config.k_max else f"k={k}..{self.config.k_max}"
+            self.warnings.append(f"{unfitted} not fitted: no BIC gain over k={self.best_model.k} in {self.misses} "
+                                 "consecutive K")
+            self.ended = True
+            return False
+        if k > self.n_points:
+            self.warnings.append(f"k={k} skipped: more components than points (N={self.n_points})")
+            return False
+        return True
+
+    def add(self, k: int, fit) -> None:
+        """Count K's fit: its model, None when every restart stopped below the bar, or the
+        :class:`DegenerateCovarianceError` of a K whose restarts all failed."""
+        if isinstance(fit, DegenerateCovarianceError):
+            self._alert(f"k={k} skipped: {fit}")
+            return
+        if fit is None:
+            self.warnings.append(f"k={k}: every restart stopped below the BIC of k={self.best_model.k}")
+            self.misses += 1
+            return
+        bic = bic_value(fit.log_likelihood, k, self.n_points, self.config.bic_penalty_mode)
+        self.per_k.append((k, bic))
+        if fit.iterations >= self.config.max_iterations:
+            self._alert(f"k={k}: the kept restart stopped at the cap of {fit.iterations} EM iterations")
+        if bic > self.best_bic:
+            self.best_model, self.best_bic, self.misses = fit, bic, 0
+        else:
+            self.misses += 1
+
+    def _alert(self, message: str) -> None:
+        self.alerts.append(message)
+        self.warnings.append(message)
+
+    def result(self) -> FitResult:
+        if self.best_model is None:
+            raise DegenerateCovarianceError("no component count could be fitted")
+        return FitResult(self.best_model, tuple(self.per_k), tuple(self.warnings), tuple(self.alerts))
 
 
 def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
@@ -410,47 +530,61 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
     """
     if scatterplot.n < 2:
         raise ValueError("model selection needs at least 2 points")
-    per_k: list[tuple[int, float]] = []
-    warnings: list[str] = []
-    alerts: list[str] = []
-    best_model = None
-    best_bic = -math.inf
-    misses = 0
+    sweep = _Sweep(scatterplot.n, config)
     for k in range(1, config.k_max + 1):
-        if misses == BIC_PATIENCE:
-            unfitted = f"k={k}" if k == config.k_max else f"k={k}..{config.k_max}"
-            warnings.append(f"{unfitted} not fitted: no BIC gain over k={best_model.k} in {misses} consecutive K")
-            break
-        if k > scatterplot.n:
-            warnings.append(f"k={k} skipped: more components than points (N={scatterplot.n})")
+        if sweep.should_fit(k):
+            try:
+                fit = fit_em(scatterplot, k, config, beat_bic=sweep.best_bic)
+            except DegenerateCovarianceError as exc:
+                fit = exc
+            sweep.add(k, fit)
+    return sweep.result()
+
+
+def select_models(plots: list, config: FitConfig) -> list:
+    """:func:`select_model` on each plot, run for several plots at once: for each plot in input order, its
+    :class:`FitResult` or the :class:`DegenerateCovarianceError` that ``select_model`` raises on it, bit for
+    bit.  Plots of the same distinct-point count n, in input order, form blocks of at most
+    ``max(1, BLOCK_ELEMENTS // (n_restarts * k_max * n))`` plots whose sweeps run in lockstep: at each K, the
+    restarts of every plot of the block still sweeping run as one :func:`_run_em` block.  Only the current
+    block's EM inputs are held."""
+    if any(plot.n < 2 for plot in plots):
+        raise ValueError("model selection needs at least 2 points")
+    by_n: dict[int, list[int]] = {}
+    for i, plot in enumerate(plots):
+        by_n.setdefault(len(np.unique(plot.points, axis=0)), []).append(i)
+    results = [None] * len(plots)
+    for n, members in by_n.items():
+        size = max(1, BLOCK_ELEMENTS // (config.n_restarts * config.k_max * n))
+        for start in range(0, len(members), size):
+            block = members[start:start + size]
+            for i, result in zip(block, _sweep_in_lockstep([plots[i] for i in block], config)):
+                results[i] = result
+    return results
+
+
+def _sweep_in_lockstep(plots: list, config: FitConfig) -> list:
+    """The sweeps of plots of one distinct-point count, one :func:`_run_em` block per K (see select_models)."""
+    inputs = [_build_em_inputs(plot) for plot in plots]
+    sweeps = [_Sweep(plot.n, config) for plot in plots]
+    for k in range(1, config.k_max + 1):
+        fitting = [i for i, sweep in enumerate(sweeps) if sweep.should_fit(k)]
+        if not fitting:
             continue
+        needs = [_loglik_needed(sweeps[i].best_bic, k, plots[i].n, config) for i in fitting]
+        for i, outcomes in zip(fitting, _run_em([inputs[i] for i in fitting], k, config, needs)):
+            try:
+                fit = _best_restart(outcomes, plots[i].n)[0]
+            except DegenerateCovarianceError as exc:
+                fit = exc
+            sweeps[i].add(k, fit)
+    results = []
+    for sweep in sweeps:
         try:
-            model = fit_em(scatterplot, k, config, beat_bic=best_bic)
+            results.append(sweep.result())
         except DegenerateCovarianceError as exc:
-            alerts.append(f"k={k} skipped: {exc}")
-            warnings.append(alerts[-1])
-            continue
-        if model is None:
-            warnings.append(f"k={k}: every restart stopped below the BIC of k={best_model.k}")
-            misses += 1
-            continue
-        bic = bic_value(model.log_likelihood, k, scatterplot.n, config.bic_penalty_mode)
-        per_k.append((k, bic))
-        if model.iterations >= config.max_iterations:
-            alerts.append(f"k={k}: the kept restart stopped at the cap of {model.iterations} EM iterations")
-            warnings.append(alerts[-1])
-        if bic > best_bic:
-            best_model, best_bic, misses = model, bic, 0
-        else:
-            misses += 1
-    if best_model is None:
-        raise DegenerateCovarianceError("no component count could be fitted")
-    return FitResult(
-        model=best_model,
-        per_k_bic=tuple(per_k),
-        warnings=tuple(warnings),
-        alerts=tuple(alerts),
-    )
+            results.append(exc)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmm import FitConfig, MixtureModel, Scatterplot, select_model
+from .gmm import FitConfig, FitResult, MixtureModel, Scatterplot, select_model
 from .mergemodel import MergingModel, predict
 from .pairspace import aligned_pair_from_model
 from .util import parse_rows, read_table, reject_repeated_ids, write_csv
@@ -72,7 +72,11 @@ def count_components(matrix: MergeMatrix) -> int:
 def score_scatterplot(scatterplot: Scatterplot, fit_config: FitConfig, merger: MergingModel,
                       alerts: list | None = None) -> VqmScore:
     """Full pipeline: BIC-selected mixture -> merge matrix -> (M, K*); appends the fit's alerts to ``alerts``."""
-    result = select_model(scatterplot, fit_config)
+    return score_fit(select_model(scatterplot, fit_config), merger, alerts)
+
+
+def score_fit(result: FitResult, merger: MergingModel, alerts: list | None = None) -> VqmScore:
+    """(M, K*) of a BIC-selected fit, through its merge matrix; appends the fit's alerts to ``alerts``."""
     if alerts is not None:
         alerts.extend(result.alerts)
     m = count_components(build_merge_matrix(result.model, merger))

@@ -130,14 +130,12 @@ def trained_merger():
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="session")
-def benchmark_plots(tmp_path_factory) -> dict:
-    """The seed-0 plots of the ``score-batch`` and ``score-pixel`` benchmark workloads, written as
-    ``perfbench/run.py`` writes them: {"batch": [six paths], "pixel": [one path]}."""
+def write_benchmark_plots(d: Path) -> dict:
+    """Write the seed-0 plots of the ``score-batch`` and ``score-pixel`` benchmark workloads into the directory
+    ``d``, as ``perfbench/run.py`` writes them: {"batch": [six paths], "pixel": [one path]}."""
     spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    d = tmp_path_factory.mktemp("benchmark_plots")
     grids = (("batch", inputs.GRID_SHAPES, inputs.PLOT_N), ("raw", inputs.PIXEL_SHAPES, inputs.PIXEL_N))
     for name, shapes, n in grids:
         inputs.write_grid_params(d / f"{name}.params.csv", shapes)
@@ -150,3 +148,10 @@ def benchmark_plots(tmp_path_factory) -> dict:
     inputs.write_points(d / "pixel" / "pixel0.csv", inputs.snap_to_pixels(points))
     batch = [d / "batch" / f"{name}.csv" for name in (*inputs.GRID_SHAPES, "blob3", "blob4", "blob5", "blob6")]
     return {"batch": batch, "pixel": [d / "pixel" / "pixel0.csv"]}
+
+
+@pytest.fixture(scope="session")
+def benchmark_plots(tmp_path_factory) -> dict:
+    """The seed-0 plots of the ``score-batch`` and ``score-pixel`` benchmark workloads (see
+    ``write_benchmark_plots``)."""
+    return write_benchmark_plots(tmp_path_factory.mktemp("benchmark_plots"))

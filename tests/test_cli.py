@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scatterscore import augment, vqm
+from scatterscore import augment, gmm, vqm
 from scatterscore.augment import read_corpus_csv
 from scatterscore.cli import main
 
@@ -670,6 +670,39 @@ class TestScoreRank:
         scores = tmp_path / "scores.csv"
         assert run("score", P0, same, "--model", trained_model_file, "--k-max", 2, "--regularization", 0,
                    "--out", scores) == 1
+        assert capsys.readouterr().err == f"internal error: {same}: no component count could be fitted\n"
+        assert not scores.exists() and not Path(str(scores) + ".config.txt").exists()
+
+    def test_batch_writes_what_one_plot_at_a_time_writes(self, tmp_path, trained_model_file, benchmark_plots,
+                                                          monkeypatch, capsys):
+        # the seed-0 score-batch plots (n = 500, fitted as one block) among plots of other n; with 3 EM
+        # iterations every plot warns
+        batch = benchmark_plots["batch"]
+        plots = [batch[0], P0, *batch[1:4], benchmark_plots["pixel"][0], *batch[4:]]
+        flags = ["--model", trained_model_file, "--max-iterations", 3, "--k-max", 4]
+        batches, select_models = [], gmm.select_models
+        monkeypatch.setattr(gmm, "select_models", lambda plots, config: batches.append(len(plots))
+                            or select_models(plots, config))
+        assert run("score", *plots, *flags, "--out", tmp_path / "scores.csv") == 0
+        err = capsys.readouterr().err
+        rows, alone_err = [], []
+        for i, plot in enumerate(plots):
+            assert run("score", plot, *flags, "--out", tmp_path / f"alone{i}.csv") == 0
+            header, row = (tmp_path / f"alone{i}.csv").read_bytes().splitlines(keepends=True)
+            rows.append(row)
+            alone_err.append(capsys.readouterr().err)
+        assert (tmp_path / "scores.csv").read_bytes() == header + b"".join(rows)
+        assert err == "".join(alone_err) and len(err.splitlines()) >= len(plots)
+        assert batches == [len(plots)]  # one plot alone is fitted by select_model
+
+    def test_unfittable_plots_in_a_batch_exit_1_naming_the_first(self, tmp_path, trained_model_file, capsys):
+        same, same_again, q0 = tmp_path / "same.csv", tmp_path / "same_again.csv", tmp_path / "q0.csv"
+        same.write_text("x,y\n1,2\n1,2\n1,2\n")
+        same_again.write_text("x,y\n5,5\n5,5\n")
+        q0.write_bytes(P0.read_bytes())
+        scores = tmp_path / "scores.csv"
+        assert run("score", P0, same, q0, same_again, "--model", trained_model_file, "--k-max", 2,
+                   "--regularization", 0, "--out", scores) == 1
         assert capsys.readouterr().err == f"internal error: {same}: no component count could be fitted\n"
         assert not scores.exists() and not Path(str(scores) + ".config.txt").exists()
 

@@ -17,6 +17,7 @@ from scatterscore.gmm import (
     mixture_pdf,
     read_scatterplot_csv,
     select_model,
+    select_models,
     write_scatterplot_csv,
 )
 from scatterscore.util import spawn_rng
@@ -460,7 +461,7 @@ def reference_runs(X, k, config):
 
 def kernel_runs(X, k, config, need=-math.inf):
     """The restarts of one K run in lockstep by ``gmm._run_em``, on the inputs of a new plot of the points X."""
-    return gmm._run_em(gmm._em_inputs(Scatterplot(X)), k, config, need)
+    return gmm._run_em([gmm._em_inputs(Scatterplot(X))], k, config, [need])[0]
 
 
 def run_bytes(runs):
@@ -1156,6 +1157,110 @@ def test_restart_stopped_before_a_late_climb_can_move_a_hit_k_in_the_last_bits(m
     got, want = dict(at_most_k_star(res)), dict(at_most_k_star(unbarred))
     assert got.keys() == want.keys() and [k for k in got if got[k] != want[k]] == [3]
     assert 0 < want[3] - got[3] < 1e-9
+
+
+def fit_bits(result):
+    """A ``select_model`` outcome as comparable values: a FitResult's model arrays as bytes, its log-likelihood,
+    iterations, ``per_k_bic``, ``warnings`` and ``alerts``; a DegenerateCovarianceError's type and message."""
+    if isinstance(result, DegenerateCovarianceError):
+        return type(result), str(result)
+    model = result.model
+    return (model.weights.tobytes(), model.means.tobytes(), model.covs.tobytes(), model.log_likelihood,
+            model.n_points, model.iterations, result.per_k_bic, result.warnings, result.alerts)
+
+
+def one_at_a_time(plots, config) -> list:
+    """``select_model`` on each plot: its FitResult, or the DegenerateCovarianceError it raises."""
+    results = []
+    for plot in plots:
+        try:
+            results.append(select_model(plot, config))
+        except DegenerateCovarianceError as exc:
+            results.append(exc)
+    return results
+
+
+def record_blocks(monkeypatch) -> list:
+    """The (plots, restarts, K, n) of each ``gmm._run_em`` block run from now on."""
+    blocks, run_em = [], gmm._run_em
+
+    def recording_run_em(inputs, k, config, needs):
+        blocks.append((len(inputs), config.n_restarts, k, inputs[0][5].shape[1]))
+        return run_em(inputs, k, config, needs)
+
+    monkeypatch.setattr(gmm, "_run_em", recording_run_em)
+    return blocks
+
+
+class TestSelectModels:
+    """``select_models`` runs the sweeps of plots of equal distinct-point count in lockstep, and gives each plot
+    what ``select_model`` gives it alone, bit for bit."""
+
+    @staticmethod
+    def plots() -> list:
+        """The sweep oracle's 20 grid plots (300 distinct points each) among blob and lattice plots of other
+        distinct-point counts, interleaved."""
+        from test_sweep_oracle import grid_plot, lattice_plot
+
+        plots = [grid_plot(seed) for seed in range(20)]
+        others = [*KERNEL_PLOTS.values(), blob_plot(4, 250, seed=1), *(lattice_plot(seed) for seed in range(4))]
+        for i, plot in enumerate(others):
+            plots.insert(2 * i + 1, plot)
+        return plots
+
+    @pytest.mark.parametrize("config", [FitConfig(), FitConfig(k_max=6, max_iterations=60, n_restarts=3, seed=4)])
+    def test_equals_select_model_on_each_plot(self, monkeypatch, config):
+        plots = self.plots()
+        blocks = record_blocks(monkeypatch)
+        batch = select_models(plots, config)
+        assert [fit_bits(r) for r in batch] == [fit_bits(r) for r in one_at_a_time(plots, config)]
+        # the 20 grid plots share n = 300 and fill blocks of 262144 // (restarts * k_max * 300) plots
+        size = gmm.BLOCK_ELEMENTS // (config.n_restarts * config.k_max * 300)
+        assert max(p for p, _, _, n in blocks if n == 300) == min(size, 20)
+        assert any(alert for r in batch for alert in r.alerts) == (config.max_iterations == 60)
+
+    def test_unfittable_plot_among_fittable_ones(self):
+        # two plots of three identical points, which no K fits without regularization, and two triangles,
+        # whose K=4 is skipped as more components than points
+        same, triangle = Scatterplot(np.repeat([[1.0, 2.0]], 3, axis=0)), Scatterplot([[0, 0], [1, 2], [3, 1]])
+        plots = [KERNEL_PLOTS["blobs3"], same, triangle, KERNEL_PLOTS["blobs5"], Scatterplot(same.points + 1.0),
+                 Scatterplot(triangle.points * 2.0), KERNEL_PLOTS["four_distinct"]]
+        config = FitConfig(k_max=4, regularization=0.0)
+        batch = select_models(plots, config)
+        assert [fit_bits(r) for r in batch] == [fit_bits(r) for r in one_at_a_time(plots, config)]
+        assert [isinstance(r, DegenerateCovarianceError) for r in batch] == [False, True, False, False, True,
+                                                                             False, False]
+        assert str(batch[1]) == "no component count could be fitted"
+        assert batch[2].warnings[-1] == "k=4 skipped: more components than points (N=3)"
+
+    def test_batch_spread_over_several_blocks(self, monkeypatch):
+        plots, config = self.plots(), FitConfig(k_max=5)
+        expected = [fit_bits(r) for r in one_at_a_time(plots, config)]
+        monkeypatch.setattr(gmm, "BLOCK_ELEMENTS", 3 * config.n_restarts * config.k_max * 300)
+        blocks = record_blocks(monkeypatch)
+        assert [fit_bits(r) for r in select_models(plots, config)] == expected
+        assert max(p for p, _, _, n in blocks if n == 300) == 3
+        # a block's (groups, K, n) arrays stay within BLOCK_ELEMENTS, however many plots share n
+        assert all(p * r * k * n <= gmm.BLOCK_ELEMENTS for p, r, k, n in blocks)
+
+    def test_batch_runs_fewer_e_steps_and_the_same_m_steps(self, monkeypatch, benchmark_plots):
+        # the seed-0 score-batch plots, all with n = 500: one E-step of a block serves every plot still
+        # sweeping at its K, while every restart runs the M-steps it runs alone
+        plots = [read_scatterplot_csv(path) for path in benchmark_plots["batch"]]
+        counts = {"E-steps": 0, "M-steps": 0, "restarts": 0}
+        posterior, m_step, seed = gmm._posterior, gmm._m_step, gmm._kmeanspp_means
+
+        def counting(name, call, size=lambda *args: 1):
+            return lambda *args: counts.__setitem__(name, counts[name] + size(*args)) or call(*args)
+
+        monkeypatch.setattr(gmm, "_posterior", counting("E-steps", posterior))
+        monkeypatch.setattr(gmm, "_m_step", counting("M-steps", m_step, lambda stats, *_: len(stats)))
+        monkeypatch.setattr(gmm, "_kmeanspp_means", counting("restarts", seed))
+        select_models(plots, FitConfig())
+        batch, counts = counts, {name: 0 for name in counts}
+        one_at_a_time(plots, FitConfig())
+        assert batch == {"E-steps": 564, "M-steps": 5145, "restarts": 170}
+        assert counts == {"E-steps": 1462, "M-steps": 5145, "restarts": 170}
 
 
 class TestIo:

@@ -8,7 +8,8 @@ hit (a BIC above the best before it) must have the exhaustive sweep's BIC.  ``EX
 deviations by plot, each with its size.
 
 Tier-1 runs the 12 plots of ``TIER1``.  ``PYTHONPATH=src python tests/test_sweep_oracle.py`` runs all of
-``PLOTS`` (101 plots, under a minute) and exits 1 on any deviation not listed.
+``PLOTS`` (101 plots, under a minute) and exits 1 on any deviation not listed; it also checks that
+``select_models`` over all of them gives each plot what ``select_model`` gives it, bit for bit.
 """
 import math
 import sys
@@ -17,11 +18,11 @@ import numpy as np
 import pytest
 
 from scatterscore import augment, gmm
-from scatterscore.gmm import FitConfig, Scatterplot, select_model
+from scatterscore.gmm import FitConfig, Scatterplot, select_model, select_models
 from scatterscore.util import spawn_rng
 
 from test_golden import _snapped_plot, sweep_plot
-from test_gmm import unbarred_sweep
+from test_gmm import fit_bits, unbarred_sweep
 
 
 def grid_plot(seed: int) -> Scatterplot:
@@ -97,9 +98,13 @@ def test_select_model_matches_the_exhaustive_sweep(monkeypatch, name):
 
 def main() -> int:
     unexpected = 0
-    for name, (make, seed) in PLOTS.items():
+    plots = {name: make(seed) for name, (make, seed) in PLOTS.items()}
+    batch = dict(zip(plots, select_models(list(plots.values()), FitConfig())))
+    for name, plot in plots.items():
         with pytest.MonkeyPatch.context() as monkeypatch:
-            found = deviations(monkeypatch, make(seed))
+            found = deviations(monkeypatch, plot)
+        if fit_bits(batch[name]) != fit_bits(select_model(plot, FitConfig())):
+            found.append("select_models differs from select_model")
         expected = EXCEPTIONS.get(name, [])
         if found != expected:
             unexpected += 1
