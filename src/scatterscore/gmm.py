@@ -9,6 +9,7 @@ restarts and initialization draw from seeds derived with
 from __future__ import annotations
 
 import functools
+import io
 import math
 from dataclasses import dataclass
 
@@ -168,7 +169,8 @@ class FitResult:
 #
 # A bivariate Gaussian's log-density is linear in the moment features (x^2, xy, y^2, x, y, 1) of a point, so
 # the log-joint of R mixtures of k components at n points is one (R, k, 6) @ (6, n) product.  Its rows come in
-# groups of k, one group per mixture.
+# groups of k, one group per mixture.  EM holds the log-joints as a (k, R, n) array, so that the posterior's
+# max and sum over the components run over whole (R, n) slabs.
 
 
 def _features(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -186,7 +188,7 @@ def _coefficients(weights, means, covs, k: int, failed: dict, det=None) -> np.nd
     if det is None:
         det = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1]
     regular = (det > 0.0) & (det < math.inf)
-    if not regular.all():
+    if np.count_nonzero(regular) < len(det):
         for j in np.flatnonzero(~regular).tolist():
             failed.setdefault(j // k, f"covariance is singular (det={det[j].item()})")
     if failed:
@@ -199,20 +201,25 @@ def _coefficients(weights, means, covs, k: int, failed: dict, det=None) -> np.nd
         # the precision matrix as (pxx, -pxy, pyy), then its product with the mean
         prec = np.divide(covs[:, ::-1], det[:, None], out=coef[:, :3])
         np.subtract(prec[:, ::2] * means, prec[:, 1:2] * means[:, ::-1], out=coef[:, 3:5])
-        coef[:, 5] = np.log(weights) - 0.5 * np.log(det) - LOG_2PI - 0.5 * (coef[:, 3:5] * means).sum(axis=1)
+        quad = coef[:, 3] * means[:, 0] + coef[:, 4] * means[:, 1]
+        coef[:, 5] = np.log(weights) - 0.5 * np.log(det) - LOG_2PI - 0.5 * quad
     prec[:, ::2] *= -0.5
     return coef
 
 
 def _posterior(logp: np.ndarray):
-    """exp(logp) normalized over axis 1 of a (groups, k, n) array, computed in place, and the (groups, n) log
-    of the group sums."""
-    m = logp.max(axis=1)
-    logp -= m[:, None]
+    """exp(logp) normalized over axis 0 of a (k, ...) array, computed in place, and the log of the sums over
+    axis 0.  numpy sums over a leading axis one slab after another, in component order, as it sums over the
+    middle axis of a (groups, k, n) array with n >= 2.  (With n = 1, one distinct point, every component of
+    a run is the same and the order cannot matter.)"""
+    m = logp.max(axis=0)
+    logp -= m
     np.exp(logp, out=logp)
-    total = logp.sum(axis=1)
-    logp /= total[:, None]
-    return logp, m + np.log(total)
+    total = logp.sum(axis=0)
+    logp /= total
+    np.log(total, out=total)
+    total += m
+    return logp, total
 
 
 def mixture_pdf(model: MixtureModel, points) -> np.ndarray:
@@ -223,7 +230,7 @@ def mixture_pdf(model: MixtureModel, points) -> np.ndarray:
     coef = _coefficients(model.weights, model.means - centre, model.covs, model.k, failed)
     if failed:
         raise DegenerateCovarianceError(failed[0])
-    return np.exp(_posterior(coef[None] @ _features(*(X - centre).T))[1][0])
+    return np.exp(_posterior(coef @ _features(*(X - centre).T))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +257,31 @@ def _kmeanspp_means(xs: np.ndarray, ys: np.ndarray, k: int, rng: np.random.Gener
     return np.column_stack([xs[chosen], ys[chosen]])
 
 
-def _build_em_inputs(scatterplot: Scatterplot) -> tuple:
+def _distinct_points(X: np.ndarray) -> tuple:
+    """``np.unique(X, axis=0, return_counts=True)`` of an (N, 2) float array, bit for bit, from one 1-D sort:
+    the rows viewed as complex numbers, which sort by x, then y.  Rows that differ only in the sign of a zero
+    are one row, and np.unique keeps the sign its own sort puts first, so a plot holding -0.0 goes through
+    it."""
+    zero = X == 0.0
+    if zero.any() and np.signbit(X[zero]).any():
+        return np.unique(X, axis=0, return_counts=True)
+    values, counts = np.unique(np.ascontiguousarray(X).view(np.complex128)[:, 0], return_counts=True)
+    return values.view(float).reshape(-1, 2), counts
+
+
+def _build_em_inputs(scatterplot: Scatterplot, distinct: tuple | None = None) -> tuple:
     """The EM inputs that depend only on the plot: the x and y columns of all N points, which seeding draws
     from; their mean, the centre; the pooled covariance about it; the variance scale (1 when it is 0); and
     the (6, n) moment features ``phi`` of the n distinct points centred on the centre, their counts ``w``
-    and the count-weighted (n, 6) ``wphi``, all read-only."""
+    and the count-weighted (n, 6) ``wphi``, all read-only.  ``distinct`` is the plot's
+    :func:`_distinct_points`, if already found."""
     X = scatterplot.points
     xs, ys = np.ascontiguousarray(X.T)
     centre = X.mean(axis=0)
     d = X - centre
     pooled = d.T @ d / X.shape[0]
     scale = float(X.var(axis=0).mean())
-    distinct, counts = np.unique(X, axis=0, return_counts=True)
+    distinct, counts = _distinct_points(X) if distinct is None else distinct
     w = counts.astype(float)
     phi = _features(distinct[:, 0] - centre[0], distinct[:, 1] - centre[1])
     wphi = (phi * w).T.copy()
@@ -291,7 +311,7 @@ def _m_step(stats: np.ndarray, n_points, reg):
     covs = second - means.take(_FIRST, axis=1) * means.take(_SECOND, axis=1)
     variances = covs[:, ::2]
     noise = variances <= 16 * EPS * second[:, ::2]
-    if noise.any():
+    if np.count_nonzero(noise):
         variances[noise] = 0.0
     variances += reg
     return nk[:, 0] / n_points, means, covs
@@ -354,21 +374,24 @@ def _run_em(inputs: list, k: int, config: FitConfig, needs: list) -> list:
     spans, w, n_points, reg = layout(live)
     means, covs = np.concatenate(means), np.concatenate(covs)
     weights, det = np.full(len(live) * k, 1.0 / k), None
-    buf = np.empty((len(live) * k, phis[0].shape[1]))
+    n = phis[0].shape[1]
+    buf = np.empty(k * len(live) * n)
     ended: dict = {}  # group -> outcome of each run that leaves after this E-step
     while True:
         n_groups = len(live)
         coef = _coefficients(weights, means, covs, k, ended, det).reshape(n_groups, k, 6)
-        logp = buf[:n_groups * k].reshape(n_groups, k, -1)
+        # the (k, groups, n) log-joints, written and read per plot through their (groups, k, n) view
+        logp = buf[:k * n_groups * n].reshape(k, n_groups, n)
+        by_group = logp.transpose(1, 0, 2)
         for p, a, b in spans:
-            np.matmul(coef[a:b], phis[p], out=logp[a:b])
-        resp, logsum = _posterior(logp)
+            np.matmul(coef[a:b], phis[p], out=by_group[a:b])
+        logsum = _posterior(logp)[1]
         logliks = (w * logsum).sum(axis=1).tolist()
         stats = np.empty((n_groups, k, 6))
         for p, a, b in spans:
-            np.matmul(resp[a:b], wphis[p], out=stats[a:b])
+            np.matmul(by_group[a:b], wphis[p], out=stats[a:b])
         lost = stats[:, :, 5] < 1e-10
-        lost = lost.any(axis=1).tolist() if lost.any() else [False] * n_groups
+        lost = lost.any(axis=1).tolist() if np.count_nonzero(lost) else [False] * n_groups
         for i, ((p, r), loglik) in enumerate(zip(live, logliks)):
             if i in ended:
                 continue
@@ -397,7 +420,7 @@ def _run_em(inputs: list, k: int, config: FitConfig, needs: list) -> list:
         det = covs[:, 0] * covs[:, 2] - covs[:, 1] * covs[:, 1]
         collapsed = det <= 16 * EPS * covs[:, 0] * covs[:, 2]
         ended = ({j // k: "covariance collapsed to a singular matrix" for j in np.flatnonzero(collapsed).tolist()}
-                 if collapsed.any() else {})
+                 if np.count_nonzero(collapsed) else {})
 
 
 def _build_model(weights, means, covs, loglik, n, iterations=0) -> MixtureModel:
@@ -546,26 +569,30 @@ def select_models(plots: list, config: FitConfig) -> list:
     :class:`FitResult` or the :class:`DegenerateCovarianceError` that ``select_model`` raises on it, bit for
     bit.  Plots of the same distinct-point count n, in input order, form blocks of at most
     ``max(1, BLOCK_ELEMENTS // (n_restarts * k_max * n))`` plots whose sweeps run in lockstep: at each K, the
-    restarts of every plot of the block still sweeping run as one :func:`_run_em` block.  Only the current
-    block's EM inputs are held."""
+    restarts of every plot of the block still sweeping run as one :func:`_run_em` block.  Each plot's distinct
+    points are found once, by the one sort that both groups it and builds its EM inputs, and held until its
+    block is fitted; only the current block's other EM inputs are held."""
     if any(plot.n < 2 for plot in plots):
         raise ValueError("model selection needs at least 2 points")
+    distinct = [_distinct_points(plot.points) for plot in plots]
     by_n: dict[int, list[int]] = {}
-    for i, plot in enumerate(plots):
-        by_n.setdefault(len(np.unique(plot.points, axis=0)), []).append(i)
+    for i, (points, _) in enumerate(distinct):
+        by_n.setdefault(len(points), []).append(i)
     results = [None] * len(plots)
     for n, members in by_n.items():
         size = max(1, BLOCK_ELEMENTS // (config.n_restarts * config.k_max * n))
         for start in range(0, len(members), size):
             block = members[start:start + size]
-            for i, result in zip(block, _sweep_in_lockstep([plots[i] for i in block], config)):
-                results[i] = result
+            fits = _sweep_in_lockstep([plots[i] for i in block], [distinct[i] for i in block], config)
+            for i, result in zip(block, fits):
+                results[i], distinct[i] = result, None
     return results
 
 
-def _sweep_in_lockstep(plots: list, config: FitConfig) -> list:
-    """The sweeps of plots of one distinct-point count, one :func:`_run_em` block per K (see select_models)."""
-    inputs = [_build_em_inputs(plot) for plot in plots]
+def _sweep_in_lockstep(plots: list, distinct: list, config: FitConfig) -> list:
+    """The sweeps of plots of one distinct-point count, given with their :func:`_distinct_points`, one
+    :func:`_run_em` block per K (see select_models)."""
+    inputs = [_build_em_inputs(plot, d) for plot, d in zip(plots, distinct)]
     sweeps = [_Sweep(plot.n, config) for plot in plots]
     for k in range(1, config.k_max + 1):
         fitting = [i for i, sweep in enumerate(sweeps) if sweep.should_fit(k)]
@@ -591,16 +618,57 @@ def _sweep_in_lockstep(plots: list, config: FitConfig) -> list:
 # I/O
 
 
-def read_scatterplot_csv(path, plot_id: str | None = None) -> Scatterplot:
-    """Read a two-column x,y CSV (an optional header as its first non-blank row).
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
-    Trailing empty cells are ignored; any other empty cell is an error, and
-    so is a coordinate that :class:`Scatterplot` rejects.
-    """
+
+def _is_header(cells: list) -> bool:
+    """Whether the stripped cells of a file's first non-blank row, its trailing empty ones dropped, are a
+    header: two cells, neither empty nor a number."""
+    return len(cells) == 2 and all(cells) and not any(map(_is_number, cells))
+
+
+def _read_points_at_once(path) -> np.ndarray | None:
+    """The (N, 2) points of a well-formed x,y CSV, parsed by one ``np.loadtxt`` call after its header, if any;
+    None when the file does not decode or the call rejects it, so that :func:`_read_points_by_row` reads it
+    and raises its error.  ``np.loadtxt`` parses a number as ``float`` does, and takes no quoted, empty or
+    blank-but-not-empty cell, so what it accepts the per-row reader reads to the same points.  A first row
+    that could hold a quoted cell or a NUL is not taken as a header here."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    start = len(text) - len(text.lstrip())
+    end = text.find("\n", start)
+    end = len(text) if end < 0 else end + 1
+    first = text[start:end]
+    cells = [cell.strip() for cell in first.split(",")]
+    while cells and not cells[-1]:
+        cells.pop()
+    if '"' not in first and "\0" not in first and _is_header(cells):
+        start = end  # past the header
+    if not text[start:].strip():
+        return None
+    try:
+        points = np.loadtxt(io.StringIO(text[start:]), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return points if points.shape[1] == 2 else None
+
+
+def _read_points_by_row(path) -> np.ndarray:
+    """The (N, 2) points of an x,y CSV read row by row, or the ValueError that names its first bad row."""
     rows: list[tuple[float, float]] = []
     for i, (line, cells) in enumerate(read_rows(path)):
         while not cells[-1]:
             cells.pop()
+        if i == 0 and _is_header(cells):
+            continue
         if not all(cells):
             raise ValueError(f"{path}: row {line}: empty cell")
         if len(cells) != 2:
@@ -608,13 +676,24 @@ def read_scatterplot_csv(path, plot_id: str | None = None) -> Scatterplot:
         try:
             rows.append((float(cells[0]), float(cells[1])))
         except ValueError:
-            if i == 0:  # header row: the first non-blank one
-                continue
             raise ValueError(f"{path}: row {line}: non-numeric cell in {cells!r}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    return np.array(rows, dtype=float)
+
+
+def read_scatterplot_csv(path, plot_id: str | None = None) -> Scatterplot:
+    """Read a two-column x,y CSV, with an optional header: the first non-blank row, if it has two cells and
+    neither is a number.
+
+    Trailing empty cells are ignored; any other empty cell is an error, and
+    so is a coordinate that :class:`Scatterplot` rejects.
+    """
+    points = _read_points_at_once(path)
+    if points is None:
+        points = _read_points_by_row(path)
     try:
-        return Scatterplot(points=np.array(rows, dtype=float), id=plot_id)
+        return Scatterplot(points=points, id=plot_id)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -825,6 +825,7 @@ MUTATIONS = {
     "dropped_cell": ((2,), "expected 2 columns, got 1"),
     "duplicated_cell": ((2,), "expected 2 columns, got 3"),
     "non_numeric_cell": ((2,), "non-numeric cell"),
+    "half_numeric_header": ((2,), "row 1: non-numeric cell in ['1', 'abc']"),  # a header has no numeric cell
     "nan": ((2,), TOO_LARGE),
     "inf": ((2,), TOO_LARGE),
     "-inf": ((2,), TOO_LARGE),
@@ -848,6 +849,8 @@ def mutate_points_csv(text: str, kind: str, rng: np.random.Generator) -> str:
         rows[r].insert(c, rows[r][c])
     elif kind == "non_numeric_cell":
         rows[r][c] = "abc"
+    elif kind == "half_numeric_header":
+        header = "1,abc"
     elif kind == "truncated_last_row":
         last = ",".join(rows.pop())
         return "\n".join([header, *map(",".join, rows), last[: int(rng.integers(1, len(last)))]])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -1243,6 +1244,14 @@ class TestSelectModels:
         # a block's (groups, K, n) arrays stay within BLOCK_ELEMENTS, however many plots share n
         assert all(p * r * k * n <= gmm.BLOCK_ELEMENTS for p, r, k, n in blocks)
 
+    def test_each_plot_is_sorted_once(self, monkeypatch):
+        # the sort that groups a plot by its distinct-point count also builds its EM inputs
+        plots = [*KERNEL_PLOTS.values(), Scatterplot(KERNEL_PLOTS["blobs3"].points + 1.0)]
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(args) or unique(*args, **kwargs))
+        select_models(plots, FitConfig(k_max=2))
+        assert len(calls) == len(plots)
+
     def test_batch_runs_fewer_e_steps_and_the_same_m_steps(self, monkeypatch, benchmark_plots):
         # the seed-0 score-batch plots, all with n = 500: one E-step of a block serves every plot still
         # sweeping at its K, while every restart runs the M-steps it runs alone
@@ -1308,3 +1317,125 @@ class TestIo:
         path.write_text("x,y\n1.0,2.0\n1.0,oops\n")
         with pytest.raises(ValueError, match="row 3"):
             read_scatterplot_csv(path)
+
+    @pytest.mark.parametrize("first,message", [("1,abc", "row 1: non-numeric cell in ['1', 'abc']"),
+                                               ("\n abc , 1e3 ,", "row 2: non-numeric cell in ['abc', '1e3']"),
+                                               ('"1",y', "row 1: non-numeric cell in ['1', 'y']"),
+                                               ("nan,y", "row 1: non-numeric cell in ['nan', 'y']")])
+    def test_first_row_with_a_numeric_cell_is_not_a_header(self, tmp_path, first, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{first}\n1,2\n3,4\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_scatterplot_csv(path)
+
+    @pytest.mark.parametrize("header", ["x,y", ' "x" , "y" ,,', "inf x,nan y", "1x,2y"])
+    def test_header_has_no_numeric_cell(self, tmp_path, header):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"{header}\n1,2\n3,4\n")
+        assert read_scatterplot_csv(path).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def csv_text(points, header, blank_lines, crlf, spaces, exponent, quoted, trailing_empty) -> str:
+    """An x,y file of ``points`` in one of the forms the reader takes."""
+    def cell(text):  # a space outside a quote would be part of the cell
+        text = f" {text} " if spaces else text
+        return f'"{text}"' if quoted else text
+
+    newline = "\r\n" if crlf else "\n"
+    rows = [",".join(map(cell, ("x", "y")))] if header else []
+    rows += [",".join(cell(f"{v:.17e}" if exponent else repr(v)) for v in row) + ",," * trailing_empty
+             for row in points.tolist()]
+    return newline * (2 * blank_lines) + newline.join(rows) + newline
+
+
+class TestCsvParse:
+    """A well-formed file is parsed by one ``np.loadtxt`` call; whatever that call reads, the per-row reader
+    reads to the same bits, and every error is the per-row reader's."""
+
+    POINTS = np.array([[0.0, -0.0], [1.5, -2.25], [1e-300, -3.0e70], [0.1, 1 / 3], [-7.0, 123456789.125]])
+
+    def test_every_form_reads_as_the_per_row_reader_reads_it(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        for form in itertools.product([False, True], repeat=7):
+            path.write_bytes(csv_text(self.POINTS, *form).encode())
+            by_row = gmm._read_points_by_row(path)
+            at_once = gmm._read_points_at_once(path)
+            quoted, trailing_empty = form[5:]
+            # loadtxt takes no quoted and no empty cell: those files go to the per-row reader
+            assert (at_once is None) == (quoted or trailing_empty), form
+            assert read_scatterplot_csv(path).points.tobytes() == by_row.tobytes() == self.POINTS.tobytes(), form
+            if at_once is not None:
+                assert at_once.tobytes() == by_row.tobytes(), form
+
+    @pytest.mark.parametrize("text,message", [
+        ("x,y\n1,,2\n", "row 2: empty cell"),
+        ("x,y\n0,0\n,5\n", "row 3: empty cell"),
+        ("x,y\n1,2,3\n", "row 2: expected 2 columns, got 3"),
+        ("x,y\r\n1,2\r\n3,\r\n", "row 3: expected 2 columns, got 1"),
+        ("\n\nx\n1,2\n", "row 3: expected 2 columns, got 1"),
+        ("x,y\n1,2\nx,y\n", "row 3: non-numeric cell in ['x', 'y']"),
+        ("x,y\n1.0,oops\n", "row 2: non-numeric cell in ['1.0', 'oops']"),
+        ("x,y\n1,1_000\n2,2\n3,#\n", "row 4: non-numeric cell in ['3', '#']"),
+        ("", "no data rows"),
+        ("x,y\n", "no data rows"),
+        ("\n \n,,\n", "no data rows"),
+        ("x,y\n1,inf\n", "coordinates must be finite and within +-2.89e+76 to be fitted"),
+        ("1,2\n-1e300,0\n", "coordinates must be finite and within +-2.89e+76 to be fitted"),
+    ])
+    def test_errors_are_the_per_row_readers(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as exc:
+            read_scatterplot_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text,points", [
+        ('x,y\n"1",2\n', [[1.0, 2.0]]),
+        ("x,y\n1,2\n  \n,,\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("x,y\n1_0,\u0662\n", [[10.0, 2.0]]),
+        ("x,y\r1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+    ])
+    def test_what_loadtxt_rejects_the_per_row_reader_reads(self, tmp_path, text, points):
+        path = tmp_path / "pts.csv"
+        path.write_bytes(text.encode())
+        assert read_scatterplot_csv(path).points.tolist() == points
+
+
+class TestDistinctPoints:
+    """``gmm._distinct_points`` returns what ``np.unique(X, axis=0, return_counts=True)`` returns, bit for bit."""
+
+    @staticmethod
+    def assert_as_unique(X):
+        rows, counts = gmm._distinct_points(X)
+        want_rows, want_counts = np.unique(X, axis=0, return_counts=True)
+        assert (rows.shape, rows.dtype, counts.dtype) == (want_rows.shape, want_rows.dtype, want_counts.dtype)
+        assert rows.tobytes() == want_rows.tobytes() and counts.tobytes() == want_counts.tobytes()
+
+    @pytest.mark.parametrize("X", [[[0.0, 1.0], [-0.0, 1.0]], [[-0.0, 1.0], [0.0, 1.0]],
+                                   [[1.0, 0.0], [1.0, -0.0], [1.0, 0.0]], [[1.0, -0.0], [1.0, 0.0], [-0.0, 0.0]]])
+    def test_signed_zeros(self, X):
+        self.assert_as_unique(np.array(X))
+
+    def test_many_signed_zeros(self):
+        X = np.random.default_rng(0).choice([-0.0, 0.0, 1.0, -1.0], size=(500, 2))
+        self.assert_as_unique(X)
+        self.assert_as_unique(X[::-1].copy())
+
+    @pytest.mark.parametrize("X", [np.ones((1, 2)), np.array([[2.5, -1.0]]), np.repeat([[3.0, -4.0]], 50, axis=0)])
+    def test_one_point_and_identical_points(self, X):
+        self.assert_as_unique(X)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lattice_plots(self, seed):
+        from test_sweep_oracle import lattice_plot
+
+        self.assert_as_unique(lattice_plot(seed).points)
+
+    @pytest.mark.parametrize("name", KERNEL_PLOTS)
+    def test_kernel_plots(self, name):
+        self.assert_as_unique(KERNEL_PLOTS[name].points)
+
+    def test_pixel_plot(self, benchmark_plots):
+        X = read_scatterplot_csv(benchmark_plots["pixel"][0]).points
+        self.assert_as_unique(X)
+        assert len(gmm._distinct_points(X)[0]) < len(X)
