@@ -82,7 +82,7 @@ def _parse_config_file(path) -> dict[str, tuple[str, str]]:
     """key -> (``<path>: line N``, value) of each key=value line."""
     values: dict[str, tuple[str, str]] = {}
     with _input_errors(f"cannot read config file {path}: "):
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     for i, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:

@@ -9,7 +9,6 @@ restarts and initialization draw from seeds derived with
 from __future__ import annotations
 
 import functools
-import io
 import math
 from dataclasses import dataclass
 
@@ -90,24 +89,35 @@ class MixtureModel:
 
 @dataclass(frozen=True, eq=False)
 class Scatterplot:
-    """Ordered set of N >= 1 2D points within +-COORD_LIMIT, the raw unit of scoring."""
+    """Ordered set of N >= 1 2D points within +-COORD_LIMIT, the raw unit of scoring, held read-only and with
+    every -0.0 made 0.0."""
 
     points: np.ndarray
     id: str | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.points, dtype=float)
+        arr = np.ascontiguousarray(self.points, dtype=float) + 0.0  # a new C-order array, with no -0.0
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise ValueError(f"expected an (N, 2) point array with N >= 1, got shape {arr.shape}")
         if not np.all(np.abs(arr) <= COORD_LIMIT):
             raise ValueError(f"coordinates must be finite and within +-{COORD_LIMIT:.3g} to be fitted")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+    @functools.cached_property
+    def distinct(self) -> tuple:
+        """The distinct points and how often each occurs, read-only: ``np.unique(points, axis=0,
+        return_counts=True)`` bit for bit, found on first use by one 1-D sort of the rows viewed as complex
+        numbers, which sort by x, then y (with no -0.0, rows are equal exactly when their bits are)."""
+        values, counts = np.unique(self.points.view(np.complex128)[:, 0], return_counts=True)
+        rows = values.view(float).reshape(-1, 2)
+        for a in (rows, counts):
+            a.setflags(write=False)
+        return rows, counts
 
 
 @dataclass(frozen=True)
@@ -257,31 +267,18 @@ def _kmeanspp_means(xs: np.ndarray, ys: np.ndarray, k: int, rng: np.random.Gener
     return np.column_stack([xs[chosen], ys[chosen]])
 
 
-def _distinct_points(X: np.ndarray) -> tuple:
-    """``np.unique(X, axis=0, return_counts=True)`` of an (N, 2) float array, bit for bit, from one 1-D sort:
-    the rows viewed as complex numbers, which sort by x, then y.  Rows that differ only in the sign of a zero
-    are one row, and np.unique keeps the sign its own sort puts first, so a plot holding -0.0 goes through
-    it."""
-    zero = X == 0.0
-    if zero.any() and np.signbit(X[zero]).any():
-        return np.unique(X, axis=0, return_counts=True)
-    values, counts = np.unique(np.ascontiguousarray(X).view(np.complex128)[:, 0], return_counts=True)
-    return values.view(float).reshape(-1, 2), counts
-
-
-def _build_em_inputs(scatterplot: Scatterplot, distinct: tuple | None = None) -> tuple:
+def _build_em_inputs(scatterplot: Scatterplot) -> tuple:
     """The EM inputs that depend only on the plot: the x and y columns of all N points, which seeding draws
     from; their mean, the centre; the pooled covariance about it; the variance scale (1 when it is 0); and
-    the (6, n) moment features ``phi`` of the n distinct points centred on the centre, their counts ``w``
-    and the count-weighted (n, 6) ``wphi``, all read-only.  ``distinct`` is the plot's
-    :func:`_distinct_points`, if already found."""
+    the (6, n) moment features ``phi`` of the n :attr:`Scatterplot.distinct` points centred on the centre,
+    their counts ``w`` and the count-weighted (n, 6) ``wphi``, all read-only."""
     X = scatterplot.points
     xs, ys = np.ascontiguousarray(X.T)
     centre = X.mean(axis=0)
     d = X - centre
     pooled = d.T @ d / X.shape[0]
     scale = float(X.var(axis=0).mean())
-    distinct, counts = _distinct_points(X) if distinct is None else distinct
+    distinct, counts = scatterplot.distinct
     w = counts.astype(float)
     phi = _features(distinct[:, 0] - centre[0], distinct[:, 1] - centre[1])
     wphi = (phi * w).T.copy()
@@ -435,12 +432,12 @@ def _loglik_needed(beat_bic: float, k: int, n_points: int, config: FitConfig) ->
 
 def _best_restart(outcomes: list, n_points: int):
     """The model of the first restart with the largest log-likelihood among one plot's :func:`_run_em`
-    outcomes (None when none completed but one stopped), and the trace of each restart that did not fail.
-    Raises :class:`DegenerateCovarianceError` when every restart failed."""
+    outcomes (None when none completed but one stopped, a :class:`DegenerateCovarianceError` when every
+    restart failed), and the trace of each restart that did not fail."""
     traces = [outcome if isinstance(outcome, np.ndarray) else outcome[4]
               for outcome in outcomes if not isinstance(outcome, str)]
     if not traces:
-        raise DegenerateCovarianceError(f"all {len(outcomes)} EM restarts failed: {outcomes[-1]}")
+        return DegenerateCovarianceError(f"all {len(outcomes)} EM restarts failed: {outcomes[-1]}"), traces
     fits = [outcome for outcome in outcomes if isinstance(outcome, tuple)]
     if not fits:
         return None, traces
@@ -467,7 +464,10 @@ def fit_em_with_trace(scatterplot: Scatterplot, k: int, config: FitConfig, beat_
     if scatterplot.n < k:
         raise ValueError(f"need at least k={k} points, got N={scatterplot.n}")
     need = _loglik_needed(beat_bic, k, scatterplot.n, config)
-    return _best_restart(_run_em([_em_inputs(scatterplot)], k, config, [need])[0], scatterplot.n)
+    model, traces = _best_restart(_run_em([_em_inputs(scatterplot)], k, config, [need])[0], scatterplot.n)
+    if isinstance(model, DegenerateCovarianceError):
+        raise model
+    return model, traces
 
 
 def fit_em(scatterplot: Scatterplot, k: int, config: FitConfig, beat_bic: float = -math.inf) -> MixtureModel | None:
@@ -530,9 +530,10 @@ class _Sweep:
         self.alerts.append(message)
         self.warnings.append(message)
 
-    def result(self) -> FitResult:
+    def result(self) -> FitResult | DegenerateCovarianceError:
+        """The sweep's :class:`FitResult`, or a :class:`DegenerateCovarianceError` when no K was fitted."""
         if self.best_model is None:
-            raise DegenerateCovarianceError("no component count could be fitted")
+            return DegenerateCovarianceError("no component count could be fitted")
         return FitResult(self.best_model, tuple(self.per_k), tuple(self.warnings), tuple(self.alerts))
 
 
@@ -561,7 +562,10 @@ def select_model(scatterplot: Scatterplot, config: FitConfig) -> FitResult:
             except DegenerateCovarianceError as exc:
                 fit = exc
             sweep.add(k, fit)
-    return sweep.result()
+    result = sweep.result()
+    if isinstance(result, DegenerateCovarianceError):
+        raise result
+    return result
 
 
 def select_models(plots: list, config: FitConfig) -> list:
@@ -569,30 +573,27 @@ def select_models(plots: list, config: FitConfig) -> list:
     :class:`FitResult` or the :class:`DegenerateCovarianceError` that ``select_model`` raises on it, bit for
     bit.  Plots of the same distinct-point count n, in input order, form blocks of at most
     ``max(1, BLOCK_ELEMENTS // (n_restarts * k_max * n))`` plots whose sweeps run in lockstep: at each K, the
-    restarts of every plot of the block still sweeping run as one :func:`_run_em` block.  Each plot's distinct
-    points are found once, by the one sort that both groups it and builds its EM inputs, and held until its
-    block is fitted; only the current block's other EM inputs are held."""
+    restarts of every plot of the block still sweeping run as one :func:`_run_em` block.  Grouping a plot finds
+    its :attr:`Scatterplot.distinct`, which its EM inputs then reuse; only the current block's other EM
+    inputs are held."""
     if any(plot.n < 2 for plot in plots):
         raise ValueError("model selection needs at least 2 points")
-    distinct = [_distinct_points(plot.points) for plot in plots]
     by_n: dict[int, list[int]] = {}
-    for i, (points, _) in enumerate(distinct):
-        by_n.setdefault(len(points), []).append(i)
+    for i, plot in enumerate(plots):
+        by_n.setdefault(len(plot.distinct[1]), []).append(i)
     results = [None] * len(plots)
     for n, members in by_n.items():
         size = max(1, BLOCK_ELEMENTS // (config.n_restarts * config.k_max * n))
         for start in range(0, len(members), size):
             block = members[start:start + size]
-            fits = _sweep_in_lockstep([plots[i] for i in block], [distinct[i] for i in block], config)
-            for i, result in zip(block, fits):
-                results[i], distinct[i] = result, None
+            for i, result in zip(block, _sweep_in_lockstep([plots[i] for i in block], config)):
+                results[i] = result
     return results
 
 
-def _sweep_in_lockstep(plots: list, distinct: list, config: FitConfig) -> list:
-    """The sweeps of plots of one distinct-point count, given with their :func:`_distinct_points`, one
-    :func:`_run_em` block per K (see select_models)."""
-    inputs = [_build_em_inputs(plot, d) for plot, d in zip(plots, distinct)]
+def _sweep_in_lockstep(plots: list, config: FitConfig) -> list:
+    """The sweeps of plots of one distinct-point count, one :func:`_run_em` block per K (see select_models)."""
+    inputs = [_build_em_inputs(plot) for plot in plots]
     sweeps = [_Sweep(plot.n, config) for plot in plots]
     for k in range(1, config.k_max + 1):
         fitting = [i for i, sweep in enumerate(sweeps) if sweep.should_fit(k)]
@@ -600,18 +601,8 @@ def _sweep_in_lockstep(plots: list, distinct: list, config: FitConfig) -> list:
             continue
         needs = [_loglik_needed(sweeps[i].best_bic, k, plots[i].n, config) for i in fitting]
         for i, outcomes in zip(fitting, _run_em([inputs[i] for i in fitting], k, config, needs)):
-            try:
-                fit = _best_restart(outcomes, plots[i].n)[0]
-            except DegenerateCovarianceError as exc:
-                fit = exc
-            sweeps[i].add(k, fit)
-    results = []
-    for sweep in sweeps:
-        try:
-            results.append(sweep.result())
-        except DegenerateCovarianceError as exc:
-            results.append(exc)
-    return results
+            sweeps[i].add(k, _best_restart(outcomes, plots[i].n)[0])
+    return [sweep.result() for sweep in sweeps]
 
 
 # ---------------------------------------------------------------------------
@@ -633,29 +624,23 @@ def _is_header(cells: list) -> bool:
 
 
 def _read_points_at_once(path) -> np.ndarray | None:
-    """The (N, 2) points of a well-formed x,y CSV, parsed by one ``np.loadtxt`` call after its header, if any;
-    None when the file does not decode or the call rejects it, so that :func:`_read_points_by_row` reads it
-    and raises its error.  ``np.loadtxt`` parses a number as ``float`` does, and takes no quoted, empty or
-    blank-but-not-empty cell, so what it accepts the per-row reader reads to the same points.  A first row
-    that could hold a quoted cell or a NUL is not taken as a header here."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
-    start = len(text) - len(text.lstrip())
-    end = text.find("\n", start)
-    end = len(text) if end < 0 else end + 1
-    first = text[start:end]
-    cells = [cell.strip() for cell in first.split(",")]
+    """The (N, 2) points of a well-formed x,y CSV, parsed by one ``np.loadtxt`` call from the line after its
+    first non-blank row if that row is a header as :func:`_read_points_by_row` finds it, else from the top (a
+    quote in a data row may run over lines, and the row's line number is where it ends); None when a header
+    has no data row after it or the call rejects the file, so that the per-row reader reads it and raises its
+    error.  ``np.loadtxt`` parses a number as ``float`` does, and takes no quoted, empty or
+    blank-but-not-empty cell, so what it accepts the per-row reader reads to the same points."""
+    rows = read_rows(path)
+    line, cells = next(rows, (0, []))
     while cells and not cells[-1]:
         cells.pop()
-    if '"' not in first and "\0" not in first and _is_header(cells):
-        start = end  # past the header
-    if not text[start:].strip():
+    header = _is_header(cells)
+    if not cells or header and next(rows, None) is None:
         return None
+    rows.close()
     try:
-        points = np.loadtxt(io.StringIO(text[start:]), delimiter=",", comments=None, ndmin=2)
+        points = np.loadtxt(path, delimiter=",", comments=None, skiprows=line if header else 0, ndmin=2,
+                            encoding="utf-8-sig")
     except ValueError:
         return None
     return points if points.shape[1] == 2 else None

@@ -105,13 +105,20 @@ def fmt_num(x) -> str:
 
 
 def read_rows(path):
-    """Yield (line number, stripped cells) per non-blank row; blank lines do not shift the numbers."""
-    with open(path, newline="") as fh:
+    """Yield (line number, stripped cells) per non-blank row of a UTF-8 CSV, with or without a byte-order
+    mark; blank lines do not shift the numbers.  Bytes that do not decode, or a row the csv module cannot
+    read, raise a ValueError that names the file (and the row)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            cells = [c.strip() for c in row]
-            if any(cells):
-                yield reader.line_num, cells
+        try:
+            for row in reader:
+                cells = [c.strip() for c in row]
+                if any(cells):
+                    yield reader.line_num, cells
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
 
 
 def read_table(path, required=()) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:

@@ -1358,3 +1358,86 @@ class TestConfigMutations:
         sidecar = (tmp_path / "out" / "m.json.config.txt").read_text().splitlines()
         assert {"seed=5", "cv_folds=2", "balance=none", "n_trees=1"} <= set(sidecar)
         assert tmp_path / "out" / "m.json" in written
+
+
+# reader -> (its input file, the command line that reads it, given the file and an --out path)
+READERS = {
+    "plot": (P0, lambda f, out, model: ["score", f, "--model", model, "--k-max", 2, "--n-restarts", 1, "--out", out]),
+    "corpus": (GOLDEN_CORPUS, lambda f, out, model: ["train", f, "--n-trees", 1, "--out", out]),
+    "judged": (DATA / "judged.csv", lambda f, out, model: ["corpus", f, "--out", out]),
+    "pairs": (DATA / "pairs.csv", lambda f, out, model: ["evaluate", "--scores", DATA / "golden" / "scores.csv",
+                                                         "--pairs", f, "--b", 10, "--out", out]),
+    "scores": (DATA / "golden" / "scores.csv", lambda f, out, model: ["rank", f, "--out", out]),
+    "params": (DATA / "params.csv", lambda f, out, model: ["generate", "--params-file", f, "--n", 20, "--out", out]),
+}
+
+
+class TestInputEncoding:
+    """Every input is UTF-8 with an optional byte-order mark, and a file that does not decode, or holds a row
+    that the csv module cannot read, exits 2 naming the file (and the row) and writes nothing."""
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        model = tmp_path_factory.mktemp("model") / "model.json"
+        assert run("train", GOLDEN_CORPUS, "--n-trees", 1, "--out", model) == 0
+        return model
+
+    @staticmethod
+    def run_on(tmp_path, name, reader, data: bytes, model):
+        """Run ``reader``'s command on ``data`` written to ``<tmp_path>/<name>/in/<file name>``; its exit code
+        and every file it wrote, by path relative to its --out directory."""
+        source, argv = READERS[reader]
+        path = tmp_path / name / "in" / source.name
+        path.parent.mkdir(parents=True)
+        path.write_bytes(data)
+        out_dir = tmp_path / name / "out"
+        out_dir.mkdir()
+        code = run(*argv(path, out_dir / "out", model))
+        return code, {str(p.relative_to(out_dir)): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize("reader", [*READERS, "plot without a header"])
+    def test_byte_order_mark_reads_as_the_clean_file(self, tmp_path, model, reader):
+        # a plot's header would pass for one with the mark on its first cell, so a plot is also read without
+        data = READERS[reader.split()[0]][0].read_bytes()
+        if reader == "plot without a header":
+            reader, data = "plot", data.split(b"\n", 1)[1]
+        clean = self.run_on(tmp_path, "clean", reader, data, model)
+        assert clean[0] == 0 and clean[1]
+        assert self.run_on(tmp_path, "bom", reader, b"\xef\xbb\xbf" + data, model) == clean
+
+    def test_byte_order_mark_in_config_file(self, tmp_path):
+        outputs = []
+        for name, bom in (("clean", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / name).mkdir()
+            cfg = tmp_path / name / "run.cfg"
+            cfg.write_bytes(bom + b"ascending=yes\n")
+            out = tmp_path / name / "ranking.csv"
+            assert run("rank", DATA / "golden" / "scores.csv", "--config", cfg, "--out", out) == 0
+            outputs.append((out.read_bytes(), Path(str(out) + ".config.txt").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert b"ascending=True\n" in outputs[0][1]
+
+    @pytest.mark.parametrize("damage", ["long_cell", "bad_byte"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_unreadable_file_exit_2_naming_it(self, tmp_path, model, capsys, reader, damage):
+        header, first, rest = READERS[reader][0].read_bytes().split(b"\n", 2)
+        cells = first.split(b",")
+        cells[-1] = b"9" * 200_000 if damage == "long_cell" else cells[-1] + b"\xff"
+        code, written = self.run_on(tmp_path, "bad", reader, b"\n".join([header, b",".join(cells), rest]), model)
+        err = capsys.readouterr().err
+        path = tmp_path / "bad" / "in" / READERS[reader][0].name
+        assert code == 2, err
+        if damage == "long_cell":
+            assert f"error: {path}: row 2: field larger than field limit (131072)\n" in err
+        else:
+            assert f"error: {path}: 'utf-8' codec can't decode byte 0xff" in err
+        assert written == {}
+
+    def test_negative_zero_scores_as_zero(self, tmp_path, model):
+        rows = P0.read_text().splitlines()
+        for i in range(1, len(rows), 3):
+            rows[i] = "ZERO," + rows[i].split(",")[1]
+        text = "\n".join(rows) + "\n"
+        zero = self.run_on(tmp_path, "zero", "plot", text.replace("ZERO", "0").encode(), model)
+        assert zero[0] == 0 and zero[1]
+        assert self.run_on(tmp_path, "negative_zero", "plot", text.replace("ZERO", "-0").encode(), model) == zero

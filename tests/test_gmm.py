@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -1245,10 +1246,14 @@ class TestSelectModels:
         assert all(p * r * k * n <= gmm.BLOCK_ELEMENTS for p, r, k, n in blocks)
 
     def test_each_plot_is_sorted_once(self, monkeypatch):
-        # the sort that groups a plot by its distinct-point count also builds its EM inputs
-        plots = [*KERNEL_PLOTS.values(), Scatterplot(KERNEL_PLOTS["blobs3"].points + 1.0)]
+        # the sort that groups a plot by its distinct-point count also builds its EM inputs, and a plot keeps
+        # its distinct points: fresh plots, since the shared ones were sorted by earlier tests
+        points = [plot.points for plot in KERNEL_PLOTS.values()] + [KERNEL_PLOTS["blobs3"].points + 1.0]
+        plots = [Scatterplot(X) for X in points]
         calls, unique = [], np.unique
         monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(args) or unique(*args, **kwargs))
+        select_models(plots, FitConfig(k_max=2))
+        assert len(calls) == len(plots)
         select_models(plots, FitConfig(k_max=2))
         assert len(calls) == len(plots)
 
@@ -1363,7 +1368,9 @@ class TestCsvParse:
             quoted, trailing_empty = form[5:]
             # loadtxt takes no quoted and no empty cell: those files go to the per-row reader
             assert (at_once is None) == (quoted or trailing_empty), form
-            assert read_scatterplot_csv(path).points.tobytes() == by_row.tobytes() == self.POINTS.tobytes(), form
+            assert by_row.tobytes() == self.POINTS.tobytes(), form
+            # a Scatterplot holds 0.0 where the file has -0.0
+            assert read_scatterplot_csv(path).points.tobytes() == (by_row + 0.0).tobytes(), form
             if at_once is not None:
                 assert at_once.tobytes() == by_row.tobytes(), form
 
@@ -1400,14 +1407,58 @@ class TestCsvParse:
         path.write_bytes(text.encode())
         assert read_scatterplot_csv(path).points.tolist() == points
 
+    @pytest.mark.parametrize("text", [
+        '"x","y"\n1,2\n3,-4.5\n',
+        ' "x" , "y" ,,\n1,2\n3,-4.5\n',
+        "x,y\r1,2\r3,-4.5\r",
+        "\r\rx,y\r1,2\r3,-4.5",
+        '"x\nlabel",y\n1,2\n3,-4.5\n',
+        '\n"x\r\nlabel","y\rlabel"\r\n1,2\r\n3,-4.5\r\n',
+        "\ufeffx,y\n1,2\n3,-4.5\n",
+        "\ufeff1,2\n3,-4.5\n",
+        "\ufeff\n\nx,y\r\n1,2\r\n3,-4.5\r\n",
+    ])
+    def test_header_forms_are_parsed_at_once(self, tmp_path, text):
+        # the header is the first row as the csv module reads it, whatever its quotes, line ends or BOM
+        path = tmp_path / "pts.csv"
+        path.write_bytes(text.encode())
+        at_once = gmm._read_points_at_once(path)
+        assert at_once is not None
+        assert at_once.tobytes() == gmm._read_points_by_row(path).tobytes() == np.array([[1, 2], [3, -4.5]]).tobytes()
+
+    @pytest.mark.parametrize("text", ["x,y\n", "\ufeffx,y\n\n \n,,\n", "", "\n\n", " \n,,\n\t\n", "\ufeff"])
+    def test_no_data_row_gives_none_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "pts.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gmm._read_points_at_once(path) is None
+        with pytest.raises(ValueError, match="no data rows"):
+            read_scatterplot_csv(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ('1,"2\n3,4\n', "row 2: non-numeric cell in ['1', '2\\n3,4']"),
+        ('"1\n2,3\n', "row 2: expected 2 columns, got 1"),
+        ('"x\n1,2\n3,4\n', "row 3: expected 2 columns, got 1"),
+    ])
+    def test_a_data_row_quoted_to_the_end_is_read_from_its_first_line(self, tmp_path, text, message):
+        # the first row runs over every line: read from its last line, the file would parse
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        assert gmm._read_points_at_once(path) is None
+        with pytest.raises(ValueError) as exc:
+            read_scatterplot_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
 
 class TestDistinctPoints:
-    """``gmm._distinct_points`` returns what ``np.unique(X, axis=0, return_counts=True)`` returns, bit for bit."""
+    """``Scatterplot(X).distinct`` is what ``np.unique(X + 0.0, axis=0, return_counts=True)`` returns, bit for
+    bit: a Scatterplot holds 0.0 for each -0.0 of X."""
 
     @staticmethod
     def assert_as_unique(X):
-        rows, counts = gmm._distinct_points(X)
-        want_rows, want_counts = np.unique(X, axis=0, return_counts=True)
+        rows, counts = Scatterplot(X).distinct
+        want_rows, want_counts = np.unique(X + 0.0, axis=0, return_counts=True)
         assert (rows.shape, rows.dtype, counts.dtype) == (want_rows.shape, want_rows.dtype, want_counts.dtype)
         assert rows.tobytes() == want_rows.tobytes() and counts.tobytes() == want_counts.tobytes()
 
@@ -1438,4 +1489,28 @@ class TestDistinctPoints:
     def test_pixel_plot(self, benchmark_plots):
         X = read_scatterplot_csv(benchmark_plots["pixel"][0]).points
         self.assert_as_unique(X)
-        assert len(gmm._distinct_points(X)[0]) < len(X)
+        assert len(Scatterplot(X).distinct[0]) < len(X)
+
+    def test_read_only_and_found_once(self, monkeypatch):
+        plot = Scatterplot(KERNEL_PLOTS["grid_snapped"].points)
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(args) or unique(*args, **kwargs))
+        assert plot.distinct is plot.distinct
+        assert len(calls) == 1
+        assert not any(a.flags.writeable for a in plot.distinct)
+
+
+class TestScatterplot:
+    @pytest.mark.parametrize("X", [[[-0.0, 1.0], [2.0, -0.0]], [[-0.0, -0.0]] * 3,
+                                   np.array([[-0.0, 1.0, 2.0], [0.0, -0.0, 3.0]]).T])
+    def test_holds_no_negative_zero(self, X):
+        plot = Scatterplot(X)
+        assert not np.signbit(plot.points[plot.points == 0.0]).any()
+        assert plot.points.tobytes() == (np.asarray(X, dtype=float) + 0.0).tobytes()
+        assert plot.points.flags.c_contiguous and not plot.points.flags.writeable
+
+    def test_does_not_share_the_callers_array(self):
+        X = np.array([[1.0, 2.0], [3.0, 4.0]])
+        plot = Scatterplot(X)
+        X[0, 0] = 9.0
+        assert plot.points[0, 0] == 1.0
